@@ -52,7 +52,6 @@ from .shear import (
     balanced_decompose,
     even_image_check,
     is_balanced,
-    shear_to_skein,
 )
 from .trace import (
     TraceResult,

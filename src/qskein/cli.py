@@ -20,10 +20,12 @@ if "QSKEIN_THREADS" in os.environ:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["QSKEIN_THREADS"])
 
+from .coordinate_change import compose_flips
 from .curves import CurveError, NormalCurve, classify, enumerate_states, state_exponents
 from .library import surface_by_name
 from .puncture import BarBundle, bar_trace, lift
 from .qtorus import element_from_json
+from .repcheck import verify_generator_map_identity
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError, Triangulation
 from . import suites
@@ -191,7 +193,6 @@ def cmd_shear(args):
 
 
 def cmd_flipseq(args):
-    from .coordinate_change import compose_flips
     T = _load_surface(args.surface)
     labels = args.labels.split(",") if args.labels else None
     if labels and len(labels) != len(args.edges):
@@ -209,7 +210,6 @@ def cmd_flipseq(args):
     print("returns to start: %s" % final.same_as(T))
     code = 0
     if args.verify:
-        from .repcheck import verify_generator_map_identity
         if not final.same_as(T):
             print("verification skipped: sequence does not return to the start")
             return 2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .qscalar import Laurent, ONE
 from .qtorus import TorusElement, TorusSpec, decompose_monomial
-from .curves import CurveError, classify, _epsilon_at
+from .curves import CurveError, NormalCurve, classify, transport_curve, _epsilon_at
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError
 
@@ -375,7 +375,6 @@ def knot_monomial_transfer(alpha2, T, a, T2=None, fd=None, new_label=None):
 
 def _transport_back(alpha2, T, T2, fd):
     """Transport a curve of T2 back through the inverse flip to T."""
-    from .curves import transport_curve
     T3, fd_back = T2.flip(fd.a_star, new_label=fd.a)
     if not T3.same_as(T):
         raise SurfaceError("flip-back does not restore the triangulation")
@@ -385,7 +384,6 @@ def _transport_back(alpha2, T, T2, fd):
 
 
 def _rebuild_on(alpha, T_from, T_to):
-    from .curves import NormalCurve
     steps = []
     for t, i, o in alpha.steps:
         labs_from = T_from.triangle_edges(t)

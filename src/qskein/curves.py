@@ -13,12 +13,22 @@ the ordered pair (x, y) where y follows x.  The forbidden value pair on
 requirement that u(s) vanishes on admissible states of simple curves
 (equivalently, that the assembled trace is natural under flips).  The
 opposite choice amounts to reversing the orientation of every surface.
+
+State sum.  Crossing j sits between step j and step j+1, so admissibility
+is a cyclic chain: step j forbids one value pair on crossings (j-1, j).
+enumerate_states walks that chain depth first and never builds an
+inadmissible prefix.  u(s) is an integer quadratic form in the state,
+2 u(s) = -s^T W s, whose matrix W is built once per curve and base edge;
+state_sum is the one loop over states behind every once-crossing trace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+
+from .qscalar import Laurent
+from .qtorus import TorusElement
+from .shear import is_balanced
 
 # forbidden (value at ccw-first edge, value at ccw-second edge)
 FORBIDDEN = (1, -1)
@@ -123,7 +133,6 @@ class NormalCurve:
         return tuple(sorted(self.multiplicities()))
 
     def reversed(self):
-        n = len(self.steps)
         return NormalCurve(
             self.T, [(t, o, i) for t, i, o in reversed(self.steps)]
         )
@@ -154,26 +163,9 @@ class NormalCurve:
         return "NormalCurve(%d steps over %s)" % (len(self.steps), self.crossed_edges())
 
 
-def _cut_corner(t, i, o):
-    """The corner cut by a step through slots i -> o of triangle t."""
-    if o == (i + 1) % 3:
-        return (t, o)
-    return (t, i)
-
-
 def _turn(i, o):
     """+1 when the out side follows the in side counterclockwise."""
     return 1 if o == (i + 1) % 3 else -1
-
-
-def step_corner_pair(T, step):
-    """Ordered (ccw-first edge, ccw-second edge) of the cut corner."""
-    t, i, o = step
-    ein = T.edge_of_side(T.triangles[t][i])
-    eout = T.edge_of_side(T.triangles[t][o])
-    if o == (i + 1) % 3:
-        return ein, eout
-    return eout, ein
 
 
 def classify(alpha, T=None):
@@ -191,39 +183,33 @@ def classify(alpha, T=None):
 # states and colorings
 
 
-def _step_value_slots(alpha):
-    """Per step: (crossing index at the in side, crossing index at out side).
-
-    Crossing j sits on the edge between step j and step j+1; so step j is
-    entered through crossing j-1 and exited through crossing j.
-    """
-    n = len(alpha.steps)
-    return [((j - 1) % n, j) for j in range(n)]
-
-
-def _admissible(alpha, values):
-    T = alpha.T
-    slots = _step_value_slots(alpha)
-    for j, step in enumerate(alpha.steps):
-        t, i, o = step
-        vin = values[slots[j][0]]
-        vout = values[slots[j][1]]
-        if o == (i + 1) % 3:
-            pair = (vin, vout)
-        else:
-            pair = (vout, vin)
-        if pair == FORBIDDEN:
-            return False
-    return True
+def _forbidden_pair(step):
+    """The forbidden (value at in-crossing, value at out-crossing) of a step."""
+    t, i, o = step
+    return FORBIDDEN if _turn(i, o) == 1 else FORBIDDEN[::-1]
 
 
 def enumerate_states(alpha):
-    """All admissible +-1 assignments on the crossing points of alpha."""
-    n = len(alpha.steps)
+    """All admissible +-1 assignments on the crossing points of alpha.
+
+    Assigns v_0, v_1, ... depth first, +1 before -1, checking step j as
+    soon as v_j is set and step 0 when the last value closes the cycle.
+    Each step forbids one pair only, so every prefix extends; the states
+    come out in lexicographic order with +1 first.
+    """
+    bad = [_forbidden_pair(step) for step in alpha.steps]
+    n = len(bad)
+    values = [0] * n
     out = []
-    for values in product((1, -1), repeat=n):
-        if _admissible(alpha, values):
-            out.append(values)
+    stack = [(0, -1), (0, 1)]
+    while stack:
+        j, v = stack.pop()
+        values[j] = v
+        if j == n - 1:
+            if (v, values[0]) != bad[0]:
+                out.append(tuple(values))
+        else:
+            stack.extend((j + 1, w) for w in (-1, 1) if (v, w) != bad[j + 1])
     return out
 
 
@@ -287,62 +273,78 @@ def epsilon_vector(alpha, labels):
 # the phase exponent u(s)
 
 
-def _base_rotation(alpha, base_edge=None):
+def _base_crossing(alpha, base_edge=None):
+    """Index of the crossing on the base edge, an edge crossed exactly
+    once; by default the least such edge."""
     mult = alpha.multiplicities()
-    ce = alpha.crossing_edges()
     if base_edge is None:
-        once = [e for e in ce if mult[e] == 1]
+        once = [e for e, m in mult.items() if m == 1]
         if not once:
             raise CurveError("no edge crossed exactly once; u(s) needs one")
-        base_edge = sorted(once)[0]
-    else:
-        if mult.get(base_edge, 0) != 1:
-            raise CurveError("base edge must be crossed exactly once")
-    j = ce.index(base_edge)
-    # rotate so the base crossing separates the last and first step
-    return alpha.rotated((j + 1) % len(alpha.steps)), base_edge
+        base_edge = min(once)
+    elif mult.get(base_edge, 0) != 1:
+        raise CurveError("base edge must be crossed exactly once")
+    return alpha.crossing_edges().index(base_edge)
+
+
+def _u_form(alpha, base_edge=None):
+    """The matrix W of 2 u(s) = -s^T W s, as a list of (a, b, W_ab).
+
+    Splits the surface along the inner edges and lifts the crossing points
+    to the split triangles in traversal order from the base crossing on:
+    step m enters through crossing m-1 and leaves through crossing m.
+    Every ordered pair of lifted points in one triangle, except the two
+    ends of one curve interval, adds its local face pairing Q_t to W at
+    their crossings.  W is kept upper triangular with nonzero entries.
+    """
+    n = len(alpha.steps)
+    r = _base_crossing(alpha, base_edge) + 1
+    lifted = {}
+    for m in range(r, r + n):
+        t, i, o = alpha.steps[m % n]
+        lifted.setdefault(t, []).extend([(m, i, (m - 1) % n), (m, o, m % n)])
+    W = {}
+    for pts in lifted.values():
+        for x, (m1, slot1, a) in enumerate(pts):
+            for m2, slot2, b in pts[x + 1:]:
+                if m1 != m2:
+                    key = (min(a, b), max(a, b))
+                    W[key] = W.get(key, 0) + _local_face(slot1, slot2)
+    return [(a, b, w) for (a, b), w in W.items() if w]
+
+
+def _twice_u(form, values):
+    return -sum(w * values[a] * values[b] for a, b, w in form)
 
 
 def u_of_state(alpha, values, base_edge=None):
     """The half-integer exponent of q attached to an admissible state.
 
-    Splits the surface along the inner edges, lifts the crossing points to
-    the split triangles in traversal order, and accumulates the local face
-    matrix pairings -1/2 Q_t(e(u), e(v)) s(u) s(v) over ordered pairs
-    u << v inside each split triangle, where pairs forming one curve
-    interval are excluded.  The state is carried along the rotation to the
-    base crossing.
+    Accumulates the local face pairings -1/2 Q_t(e(u), e(v)) s(u) s(v)
+    over ordered pairs u << v of lifted crossing points inside each split
+    triangle, pairs forming one curve interval excluded; see _u_form.
     """
-    rot, base = _base_rotation(alpha, base_edge)
-    # re-align values with the rotated crossing list
-    n = len(alpha.steps)
-    ce = alpha.crossing_edges()
-    j = ce.index(base) if base_edge is None else ce.index(base_edge)
-    vals = tuple(values[(j + 1 + i) % n] for i in range(n))
-    return _u_from_rotated(rot, vals)
+    return Fraction(_twice_u(_u_form(alpha, base_edge), values), 2)
 
 
-def _u_from_rotated(rot, vals):
-    # interval i (1-based) = step i-1; its entry point lifts crossing i-2,
-    # its exit lifts crossing i-1 (indices into the rotated crossing list)
-    n = len(rot.steps)
-    per_tri = {}
-    for idx, (t, i, o) in enumerate(rot.steps):
-        entry = (2 * idx, i, vals[(idx - 1) % n], idx)
-        exit_ = (2 * idx + 1, o, vals[idx], idx)
-        per_tri.setdefault(t, []).extend([entry, exit_])
-    total2 = 0  # twice u(s)
-    for t, pts in per_tri.items():
-        m = len(pts)
-        for x in range(m):
-            for y in range(x + 1, m):
-                pos1, slot1, v1, int1 = pts[x]
-                pos2, slot2, v2, int2 = pts[y]
-                if int1 == int2:
-                    continue  # the pair (u'_i, u''_i) is excluded
-                q = _local_face(slot1, slot2)
-                total2 -= q * v1 * v2
-    return Fraction(total2, 2)
+def state_sum(alpha, T, spec, base_edge=None):
+    """(sum_s q^(u(s)) y^(k_s) in the torus spec, number of states) over
+    the admissible states of a curve crossing some edge of T once.
+
+    The form of u(s) is built once; every k_s is checked to be balanced.
+    """
+    form = _u_form(alpha, base_edge)
+    terms = {}
+    states = enumerate_states(alpha)
+    for values in states:
+        k = state_exponents(alpha, values, spec.labels)
+        if not is_balanced(k, T):
+            raise AssertionError("state exponent vector is not balanced")
+        coeffs = terms.setdefault(k, {})
+        n8 = 4 * _twice_u(form, values)          # 8 u(s), in eighths of q
+        coeffs[n8] = coeffs.get(n8, 0) + 1
+    shear = TorusElement(spec, {k: Laurent(c) for k, c in terms.items()})
+    return shear, len(states)
 
 
 def _local_face(slot1, slot2):
@@ -355,12 +357,15 @@ def _local_face(slot1, slot2):
 
 def u_split_parts(alpha, values, base_edge=None):
     """(u1, u2) with u = u1 + u2: the normalized-pair part over the curve
-    intervals and the reordering part over all lifted pairs."""
-    rot, base = _base_rotation(alpha, base_edge)
+    intervals and the reordering part over all lifted pairs.
+
+    Evaluated state by state on the curve rotated to its base crossing,
+    independently of the form behind u_of_state, which it checks.
+    """
+    r = _base_crossing(alpha, base_edge) + 1
+    rot = alpha.rotated(r)
     n = len(alpha.steps)
-    ce = alpha.crossing_edges()
-    j = ce.index(base) if base_edge is None else ce.index(base_edge)
-    vals = tuple(values[(j + 1 + i) % n] for i in range(n))
+    vals = tuple(values[(r + i) % n] for i in range(n))
     pts = []
     for idx, (t, i, o) in enumerate(rot.steps):
         pts.append((t, i, vals[(idx - 1) % n], idx))

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qscalar import Laurent
 from .qtorus import TorusSpec, TorusElement, canonical_projection, mlh_apply, mlh_check
-from .curves import NormalCurve, enumerate_states, state_exponents, u_of_state
-from .shear import ShearSkein, is_balanced
+from .curves import NormalCurve, enumerate_states, state_sum
+from .shear import ShearSkein
 from .surface import SurfaceError, Triangulation
+from .trace import trace_once_edge
 
 
 @dataclass
@@ -50,9 +50,6 @@ class LiftData:
             if a is not None and a in li:
                 Om[li[a], j] = 1
         return Om
-
-    def is_fake(self, t):
-        return t in set(self.fake_tris.values())
 
     def cp_labels(self):
         return set(self.cp_edge.values())
@@ -298,30 +295,10 @@ def bar_trace(ld, lam_curve, bundle=None, base_edge=None):
     """Punctured trace via Lambda-states, cross-checked against the
     projected Delta pipeline."""
     bundle = bundle or BarBundle(ld)
-    lam = ld.lam
-    mult = lam_curve.multiplicities()
-    if not any(m == 1 for m in mult.values()):
-        raise ValueError("curve must cross some edge of Lambda exactly once")
-
-    terms = {}
-    count = 0
-    for values in enumerate_states(lam_curve):
-        count += 1
-        u = u_of_state(lam_curve, values, base_edge)
-        k = state_exponents(lam_curve, values, bundle.ylam.labels)
-        if not is_balanced(k, lam):
-            raise AssertionError("Lambda state exponent not balanced")
-        coeff = Laurent.q_power(int(8 * u))
-        terms[k] = terms.get(k, Laurent.zero()) + coeff
-    shear = TorusElement(bundle.ylam, terms)
+    shear, count = state_sum(lam_curve, ld.lam, bundle.ylam, base_edge)
     skein = bundle.bar_psi(shear)
 
     alpha_d = curve_lift(ld, lam_curve)
-    _, skein_d, _ = _delta_pipeline(ld, alpha_d, bundle)
+    _, skein_d, _ = trace_once_edge(alpha_d, ld.delta, bundle=bundle.delta_bundle)
     projected = bundle.bar_projection(skein_d)
     return BarTraceResult(shear, skein, count, projected == skein)
-
-
-def _delta_pipeline(ld, alpha_d, bundle):
-    from .trace import trace_once_edge
-    return trace_once_edge(alpha_d, ld.delta, bundle=bundle.delta_bundle)

@@ -203,19 +203,3 @@ class RootOfUnity:
 
     def __repr__(self):
         return "RootOfUnity(L=%d)" % self.L
-
-
-def scalar_add(a, b):
-    return a + b
-
-
-def scalar_mul(a, b):
-    return a * b
-
-
-def scalar_reflect(a):
-    return a.reflect()
-
-
-def scalar_eval(a, root):
-    return a.evaluate(root)

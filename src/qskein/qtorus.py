@@ -224,9 +224,6 @@ class TorusElement:
                     out.add(lab)
         return out
 
-    def map_exponents(self, fn, new_spec):
-        return TorusElement(new_spec, {fn(k): c for k, c in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"

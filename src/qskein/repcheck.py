@@ -23,7 +23,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, lgmres, splu
 
 from .qscalar import RootOfUnity
-from .qtorus import TorusSpec, restrict_element
+from .qtorus import TorusElement, TorusSpec, restrict_element
 from .coordinate_change import Expr
 
 DEFAULT_ORDERS = (5, 7, 11)
@@ -360,7 +360,6 @@ def verify_generator_map_identity(gmap, expected=None, orders=None,
         if expected is not None and lab in expected:
             want = expected[lab]
         else:
-            from .qtorus import TorusElement
             want = Expr.from_element(
                 TorusElement.generator(gmap.target, lab, gmap.gen_exponent)
             )

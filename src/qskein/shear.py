@@ -96,8 +96,3 @@ def even_image_check(k, T, bundle=None):
     even = bool(np.all(img % 2 == 0))
     bal = is_balanced(k, T)
     return {"kH_even": even, "balanced": bal, "agree": even == bal}
-
-
-def shear_to_skein(elem, T, bundle=None):
-    bundle = bundle or ShearSkein(T)
-    return bundle.psi(elem)

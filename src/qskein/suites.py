@@ -27,8 +27,13 @@ from .qscalar import Laurent
 from .qtorus import TorusElement
 from .repcheck import verify_generator_map_identity, verify_identity
 from .shear import ShearSkein, is_balanced
-from .surface import annulus, polygon, torus_one_marked
-from .trace import oracle_resolution, trace_once_edge, trace_simple
+from .surface import annulus, polygon, sphere_three_marked, torus_one_marked
+from .trace import (
+    oracle_resolution,
+    psi_image_of_knot_monomial,
+    trace_once_edge,
+    trace_simple,
+)
 
 
 FLIP_LIBRARY = (
@@ -72,7 +77,6 @@ def library_simple_curves():
     for slope in ("1,0", "0,1", "1,1"):
         _, c = torus_curve(slope)
         out.append(("torus-lift (%s)" % slope, ld.delta, bt, curve_lift(ld, c)))
-    from .surface import sphere_three_marked
     ld2 = lift(sphere_three_marked())
     bs = ShearSkein(ld2.delta)
     for pair in ("12", "23", "13"):
@@ -235,7 +239,6 @@ def suite_phased_naturality(trials=6, seed=0):
     flip: the once-crossing trace, q-phases included, must equal the
     image of the simple-side state sum under the skein coordinate change.
     """
-    from .trace import trace_once_edge
     rows = []
     for name, T, edge, alpha in _phased_cases():
         T2, fd = T.flip(edge)
@@ -294,7 +297,6 @@ def suite_transfer():
     """The knot-monomial identities, exact where polynomial."""
     rows = []
     for name, T, bundle, alpha in library_simple_curves():
-        from .trace import psi_image_of_knot_monomial
         try:
             psi_image_of_knot_monomial(alpha, T, bundle)
             rows.append(_row("psi(y^k)=X^eps %s" % name, True))
@@ -305,7 +307,6 @@ def suite_transfer():
     ld = lift(lam, variant="before")
     cd = curve_lift(ld, c)
     bundle = ShearSkein(ld.delta)
-    from .trace import psi_image_of_knot_monomial
     try:
         psi_image_of_knot_monomial(cd, ld.delta, bundle)
         rows.append(_row("psi(y^k)=X^eps torus-lift (1,-1) almost-simple", True))
@@ -335,7 +336,6 @@ def suite_punctured():
                          res.shear_side.has_unit_coefficients()))
         shears.append(res.shear_side)
     rows.append(_row("torus lift independence", shears[0] == shears[1]))
-    from .surface import sphere_three_marked
     sph = sphere_three_marked()
     for pair in ("12", "23", "13"):
         _, c = sphere_curve(pair)

@@ -16,6 +16,7 @@ Three routes into the quantum torus are implemented and cross-checked:
 * trace_once_edge: the once-crossing formula sum_s q^(u(s)) y^(k_s) for
   curves with an edge of multiplicity one, with the phase u(s) computed
   on the split surface.  For simple curves it reproduces trace_simple.
+  Its loop is curves.state_sum, which the punctured trace shares.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from .curves import (
     FORBIDDEN,
     classify,
     enumerate_colorings,
-    enumerate_states,
     epsilon_vector,
-    state_exponents,
-    u_of_state,
+    state_sum,
 )
-from .shear import ShearSkein, is_balanced
+from .shear import ShearSkein, is_balanced, shear_spec
 
 
 @dataclass
@@ -160,28 +159,12 @@ def _strip_phase(mono):
 def trace_once_edge(alpha, T, base_edge=None, bundle=None, with_skein=True):
     """The trace sum_s q^(u(s)) y^(k_s) for a curve crossing some edge once.
 
-    Returns (shear element of Y(Delta), skein image or None).
+    Returns (shear element of Y(Delta), skein image or None, state count).
     """
     _require_normal(alpha, T)
-    mult = alpha.multiplicities()
-    if not any(m == 1 for m in mult.values()):
-        raise CurveError("no edge of multiplicity one")
     bundle = bundle or (ShearSkein(T) if with_skein else None)
-    yspec = bundle.y if bundle else None
-    if yspec is None:
-        from .shear import shear_spec
-        yspec = shear_spec(T)
-    terms = {}
-    count = 0
-    for values in enumerate_states(alpha):
-        count += 1
-        u = u_of_state(alpha, values, base_edge)
-        k = state_exponents(alpha, values, yspec.labels)
-        if not is_balanced(k, T):
-            raise AssertionError("state exponent vector is not balanced")
-        coeff = Laurent.q_power(int(8 * u))
-        terms[k] = terms.get(k, Laurent.zero()) + coeff
-    shear = TorusElement(yspec, terms)
+    yspec = bundle.y if bundle else shear_spec(T)
+    shear, count = state_sum(alpha, T, yspec, base_edge)
     skein = bundle.psi(shear) if bundle else None
     return shear, skein, count
 

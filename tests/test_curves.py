@@ -117,12 +117,24 @@ def test_u_needs_single_crossing():
 
 
 def test_u_corner_contribution():
-    # one corner interval contributes +-1/2 through the normalized pair
+    # the annulus core visits each triangle once: both parts vanish
     A, core = annulus_core()
-    u1, u2 = u_split_parts(core, (1, 1))
-    assert abs(u1) == Fraction(1, 1) or abs(u1) == Fraction(0, 1) or True
-    # the per-interval part of a single corner step is half-integral
-    assert (2 * u1).denominator == 1
+    for s in enumerate_states(core):
+        assert u_split_parts(core, s) == (0, 0)
+    # the torus (1,-1) curve revisits both triangles; the reordering part
+    # carries the whole phase, pinned state by state
+    lam, c = torus_curve("1,-1")
+    expected = {
+        (1, 1, 1, 1): (0, 0),
+        (1, -1, 1, 1): (0, 0),
+        (1, -1, -1, 1): (0, -2),
+        (-1, -1, 1, 1): (0, 2),
+        (-1, -1, -1, 1): (0, 0),
+        (-1, -1, -1, -1): (0, 0),
+    }
+    assert enumerate_states(c) == list(expected)
+    for s, parts in expected.items():
+        assert u_split_parts(c, s) == tuple(Fraction(v) for v in parts)
 
 
 def test_reversal_and_rotation():

@@ -1,0 +1,114 @@
+"""The admissible-state walk and the u(s) form against brute force.
+
+The references here do not reuse the code under test: admissibility is
+restated as a filter over all 2^n value tuples, the state count as the
+trace of a product of 2x2 0/1 transfer matrices, and u(s) is summed state
+by state through u_split_parts.
+"""
+
+from itertools import product
+
+from qskein.curves import (
+    CurveError,
+    enumerate_states,
+    transport_curve,
+    u_of_state,
+    u_split_parts,
+)
+from qskein.library import annulus_core, sphere_curve, torus_curve
+from qskein.puncture import curve_lift, lift
+from qskein.surface import SurfaceError, sphere_three_marked, torus_one_marked
+
+# forbidden (value at the ccw-first edge, value at the ccw-second edge)
+FORBIDDEN = (1, -1)
+MAX_CROSSINGS = 14
+
+
+def _corner_pair(step, vin, vout):
+    _, i, o = step
+    return (vin, vout) if o == (i + 1) % 3 else (vout, vin)
+
+
+def brute_states(alpha):
+    n = len(alpha.steps)
+    return [
+        values for values in product((1, -1), repeat=n)
+        if all(_corner_pair(step, values[j - 1], values[j]) != FORBIDDEN
+               for j, step in enumerate(alpha.steps))
+    ]
+
+
+def transfer_count(alpha):
+    prod = [[1, 0], [0, 1]]
+    for step in alpha.steps:
+        M = [[int(_corner_pair(step, a, b) != FORBIDDEN) for b in (1, -1)]
+             for a in (1, -1)]
+        prod = [[sum(prod[r][k] * M[k][c] for k in range(2)) for c in range(2)]
+                for r in range(2)]
+    return prod[0][0] + prod[1][1]
+
+
+def greedy_walk(T, alpha):
+    """Curves met by flipping, at each stage, the first edge that most
+    increases the crossing count, up to MAX_CROSSINGS crossings."""
+    out = [alpha]
+    while True:
+        best = None
+        for edge in T.inner_edges:
+            try:
+                T2, fd = T.flip(edge)
+                moved = transport_curve(alpha, T, fd, T2)
+            except (SurfaceError, CurveError):
+                continue
+            size = len(moved.steps)
+            if len(alpha.steps) < size <= MAX_CROSSINGS and (
+                    best is None or size > len(best[1].steps)):
+                best = (T2, moved)
+        if best is None:
+            return out
+        T, alpha = best
+        out.append(alpha)
+
+
+TORUS_SLOPES = ("1,0", "0,1", "1,1", "1,-1")
+SPHERE_PAIRS = ("12", "23", "13")
+
+
+def oracle_curves():
+    curves = [annulus_core()[1]]
+    curves += [torus_curve(s)[1] for s in TORUS_SLOPES]
+    curves += [sphere_curve(p)[1] for p in SPHERE_PAIRS]
+    starts = [(torus_one_marked, torus_curve, TORUS_SLOPES),
+              (sphere_three_marked, sphere_curve, SPHERE_PAIRS)]
+    for surface, curve, names in starts:
+        for variant in ("after", "before"):
+            ld = lift(surface(), variant=variant)
+            for name in names:
+                lifted = curve_lift(ld, curve(name, ld.lam)[1])
+                curves += greedy_walk(ld.delta, lifted)
+    return curves
+
+
+CURVES = oracle_curves()
+
+
+def test_walk_equals_brute_force_filter_in_order():
+    assert max(len(alpha.steps) for alpha in CURVES) == MAX_CROSSINGS
+    for alpha in CURVES:
+        states = enumerate_states(alpha)
+        assert isinstance(states, list)
+        assert states == brute_states(alpha)
+        assert len(states) == transfer_count(alpha)
+
+
+def test_u_form_equals_split_parts_on_every_state():
+    checked = 0
+    for alpha in CURVES:
+        once = sorted(e for e, m in alpha.multiplicities().items() if m == 1)
+        if not once:
+            continue                    # u(s) needs an edge crossed once
+        for base in [None] + once:
+            for s in enumerate_states(alpha):
+                assert u_of_state(alpha, s, base) == sum(u_split_parts(alpha, s, base))
+                checked += 1
+    assert checked > 1000
