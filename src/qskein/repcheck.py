@@ -1,69 +1,136 @@
 """Root-of-unity representations certifying skew-field identities.
 
-At an odd prime order L the scalar q^(1/8) is sent to exp(2 pi i / L)
-and the quantum torus acts on C[(Z/L)^I] by weighted translations:
+At an odd order L the scalar q^(1/8) is sent to zeta = exp(2 pi i / L).
+An exact integer symplectic normal form, P A P^T = (+) d_i J (+) 0 with P
+unimodular, rewrites x^k as the monomial z^c, c = k P^(-1), of a torus
+whose form is block diagonal.  With u^(1/2) = zeta^h, each block d J with
+L not dividing h d acts on its own factor C^L by a clock-shift pair,
 
-    x^k . e_n = u^((1/2) k A n^T) e_(n + k mod L).
+    z^(a,b) . e_n = zeta^(h d (2 a n + a b)) e_(n + b),
 
-A direct computation shows rep(x^k) rep(x^m) = u^((1/2)<k,m>) rep(x^(k+m)),
-so the assignment respects the torus product exactly at the chosen root.
-Formal inverses act through iterative linear solves; no dense matrix is
-ever formed.  Representations at roots of unity are not faithful, so an
-identity is only certified after passing at several coprime orders; this
-is a probabilistic check and is documented as such.
+and the other blocks are central.  Every z-generator also carries a random
+unit-modulus scalar, its central character.  The result is an irreducible
+representation on (C^L)^(tensor r) of dimension L^r, r = rank_L A / 2
+(Bonahon-Liu, Bonahon-Wong), and rep(x^k) rep(x^m) = u^((1/2)<k,m>)
+rep(x^(k+m)) holds exactly at the chosen root.
+
+Unit monomials invert explicitly; every other inverse acts through one
+cached dense LU factorization of its L^r x L^r matrix, with a residual
+check.  Representations at roots of unity are not faithful, so PASS needs
+at least three completed orders, all at least 5; this is a probabilistic
+check and is documented as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, lgmres, splu
+# unused here; kept importable because the benchmark's tracer patches them by name
+from scipy.sparse.linalg import lgmres, splu  # noqa: F401
 
 from .qscalar import RootOfUnity
 from .qtorus import TorusElement, TorusSpec, restrict_element
 from .coordinate_change import Expr
 
 DEFAULT_ORDERS = (5, 7, 11)
-FALLBACK_ORDERS = (3, 5, 7)
 EXTRA_ORDERS = (13, 17, 19)
-MAX_DIM = 2_000_000
+MIN_ORDERS = 3
 DENSE_DIM = 4000
-SPARSE_DIM = 400_000   # beyond this, factorization fill is not worth the memory
+CHARACTER_ORDER = 2 ** 20
 PASS_TOL = 1e-8
 SOLVE_TOL = 1e-10
 
 
 class Inconclusive(Exception):
-    """A solve failed to converge at this root order."""
+    """This root order cannot decide: a solve failed or the dimension is too large."""
+
+
+@lru_cache(maxsize=None)
+def symplectic_normal_form(spec):
+    """(P, P^-1, d) with P unimodular and P A P^T = diag(d_1 J, ..., d_m J, 0).
+
+    J = [[0, 1], [-1, 0]] and every d_i > 0; exact integer arithmetic."""
+    n = len(spec.labels)
+    M = spec.A.astype(object)
+    P = np.eye(n, dtype=object)
+    Q = P.copy()                       # P^-1
+
+    def swap(i, j):
+        M[[i, j]] = M[[j, i]]
+        M[:, [i, j]] = M[:, [j, i]]
+        P[[i, j]] = P[[j, i]]
+        Q[:, [i, j]] = Q[:, [j, i]]
+
+    def add(j, i, t):                  # basis vector j += t * basis vector i
+        M[j] += t * M[i]
+        M[:, j] += t * M[:, i]
+        P[j] += t * P[i]
+        Q[:, i] -= t * Q[:, j]
+
+    d, s = [], 0
+    while s + 1 < n:
+        nonzero = [(abs(M[i, j]), i, j)
+                   for i in range(s, n) for j in range(s, n) if M[i, j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        swap(s, i)
+        swap(s + 1, i if j == s else j)
+        if M[s, s + 1] < 0:
+            swap(s, s + 1)
+        pivot = M[s, s + 1]
+        for j in range(s + 2, n):
+            add(j, s + 1, -(M[s, j] // pivot))
+            add(j, s, M[s + 1, j] // pivot)
+        if not M[s:s + 2, s + 2:].any():
+            d.append(int(pivot))
+            s += 2
+    D = np.zeros((n, n), dtype=np.int64)
+    for i, di in enumerate(d):
+        D[2 * i, 2 * i + 1], D[2 * i + 1, 2 * i] = di, -di
+    P, Q = P.astype(np.int64), Q.astype(np.int64)
+    assert np.array_equal(P @ spec.A @ P.T, D)
+    assert np.array_equal(P @ Q, np.eye(n, dtype=np.int64))
+    return P, Q, tuple(d)
 
 
 class RootRep:
-    """The weighted-translation representation of one torus at order L."""
+    """The clock-shift representation of one torus at order L, with central
+    characters drawn from seed and L."""
 
-    def __init__(self, spec, L):
+    def __init__(self, spec, L, seed=0):
         self.spec = spec
         self.root = RootOfUnity(L)
         self.L = L
-        self.n = len(spec.labels)
-        self.dim = L ** self.n
-        if self.dim > MAX_DIM:
-            raise ValueError(
-                "dimension %d^%d too large; restrict the index set"
-                % (L, self.n)
-            )
-        self.shape = (L,) * self.n
+        _, self._to_z, d = symplectic_normal_form(spec)
+        h = spec.u_eighth // 2
+        blocks = [i for i, di in enumerate(d) if (h * di) % L]
+        self._a = [2 * i for i in blocks]
+        self._b = [2 * i + 1 for i in blocks]
+        self._hd = np.array([h * d[i] for i in blocks], dtype=np.int64)
+        self.r = len(blocks)
+        self.dim = L ** self.r
+        if self.dim > DENSE_DIM:
+            raise Inconclusive("order %d skipped (dimension %d > %d)"
+                               % (L, self.dim, DENSE_DIM))
+        self.shape = (L,) * self.r
+        self._axes = tuple(range(-self.r, 0))
         # zeta^j lookup and the per-axis coordinate grids
         self._zpow = np.array(
             [self.root.zeta_pow(j) for j in range(L)], dtype=np.complex128
         )
         self._coords = []
-        for ax in range(self.n):
-            sh = [1] * self.n
+        for ax in range(self.r):
+            sh = [1] * self.r
             sh[ax] = L
             self._coords.append(np.arange(L, dtype=np.int64).reshape(sh))
+        # z_j carries the character exp(2 pi i n_j / CHARACTER_ORDER): with
+        # integer n_j the phase of z^c stays exact however large c is
+        rng = np.random.default_rng((seed, L))
+        self._character = rng.integers(0, CHARACTER_ORDER, len(spec.labels))
         self._lu_cache = {}
 
     def random_vector(self, rng):
@@ -71,20 +138,25 @@ class RootRep:
         return v / np.linalg.norm(v)
 
     def act_element(self, el, v):
-        """Apply a torus element to a vector of shape (L,)*n."""
+        """Apply a torus element to v of shape (..., L, ..., L): the last r
+        axes carry the representation, leading axes are a batch."""
         out = np.zeros_like(v)
-        half_u = self.spec.u_eighth // 2
-        for k, c in el.terms.items():
-            g = np.asarray(k, dtype=np.int64) @ self.spec.A
-            phase_exp = np.zeros(self.shape, dtype=np.int64)
-            for ax in range(self.n):
-                if g[ax]:
-                    phase_exp = phase_exp + (half_u * g[ax]) * self._coords[ax]
-            w = self._zpow[np.mod(phase_exp, self.L)] * v
-            shifts = tuple(int(e) % self.L for e in k)
+        if not el.terms:
+            return out
+        c = np.array(list(el.terms), dtype=np.int64) @ self._to_z
+        a, b = c[:, self._a], c[:, self._b]
+        turns = (c @ self._character) % CHARACTER_ORDER / CHARACTER_ORDER
+        scale = np.exp(2j * np.pi * turns) * self._zpow[
+            np.mod((self._hd * a * b).sum(axis=1), self.L)]
+        grads = np.mod(2 * self._hd * a, self.L)
+        for t, coeff in enumerate(el.terms.values()):
+            phase = sum(int(g) * x for g, x in zip(grads[t], self._coords) if g)
+            weight = scale[t] * complex(coeff.evaluate(self.root))
+            w = v * (weight * self._zpow[np.mod(phase, self.L)])
+            shifts = tuple(int(s) % self.L for s in b[t])
             if any(shifts):
-                w = np.roll(w, shifts, axis=tuple(range(self.n)))
-            out += complex(c.evaluate(self.root)) * w
+                w = np.roll(w, shifts, axis=self._axes)
+            out += w
         return out
 
     def act_expr(self, expr, v):
@@ -102,128 +174,58 @@ class RootRep:
         return out
 
     def act_inverse(self, el, v):
-        """Apply the inverse of a torus element: the w with el . w = v.
-
-        Monomials invert explicitly; other elements go through a cached
-        factorization or an iterative solve, and a residual above 1e-10
-        raises Inconclusive so the caller can retry at another order.
-        """
-        if len(el.terms) == 1:
-            return self.act_element(el.inverse_monomial(), v)
+        """Apply the inverse of a torus element: the w with el . w = v."""
         return self._solve(Expr.from_element(el), v)
 
     def _solve(self, expr, v):
-        """w with expr . w = v, residual-checked."""
-        # fast path: a single plain monomial word inverts explicitly
-        mono = self._as_monomial(expr)
+        """w with expr . w = v: a unit monomial inverts explicitly, anything
+        else through a cached dense LU factorization; a residual above
+        SOLVE_TOL raises Inconclusive so the caller can retry at another
+        order."""
+        mono = _unit_monomial(expr)
         if mono is not None:
             return self.act_element(mono.inverse_monomial(), v)
-
-        flat_shape = (self.dim,)
-
-        def mv(x):
-            return self.act_expr(expr, x.reshape(self.shape)).reshape(flat_shape)
-
-        rhs = v.reshape(flat_shape)
-        plain = self._plain_element(expr)
-        if plain is not None and self.dim > SPARSE_DIM:
-            plain = None
-        if plain is not None:
-            key = id(expr)
-            if key not in self._lu_cache:
-                try:
-                    fac = splu(self._sparse_matrix(plain))
-                except Exception as exc:
-                    raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
-                self._lu_cache[key] = (expr, ("sparse", fac))
-            _, (_, fac) = self._lu_cache[key]
-            sol = fac.solve(rhs)
-        elif self.dim <= DENSE_DIM:
-            key = id(expr)
-            if key not in self._lu_cache:
-                mat = np.empty((self.dim, self.dim), dtype=np.complex128)
-                basis = np.zeros(flat_shape, dtype=np.complex128)
-                for j in range(self.dim):
-                    basis[j] = 1.0
-                    mat[:, j] = mv(basis)
-                    basis[j] = 0.0
-                try:
-                    lu = lu_factor(mat)
-                except Exception as exc:
-                    raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
-                self._lu_cache[key] = (expr, ("dense", lu))
-            _, (_, lu) = self._lu_cache[key]
-            sol = lu_solve(lu, rhs)
-        else:
-            op = LinearOperator(
-                (self.dim, self.dim), matvec=mv, dtype=np.complex128
-            )
-            sol, info = lgmres(op, rhs, rtol=1e-13, atol=0.0, maxiter=400)
-        resid = np.linalg.norm(mv(sol) - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        key = id(expr)
+        if key not in self._lu_cache:
+            basis = np.eye(self.dim, dtype=np.complex128).reshape(
+                (self.dim,) + self.shape)
+            mat = self.act_expr(expr, basis).reshape(self.dim, self.dim).T
+            try:
+                lu = lu_factor(mat)
+            except ValueError as exc:
+                raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
+            self._lu_cache[key] = (expr, lu)
+        _, lu = self._lu_cache[key]
+        rhs = v.reshape(-1, self.dim).T
+        sol = lu_solve(lu, rhs).T.reshape(v.shape)
+        back = self.act_expr(expr, sol).reshape(-1, self.dim).T
+        resid = np.linalg.norm(back - rhs) / max(np.linalg.norm(rhs), 1e-300)
         if not np.isfinite(resid) or resid > SOLVE_TOL:
             raise Inconclusive(
                 "solve at L=%d did not converge (residual %.2e)" % (self.L, resid)
             )
-        return sol.reshape(self.shape)
+        return sol
 
-    @staticmethod
-    def _plain_element(expr):
-        """The single torus element of a one-word inverse-free expression."""
-        if len(expr.words) != 1:
-            return None
-        coeff, factors = expr.words[0]
-        acc = None
-        for kind, payload in factors:
-            if kind != "el":
-                return None
-            acc = payload if acc is None else acc * payload
-        if acc is None:
-            return None
-        return acc * coeff
 
-    def _sparse_matrix(self, el):
-        """CSC matrix of the action of a plain torus element."""
-        grid = np.indices(self.shape).reshape(self.n, -1)
-        cols = np.arange(self.dim)
-        half_u = self.spec.u_eighth // 2
-        blocks = []
-        for k, c in el.terms.items():
-            kk = np.asarray(k, dtype=np.int64)
-            g = kk @ self.spec.A
-            phase_exp = (half_u * g) @ grid
-            data = self._zpow[np.mod(phase_exp, self.L)] * complex(
-                c.evaluate(self.root)
-            )
-            dest = np.ravel_multi_index(
-                tuple((grid[ax] + int(k[ax])) % self.L for ax in range(self.n)),
-                self.shape,
-            )
-            blocks.append(
-                sp.coo_matrix((data, (dest, cols)), shape=(self.dim, self.dim))
-            )
-        total = blocks[0]
-        for b in blocks[1:]:
-            total = total + b
-        return total.tocsc()
-
-    @staticmethod
-    def _as_monomial(expr):
-        if len(expr.words) != 1:
+def _unit_monomial(expr):
+    """The product of a one-word expression of monomial factors, when its
+    coefficient is a unit +-q^(n/8); otherwise None."""
+    if len(expr.words) != 1:
+        return None
+    coeff, factors = expr.words[0]
+    acc = None
+    for kind, payload in factors:
+        if kind != "el" or len(payload.terms) != 1:
             return None
-        coeff, factors = expr.words[0]
-        acc = None
-        for kind, payload in factors:
-            if kind != "el" or len(payload.terms) != 1:
-                return None
-            acc = payload if acc is None else acc * payload
-        if acc is None or len(acc.terms) != 1:
-            return None
-        scaled = acc * coeff
-        (_, c), = scaled.terms.items()
-        mono = c.as_monomial()
-        if mono is None or abs(mono[0]) != 1:
-            return None
-        return scaled
+        acc = payload if acc is None else acc * payload
+    if acc is None:
+        return None
+    scaled = acc * coeff
+    (_, c), = scaled.terms.items()
+    mono = c.as_monomial()
+    if mono is None or abs(mono[0]) != 1:
+        return None
+    return scaled
 
 
 @dataclass
@@ -280,27 +282,14 @@ def _restrict_exprs(exprs, spec):
     return sub, [convert(e) for e in exprs]
 
 
-def pick_orders(spec_or_nlabels, orders=None):
-    """Choose root orders so the representation fits in memory."""
-    if orders is not None:
-        return tuple(orders)
-    n = (
-        spec_or_nlabels
-        if isinstance(spec_or_nlabels, int)
-        else len(spec_or_nlabels.labels)
-    )
-    if max(DEFAULT_ORDERS) ** n <= MAX_DIM:
-        return DEFAULT_ORDERS
-    return FALLBACK_ORDERS
-
-
-def verify_identity(lhs, rhs, spec, orders=None, trials=20, seed=0, tol=PASS_TOL):
+def verify_identity(lhs, rhs, spec, trials=20, seed=0):
     """Compare two formal expressions (or lists summed termwise).
 
-    Applies both sides to random unit vectors at each root order; PASS if
-    the maximum relative deviation stays below tol everywhere, FAIL with a
-    witness otherwise.  An inconclusive solve at some order pulls in a
-    replacement order; if none fits, the verdict is INCONCLUSIVE.
+    Applies both sides to random unit vectors at each root order; FAIL
+    with a witness as soon as the relative deviation exceeds PASS_TOL.
+    An inconclusive order pulls in a replacement from EXTRA_ORDERS.  PASS
+    needs at least MIN_ORDERS completed orders, all at least 5; anything
+    less is INCONCLUSIVE.
     """
     lhs_list = _as_expr_list(lhs)
     rhs_list = _as_expr_list(rhs)
@@ -308,18 +297,15 @@ def verify_identity(lhs, rhs, spec, orders=None, trials=20, seed=0, tol=PASS_TOL
     lhs_list = converted[: len(lhs_list)]
     rhs_list = converted[len(lhs_list):]
 
-    queue = list(pick_orders(sub, orders))
-    extras = [L for L in EXTRA_ORDERS if L not in queue]
+    queue = list(DEFAULT_ORDERS)
+    extras = list(EXTRA_ORDERS)
     done = []
     max_resid = 0.0
     notes = []
     while queue:
         L = queue.pop(0)
-        if L ** len(sub.labels) > MAX_DIM:
-            notes.append("order %d skipped (dimension)" % L)
-            continue
-        rep = RootRep(sub, L)
         try:
+            rep = RootRep(sub, L, seed)
             for t in range(trials):
                 rng = np.random.default_rng((seed, L, t))
                 v = rep.random_vector(rng)
@@ -332,7 +318,7 @@ def verify_identity(lhs, rhs, spec, orders=None, trials=20, seed=0, tol=PASS_TOL
                 scale = max(np.linalg.norm(av), np.linalg.norm(bv), 1.0)
                 resid = np.linalg.norm(av - bv) / scale
                 max_resid = max(max_resid, resid)
-                if resid > tol:
+                if resid > PASS_TOL:
                     return Verdict(
                         "FAIL", max_resid, tuple(done + [L]), trials,
                         witness={"order": L, "trial": t, "residual": resid},
@@ -343,27 +329,18 @@ def verify_identity(lhs, rhs, spec, orders=None, trials=20, seed=0, tol=PASS_TOL
             notes.append(str(exc))
             if extras:
                 queue.append(extras.pop(0))
-    if not done:
-        return Verdict("INCONCLUSIVE", max_resid, (), trials, notes=notes)
-    return Verdict("PASS", max_resid, tuple(done), trials, notes=notes)
+    status = "PASS" if len(done) >= MIN_ORDERS and min(done) >= 5 else "INCONCLUSIVE"
+    return Verdict(status, max_resid, tuple(done), trials, notes=notes)
 
 
-def verify_generator_map_identity(gmap, expected=None, orders=None,
-                                  trials=20, seed=0):
-    """Check that a composite generator map is the identity.
-
-    expected: optional {label: Expr}; defaults to the generator itself.
-    Returns {label: Verdict}."""
+def verify_generator_map_identity(gmap, trials=20, seed=0):
+    """Check that a composite generator map is the identity on every
+    generator.  Returns {label: Verdict}."""
     out = {}
     for lab in sorted(gmap.source.labels):
         img = gmap.image_of_generator(lab, 1)
-        if expected is not None and lab in expected:
-            want = expected[lab]
-        else:
-            want = Expr.from_element(
-                TorusElement.generator(gmap.target, lab, gmap.gen_exponent)
-            )
-        out[lab] = verify_identity(
-            img, want, gmap.target, orders=orders, trials=trials, seed=seed
+        want = Expr.from_element(
+            TorusElement.generator(gmap.target, lab, gmap.gen_exponent)
         )
+        out[lab] = verify_identity(img, want, gmap.target, trials=trials, seed=seed)
     return out
