@@ -88,11 +88,8 @@ class Expr:
     def support_labels(self):
         out = set()
         for _, fs in self.words:
-            for kind, payload in fs:
-                if kind == "el":
-                    out |= payload.support_labels()
-                else:
-                    out |= payload.support_labels()
+            for _, payload in fs:
+                out |= payload.support_labels()
         return out
 
     def map_elements(self, fn):

@@ -38,7 +38,7 @@ class LiftData:
     fake_tris: dict          # point -> triangle index in delta
     omega: dict              # delta edge -> lambda edge (c_p's excluded)
     tri_map: dict            # non-fake delta triangle -> (lambda tri, rot)
-    variants: dict           # point -> 'after' | 'before'
+    variant: str             # 'after' | 'before', at every point
 
     def omega_matrix(self):
         lam_inner = self.lam.inner_edges
@@ -55,12 +55,12 @@ class LiftData:
         return set(self.cp_edge.values())
 
 
-def lift(lam, variant="after", point_variants=None):
+def lift(lam, variant="after"):
     """Open every interior marked point of lam; deterministic diagonals.
 
     variant chooses, at each surgery corner, whether the fake triangle
     doubles the side entering the corner ('after', the default fan rule)
-    or the side leaving it ('before'); point_variants overrides per point.
+    or the side leaving it ('before').
     """
     lam.validate()
     cur = lam
@@ -68,7 +68,6 @@ def lift(lam, variant="after", point_variants=None):
     tri_map = {t: (t, 0) for t in range(len(lam.triangles))}
     fake_tris = {}
     cp_edge = {}
-    variants = {}
     points = []
     counter = 0
     fake_set = set()
@@ -82,7 +81,6 @@ def lift(lam, variant="after", point_variants=None):
             break
         vi = interior[0]
         pname = "p%d" % len(points)
-        var = (point_variants or {}).get(pname, variant)
         corner = min(
             c for c in cur.vertices[vi] if c[0] not in fake_set
         )
@@ -98,7 +96,7 @@ def lift(lam, variant="after", point_variants=None):
         triangles = [list(x) for x in cur.triangles]
         side_edge = dict(cur.side_edge)
         glu = [(x, y) for x, y in cur.glue.items() if x < y]
-        if var == "after":
+        if variant == "after":
             # non-fake (sA, sB, g_back), fake (g_fwd, sC, c_p)
             triangles[t] = [sA, sB, s_g2]
             fake = [s_g1, sC, s_cp]
@@ -123,7 +121,6 @@ def lift(lam, variant="after", point_variants=None):
         fake_tris[pname] = len(triangles) - 1
         fake_set.add(len(triangles) - 1)
         cp_edge[pname] = cp
-        variants[pname] = var
         points.append(pname)
         if t in tri_map:
             lt, rot = tri_map[t]
@@ -140,7 +137,7 @@ def lift(lam, variant="after", point_variants=None):
     cur.validate(require_marked=True)
     return LiftData(
         lam=lam, delta=cur, points=tuple(points), cp_edge=cp_edge,
-        fake_tris=fake_tris, omega=omega, tri_map=tri_map, variants=variants,
+        fake_tris=fake_tris, omega=omega, tri_map=tri_map, variant=variant,
     )
 
 

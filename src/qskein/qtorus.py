@@ -331,14 +331,12 @@ def mlh_check(H, B, A, r):
     return bool(np.array_equal(lhs, scaled // r.denominator))
 
 
-def mlh_apply(H, src_spec, dst_spec, elem, checked=True, r=None):
-    """Linear extension of x^k -> y^(kH); an algebra map when HBH^T = rA."""
+def mlh_apply(H, src_spec, dst_spec, elem):
+    """Linear extension of x^k -> y^(kH); an algebra map when HBH^T = rA,
+    which the caller checks once with mlh_check."""
     if elem.spec != src_spec:
         raise ValueError("element does not live in the source torus")
     H = np.asarray(H, dtype=np.int64)
-    if r is not None and checked:
-        if not mlh_check(H, dst_spec.A, src_spec.A, r):
-            raise ValueError("mlh precondition H B H^T = r A fails")
     out = {}
     for k, c in elem.terms.items():
         kk = tuple(int(x) for x in (np.asarray(k, dtype=np.int64) @ H))

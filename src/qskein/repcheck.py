@@ -14,11 +14,12 @@ representation on (C^L)^(tensor r) of dimension L^r, r = rank_L A / 2
 (Bonahon-Liu, Bonahon-Wong), and rep(x^k) rep(x^m) = u^((1/2)<k,m>)
 rep(x^(k+m)) holds exactly at the chosen root.
 
-Unit monomials invert explicitly; every other inverse acts through one
-cached dense LU factorization of its L^r x L^r matrix, with a residual
-check.  Representations at roots of unity are not faithful, so PASS needs
-at least three completed orders, all at least 5; this is a probabilistic
-check and is documented as such.
+Every inverse acts through one cached dense LU factorization of its
+L^r x L^r matrix; the residual of each solve is checked on that cached
+matrix, so no expression is walked twice.  The trials at one order run
+as one batch of vectors.  Representations at roots of unity are not
+faithful, so PASS needs at least three completed orders, all at least
+5; this is a probabilistic check and is documented as such.
 """
 
 from __future__ import annotations
@@ -178,13 +179,10 @@ class RootRep:
         return self._solve(Expr.from_element(el), v)
 
     def _solve(self, expr, v):
-        """w with expr . w = v: a unit monomial inverts explicitly, anything
-        else through a cached dense LU factorization; a residual above
-        SOLVE_TOL raises Inconclusive so the caller can retry at another
-        order."""
-        mono = _unit_monomial(expr)
-        if mono is not None:
-            return self.act_element(mono.inverse_monomial(), v)
+        """w with expr . w = v through a cached dense LU factorization of
+        expr's matrix; a relative residual |M w - v| / |v| above SOLVE_TOL
+        in any batch column raises Inconclusive so the caller can retry at
+        another order."""
         key = id(expr)
         if key not in self._lu_cache:
             basis = np.eye(self.dim, dtype=np.complex128).reshape(
@@ -194,38 +192,17 @@ class RootRep:
                 lu = lu_factor(mat)
             except ValueError as exc:
                 raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
-            self._lu_cache[key] = (expr, lu)
-        _, lu = self._lu_cache[key]
+            self._lu_cache[key] = (expr, mat, lu)
+        _, mat, lu = self._lu_cache[key]
         rhs = v.reshape(-1, self.dim).T
-        sol = lu_solve(lu, rhs).T.reshape(v.shape)
-        back = self.act_expr(expr, sol).reshape(-1, self.dim).T
-        resid = np.linalg.norm(back - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        sol = lu_solve(lu, rhs)
+        resid = np.max(np.linalg.norm(mat @ sol - rhs, axis=0)
+                       / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
         if not np.isfinite(resid) or resid > SOLVE_TOL:
             raise Inconclusive(
                 "solve at L=%d did not converge (residual %.2e)" % (self.L, resid)
             )
-        return sol
-
-
-def _unit_monomial(expr):
-    """The product of a one-word expression of monomial factors, when its
-    coefficient is a unit +-q^(n/8); otherwise None."""
-    if len(expr.words) != 1:
-        return None
-    coeff, factors = expr.words[0]
-    acc = None
-    for kind, payload in factors:
-        if kind != "el" or len(payload.terms) != 1:
-            return None
-        acc = payload if acc is None else acc * payload
-    if acc is None:
-        return None
-    scaled = acc * coeff
-    (_, c), = scaled.terms.items()
-    mono = c.as_monomial()
-    if mono is None or abs(mono[0]) != 1:
-        return None
-    return scaled
+        return sol.T.reshape(v.shape)
 
 
 @dataclass
@@ -285,11 +262,11 @@ def _restrict_exprs(exprs, spec):
 def verify_identity(lhs, rhs, spec, trials=20, seed=0):
     """Compare two formal expressions (or lists summed termwise).
 
-    Applies both sides to random unit vectors at each root order; FAIL
-    with a witness as soon as the relative deviation exceeds PASS_TOL.
-    An inconclusive order pulls in a replacement from EXTRA_ORDERS.  PASS
-    needs at least MIN_ORDERS completed orders, all at least 5; anything
-    less is INCONCLUSIVE.
+    Applies each side once to a batch of random unit vectors at each root
+    order; FAIL with the first trial whose relative deviation exceeds
+    PASS_TOL as witness.  An inconclusive order pulls in a replacement
+    from EXTRA_ORDERS.  PASS needs at least MIN_ORDERS completed orders,
+    all at least 5; anything less is INCONCLUSIVE.
     """
     lhs_list = _as_expr_list(lhs)
     rhs_list = _as_expr_list(rhs)
@@ -306,29 +283,30 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0):
         L = queue.pop(0)
         try:
             rep = RootRep(sub, L, seed)
+            batch = np.empty((trials,) + rep.shape, dtype=np.complex128)
             for t in range(trials):
-                rng = np.random.default_rng((seed, L, t))
-                v = rep.random_vector(rng)
-                av = np.zeros(rep.shape, dtype=np.complex128)
-                bv = np.zeros(rep.shape, dtype=np.complex128)
-                for e in lhs_list:
-                    av += rep.act_expr(e, v)
-                for e in rhs_list:
-                    bv += rep.act_expr(e, v)
-                scale = max(np.linalg.norm(av), np.linalg.norm(bv), 1.0)
-                resid = np.linalg.norm(av - bv) / scale
-                max_resid = max(max_resid, resid)
-                if resid > PASS_TOL:
-                    return Verdict(
-                        "FAIL", max_resid, tuple(done + [L]), trials,
-                        witness={"order": L, "trial": t, "residual": resid},
-                        notes=notes,
-                    )
-            done.append(L)
+                batch[t] = rep.random_vector(np.random.default_rng((seed, L, t)))
+            av = sum((rep.act_expr(e, batch) for e in lhs_list), np.zeros_like(batch))
+            bv = sum((rep.act_expr(e, batch) for e in rhs_list), np.zeros_like(batch))
         except Inconclusive as exc:
             notes.append(str(exc))
             if extras:
                 queue.append(extras.pop(0))
+            continue
+        a, b = av.reshape(trials, -1), bv.reshape(trials, -1)
+        na, nb, nd = (np.linalg.norm(w, axis=1) for w in (a, b, a - b))
+        resid = nd / np.maximum(np.maximum(na, nb), 1.0)
+        failing = np.flatnonzero(~(resid <= PASS_TOL))    # NaN fails too
+        if failing.size:
+            t = int(failing[0])
+            max_resid = float(np.max(resid[:t + 1], initial=max_resid))
+            return Verdict(
+                "FAIL", max_resid, tuple(done + [L]), trials,
+                witness={"order": L, "trial": t, "residual": float(resid[t])},
+                notes=notes,
+            )
+        max_resid = float(np.max(resid, initial=max_resid))
+        done.append(L)
     status = "PASS" if len(done) >= MIN_ORDERS and min(done) >= 5 else "INCONCLUSIVE"
     return Verdict(status, max_resid, tuple(done), trials, notes=notes)
 

@@ -51,14 +51,14 @@ class ShearSkein:
         return self.psi(TorusElement.monomial(self.y, tuple(k)))
 
     def psi_preimage(self, elem):
-        """Preimage under psi on the monomial basis; exists since rk H = #inner."""
+        """Preimage under psi on the monomial basis, exact: the duality
+        P H^T = -4 id makes (kH P) on the inner-edge columns equal 4k."""
+        inner = self.x.A[:, [self.x.index[e] for e in self.T.inner_edges]]
         out = {}
-        Hf = self.H.astype(np.float64)
         for k, c in elem.terms.items():
-            m = np.asarray(k, dtype=np.float64)
-            sol, *_ = np.linalg.lstsq(Hf.T, m, rcond=None)
-            pre = tuple(int(round(v)) for v in sol)
-            if set(self.psi_vec(pre).terms) != {k}:
+            four_k = np.asarray(k, dtype=np.int64) @ inner
+            pre = tuple(int(v) // 4 for v in four_k)
+            if np.any(four_k % 4) or set(self.psi_vec(pre).terms) != {k}:
                 raise ValueError("monomial x^%s is not in the image of psi" % (k,))
             out[pre] = c
         return TorusElement(self.y, out)

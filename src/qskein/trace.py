@@ -35,7 +35,7 @@ from .curves import (
     epsilon_vector,
     state_sum,
 )
-from .shear import ShearSkein, is_balanced, shear_spec
+from .shear import ShearSkein, is_balanced
 
 
 @dataclass
@@ -156,17 +156,15 @@ def _strip_phase(mono):
     return TorusElement.monomial(mono.spec, k)
 
 
-def trace_once_edge(alpha, T, base_edge=None, bundle=None, with_skein=True):
+def trace_once_edge(alpha, T, base_edge=None, bundle=None):
     """The trace sum_s q^(u(s)) y^(k_s) for a curve crossing some edge once.
 
-    Returns (shear element of Y(Delta), skein image or None, state count).
+    Returns (shear element of Y(Delta), its skein image, state count).
     """
     _require_normal(alpha, T)
-    bundle = bundle or (ShearSkein(T) if with_skein else None)
-    yspec = bundle.y if bundle else shear_spec(T)
-    shear, count = state_sum(alpha, T, yspec, base_edge)
-    skein = bundle.psi(shear) if bundle else None
-    return shear, skein, count
+    bundle = bundle or ShearSkein(T)
+    shear, count = state_sum(alpha, T, bundle.y, base_edge)
+    return shear, bundle.psi(shear), count
 
 
 def psi_image_of_knot_monomial(alpha, T, bundle=None):

@@ -109,6 +109,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+def test_verify_passes_trials_and_seed(capsys, monkeypatch):
+    seen = {}
+
+    def phased(trials=6, seed=0):
+        seen["phased"] = {"trials": trials, "seed": seed}
+        return [("recorded", "PASS", "")]
+
+    def balanced(samples=1000, seed=7):
+        seen["balanced"] = {"samples": samples, "seed": seed}
+        return [("recorded", "PASS", "")]
+
+    monkeypatch.setitem(suites.SUITES, "phased", phased)
+    monkeypatch.setitem(suites.SUITES, "balanced", balanced)
+    for suite in ("phased", "balanced"):
+        code, out, _ = run(capsys, "--json", "verify", suite, "--trials", "3", "--seed", "5")
+        data = json.loads(out)
+        assert code == 0 and data["trials"] == 3 and data["seed"] == 5
+    assert seen == {"phased": {"trials": 3, "seed": 5},
+                    "balanced": {"samples": 1000, "seed": 5}}
+
+
 def test_verify_output_deterministic(capsys):
     code1, out1, _ = run(capsys, "--json", "verify", "pentagon", "--trials", "2")
     code2, out2, _ = run(capsys, "--json", "verify", "pentagon", "--trials", "2")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qskein import coordinate_change as cc
-from qskein import suites
+from qskein import repcheck, suites
 from qskein.coordinate_change import Expr
 from qskein.library import surface_by_name
 from qskein.qscalar import Laurent
@@ -203,3 +203,70 @@ def test_dia9_runs_at_full_orders():
     assert len(rows) == 12
     for name, status, detail in rows:
         assert status == "PASS" and detail.endswith("at orders [5, 7, 11]"), name
+
+
+def test_one_action_per_side_per_order(monkeypatch):
+    # all trials of an order run as one batch through each side expression
+    calls = []
+    act_expr = RootRep.act_expr
+
+    def counted(rep, expr, v):
+        calls.append(rep.L)
+        return act_expr(rep, expr, v)
+
+    monkeypatch.setattr(RootRep, "act_expr", counted)
+    s = spec2()
+    a = Expr.from_element(TorusElement.monomial(s, (1, 0)))
+    b = Expr.from_element(TorusElement.monomial(s, (0, 1)))
+    both = Expr.from_element(
+        TorusElement.monomial(s, (1, 0)) + TorusElement.monomial(s, (0, 1))
+    )
+    verdict = verify_identity([a, b], both, s, trials=4)
+    assert verdict.passed
+    assert calls == [L for L in verdict.orders for _ in range(3)]
+
+
+def test_solve_residual_uses_cached_matrix(monkeypatch):
+    # a solution perturbed by 1e-6 must fail the residual check
+    lu_solve = repcheck.lu_solve
+    monkeypatch.setattr(repcheck, "lu_solve", lambda lu, b: lu_solve(lu, b) + 1e-6)
+    s = spec2()
+    binom = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (1, 0)))
+    rep = RootRep(s, 7)
+    v = rep.random_vector(np.random.default_rng(27))
+    with pytest.raises(Inconclusive, match="did not converge"):
+        rep.act_expr(binom.inv(), v)
+    verdict = verify_identity(binom.inv(), binom.inv(), s, trials=2)
+    assert verdict.status == "INCONCLUSIVE" and verdict.orders == ()
+
+
+def test_fail_witness_is_first_failing_trial():
+    s = spec2()
+    x = Expr.from_element(TorusElement.monomial(s, (1, 1)))
+    wrong = x * Laurent.q_power(1)
+    verdict = verify_identity(x, wrong, s, trials=5)
+    L = DEFAULT_ORDERS[0]
+    assert verdict.status == "FAIL" and verdict.orders == (L,)
+    assert verdict.witness["order"] == L and verdict.witness["trial"] == 0
+    assert verdict.max_residual == verdict.witness["residual"]
+    # the batched residual agrees with one trial vector acted on alone
+    rep = RootRep(s, L, seed=0)
+    v = rep.random_vector(np.random.default_rng((0, L, 0)))
+    a, b = rep.act_expr(x, v), rep.act_expr(wrong, v)
+    alone = np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
+    assert abs(verdict.witness["residual"] - alone) < 1e-12
+
+
+def test_nan_residual_fails(monkeypatch):
+    act_expr = RootRep.act_expr
+
+    def poisoned(rep, expr, v):
+        out = act_expr(rep, expr, v)
+        out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(RootRep, "act_expr", poisoned)
+    s = spec2()
+    x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
+    verdict = verify_identity(x, x, s, trials=4)
+    assert verdict.status == "FAIL" and verdict.witness["trial"] == 2

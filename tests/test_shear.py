@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qskein.library import annulus_core, surface_by_name
+from qskein.library import MARKED_LIBRARY, annulus_core, surface_by_name
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
 from qskein.shear import (
@@ -117,7 +117,7 @@ def test_Ybl_membership_closed_under_product():
 
 
 def test_psi_preimage_roundtrip():
-    for name in ("polygon5", "annulus", "torus1-lift"):
+    for name in MARKED_LIBRARY:
         bundle = ShearSkein(surface_by_name(name))
         rng = np.random.default_rng(15)
         n = len(bundle.y.labels)
@@ -128,5 +128,6 @@ def test_psi_preimage_roundtrip():
         el = TorusElement(bundle.y, terms)
         assert bundle.psi_preimage(bundle.psi(el)) == el
     bundle = ShearSkein(surface_by_name("polygon5"))
-    with pytest.raises(ValueError):
-        bundle.psi_preimage(TorusElement.generator(bundle.x, "e0_1", 1))
+    for exponent in (1, 4):      # 4 does not divide kP; the round trip fails
+        with pytest.raises(ValueError):
+            bundle.psi_preimage(TorusElement.generator(bundle.x, "e0_1", exponent))
