@@ -269,7 +269,7 @@ def cmd_puncture(args):
 
 
 def cmd_verify(args):
-    # every suite gets the trials and seed it takes, so the report is true
+    # a suite gets, and the report names, only the trials and seed it takes
     params = inspect.signature(suites.SUITES[args.suite]).parameters
     kw = {k: getattr(args, k) for k in ("trials", "seed") if k in params}
     rows = suites.run_suite(args.suite, **kw)
@@ -277,8 +277,7 @@ def cmd_verify(args):
     if args.json:
         print(json.dumps({
             "suite": args.suite,
-            "seed": args.seed,
-            "trials": args.trials,
+            **kw,
             "results": [
                 {"name": n, "status": s, "detail": d} for n, s, d in rows
             ],
@@ -288,8 +287,9 @@ def cmd_verify(args):
         return 1 if failed else 0
     for name, status, detail in rows:
         print("%-8s %s%s" % (status, name, ("  [%s]" % detail) if detail else ""))
-    print("suite %s: %d/%d passed (seed=%d, trials=%d)"
-          % (args.suite, len(rows) - failed, len(rows), args.seed, args.trials))
+    used = ", ".join("%s=%d" % item for item in sorted(kw.items()))
+    print("suite %s: %d/%d passed%s" % (args.suite, len(rows) - failed, len(rows),
+                                       " (%s)" % used if used else ""))
     return 1 if failed else 0
 
 

@@ -10,11 +10,16 @@ exact Laurent coefficients.  The product rule is
 where <k,n>_A = k A n^T, and the general commutation
 x^k x^n = u^(<k,n>_A) x^n x^k follows.  Since u is a power of q^(1/4),
 u^(1/2) lives in the coefficient ring and every product is exact.
+
+A product computes the pairing row kA once per left term from columns of
+A cached on the spec, so a term pair's phase is one integer dot product;
+coefficients accumulate as Python ints, one Laurent per output monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 import numpy as np
 
@@ -40,6 +45,7 @@ class TorusSpec:
         self.A = A
         self.u_eighth = int(u_eighth)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self._cols = tuple(tuple(int(v) for v in col) for col in A.T)
         self._key = (self.labels, self.A.tobytes(), self.u_eighth)
 
     def __eq__(self, other):
@@ -53,11 +59,13 @@ class TorusSpec:
 
     # k, n are integer tuples over self.labels
 
+    def pairing_row(self, k):
+        """The pairing row kA as a list of ints."""
+        return [sum(map(mul, k, col)) for col in self._cols]
+
     def pairing(self, k, n):
         """The antisymmetric form <k,n>_A = k A n^T."""
-        k = np.asarray(k, dtype=np.int64)
-        n = np.asarray(n, dtype=np.int64)
-        return int(k @ self.A @ n)
+        return sum(map(mul, self.pairing_row(k), n))
 
     def zero_vec(self):
         return (0,) * len(self.labels)
@@ -152,15 +160,25 @@ class TorusElement:
             return TorusElement(self.spec, {k: v * c for k, v in self.terms.items()})
         self._check(other)
         spec = self.spec
-        out = {}
+        half = spec.u_eighth // 2
+        right = [(k2, tuple(c2.terms.items())) for k2, c2 in other.terms.items()]
+        acc = {}                        # k -> {eighth exponent: int coefficient}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                phase = spec.half_phase(spec.pairing(k1, k2))
-                k = tuple(a + b for a, b in zip(k1, k2))
-                c = c1 * c2 * phase
-                s = out.get(k)
-                out[k] = c if s is None else s + c
-        return TorusElement(spec, out)
+            row = [half * v for v in spec.pairing_row(k1)]
+            left = tuple(c1.terms.items())
+            for k2, t2 in right:
+                shift = sum(map(mul, row, k2))
+                k = tuple(map(add, k1, k2))
+                slot = acc.get(k)
+                if slot is None:
+                    slot = acc[k] = {}
+                get = slot.get
+                for n1, a1 in left:
+                    n1 += shift
+                    for n2, a2 in t2:
+                        n = n1 + n2
+                        slot[n] = get(n, 0) + a1 * a2
+        return TorusElement(spec, {k: Laurent(slot) for k, slot in acc.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Laurent)):
@@ -290,9 +308,9 @@ def ordered_product_phase(spec, factors):
     ordered product of generators therefore costs the inverse phase.
     """
     total = 0
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            total += spec.pairing(factors[i], factors[j])
+    for i, k in enumerate(factors[:-1]):
+        row = spec.pairing_row(k)
+        total += sum(sum(map(mul, row, n)) for n in factors[i + 1:])
     return spec.half_phase(total)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from qskein import repcheck
 from qskein.coordinate_change import Expr
+from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement, TorusSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -34,3 +35,22 @@ def test_tracer_installs_and_restores():
     assert tracer.counts["repcheck.identities"] == 1
     assert tracer.counts["repcheck.factorizations_dense"] == 3
     assert tracer.counts["repcheck.solves"] > 0
+
+
+def test_tracer_sees_one_product_per_mul():
+    # the product kernel runs inside TorusElement.__mul__, the method the
+    # tracer wraps for qtorus.muls and qtorus.term_pairs
+    tracing = load_tracing()
+    s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
+    a = TorusElement(s, {(i, 0): Laurent({i: 1, -i: 2}) for i in range(1, 4)})
+    b = TorusElement(s, {(0, j): Laurent({j: -1}) for j in range(1, 5)})
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        prod = a * b
+        scaled = a * Laurent.q_power(4)
+    assert prod == TorusElement(s, {(i, j): Laurent({i + j + 3 * i * j: -1, j - i + 3 * i * j: -2})
+                                    for i in range(1, 4) for j in range(1, 5)})
+    assert scaled == TorusElement(s, {k: c * Laurent.q_power(4) for k, c in a.terms.items()})
+    assert tracer.counts["qtorus.muls"] == 1
+    assert tracer.counts["qtorus.term_pairs"] == 3 * 4
+    assert [rec[0] for rec in tracer.spans] == ["qtorus.mul", "qtorus.scale"]

@@ -122,12 +122,29 @@ def test_verify_passes_trials_and_seed(capsys, monkeypatch):
 
     monkeypatch.setitem(suites.SUITES, "phased", phased)
     monkeypatch.setitem(suites.SUITES, "balanced", balanced)
-    for suite in ("phased", "balanced"):
-        code, out, _ = run(capsys, "--json", "verify", suite, "--trials", "3", "--seed", "5")
-        data = json.loads(out)
-        assert code == 0 and data["trials"] == 3 and data["seed"] == 5
+    code, out, _ = run(capsys, "--json", "verify", "phased", "--trials", "3", "--seed", "5")
+    data = json.loads(out)
+    assert code == 0 and data["trials"] == 3 and data["seed"] == 5
+    # balanced takes samples, not trials: the report names the seed only
+    code, out, _ = run(capsys, "--json", "verify", "balanced", "--trials", "3", "--seed", "5")
+    data = json.loads(out)
+    assert code == 0 and data["seed"] == 5 and "trials" not in data
+    code, out, _ = run(capsys, "verify", "balanced", "--trials", "3", "--seed", "5")
+    assert code == 0 and out.splitlines()[-1] == "suite balanced: 1/1 passed (seed=5)"
     assert seen == {"phased": {"trials": 3, "seed": 5},
                     "balanced": {"samples": 1000, "seed": 5}}
+
+
+def test_verify_reports_only_what_the_suite_used(capsys):
+    # duality takes neither trials nor seed, so its report names neither
+    code, out, _ = run(capsys, "--json", "verify", "duality", "--trials", "3", "--seed", "5")
+    data = json.loads(out)
+    assert code == 0 and data["passed"] == data["total"] > 0
+    assert "trials" not in data and "seed" not in data
+    code, out, _ = run(capsys, "verify", "duality", "--trials", "3", "--seed", "5")
+    summary = out.splitlines()[-1]
+    assert code == 0 and summary.startswith("suite duality: ")
+    assert summary.endswith(" passed") and "seed" not in summary and "trials" not in summary
 
 
 def test_verify_output_deterministic(capsys):

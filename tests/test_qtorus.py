@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qskein.library import surface_by_name
 from qskein.qscalar import Laurent
 from qskein.qtorus import (
     TorusElement,
@@ -13,6 +14,7 @@ from qskein.qtorus import (
     pairing,
     weyl_normalize,
 )
+from qskein.shear import ShearSkein
 
 
 def spec2(u_eighth=8):
@@ -32,6 +34,87 @@ def test_pairing_examples():
         n = tuple(rng.integers(-5, 6, 2))
         assert pairing(k, k, A) == 0
         assert pairing(k, n, A) == -pairing(n, k, A)
+
+
+def reference_product(a, b):
+    """sum c1 c2 q^((u_eighth/2) k1 A k2) x^(k1 + k2), one term pair at a time."""
+    spec = a.spec
+    A = spec.A.tolist()
+    width = len(spec.labels)
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            form = sum(k1[i] * A[i][j] * k2[j] for i in range(width) for j in range(width))
+            phase = (spec.u_eighth // 2) * form
+            slot = out.setdefault(tuple(x + y for x, y in zip(k1, k2)), {})
+            for n1, a1 in c1.terms.items():
+                for n2, a2 in c2.terms.items():
+                    n = n1 + n2 + phase
+                    slot[n] = slot.get(n, 0) + a1 * a2
+    return TorusElement(spec, {k: Laurent(slot) for k, slot in out.items()})
+
+
+def random_element(rng, spec, n_terms, big=False):
+    terms = {}
+    for _ in range(n_terms):
+        coeff = {}
+        for _ in range(int(rng.integers(1, 4))):
+            c = int(rng.integers(-5, 6)) or 1
+            coeff[int(rng.integers(-12, 13))] = c * 3 ** 45 if big else c
+        terms[rng_vec(rng, spec, -2, 3)] = Laurent(coeff)
+    return TorusElement(spec, terms)
+
+
+def product_specs():
+    x = ShearSkein(surface_by_name("polygon5")).x
+    yield TorusSpec((), np.zeros((0, 0), dtype=int), 2)
+    for u_eighth in (8, 0, -6):
+        yield spec2(u_eighth)
+    for u_eighth in (x.u_eighth, 0, -10):
+        yield TorusSpec(x.labels, x.A, u_eighth)
+
+
+def test_product_matches_per_pair_reference():
+    rng = np.random.default_rng(8)
+    for spec in product_specs():
+        zero = TorusElement.zero(spec)
+        for m, p in ((0, 3), (3, 0), (1, 1), (3, 4), (6, 5)):
+            for big in (False, True):
+                a = random_element(rng, spec, m, big)
+                b = random_element(rng, spec, p, big)
+                prod = a * b
+                assert prod == reference_product(a, b)
+                assert all(c.terms and all(c.terms.values()) for c in prod.terms.values())
+                assert (zero * b).is_zero() and (a * zero).is_zero()
+        for _ in range(10):
+            k, n = rng_vec(rng, spec), rng_vec(rng, spec)
+            assert spec.pairing(k, n) == pairing(k, n, spec.A)
+
+
+def test_product_cancellation_and_exact_coefficients():
+    for spec in product_specs():
+        if not spec.labels:
+            continue
+        k = (1,) + (0,) * (len(spec.labels) - 1)
+        one = TorusElement.one(spec)
+        xk = TorusElement.monomial(spec, k)
+        # <k,k>_A = 0: the cross terms cancel and leave no zero coefficient
+        prod = (one + xk) * (one - xk)
+        assert prod == one - TorusElement.monomial(spec, tuple(2 * e for e in k))
+        assert len(prod.terms) == 2
+        # the q^0 part of (q + q^-1)(q - q^-1) cancels inside one coefficient
+        a = TorusElement.monomial(spec, k, Laurent({8: 1, -8: 1}))
+        b = TorusElement.monomial(spec, spec.zero_vec(), Laurent({8: 1, -8: -1}))
+        assert (a * b).terms == {k: Laurent({16: 1, -16: -1})}
+    s = spec2(8)
+    big = 2 ** 64 + 1
+    a = TorusElement(s, {(1, 0): Laurent({0: big, 3: -big}), (0, 0): Laurent({0: big})})
+    b = TorusElement(s, {(0, 1): Laurent({0: big})})
+    # x^(1,0) x^(0,1) = q^(1/2) x^(1,1) at u = q
+    assert (a * b).terms == {
+        (1, 1): Laurent({4: big * big, 7: -big * big}),
+        (0, 1): Laurent({0: big * big}),
+    }
 
 
 def test_monomial_identity_and_powers():
