@@ -3,9 +3,10 @@ The quantum trace as a state sum
 ================================
 
 A simple closed curve on a triangulated marked surface determines a
-state sum: every admissible +-1 coloring C of its crossed edges
-contributes one normalized monomial x^(CH) on the skein side and y^C on
-the shear side.  All coefficients are exactly 1, the skein exponents are
+state sum: every admissible +-1 state s on its crossings colors the
+edge crossed there, since a simple curve crosses each edge at most once,
+and contributes one normalized monomial x^(sH) on the skein side and
+y^s on the shear side.  All coefficients are exactly 1, the skein exponents are
 even, and the shear-to-skein map psi carries one side to the other.
 
 An independent oracle recomputes the skein side by resolving the curve
@@ -13,7 +14,7 @@ against the union of crossed edges, one arc per triangle, and dividing
 by the edge monomial; it must agree term for term.
 """
 
-from qskein import ShearSkein, enumerate_colorings, oracle_resolution, trace_simple
+from qskein import ShearSkein, enumerate_states, oracle_resolution, trace_simple
 from qskein.library import annulus_core
 
 A, core = annulus_core()
@@ -21,8 +22,8 @@ bundle = ShearSkein(A)
 
 print("curve:", core)
 print("colorings:")
-for C in enumerate_colorings(core):
-    print("   ", C)
+for s in enumerate_states(core):
+    print("   ", dict(zip(core.crossing_edges(), s)))
 
 res = trace_simple(core, A, bundle)
 print("\nskein side:", res.skein_side)

@@ -40,7 +40,6 @@ from .curves import (
     NormalCurve,
     classify,
     crossing_pattern,
-    enumerate_colorings,
     enumerate_states,
     epsilon_vector,
     state_exponents,

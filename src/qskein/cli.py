@@ -4,7 +4,8 @@ Surfaces and curves are loaded from JSON files (schemas in
 qskein/schemas/); anywhere a file is expected, a builtin name like
 ``builtin:polygon5``, ``builtin:annulus``, ``builtin:torus1`` or
 ``builtin:sphere3-lift`` works too.  Exit codes: 0 on success, 1 when a
-verification suite reports FAIL, 2 on input errors.
+verification suite reports FAIL, 2 on input errors, 3 on internal errors
+(with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import inspect
 import json
 import os
 import sys
+import traceback
 from importlib import resources
 
 # honored only when numpy has not been imported yet (i.e. normal CLI use)
@@ -30,7 +32,7 @@ from .repcheck import verify_generator_map_identity
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError, Triangulation
 from . import suites
-from .trace import trace_once_edge, trace_simple
+from .trace import trace_once_edge
 
 
 class InputError(Exception):
@@ -154,12 +156,7 @@ def cmd_curve(args):
 def cmd_trace(args):
     T = _load_surface(args.surface)
     alpha = _load_curve(T, args.curve)
-    bundle = ShearSkein(T)
-    if classify(alpha) == "simple":
-        res = trace_simple(alpha, T, bundle)
-        shear, skein, n = res.shear_side, res.skein_side, res.state_count
-    else:
-        shear, skein, n = trace_once_edge(alpha, T, bundle=bundle)
+    shear, skein, n = trace_once_edge(alpha, T)
     out = {}
     if args.side in ("shear", "both"):
         out["shear"] = shear
@@ -185,6 +182,8 @@ def cmd_shear(args):
         elem = element_from_json(bundle.y, data)
     except KeyError as exc:
         raise InputError("element references unknown inner edge %s" % exc)
+    except ValueError as exc:
+        raise InputError("%s: bad coefficient exponent: %s" % (args.element, exc))
     img = bundle.psi(elem)
     if args.json:
         print(json.dumps(img.to_json(), indent=2, sort_keys=True))
@@ -353,13 +352,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for name, least in (("trials", 1), ("seed", 0)):
+            if getattr(args, name, least) < least:
+                raise InputError("--%s must be at least %d" % (name, least))
         return args.func(args)
-    except InputError as exc:
+    except (InputError, CurveError, SurfaceError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except (CurveError, SurfaceError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

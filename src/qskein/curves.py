@@ -2,7 +2,7 @@
 
 A curve is a cyclic sequence of steps (triangle, in-side, out-side); each
 consecutive pair of steps crosses the edge glueing them.  The module
-provides the admissible colorings and states of the state-sum trace, the
+provides the admissible states of the state-sum trace, the
 crossing-pattern classification of single crossings, and the phase
 exponent u(s) of the once-crossing trace formula.
 
@@ -180,7 +180,7 @@ def classify(alpha, T=None):
 
 
 # ---------------------------------------------------------------------------
-# states and colorings
+# states
 
 
 def _forbidden_pair(step):
@@ -210,18 +210,6 @@ def enumerate_states(alpha):
                 out.append(tuple(values))
         else:
             stack.extend((j + 1, w) for w in (-1, 1) if (v, w) != bad[j + 1])
-    return out
-
-
-def enumerate_colorings(alpha):
-    """Admissible colorings of a simple curve: maps edge -> +-1 on the
-    crossed edges.  In natural bijection with the admissible states."""
-    if classify(alpha) != "simple":
-        raise CurveError("colorings are defined for simple curves only")
-    edges = alpha.crossing_edges()
-    out = []
-    for values in enumerate_states(alpha):
-        out.append({e: v for e, v in zip(edges, values)})
     return out
 
 

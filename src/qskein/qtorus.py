@@ -369,22 +369,3 @@ def canonical_projection(elem, keep):
         elem.spec, {k: c for k, c in elem.terms.items() if keep(k)}
     )
 
-
-def restrict_element(elem, sub_labels):
-    """View an element supported on sub_labels inside the sub-torus.
-
-    The submatrix torus is a subalgebra: products of elements supported on
-    the sublabels agree with the ambient ones.
-    """
-    spec = elem.spec
-    sub_labels = tuple(sub_labels)
-    idx = [spec.index[lab] for lab in sub_labels]
-    sub = TorusSpec(sub_labels, spec.A[np.ix_(idx, idx)], spec.u_eighth)
-    out = {}
-    keep = set(idx)
-    for k, c in elem.terms.items():
-        for i, e in enumerate(k):
-            if e and i not in keep:
-                raise ValueError("element not supported on the sublabels")
-        out[tuple(k[i] for i in idx)] = c
-    return TorusElement(sub, out)

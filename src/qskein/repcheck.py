@@ -14,10 +14,14 @@ representation on (C^L)^(tensor r) of dimension L^r, r = rank_L A / 2
 (Bonahon-Liu, Bonahon-Wong), and rep(x^k) rep(x^m) = u^((1/2)<k,m>)
 rep(x^(k+m)) holds exactly at the chosen root.
 
-Every inverse acts through one cached dense LU factorization of its
-L^r x L^r matrix; the residual of each solve is checked on that cached
-matrix, so no expression is walked twice.  The trials at one order run
-as one batch of vectors.  Representations at roots of unity are not
+verify_identity represents the sub-torus on the labels its expressions
+use, which keeps L^r small, and acts on the caller's expressions as they
+are: the representation maps each element's exponents to the sub-torus
+by label.  Every inverse acts through one dense LU factorization of its
+L^r x L^r matrix, cached by the inverse's payload object, so an inverse
+that several words share is factorized once per order; the residual of
+each solve is checked on that cached matrix.  The trials at one order
+run as one batch of vectors.  Representations at roots of unity are not
 faithful, so PASS needs at least three completed orders, all at least
 5; this is a probabilistic check and is documented as such.
 """
@@ -33,7 +37,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import lgmres, splu  # noqa: F401
 
 from .qscalar import RootOfUnity
-from .qtorus import TorusElement, TorusSpec, restrict_element
+from .qtorus import TorusElement, TorusSpec
 from .coordinate_change import Expr
 
 DEFAULT_ORDERS = (5, 7, 11)
@@ -100,7 +104,11 @@ def symplectic_normal_form(spec):
 
 class RootRep:
     """The clock-shift representation of one torus at order L, with central
-    characters drawn from seed and L."""
+    characters drawn from seed and L.
+
+    It acts on elements of spec and of any torus that contains spec as the
+    sub-torus on spec.labels (same u, same submatrix), mapping exponents by
+    label; an exponent on a label outside spec.labels raises ValueError."""
 
     def __init__(self, spec, L, seed=0):
         self.spec = spec
@@ -132,11 +140,29 @@ class RootRep:
         # integer n_j the phase of z^c stays exact however large c is
         rng = np.random.default_rng((seed, L))
         self._character = rng.integers(0, CHARACTER_ORDER, len(spec.labels))
+        self._z_maps = {}
         self._lu_cache = {}
 
     def random_vector(self, rng):
         v = rng.standard_normal(self.shape) + 1j * rng.standard_normal(self.shape)
         return v / np.linalg.norm(v)
+
+    def _z_map(self, source):
+        """(to_z, outside) for a source torus: to_z takes its exponent rows
+        to z-exponents, and outside marks its labels not in self.spec."""
+        zmap = self._z_maps.get(source)
+        if zmap is None:
+            spec = self.spec
+            idx = [source.index.get(lab) for lab in spec.labels]
+            if (None in idx or source.u_eighth != spec.u_eighth
+                    or not np.array_equal(source.A[np.ix_(idx, idx)], spec.A)):
+                raise ValueError("%r does not contain %r as a sub-torus" % (source, spec))
+            to_z = np.zeros((len(source.labels), len(idx)), dtype=np.int64)
+            to_z[idx] = self._to_z
+            outside = np.ones(len(source.labels), dtype=bool)
+            outside[idx] = False
+            zmap = self._z_maps[source] = (to_z, outside)
+        return zmap
 
     def act_element(self, el, v):
         """Apply a torus element to v of shape (..., L, ..., L): the last r
@@ -144,7 +170,11 @@ class RootRep:
         out = np.zeros_like(v)
         if not el.terms:
             return out
-        c = np.array(list(el.terms), dtype=np.int64) @ self._to_z
+        to_z, outside = self._z_map(el.spec)
+        k = np.array(list(el.terms), dtype=np.int64)
+        if k[:, outside].any():
+            raise ValueError("element not supported on the sublabels")
+        c = k @ to_z
         a, b = c[:, self._a], c[:, self._b]
         turns = (c @ self._character) % CHARACTER_ORDER / CHARACTER_ORDER
         scale = np.exp(2j * np.pi * turns) * self._zpow[
@@ -173,10 +203,6 @@ class RootRep:
                     w = self._solve(payload, w)
             out += complex(coeff.evaluate(self.root)) * w
         return out
-
-    def act_inverse(self, el, v):
-        """Apply the inverse of a torus element: the w with el . w = v."""
-        return self._solve(Expr.from_element(el), v)
 
     def _solve(self, expr, v):
         """w with expr . w = v through a cached dense LU factorization of
@@ -233,7 +259,8 @@ def _as_expr_list(side):
     return list(side)
 
 
-def _restrict_exprs(exprs, spec):
+def _support_spec(exprs, spec):
+    """The sub-torus of spec on the labels the expressions use."""
     labels = set()
     for e in exprs:
         labels |= e.support_labels()
@@ -241,22 +268,7 @@ def _restrict_exprs(exprs, spec):
     if not sub_labels:
         sub_labels = spec.labels[:1]
     idx = [spec.index[lab] for lab in sub_labels]
-    subA = spec.A[np.ix_(idx, idx)]
-    sub = TorusSpec(sub_labels, subA, spec.u_eighth)
-
-    def convert(expr):
-        words = []
-        for c, fs in expr.words:
-            nf = []
-            for kind, payload in fs:
-                if kind == "el":
-                    nf.append(("el", restrict_element(payload, sub_labels)))
-                else:
-                    nf.append(("inv", convert(payload)))
-            words.append((c, tuple(nf)))
-        return Expr(sub, words)
-
-    return sub, [convert(e) for e in exprs]
+    return TorusSpec(sub_labels, spec.A[np.ix_(idx, idx)], spec.u_eighth)
 
 
 def verify_identity(lhs, rhs, spec, trials=20, seed=0):
@@ -270,9 +282,7 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0):
     """
     lhs_list = _as_expr_list(lhs)
     rhs_list = _as_expr_list(rhs)
-    sub, converted = _restrict_exprs(lhs_list + rhs_list, spec)
-    lhs_list = converted[: len(lhs_list)]
-    rhs_list = converted[len(lhs_list):]
+    sub = _support_spec(lhs_list + rhs_list, spec)
 
     queue = list(DEFAULT_ORDERS)
     extras = list(EXTRA_ORDERS)

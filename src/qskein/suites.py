@@ -207,7 +207,6 @@ def suite_naturality(trials=12, seed=0):
         )
         rows.append(_row("naturality %s [%s]" % (name, rec.case), v))
         rows.append(_row("transfer exact %s" % name, rec.exact_ok))
-    rows += suite_phased_naturality(trials=max(4, trials // 2), seed=seed)
     return rows
 
 

@@ -202,9 +202,6 @@ class Triangulation:
     def other_side(self, s):
         return self.glue.get(s)
 
-    def is_inner(self, edge):
-        return edge in self.inner_edges
-
     def triangle_edges(self, t):
         return tuple(self.side_edge[s] for s in self.triangles[t])
 

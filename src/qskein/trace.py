@@ -2,9 +2,10 @@
 
 Three routes into the quantum torus are implemented and cross-checked:
 
-* trace_simple: the state sum over admissible colorings of a simple
-  curve, giving the skein image sum_C x^(CH) and the shear image
-  sum_C y^C with unit coefficients.
+* trace_simple: curves.state_sum on a simple curve, where every phase
+  u(s) vanishes, plus the simple-curve checks: the shear image sum_s y^s
+  and the skein image sum_s x^(sH) have unit coefficients, no two states
+  collide in the skein image, and its exponents are even.
 
 * oracle_resolution: an independent computation following the crossing
   resolution of the curve against the union of crossed edges.  Every
@@ -16,26 +17,19 @@ Three routes into the quantum torus are implemented and cross-checked:
 * trace_once_edge: the once-crossing formula sum_s q^(u(s)) y^(k_s) for
   curves with an edge of multiplicity one, with the phase u(s) computed
   on the split surface.  For simple curves it reproduces trace_simple.
-  Its loop is curves.state_sum, which the punctured trace shares.
+
+curves.state_sum is the one loop over states behind every trace; the
+punctured trace shares it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qscalar import Laurent
 from .qtorus import TorusElement
-from .curves import (
-    CurveError,
-    FORBIDDEN,
-    classify,
-    enumerate_colorings,
-    epsilon_vector,
-    state_sum,
-)
-from .shear import ShearSkein, is_balanced
+from .curves import CurveError, FORBIDDEN, classify, epsilon_vector, state_sum
+from .shear import ShearSkein
 
 
 @dataclass
@@ -57,25 +51,17 @@ def trace_simple(alpha, T, bundle=None):
         raise CurveError("trace_simple needs a simple curve")
     _require_normal(alpha, T)
     bundle = bundle or ShearSkein(T)
-    colorings = enumerate_colorings(alpha)
-    shear_terms = {}
-    skein_terms = {}
-    for C in colorings:
-        k = bundle.y.vec(C)
-        if not is_balanced(k, T):
-            raise AssertionError("coloring exponent is not balanced")
-        shear_terms[k] = Laurent.one()
-        img = tuple(int(v) for v in np.asarray(k, dtype=np.int64) @ bundle.H)
-        if any(v % 2 for v in img):
-            raise AssertionError("CH has an odd entry")
-        if img in skein_terms:
-            raise AssertionError("distinct colorings collide in the skein image")
-        skein_terms[img] = Laurent.one()
-    shear = TorusElement(bundle.y, shear_terms)
-    skein = TorusElement(bundle.x, skein_terms)
-    assert bundle.psi(shear) == skein
-    assert skein.is_reflection_invariant()
-    return TraceResult(skein, shear, len(colorings))
+    shear, count = state_sum(alpha, T, bundle.y)
+    skein = bundle.psi(shear)
+    if not (shear.has_unit_coefficients() and skein.has_unit_coefficients()):
+        raise AssertionError("a simple-curve trace has a non-unit coefficient")
+    if len(skein.terms) != count:
+        raise AssertionError("distinct states collide in the skein image")
+    if any(v % 2 for k in skein.terms for v in k):
+        raise AssertionError("sH has an odd entry")
+    if not skein.is_reflection_invariant():
+        raise AssertionError("the skein image is not reflection invariant")
+    return TraceResult(skein, shear, count)
 
 
 # the resolution table: value pair at the corner (ccw-first, ccw-second)

@@ -76,6 +76,7 @@ def test_criterion_4_flipback_and_pentagon():
 def test_criterion_5_trace_naturality():
     t0 = time.perf_counter()
     rows = suites.suite_naturality(trials=20)
+    rows += suites.suite_phased_naturality(trials=10)
     _report(5, "Theta intertwines traces across flips", rows,
             time.perf_counter() - t0)
 

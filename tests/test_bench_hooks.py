@@ -37,6 +37,21 @@ def test_tracer_installs_and_restores():
     assert tracer.counts["repcheck.solves"] > 0
 
 
+def test_tracer_counts_one_factorization_per_shared_inverse():
+    # one inverse payload shared by six words is factorized once per order
+    tracing = load_tracing()
+    s = TorusSpec(("c", "a", "b"), [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], 2)
+    inv = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (0, 1, 0))).inv()
+    x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        verdict = repcheck.verify_identity(inv * x + x * inv + inv, inv + x * inv + inv * x,
+                                           s, trials=2)
+    assert verdict.passed and len(verdict.orders) == 3
+    assert tracer.counts["repcheck.factorizations_dense"] == 3
+    assert tracer.counts["repcheck.solves"] == 3 * 6
+
+
 def test_tracer_sees_one_product_per_mul():
     # the product kernel runs inside TorusElement.__mul__, the method the
     # tracer wraps for qtorus.muls and qtorus.term_pairs

@@ -109,6 +109,19 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a ValueError raised inside the program is not an input error
+    def broken():
+        raise ValueError("not caused by the input")
+
+    monkeypatch.setitem(suites.SUITES, "duality", broken)
+    code, out, err = run(capsys, "verify", "duality")
+    assert code == 3
+    assert "input error" not in err
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: ValueError: not caused by the input"
+
+
 def test_verify_passes_trials_and_seed(capsys, monkeypatch):
     seen = {}
 
@@ -171,3 +184,17 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     assert code == 2 and "boundary" in err
     code, _, err = run(capsys, "surf", "matrices", "builtin:nope")
     assert code == 2
+    # values that would raise a ValueError deep inside are rejected where
+    # they are read
+    elem = tmp_path / "elem.json"
+    elem.write_text(json.dumps({"terms": [{"exp": {"d1": 1}, "coeff": {"1.5": 1}}]}))
+    cases = [
+        (("shear", "psi", surf, str(elem)), "bad coefficient exponent"),
+        (("verify", "negative", "--trials", "0"), "--trials must be at least 1"),
+        (("verify", "balanced", "--seed", "-1"), "--seed must be at least 0"),
+        (("flipseq", surf, "d1", "t", "--labels", "t,d1", "--verify", "--trials", "-2"),
+         "--trials must be at least 1"),
+    ]
+    for argv, message in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err and "Traceback" not in err, argv

@@ -7,7 +7,6 @@ from qskein.curves import (
     NormalCurve,
     classify,
     crossing_pattern,
-    enumerate_colorings,
     enumerate_states,
     epsilon_vector,
     state_exponents,
@@ -19,6 +18,7 @@ from qskein.library import annulus_core, sphere_curve, torus_curve
 from qskein.puncture import curve_lift, lift
 from qskein.shear import shear_spec
 from qskein.surface import annulus, torus_one_marked
+from qskein.trace import oracle_resolution, trace_simple
 
 
 def test_step_validation():
@@ -47,20 +47,24 @@ def test_classify():
 
 
 def test_colorings_core():
+    # on a simple curve a state is a coloring of the crossed edges
     A, core = annulus_core()
-    cols = enumerate_colorings(core)
-    assert len(cols) == 3
-    for C in cols:
-        assert set(C) == {"d1", "d2"}
-        assert all(v in (1, -1) for v in C.values())
+    edges = core.crossing_edges()
+    assert sorted(edges) == ["d1", "d2"]
     states = enumerate_states(core)
-    assert len(states) == len(cols)
+    assert len(states) == 3
+    cols = [dict(zip(edges, s)) for s in states]
+    assert len({tuple(sorted(C.items())) for C in cols}) == 3
+    assert all(v in (1, -1) for C in cols for v in C.values())
 
 
 def test_colorings_need_simple():
+    # the state sum over colorings is defined for simple curves only
     lam, c = torus_curve("1,-1")
     with pytest.raises(CurveError):
-        enumerate_colorings(c)
+        trace_simple(c, lam)
+    with pytest.raises(CurveError):
+        oracle_resolution(c, lam)
 
 
 def test_state_exponents():

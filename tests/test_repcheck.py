@@ -112,18 +112,6 @@ def test_solve_monomial_and_binomial():
     assert np.linalg.norm(rep.act_expr(binom, w) - v) < 1e-10
 
 
-def test_act_inverse_public():
-    s = spec2()
-    rep = RootRep(s, 5)
-    rng = np.random.default_rng(25)
-    v = rep.random_vector(rng)
-    mono = TorusElement.monomial(s, (2, -1), Laurent.q_power(-3))
-    assert np.linalg.norm(rep.act_element(mono, rep.act_inverse(mono, v)) - v) < 1e-10
-    el = TorusElement.one(s) + TorusElement.monomial(s, (0, 1))
-    w = rep.act_inverse(el, v)
-    assert np.linalg.norm(rep.act_element(el, w) - v) < 1e-10
-
-
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_action_inconclusive():
     # the zero element is singular in every representation
@@ -166,6 +154,45 @@ def test_restriction_to_support():
     el = TorusElement.monomial(big, big.vec({"a": 1, "b": -1}))
     e = Expr.from_element(el)
     assert verify_identity(e, e, big, trials=2).passed
+
+
+def spec_ambient():
+    # contains spec2() as the sub-torus on (a, b), listed after c
+    return TorusSpec(("c", "a", "b"), [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], 2)
+
+
+def test_rep_acts_on_ambient_elements_by_label():
+    big, sub = spec_ambient(), spec2()
+    coeffs = {(1, 2): Laurent.q_power(3), (-2, 1): Laurent({0: 1, 4: -2})}
+    on_big = TorusElement(big, {(0,) + k: c for k, c in coeffs.items()})
+    on_sub = TorusElement(sub, coeffs)
+    for L in DEFAULT_ORDERS:
+        rep = RootRep(sub, L)
+        v = rep.random_vector(np.random.default_rng(L))
+        assert np.array_equal(rep.act_element(on_big, v), rep.act_element(on_sub, v))
+        with pytest.raises(ValueError):
+            rep.act_element(TorusElement.generator(big, "c"), v)
+    with pytest.raises(ValueError):
+        rep.act_element(TorusElement.one(spec2(u_eighth=4)), v)
+
+
+def test_shared_inverse_factorized_once_per_order(monkeypatch):
+    # one inverse payload in six words: the solve cache sees the caller's
+    # expressions, so each completed order factorizes it once
+    calls = []
+    lu_factor = repcheck.lu_factor
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return lu_factor(mat)
+
+    monkeypatch.setattr(repcheck, "lu_factor", counted)
+    s = spec_ambient()
+    inv = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (0, 1, 0))).inv()
+    x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
+    verdict = verify_identity(inv * x + x * inv + inv, inv + x * inv + inv * x, s, trials=3)
+    assert verdict.passed and verdict.orders == DEFAULT_ORDERS
+    assert len(calls) == len(verdict.orders)
 
 
 def test_pass_needs_three_orders(monkeypatch):
