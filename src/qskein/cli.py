@@ -13,15 +13,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 import traceback
 from importlib import resources
-
-# honored only when numpy has not been imported yet (i.e. normal CLI use)
-if "QSKEIN_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["QSKEIN_THREADS"])
 
 from .coordinate_change import compose_flips
 from .curves import CurveError, NormalCurve, classify, enumerate_states, state_exponents

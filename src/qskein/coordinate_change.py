@@ -12,15 +12,23 @@ old triangles being (a, b, c) and (a, d, e).  The skein-side change maps
 X_(a*) to [X_c X_e X_a^(-1)] + [X_b X_d X_a^(-1)]; the shear-side change
 acts on the squared generators by the case table (all four boundary edges
 distinct, b = d, or c = e).
+
+Composites along a flip sequence are DAGs, not trees: each flip's images
+refer to the previous composite's expressions by reference, so every
+flip adds a bounded number of nodes.  Every walk over an expression
+visits a shared node once (support_labels keys a memo by node id, the
+root-of-unity evaluator caches each inverse's factorization by node),
+so composing and certifying cost time linear in the number of flips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .qscalar import Laurent, ONE
 from .qtorus import TorusElement, TorusSpec, decompose_monomial
-from .curves import CurveError, NormalCurve, classify, transport_curve, _epsilon_at
+from .curves import CurveError, classify, transport_curve, _epsilon_at
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError
 
@@ -86,10 +94,21 @@ class Expr:
         return out
 
     def support_labels(self):
+        """Labels of every torus element in the expression; each node of
+        a shared expression DAG is walked once."""
         out = set()
-        for _, fs in self.words:
-            for _, payload in fs:
-                out |= payload.support_labels()
+        seen = set()
+        stack = [self]
+        while stack:
+            for _, fs in stack.pop().words:
+                for kind, payload in fs:
+                    if id(payload) in seen:
+                        continue
+                    seen.add(id(payload))
+                    if kind == "el":
+                        out |= payload.support_labels()
+                    else:
+                        stack.append(payload)
         return out
 
     def map_elements(self, fn):
@@ -158,8 +177,7 @@ class GeneratorImageMap:
     source: TorusSpec
     target: TorusSpec
     images: dict
-    gen_exponent: int = 2
-    flip: object = None
+    gen_exponent: ClassVar[int] = 2
 
     def image_of_generator(self, label, power):
         if label in self.images:
@@ -188,23 +206,17 @@ class GeneratorImageMap:
             out = out + word
         return out
 
-    def apply_expr(self, expr):
-        return expr.map_elements(self.apply_element)
-
     def compose_after(self, earlier):
         """The map (self o earlier): apply earlier, then push its output
         elements through self."""
-        images = {}
-        for lab in earlier.source.labels:
-            pos = self.apply_expr(earlier.image_of_generator(lab, 1))
-            neg = self.apply_expr(earlier.image_of_generator(lab, -1))
-            images[lab] = (pos, neg)
-        return GeneratorImageMap(
-            source=earlier.source,
-            target=self.target,
-            images=images,
-            gen_exponent=earlier.gen_exponent,
-        )
+        images = {
+            lab: tuple(
+                earlier.image_of_generator(lab, power).map_elements(self.apply_element)
+                for power in (1, -1)
+            )
+            for lab in earlier.source.labels
+        }
+        return GeneratorImageMap(source=earlier.source, target=self.target, images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +257,20 @@ def theta_flip(T, a, new_label=None):
     _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
     y, y2 = bundle.y, bundle2.y
 
-    a_star_idx = bundle2.x.index[fd.a_star]
+    # psi'(Y_v^s) = X^(2s H'_v): expand the near side s, whose skein image
+    # has no negative power of X_(a*); the far side is its inverse
+    a_star_col = bundle2.H[:, bundle2.x.index[fd.a_star]]
     images = {}
     for v in y2.labels:
-        img_pos = bundle2.psi_vec(y2.unit_vec(v, 2))
-        [kpos] = list(img_pos.terms)
-        if kpos[a_star_idx] >= 0:
-            el = phi.apply_element(img_pos).as_element()
-            pos = Expr.from_element(bundle.psi_preimage(el))
-            neg = pos.inv() if len(el.terms) > 1 else Expr.from_element(
-                bundle.psi_preimage(el).inverse_monomial()
-            )
-        else:
-            img_neg = bundle2.psi_vec(y2.unit_vec(v, -2))
-            el = phi.apply_element(img_neg).as_element()
-            neg_el = bundle.psi_preimage(el)
-            neg = Expr.from_element(neg_el)
-            pos = neg.inv() if len(el.terms) > 1 else Expr.from_element(
-                neg_el.inverse_monomial()
-            )
-        images[v] = (pos, neg)
-    gmap = GeneratorImageMap(source=y2, target=y, images=images, flip=fd)
-    return T2, fd, gmap
+        sign = 1 if a_star_col[y2.index[v]] >= 0 else -1
+        el = phi.apply_element(bundle2.psi_vec(y2.unit_vec(v, 2 * sign))).as_element()
+        near_el = bundle.psi_preimage(el)
+        near = Expr.from_element(near_el)
+        far = near.inv() if len(el.terms) > 1 else Expr.from_element(
+            near_el.inverse_monomial()
+        )
+        images[v] = (near, far) if sign > 0 else (far, near)
+    return T2, fd, GeneratorImageMap(source=y2, target=y, images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +285,15 @@ def compose_flips(T, edges, side="shear", new_labels=None):
     new_labels optionally names the created diagonals, one per flip.
     """
     maker = theta_flip if side == "shear" else phi_flip
-    cur = T
-    maps = []
-    datas = []
+    cur, composite, datas = T, None, []
     for step, a in enumerate(edges):
         lab = new_labels[step] if new_labels else None
         cur, fd, gmap = maker(cur, a, new_label=lab)
-        maps.append(gmap)
+        composite = gmap if composite is None else composite.compose_after(gmap)
         datas.append(fd)
-    if not maps:
+    if composite is None:
         spec = shear_spec(T) if side == "shear" else ShearSkein(T).x
-        return T, GeneratorImageMap(source=spec, target=spec, images={}), []
-    composite = maps[0]
-    for gmap in maps[1:]:
-        composite = composite.compose_after(gmap)
+        composite = GeneratorImageMap(source=spec, target=spec, images={})
     return cur, composite, datas
 
 
@@ -325,14 +324,13 @@ class TransferRecord:
         return self.phi_lhs == self.rhs
 
 
-def knot_monomial_transfer(alpha2, T, a, T2=None, fd=None, new_label=None):
+def knot_monomial_transfer(alpha2, T, a, T2, fd):
     """Relate psi(y^(k_alpha)) before and after the flip at a.
 
-    alpha2 is the curve as a normal curve in the flipped triangulation T2.
-    Emits which transfer identity applies and both sides for verification.
+    (T2, fd) is the result of T.flip(a), and alpha2 is the curve as a
+    normal curve in T2.  Emits which transfer identity applies and both
+    sides for verification.
     """
-    if T2 is None or fd is None:
-        T2, fd = T.flip(a, new_label=new_label)
     if classify(alpha2) != "simple":
         raise CurveError("transfer needs a curve simple after the flip")
     bundle, bundle2 = ShearSkein(T), ShearSkein(T2)
@@ -340,14 +338,16 @@ def knot_monomial_transfer(alpha2, T, a, T2=None, fd=None, new_label=None):
     k2 = bundle2.y.vec(mult2)
     y = bundle.y
 
-    if fd.a_star not in mult2:
-        case, eps = "unchanged", 0
-    else:
-        eps = _epsilon_at(alpha2, fd.a_star) if mult2[fd.a_star] == 1 else 0
-        case = {1: "right-left", -1: "left-right", 0: "unchanged"}[eps]
+    eps = _epsilon_at(alpha2, fd.a_star) if mult2.get(fd.a_star) == 1 else 0
+    case = {1: "right-left", -1: "left-right", 0: "unchanged"}[eps]
     sign = -1 if case == "left-right" else 1
 
-    back = _transport_back(alpha2, T, T2, fd)
+    # transport the curve back through the inverse flip; T3 carries T's
+    # edge labels, so the multiplicities read on T3 are those on T
+    T3, fd_back = T2.flip(fd.a_star, new_label=a)
+    if not T3.same_as(T):
+        raise SurfaceError("flip-back does not restore the triangulation")
+    back = transport_curve(alpha2, T2, fd_back, T3)
     mult = {e: sign * m for e, m in back.multiplicities().items()}
     k1 = y.vec(mult)
 
@@ -357,7 +357,7 @@ def knot_monomial_transfer(alpha2, T, a, T2=None, fd=None, new_label=None):
     else:
         # y^(sk) + [Y_a^(-s) y^(sk)] with s = sign
         el = TorusElement.monomial(y, k1) + TorusElement.monomial(
-            y, y.vec({**mult, fd.a: mult.get(fd.a, 0) - 2 * sign})
+            y, y.vec({**mult, a: mult.get(a, 0) - 2 * sign})
         )
         theta_pos = (
             Expr.from_element(el) if sign == 1 else Expr.from_element(el).inv()
@@ -368,36 +368,6 @@ def knot_monomial_transfer(alpha2, T, a, T2=None, fd=None, new_label=None):
     _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
     phi_lhs = phi.apply_element(lhs).as_element()
     return TransferRecord(case, sign, lhs, rhs, phi_lhs, theta_pos, k2)
-
-
-def _transport_back(alpha2, T, T2, fd):
-    """Transport a curve of T2 back through the inverse flip to T."""
-    T3, fd_back = T2.flip(fd.a_star, new_label=fd.a)
-    if not T3.same_as(T):
-        raise SurfaceError("flip-back does not restore the triangulation")
-    moved = transport_curve(alpha2, T2, fd_back, T3)
-    # T3 equals T combinatorially; rebuild the steps on T itself
-    return _rebuild_on(moved, T3, T)
-
-
-def _rebuild_on(alpha, T_from, T_to):
-    steps = []
-    for t, i, o in alpha.steps:
-        labs_from = T_from.triangle_edges(t)
-        target = None
-        for t2 in range(len(T_to.triangles)):
-            labs_to = T_to.triangle_edges(t2)
-            for r in range(3):
-                if tuple(labs_to[(x + r) % 3] for x in range(3)) == labs_from:
-                    target = (t2, r)
-                    break
-            if target:
-                break
-        if target is None:
-            raise SurfaceError("no matching triangle while rebuilding curve")
-        t2, r = target
-        steps.append((t2, (i + r) % 3, (o + r) % 3))
-    return NormalCurve(T_to, steps)
 
 
 def theta_on_balanced(gmap, transfer, elem):
@@ -437,6 +407,6 @@ def phi_flip_from_data(T, T2, fd, bundles=None):
     term2 = TorusElement.monomial(x, tuple(p + q for p, q in zip(kbd, ka)))
     image = Expr.from_element(term1 + term2)
     gmap = GeneratorImageMap(
-        source=x2, target=x, images={fd.a_star: (image, image.inv())}, flip=fd
+        source=x2, target=x, images={fd.a_star: (image, image.inv())}
     )
     return T2, fd, gmap

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qtorus import TorusSpec, TorusElement, mlh_apply, mlh_check
+from .qtorus import TorusSpec, TorusElement, mlh_apply
 from .surface import SurfaceError
 
 
@@ -37,8 +37,6 @@ class ShearSkein:
         self.Q, self.Qring, self.H = T.face_submatrices()
         self.y = shear_spec(T)
         self.x = skein_spec(T)
-        if not mlh_check(self.H, self.x.A, self.y.A, -4):
-            raise SurfaceError("duality H P H^T = -4 Qring fails; bad surface data")
         rep = T.duality_check()
         if not rep["ok"]:
             raise SurfaceError("duality check failed: %s" % rep)

@@ -67,8 +67,12 @@ class Triangulation:
             glue[b] = a
         self.glue = glue
 
-        if side_edge is None:
-            side_edge = {}
+        side_edge = side_edge or {}
+        vertex_hints = vertex_hints or {}
+        for what, keys in (("edge_labels", side_edge), ("vertex_hints", vertex_hints)):
+            unknown = sorted(set(map(_norm_side, keys)) - set(self._side_pos))
+            if unknown:
+                raise SurfaceError("%s name unknown sides %s" % (what, ", ".join(unknown)))
         self.side_edge = {}
         for s in self.sides:
             if s in side_edge:
@@ -83,7 +87,7 @@ class Triangulation:
                     "glued sides %s,%s carry different edge labels" % (a, b)
                 )
 
-        self._vertex_hints = dict(vertex_hints or {})
+        self._vertex_hints = dict(vertex_hints)
         self._derive()
 
     # -- derived structure ---------------------------------------------
@@ -180,12 +184,16 @@ class Triangulation:
         # vertex names from hints, propagated through side classes
         names = {}
         for s, (n0, n1) in self._vertex_hints.items():
-            if s in self._side_pos:
-                t, i = self._side_pos[s]
-                if n0 is not None:
-                    names[self.vertex_of[(t, i)]] = str(n0)
-                if n1 is not None:
-                    names[self.vertex_of[(t, (i + 1) % 3)]] = str(n1)
+            t, i = self._side_pos[_norm_side(s)]
+            for corner, name in (((t, i), n0), ((t, (i + 1) % 3), n1)):
+                if name is None:
+                    continue
+                vi = self.vertex_of[corner]
+                if names.setdefault(vi, str(name)) != str(name):
+                    raise SurfaceError(
+                        "vertex hints name one vertex both %s and %s (side %s)"
+                        % (names[vi], name, s)
+                    )
         self.vertex_names = names
 
     # -- basic queries ---------------------------------------------------
@@ -397,6 +405,8 @@ class Triangulation:
             raise SurfaceError("degenerate flip square at %s" % a)
         coincidence = "b=d" if b == d else ("c=e" if c == e else "distinct")
 
+        if new_label and new_label in self.edges and new_label != a:
+            raise SurfaceError("new label %s names an existing edge" % new_label)
         a_star = new_label or self._derive_flip_label(sb, sc, sd, se, a)
         if a_star in self.edges and a_star != a:
             a_star = a + "*"
@@ -423,6 +433,8 @@ class Triangulation:
         side_edge[n2] = a_star
 
         hints = self._collect_vertex_hints()
+        hints.pop(s1, None)
+        hints.pop(s2, None)
         # endpoints of the new diagonal: corner between b and c, corner
         # between d and e (opposite corners of the quadrilateral)
         pb = hints.get(sb)

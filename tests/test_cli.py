@@ -194,7 +194,20 @@ def test_input_errors(capsys, tmp_path, annulus_files):
         (("verify", "balanced", "--seed", "-1"), "--seed must be at least 0"),
         (("flipseq", surf, "d1", "t", "--labels", "t,d1", "--verify", "--trials", "-2"),
          "--trials must be at least 1"),
+        (("flipseq", "builtin:polygon5", "e0_2", "e0_3", "--labels", "n,n"),
+         "new label n names an existing edge"),
     ]
+    # side-keyed data naming no side, and hints giving a vertex two names
+    data = json.loads((tmp_path / "annulus.json").read_text())
+    malformed = [
+        ("edge_labels", "Q", "zz", "unknown sides Q"),
+        ("vertex_hints", "Q", ["a", "b"], "unknown sides Q"),
+        ("vertex_hints", "T0.d1", ["v", "v"], "name one vertex both"),
+    ]
+    for key, side, value, message in malformed:
+        path = tmp_path / ("malformed_%s.json" % len(cases))
+        path.write_text(json.dumps({**data, key: {**data[key], side: value}}))
+        cases.append((("surf", "matrices", str(path)), message))
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err, argv

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qskein import repcheck
 from qskein.coordinate_change import (
     Expr,
     compose_flips,
@@ -16,6 +18,7 @@ from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
 from qskein.repcheck import verify_generator_map_identity, verify_identity
 from qskein.shear import ShearSkein
+from qskein.suites import PENTAGON_SEQUENCE
 from qskein.surface import annulus, polygon, torus_one_marked
 from qskein.trace import trace_simple
 
@@ -103,14 +106,64 @@ def test_flipback_identity_both_sides():
                 assert v.passed, (side, edge, lab, v)
 
 
-def test_pentagon_composite_identity():
+def _counting(monkeypatch, owner, name):
+    """Wrap owner.name so that calls are counted; returns the counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return original(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_pentagon_composite_identity(monkeypatch):
+    # the pentagon repeated 1, 2 and 3 times: each flip adds 6 dense
+    # factorizations (2 generators x 3 orders), so verification stays
+    # linear in the number of flips
+    factorizations = _counting(monkeypatch, repcheck, "lu_factor")
     P = polygon(5)
-    final, comp, _ = compose_flips(
-        P, ["e0_2", "e0_3", "e1_3", "e1_4", "e2_4"], side="shear"
+    for reps, want in ((1, 18), (2, 48), (3, 78)):
+        factorizations[0] = 0
+        final, comp, _ = compose_flips(P, list(PENTAGON_SEQUENCE) * reps, side="shear")
+        assert final.same_as(P)
+        for lab, v in verify_generator_map_identity(comp, trials=4).items():
+            assert v.passed and v.orders == (5, 7, 11), (reps, lab, v)
+        assert factorizations[0] == want, reps
+
+
+def test_support_labels_walks_shared_nodes_once(monkeypatch):
+    # the doubled pentagon's images unfold to ~36k factors; walking the
+    # DAG touches each distinct torus element once
+    _, comp, _ = compose_flips(
+        polygon(5), list(PENTAGON_SEQUENCE) * 2, side="shear"
     )
-    assert final.same_as(P)
-    for lab, v in verify_generator_map_identity(comp, trials=4).items():
-        assert v.passed, (lab, v)
+    calls = _counting(monkeypatch, TorusElement, "support_labels")
+    verdicts = verify_generator_map_identity(comp, trials=2)
+    assert all(v.passed for v in verdicts.values())
+    assert calls[0] <= 100, calls[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_random_closed_walks_verify(data):
+    # a walk of up to 3 flips followed by its reverse composes to the
+    # identity on every generator
+    T = polygon(data.draw(st.integers(5, 7), label="n"))
+    edges, labels, cur = [], [], T
+    for _ in range(data.draw(st.integers(1, 3), label="flips")):
+        edge = data.draw(st.sampled_from(cur.inner_edges))
+        cur, fd = cur.flip(edge)
+        edges.append(edge)
+        labels.append(fd.a_star)
+    final, comp, _ = compose_flips(
+        T, edges + labels[::-1], side="shear", new_labels=labels + edges[::-1]
+    )
+    assert final.same_as(T)
+    for lab, v in verify_generator_map_identity(comp, trials=2).items():
+        assert v.passed, (edges, lab, v)
 
 
 def test_dia9_commutative_square():

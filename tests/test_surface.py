@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qskein.library import MARKED_LIBRARY, surface_by_name
+from qskein.puncture import lift
 from qskein.surface import (
     SurfaceError,
     Triangulation,
@@ -172,8 +174,39 @@ def test_flip_changes_are_local():
             assert Q0[idx0[e1], idx0[e2]] == Q1[idx1[e1], idx1[e2]]
 
 
+def test_flip_rejects_a_label_in_use():
+    T = polygon(5)
+    with pytest.raises(SurfaceError, match="e0_3"):
+        T.flip("e0_2", new_label="e0_3")
+    T1, fd = T.flip("e0_2", new_label="e0_2")
+    assert fd.a_star == "e0_2" and "e0_2" in T1.inner_edges
+    T1, _ = T.flip("e0_2", new_label="n")
+    with pytest.raises(SurfaceError, match="label n "):
+        T1.flip("e0_3", new_label="n")
+
+
+def test_side_keyed_data_must_name_sides():
+    tri, glue = [("s0", "s1", "s2")], []
+    with pytest.raises(SurfaceError, match="edge_labels"):
+        Triangulation(tri, glue, {"Q": "zz"})
+    with pytest.raises(SurfaceError, match="vertex_hints"):
+        Triangulation(tri, glue, None, {"Q": ("a", "b")})
+    with pytest.raises(SurfaceError, match="both"):
+        # s0 ends where s1 starts
+        Triangulation(tri, glue, None, {"s0": ("u", "v"), "s1": ("w", "u")})
+
+
 def test_json_roundtrip():
-    for T in (polygon(5), annulus(), torus_one_marked()):
-        T2 = Triangulation.from_json(T.to_json())
+    surfaces = [torus_one_marked()]
+    for name in MARKED_LIBRARY:
+        T = surface_by_name(name)
+        surfaces.append(T)
+        surfaces.extend(T.flip(e)[0] for e in T.inner_edges)
+    for base in (torus_one_marked(), sphere_three_marked()):
+        surfaces.extend(lift(base, variant=v).delta for v in ("after", "before"))
+    for T in surfaces:
+        data = T.to_json()
+        T2 = Triangulation.from_json(data)
         assert T2.same_as(T)
-        assert T2.vertex_names == T.vertex_names or not T.vertex_names
+        assert T2.vertex_names == T.vertex_names
+        assert T2.to_json() == data
