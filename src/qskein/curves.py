@@ -213,14 +213,27 @@ def enumerate_states(alpha):
     return out
 
 
+def _crossing_slots(alpha, index):
+    """The slot index[e] of the edge e at each crossing of alpha."""
+    slots = []
+    for e in alpha.crossing_edges():
+        if e not in index:
+            raise CurveError("curve crosses %s outside the label set" % e)
+        slots.append(index[e])
+    return slots
+
+
+def _exponents(slots, values, width):
+    k = [0] * width
+    for j, v in zip(slots, values):
+        k[j] += v
+    return tuple(k)
+
+
 def state_exponents(alpha, values, labels):
     """k_s over the given inner-edge label order: per-edge sum of values."""
-    k = {lab: 0 for lab in labels}
-    for e, v in zip(alpha.crossing_edges(), values):
-        if e not in k:
-            raise CurveError("curve crosses %s outside the label set" % e)
-        k[e] += v
-    return tuple(k[lab] for lab in labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    return _exponents(_crossing_slots(alpha, index), values, len(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +332,21 @@ def state_sum(alpha, T, spec, base_edge=None):
     """(sum_s q^(u(s)) y^(k_s) in the torus spec, number of states) over
     the admissible states of a curve crossing some edge of T once.
 
-    The form of u(s) is built once; every k_s is checked to be balanced.
+    The form of u(s) and the crossings' label slots are built once; every
+    distinct k_s is checked once to be balanced.
     """
     form = _u_form(alpha, base_edge)
+    slots = _crossing_slots(alpha, spec.index)
+    width = len(spec.labels)
     terms = {}
     states = enumerate_states(alpha)
     for values in states:
-        k = state_exponents(alpha, values, spec.labels)
-        if not is_balanced(k, T):
-            raise AssertionError("state exponent vector is not balanced")
-        coeffs = terms.setdefault(k, {})
+        k = _exponents(slots, values, width)
+        coeffs = terms.get(k)
+        if coeffs is None:
+            if not is_balanced(k, T):
+                raise AssertionError("state exponent vector is not balanced")
+            coeffs = terms[k] = {}
         n8 = 4 * _twice_u(form, values)          # 8 u(s), in eighths of q
         coeffs[n8] = coeffs.get(n8, 0) + 1
     shear = TorusElement(spec, {k: Laurent(c) for k, c in terms.items()})

@@ -11,8 +11,14 @@ where <k,n>_A = k A n^T, and the general commutation
 x^k x^n = u^(<k,n>_A) x^n x^k follows.  Since u is a power of q^(1/4),
 u^(1/2) lives in the coefficient ring and every product is exact.
 
-A product computes the pairing row kA once per left term from columns of
-A cached on the spec, so a term pair's phase is one integer dot product;
+A product groups the right operand's terms by coefficient and multiplies
+each distinct pair (left coefficient, right coefficient), keyed by Laurent
+value, once; a term pair then adds that product shifted by its phase
+(u_eighth/2) k1 A k2, with no further coefficient multiplication.  The
+pairing row k1 A is computed once per left term, so a phase is one integer
+dot product.  A square a * a visits each unordered term pair once and adds
+the product at +phase and at -phase, since <k2,k1>_A = -<k1,k2>_A.  Term
+pairs are visited in the order of the term-by-term product, and
 coefficients accumulate as Python ints, one Laurent per output monomial.
 """
 
@@ -45,7 +51,7 @@ class TorusSpec:
         self.A = A
         self.u_eighth = int(u_eighth)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self._cols = tuple(tuple(int(v) for v in col) for col in A.T)
+        self._rows = tuple(tuple(int(v) for v in row) for row in A)
         self._key = (self.labels, self.A.tobytes(), self.u_eighth)
 
     def __eq__(self, other):
@@ -60,8 +66,13 @@ class TorusSpec:
     # k, n are integer tuples over self.labels
 
     def pairing_row(self, k):
-        """The pairing row kA as a list of ints."""
-        return [sum(map(mul, k, col)) for col in self._cols]
+        """The pairing row kA as a list of ints, summed over the nonzero
+        entries of k."""
+        row = [0] * len(k)
+        for e, a_row in zip(k, self._rows):
+            if e:
+                row = [r + e * v for r, v in zip(row, a_row)]
+        return row
 
     def pairing(self, k, n):
         """The antisymmetric form <k,n>_A = k A n^T."""
@@ -87,6 +98,18 @@ class TorusSpec:
         return Laurent.q_power((self.u_eighth // 2) * pair_value)
 
 
+def _times(c1, c2):
+    """c1 * c2 as (eighth exponent, int) items in the order in which the
+    term-by-term product first meets each exponent, zero sums kept: adding
+    them fills an output coefficient in the term-by-term order, which its
+    numeric evaluation sums in."""
+    out = {}
+    for n1, a1 in c1.terms.items():
+        for n2, a2 in c2.terms.items():
+            out[n1 + n2] = out.get(n1 + n2, 0) + a1 * a2
+    return tuple(out.items())
+
+
 def pairing(k, n, A):
     k = np.asarray(k, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
@@ -110,7 +133,7 @@ class TorusElement:
                     raise ValueError("exponent vector of wrong length")
                 if c.is_zero():
                     continue
-                k = tuple(int(e) for e in k)
+                k = tuple(map(int, k))
                 clean[k] = clean[k] + c if k in clean else c
         self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
 
@@ -161,23 +184,39 @@ class TorusElement:
         self._check(other)
         spec = self.spec
         half = spec.u_eighth // 2
-        right = [(k2, tuple(c2.terms.items())) for k2, c2 in other.terms.items()]
-        acc = {}                        # k -> {eighth exponent: int coefficient}
-        for k1, c1 in self.terms.items():
+        square = other is self
+        index, coeffs, right = {}, [], []
+        for k2, c2 in other.terms.items():      # right terms by coefficient
+            g = index.get(c2)
+            if g is None:
+                g = index[c2] = len(coeffs)
+                coeffs.append(c2)
+            right.append((k2, g))
+        table = {}      # left coefficient -> its products with coeffs, as met
+        acc = {}        # k -> {eighth exponent: int coefficient}
+        for i, (k1, c1) in enumerate(self.terms.items()):
+            prods = table.get(c1)
+            if prods is None:
+                prods = table[c1] = [None] * len(coeffs)
             row = [half * v for v in spec.pairing_row(k1)]
-            left = tuple(c1.terms.items())
-            for k2, t2 in right:
+            # a square visits each unordered term pair {k1, k2} once
+            for k2, g in right[i:] if square else right:
                 shift = sum(map(mul, row, k2))
                 k = tuple(map(add, k1, k2))
                 slot = acc.get(k)
                 if slot is None:
                     slot = acc[k] = {}
                 get = slot.get
-                for n1, a1 in left:
-                    n1 += shift
-                    for n2, a2 in t2:
-                        n = n1 + n2
-                        slot[n] = get(n, 0) + a1 * a2
+                prod = prods[g]
+                if prod is None:
+                    prod = prods[g] = _times(c1, coeffs[g])
+                for n, a in prod:
+                    n += shift
+                    slot[n] = get(n, 0) + a
+                if square and k2 != k1:     # x^k2 x^k1 has the opposite phase
+                    for n, a in prod:
+                        n -= shift
+                        slot[n] = get(n, 0) + a
         return TorusElement(spec, {k: Laurent(slot) for k, slot in acc.items()})
 
     def __rmul__(self, other):
@@ -193,8 +232,9 @@ class TorusElement:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse_monomial(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qskein.library import surface_by_name
 from qskein.qscalar import Laurent
@@ -54,14 +55,31 @@ def reference_product(a, b):
     return TorusElement(spec, {k: Laurent(slot) for k, slot in out.items()})
 
 
+def random_coeff(rng, big=False):
+    coeff = {}
+    for _ in range(int(rng.integers(1, 4))):
+        c = int(rng.integers(-5, 6)) or 1
+        coeff[int(rng.integers(-12, 13))] = c * 3 ** 45 if big else c
+    return coeff
+
+
 def random_element(rng, spec, n_terms, big=False):
     terms = {}
     for _ in range(n_terms):
-        coeff = {}
-        for _ in range(int(rng.integers(1, 4))):
-            c = int(rng.integers(-5, 6)) or 1
-            coeff[int(rng.integers(-12, 13))] = c * 3 ** 45 if big else c
-        terms[rng_vec(rng, spec, -2, 3)] = Laurent(coeff)
+        terms[rng_vec(rng, spec, -2, 3)] = Laurent(random_coeff(rng, big))
+    return TorusElement(spec, terms)
+
+
+def repeating_element(rng, spec, n_terms, big=False):
+    """Terms whose coefficients take three values, each value also stored
+    with its terms in reverse order, so equal coefficients recur."""
+    pool = []
+    for _ in range(3):
+        coeff = random_coeff(rng, big)
+        pool += [Laurent(coeff), Laurent(dict(reversed(list(coeff.items()))))]
+    terms = {}
+    for _ in range(n_terms):
+        terms[rng_vec(rng, spec, -2, 3)] = pool[int(rng.integers(len(pool)))]
     return TorusElement(spec, terms)
 
 
@@ -89,6 +107,61 @@ def test_product_matches_per_pair_reference():
         for _ in range(10):
             k, n = rng_vec(rng, spec), rng_vec(rng, spec)
             assert spec.pairing(k, n) == pairing(k, n, spec.A)
+
+
+def test_square_matches_per_pair_reference():
+    # a * a takes the unordered-pair path; u_eighth 0 makes +shift = -shift
+    rng = np.random.default_rng(11)
+    for spec in product_specs():
+        for n_terms in (1, 2, 5, 9):
+            for big in (False, True):
+                for a in (random_element(rng, spec, n_terms, big),
+                          repeating_element(rng, spec, n_terms, big)):
+                    square = a * a
+                    assert square == reference_product(a, a)
+                    assert square == a * TorusElement(spec, dict(a.terms))
+                    assert all(c.terms and all(c.terms.values())
+                               for c in square.terms.values())
+
+
+def test_repeated_coefficients_match_per_pair_reference():
+    rng = np.random.default_rng(12)
+    for spec in product_specs():
+        for m, p in ((1, 6), (6, 1), (5, 7)):
+            for big in (False, True):
+                a = repeating_element(rng, spec, m, big)
+                b = repeating_element(rng, spec, p, big)
+                assert a * b == reference_product(a, b)
+
+
+def test_powers_match_repeated_reference_products():
+    rng = np.random.default_rng(13)
+    for spec in product_specs():
+        if not spec.labels:
+            continue
+        x = repeating_element(rng, spec, 3)
+        assert len(x.terms) > 1
+        expected = x
+        for n in range(2, 6):
+            expected = reference_product(expected, x)
+            assert x ** n == expected
+
+
+SPECS = list(product_specs())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_products_match_reference_property(data):
+    spec = data.draw(st.sampled_from(SPECS))
+    coeff = st.dictionaries(st.integers(-12, 12), st.integers(-4, 4), max_size=3)
+    # few coefficient values, so that equal coefficients recur across terms
+    pool = data.draw(st.lists(coeff.map(Laurent), min_size=1, max_size=3))
+    vec = st.tuples(*[st.integers(-2, 2)] * len(spec.labels))
+    a, b = (TorusElement(spec, data.draw(
+        st.dictionaries(vec, st.sampled_from(pool), max_size=6))) for _ in range(2))
+    assert a * b == reference_product(a, b)
+    assert a * a == reference_product(a, a)
 
 
 def test_product_cancellation_and_exact_coefficients():

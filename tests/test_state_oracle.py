@@ -3,20 +3,28 @@
 The references here do not reuse the code under test: admissibility is
 restated as a filter over all 2^n value tuples, the state count as the
 trace of a product of 2x2 0/1 transfer matrices, and u(s) is summed state
-by state through u_split_parts.
+by state through u_split_parts.  state_sum, which builds k_s and u(s) per
+curve, is pinned to the per-state helpers summed one state at a time.
 """
 
 from itertools import product
 
+import pytest
+
 from qskein.curves import (
     CurveError,
     enumerate_states,
+    state_exponents,
+    state_sum,
     transport_curve,
     u_of_state,
     u_split_parts,
 )
 from qskein.library import annulus_core, sphere_curve, torus_curve
 from qskein.puncture import curve_lift, lift
+from qskein.qscalar import Laurent
+from qskein.qtorus import TorusElement, TorusSpec
+from qskein.shear import shear_spec
 from qskein.surface import SurfaceError, sphere_three_marked, torus_one_marked
 
 # forbidden (value at the ccw-first edge, value at the ccw-second edge)
@@ -112,3 +120,43 @@ def test_u_form_equals_split_parts_on_every_state():
                 assert u_of_state(alpha, s, base) == sum(u_split_parts(alpha, s, base))
                 checked += 1
     assert checked > 1000
+
+
+def per_state_sum(alpha, spec):
+    """sum_s q^(u(s)) y^(k_s), one admissible state at a time."""
+    out = TorusElement.zero(spec)
+    for s in enumerate_states(alpha):
+        n8 = 8 * u_of_state(alpha, s)
+        assert n8.denominator == 1
+        k = state_exponents(alpha, s, spec.labels)
+        out = out + TorusElement.monomial(spec, k, Laurent.q_power(int(n8)))
+    return out
+
+
+def test_state_sum_equals_per_state_sum():
+    checked = 0
+    for alpha in CURVES:
+        spec = shear_spec(alpha.T)
+        if 1 not in alpha.multiplicities().values():
+            # u(s) needs an edge crossed once
+            with pytest.raises(CurveError, match="crossed exactly once"):
+                state_sum(alpha, alpha.T, spec)
+            continue
+        element, count = state_sum(alpha, alpha.T, spec)
+        assert count == len(enumerate_states(alpha))
+        assert element == per_state_sum(alpha, spec)
+        checked += 1
+    assert checked == 71
+
+
+def test_state_sum_rejects_an_edge_outside_the_labels():
+    alpha = next(a for a in CURVES if 1 in a.multiplicities().values())
+    spec = shear_spec(alpha.T)
+    crossed = alpha.crossing_edges()[0]
+    keep = [i for i, lab in enumerate(spec.labels) if lab != crossed]
+    narrow = TorusSpec([spec.labels[i] for i in keep], spec.A[keep][:, keep],
+                       spec.u_eighth)
+    with pytest.raises(CurveError, match="outside the label set"):
+        state_sum(alpha, alpha.T, narrow)
+    with pytest.raises(CurveError, match="outside the label set"):
+        state_exponents(alpha, enumerate_states(alpha)[0], narrow.labels)
