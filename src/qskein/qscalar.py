@@ -38,6 +38,16 @@ class Laurent:
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def _canonical(terms):
+        """A Laurent taking ``terms``, a dict of int exponents to nonzero
+        ints, as it is: the torus product kernels build exactly this, so the
+        clean-up of ``Laurent(terms)`` would only repeat their work."""
+        out = object.__new__(Laurent)
+        _set_terms(out, terms)
+        _set_hash(out, None)
+        return out
+
+    @staticmethod
     def zero():
         return Laurent()
 
@@ -115,9 +125,10 @@ class Laurent:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(tuple(sorted(self.terms.items())))
-            )
+            terms = self.terms
+            # a constant hashes as the int it equals (__eq__ accepts ints)
+            key = terms.get(0, 0) if terms.keys() <= {0} else tuple(sorted(terms.items()))
+            object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
     def __bool__(self):
@@ -164,6 +175,11 @@ class Laurent:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+# the slot setters that __setattr__ refuses, for Laurent._canonical
+_set_terms = Laurent.terms.__set__
+_set_hash = Laurent._hash.__set__
 
 
 def _as_laurent(x):

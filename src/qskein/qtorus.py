@@ -11,20 +11,39 @@ where <k,n>_A = k A n^T, and the general commutation
 x^k x^n = u^(<k,n>_A) x^n x^k follows.  Since u is a power of q^(1/4),
 u^(1/2) lives in the coefficient ring and every product is exact.
 
-A product groups the right operand's terms by coefficient and multiplies
-each distinct pair (left coefficient, right coefficient), keyed by Laurent
-value, once; a term pair then adds that product shifted by its phase
-(u_eighth/2) k1 A k2, with no further coefficient multiplication.  The
-pairing row k1 A is computed once per left term, so a phase is one integer
-dot product.  A square a * a visits each unordered term pair once and adds
-the product at +phase and at -phase, since <k2,k1>_A = -<k1,k2>_A.  Term
-pairs are visited in the order of the term-by-term product, and
-coefficients accumulate as Python ints, one Laurent per output monomial.
+A product a * b groups the right operand's terms by coefficient and
+multiplies each distinct pair (left coefficient, right coefficient), keyed
+by Laurent value, once; a term pair then adds that product shifted by its
+phase (u_eighth/2) k1 A k2, with no further coefficient multiplication.
+The pairing row k1 A is computed once per left term, so a phase is one
+integer dot product.  Term pairs are visited in the order of the
+term-by-term product, and coefficients accumulate as Python ints.
+
+A square a * a is one scatter on an exponent grid instead.  Every
+coefficient exponent lies in n0 + dZ, where d is the gcd of all exponent
+differences and all pair phases, so each distinct coefficient is a dense
+row on that grid, and each distinct unordered coefficient pair is
+convolved once.  Exponent vectors get mixed-radix codes with
+code(k_i + k_j) = code_i + code_j, which key the output monomials.  Each
+unordered term pair i <= j adds its product at +phase and, for i < j, at
+-phase, since <k_j,k_i>_A = -<k_i,k_j>_A; one np.add.at per product column
+does this for all term pairs, so temporaries stay at one entry per term
+pair.  A row is as long as its coefficient's exponent span over d.  The
+coefficient arrays are int64 when ||a||_1^2 < 2^63, which bounds every
+partial sum, and Python ints in object arrays otherwise; numpy's integer
+operations are exact on both.  Codes, phases and exponents take their
+dtype by the same rule from their own bound.
+
+Both paths build their output in canonical form, Python ints and no zero
+coefficient, and hand it to one private constructor that skips the checks
+of TorusElement() and Laurent().
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import islice
 from operator import add, mul
 
 import numpy as np
@@ -110,6 +129,35 @@ def _times(c1, c2):
     return tuple(out.items())
 
 
+def _exact_dtype(bound):
+    """int64 when no value of a computation exceeds ``bound`` < 2^63, else
+    object, whose Python ints make numpy's integer operations exact."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _distinct(coeffs):
+    """The distinct values of ``coeffs`` in the order met, and the index of
+    each coefficient among them."""
+    index, distinct, group = {}, [], []
+    for c in coeffs:
+        g = index.get(c)
+        if g is None:
+            g = index[c] = len(distinct)
+            distinct.append(c)
+        group.append(g)
+    return distinct, group
+
+
+def _element(spec, terms):
+    """The element from ``terms``, pairs (int tuple of the spec's width,
+    {int: nonzero int}) with distinct tuples and no empty coefficient, taken
+    as they are: both product kernels build exactly this."""
+    out = object.__new__(TorusElement)
+    out.spec = spec
+    out.terms = {k: Laurent._canonical(c) for k, c in terms}
+    return out
+
+
 def pairing(k, n, A):
     k = np.asarray(k, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
@@ -182,25 +230,20 @@ class TorusElement:
             c = other if isinstance(other, Laurent) else Laurent.integer(other)
             return TorusElement(self.spec, {k: v * c for k, v in self.terms.items()})
         self._check(other)
+        if other is self:
+            return self._square()
         spec = self.spec
         half = spec.u_eighth // 2
-        square = other is self
-        index, coeffs, right = {}, [], []
-        for k2, c2 in other.terms.items():      # right terms by coefficient
-            g = index.get(c2)
-            if g is None:
-                g = index[c2] = len(coeffs)
-                coeffs.append(c2)
-            right.append((k2, g))
+        coeffs, group = _distinct(other.terms.values())
+        right = list(zip(other.terms, group))   # right terms by coefficient
         table = {}      # left coefficient -> its products with coeffs, as met
         acc = {}        # k -> {eighth exponent: int coefficient}
-        for i, (k1, c1) in enumerate(self.terms.items()):
+        for k1, c1 in self.terms.items():
             prods = table.get(c1)
             if prods is None:
                 prods = table[c1] = [None] * len(coeffs)
             row = [half * v for v in spec.pairing_row(k1)]
-            # a square visits each unordered term pair {k1, k2} once
-            for k2, g in right[i:] if square else right:
+            for k2, g in right:
                 shift = sum(map(mul, row, k2))
                 k = tuple(map(add, k1, k2))
                 slot = acc.get(k)
@@ -213,11 +256,89 @@ class TorusElement:
                 for n, a in prod:
                     n += shift
                     slot[n] = get(n, 0) + a
-                if square and k2 != k1:     # x^k2 x^k1 has the opposite phase
-                    for n, a in prod:
-                        n -= shift
-                        slot[n] = get(n, 0) + a
-        return TorusElement(spec, {k: Laurent(slot) for k, slot in acc.items()})
+        out = ((k, {n: a for n, a in slot.items() if a}) for k, slot in acc.items())
+        return _element(spec, ((k, c) for k, c in out if c))
+
+    def _square(self):
+        """self * self as one scatter on the exponent grid (module docstring)."""
+        spec, terms = self.spec, self.terms
+        if not terms:
+            return TorusElement(spec)
+        keys, half = list(terms), spec.u_eighth // 2
+        coeffs, group = _distinct(terms.values())
+        ns = [n for c in coeffs for n in c.terms]
+        n0 = min(ns)
+        # exponent side: mixed-radix codes, code(k_i + k_j) = code_i + code_j,
+        # and pair phases, in a dtype that holds every value exactly
+        cols = list(zip(*keys))
+        lows = [min(col) for col in cols]
+        radix = [2 * (max(col) - low) + 1 for col, low in zip(cols, lows)]
+        strides = [math.prod(radix[:i]) for i in range(len(radix))]
+        kabs = max((max(map(abs, col)) for col in cols), default=0)
+        form = kabs * kabs * int(np.abs(spec.A).sum())     # bounds |k_i A k_j|
+        edtype = _exact_dtype(max(math.prod(radix), 2 * kabs,
+                                  form * max(abs(half), 1) + 4 * max(map(abs, ns))))
+        strides, radix, lows = (np.array(v, dtype=edtype) for v in (strides, radix, lows))
+        K = np.array(keys, dtype=edtype).reshape(len(keys), len(cols))
+        code = (K - lows) @ strides
+        iu, ju = np.triu_indices(len(keys))     # unordered term pairs i <= j
+        out_codes, out_of = np.unique(code[iu] + code[ju], return_inverse=True)
+        phase = ((K @ spec.A.astype(edtype)) @ K.T)[iu, ju] * half
+        d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
+        # coefficient side: each distinct coefficient a dense row on the grid
+        # n0 + dZ from its first exponent, and one convolution per distinct
+        # unordered coefficient pair
+        norm = sum(abs(v) for c in terms.values() for v in c.terms.values())
+        cdtype = _exact_dtype(norm * norm)      # bounds every partial sum
+        offset = [(min(c.terms) - n0) // d for c in coeffs]
+        size = np.array([(max(c.terms) - n0) // d + 1 for c in coeffs]) - offset
+        ell = int(size.max())
+        rows = np.zeros((len(coeffs), ell), dtype=cdtype)
+        for g, c in enumerate(coeffs):
+            for n, v in c.terms.items():
+                rows[g, (n - n0) // d - offset[g]] = v
+        group, offset = np.array(group), np.array(offset)
+        g1, g2 = group[iu], group[ju]
+        pairs, via = np.unique(np.minimum(g1, g2) * len(coeffs) + np.maximum(g1, g2),
+                               return_inverse=True)
+        left, right = divmod(pairs, len(coeffs))
+        conv = np.zeros((2 * ell - 1, len(pairs)), dtype=cdtype)    # a pair per column
+        right_rows = rows[right].T
+        for s in range(ell):
+            conv[s:s + ell] += right_rows * rows[left, s]
+        # a term pair's product starts at its grid position plus its phase
+        # and, for i < j, also minus its phase, since <k_j,k_i> = -<k_i,k_j>
+        shift = (phase // d).astype(np.intp)
+        reach = int(np.abs(shift).max())
+        base = offset[g1] + offset[g2] + reach
+        cross = iu != ju
+        out_of = np.concatenate((out_of, out_of[cross]))
+        at = np.concatenate((base + shift, (base - shift)[cross]))
+        via = np.concatenate((via, via[cross]))
+        length = (size[left] + size[right] - 1)[via]
+        # one window of grid positions per output monomial, laid end to end
+        low = np.full(len(out_codes), at.max(), dtype=np.intp)
+        np.minimum.at(low, out_of, at)
+        high = np.zeros(len(out_codes), dtype=np.intp)
+        np.maximum.at(high, out_of, at + length)
+        starts = np.zeros(len(out_codes) + 1, dtype=np.intp)
+        np.cumsum(high - low, out=starts[1:])
+        flat = np.zeros(starts[-1], dtype=cdtype)
+        at += starts[out_of] - low[out_of]
+        # product column t adds to the term pairs whose product is longer
+        order = np.argsort(length)
+        at, via, length = at[order], via[order], length[order]
+        skip = np.searchsorted(length, np.arange(2 * ell - 1), side="right")
+        for t, k in enumerate(skip.tolist()):
+            np.add.at(flat, at[k:] + t, conv[t, via[k:]])
+        nz = np.flatnonzero(flat)
+        row = np.searchsorted(starts, nz, side="right") - 1
+        exps = ((nz - starts[row] + low[row] - reach).astype(edtype) * d + 2 * n0).tolist()
+        counts = np.diff(np.searchsorted(nz, starts)).tolist()
+        entries = zip(exps, flat[nz].tolist())
+        out_keys = map(tuple, (out_codes[:, None] // strides % radix + 2 * lows).tolist())
+        return _element(spec, ((k, dict(islice(entries, n)))
+                               for k, n in zip(out_keys, counts) if n))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Laurent)):

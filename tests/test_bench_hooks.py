@@ -69,3 +69,18 @@ def test_tracer_sees_one_product_per_mul():
     assert tracer.counts["qtorus.muls"] == 1
     assert tracer.counts["qtorus.term_pairs"] == 3 * 4
     assert [rec[0] for rec in tracer.spans] == ["qtorus.mul", "qtorus.scale"]
+
+
+def test_tracer_sees_square_as_one_mul():
+    # a * a takes the grid-scatter path inside the wrapped __mul__, so it is
+    # still one qtorus.mul span with len(a.terms)^2 term pairs
+    tracing = load_tracing()
+    s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
+    a = TorusElement(s, {(i, j): Laurent({i: 1, -j: 2}) for i in range(3) for j in range(2)})
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        square = a * a
+    assert square == a * TorusElement(s, dict(a.terms))
+    assert tracer.counts["qtorus.muls"] == 1
+    assert tracer.counts["qtorus.term_pairs"] == len(a.terms) ** 2 == 36
+    assert [rec[0] for rec in tracer.spans] == ["qtorus.mul"]

@@ -78,6 +78,24 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def test_hash_agrees_with_equality_on_integers():
+    # Laurent.__eq__ accepts ints, so equal constants must hash alike
+    for c in (0, 3, -1, 2 ** 70):
+        assert Laurent.integer(c) == c and hash(Laurent.integer(c)) == hash(c)
+        assert Laurent({0: c}) in {c} and c in {Laurent({0: c})}
+    assert Laurent() == 0 and hash(Laurent()) == hash(0)
+    assert len({Laurent.integer(3), 3}) == 1
+    assert len({Laurent.zero(), 0, Laurent.integer(0)}) == 1
+    assert q(8, 3) != 3 and q(0, 3) + q(8) != 3
+
+
+@given(scalars)
+def test_hash_agrees_with_equality(a):
+    assert hash(a) == hash(Laurent(dict(reversed(list(a.terms.items())))))
+    if a.terms.keys() <= {0}:
+        assert a == a.terms.get(0, 0) and hash(a) == hash(a.terms.get(0, 0))
+
+
 @given(scalars, scalars)
 def test_reflect_is_ring_hom(a, b):
     assert (a + b).reflect() == a.reflect() + b.reflect()

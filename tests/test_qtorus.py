@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qskein.library import surface_by_name
+from qskein.curves import CurveError, transport_curve
+from qskein.library import surface_by_name, torus_curve
+from qskein.puncture import curve_lift, lift
 from qskein.qscalar import Laurent
 from qskein.qtorus import (
     TorusElement,
@@ -16,6 +20,8 @@ from qskein.qtorus import (
     weyl_normalize,
 )
 from qskein.shear import ShearSkein
+from qskein.surface import SurfaceError, torus_one_marked
+from qskein.trace import trace_once_edge
 
 
 def spec2(u_eighth=8):
@@ -53,6 +59,19 @@ def reference_product(a, b):
                     n = n1 + n2 + phase
                     slot[n] = slot.get(n, 0) + a1 * a2
     return TorusElement(spec, {k: Laurent(slot) for k, slot in out.items()})
+
+
+def assert_canonical(el):
+    """Python-int exponents and coefficients, no zero coefficient, keys of
+    the spec's width, and JSON output."""
+    width = len(el.spec.labels)
+    for k, c in el.terms.items():
+        assert type(k) is tuple and len(k) == width
+        assert all(type(e) is int for e in k)
+        assert c.terms
+        for n, v in c.terms.items():
+            assert type(n) is int and type(v) is int and v != 0
+    json.dumps(el.to_json())
 
 
 def random_coeff(rng, big=False):
@@ -102,7 +121,7 @@ def test_product_matches_per_pair_reference():
                 b = random_element(rng, spec, p, big)
                 prod = a * b
                 assert prod == reference_product(a, b)
-                assert all(c.terms and all(c.terms.values()) for c in prod.terms.values())
+                assert_canonical(prod)
                 assert (zero * b).is_zero() and (a * zero).is_zero()
         for _ in range(10):
             k, n = rng_vec(rng, spec), rng_vec(rng, spec)
@@ -110,18 +129,84 @@ def test_product_matches_per_pair_reference():
 
 
 def test_square_matches_per_pair_reference():
-    # a * a takes the unordered-pair path; u_eighth 0 makes +shift = -shift
+    # a * a takes the grid-scatter path; u_eighth 0 makes +phase = -phase
     rng = np.random.default_rng(11)
     for spec in product_specs():
-        for n_terms in (1, 2, 5, 9):
+        for n_terms in (0, 1, 2, 5, 9):
             for big in (False, True):
                 for a in (random_element(rng, spec, n_terms, big),
                           repeating_element(rng, spec, n_terms, big)):
                     square = a * a
                     assert square == reference_product(a, a)
                     assert square == a * TorusElement(spec, dict(a.terms))
-                    assert all(c.terms and all(c.terms.values())
-                               for c in square.terms.values())
+                    assert_canonical(square)
+
+
+def greedy_rung(crossings):
+    """(surface, curve): the lifted (1,0) torus curve, flipped greedily to at
+    least `crossings` crossings, each flip maximizing the crossing count
+    while some edge stays crossed once."""
+    ld = lift(torus_one_marked())
+    T, alpha = ld.delta, curve_lift(ld, torus_curve("1,0")[1])
+    while len(alpha.steps) < crossings:
+        best = None
+        for edge in T.inner_edges:
+            try:
+                T2, fd = T.flip(edge)
+                moved = transport_curve(alpha, T, fd, T2)
+            except (SurfaceError, CurveError):
+                continue
+            if 1 in moved.multiplicities().values() and (
+                    best is None or len(moved.steps) > len(best[1].steps)):
+                best = (T2, moved)
+        T, alpha = best
+    return T, alpha
+
+
+def test_square_of_greedy_rung_trace_matches_reference():
+    T, alpha = greedy_rung(14)
+    assert len(alpha.steps) == 14
+    shear, skein, _ = trace_once_edge(alpha, T, bundle=ShearSkein(T))
+    for el in (shear, skein):
+        assert len(el.terms) > 20
+        square = el * el
+        assert square == reference_product(el, el)
+        assert_canonical(square)
+
+
+def test_square_int64_and_object_coefficients():
+    # ||a||_1^2 just below 2^63 takes int64 arrays, just above object arrays
+    s = spec2(2)
+    for norm in (3037000499, 3037000500):
+        assert (norm * norm < 2 ** 63) == (norm == 3037000499)
+        p = norm // 4
+        a = TorusElement(s, {(1, 0): Laurent({0: p, 8: -p}),
+                             (0, 1): Laurent({0: p, -8: norm - 3 * p}),
+                             (1, 1): Laurent()})
+        assert sum(abs(v) for c in a.terms.values() for v in c.terms.values()) == norm
+        square = a * a
+        assert square == reference_product(a, a)
+        assert_canonical(square)
+        # one coefficient's square reaches ||a||_1^2 itself
+        mono = TorusElement.monomial(s, (1, -1), Laurent({4: norm}))
+        assert (mono * mono).terms == {(2, -2): Laurent({8: norm * norm})}
+        assert_canonical(mono * mono)
+
+
+def test_square_edge_cases():
+    for spec in product_specs():        # zero width and u_eighth 0 among them
+        one_term = TorusElement.monomial(spec, spec.zero_vec(), Laurent({3: -2, 5: 1}))
+        assert (one_term * one_term).terms == {spec.zero_vec(): Laurent({6: 4, 8: -4, 10: 1})}
+    # exponent vectors past int64 take object arrays on the exponent side; on
+    # spec2 every phase and exponent difference is a multiple of d = 4 * big
+    big = 2 ** 70
+    for spec, keys, step in ((spec2(8), ((big, 0), (0, 1), (big, 1)), 4 * big),
+                             (TorusSpec(("a",), [[0]], 2), ((big,), (big + 3,), (big + 5,)), 8)):
+        a = TorusElement(spec, {k: Laurent({0: i + 1, step * (i - 1): 2})
+                                for i, k in enumerate(keys)})
+        square = a * a
+        assert square == reference_product(a, a)
+        assert_canonical(square)
 
 
 def test_repeated_coefficients_match_per_pair_reference():
