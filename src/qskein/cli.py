@@ -89,32 +89,30 @@ def _print_matrix(name, M, rows, cols):
 
 def cmd_surf(args):
     T = _load_surface(args.surface)
-    if args.what == "matrices":
-        Q, Qring, H = T.face_submatrices()
-        if args.json:
-            out = {
-                "edges": list(T.edges),
-                "inner_edges": list(T.inner_edges),
-                "Q": Q.tolist(),
-            }
-            if T.surface_class == "marked":
-                out["P"] = T.vertex_matrix().tolist()
-                out["H"] = H.tolist()
-                out["duality"] = T.duality_check()
-            print(json.dumps(out, indent=2, sort_keys=True))
-            return 0
-        _print_matrix("face matrix Q", Q, T.edges, T.edges)
+    Q, Qring, H = T.face_submatrices()
+    if args.json:
+        out = {
+            "edges": list(T.edges),
+            "inner_edges": list(T.inner_edges),
+            "Q": Q.tolist(),
+        }
         if T.surface_class == "marked":
-            _print_matrix("vertex matrix P", T.vertex_matrix(), T.edges, T.edges)
-            _print_matrix("H (inner rows of Q)", H, T.inner_edges, T.edges)
-            rep = T.duality_check()
-            print("duality: PH^T = -4 id: %s; HPH^T = -4 Qring: %s; rank H = %d/%d: %s"
-                  % (rep["PHt_ok"], rep["HPHt_ok"], rep["rank"], rep["inner"],
-                     "PASS" if rep["ok"] else "FAIL"))
-            return 0 if rep["ok"] else 1
-        print("generalized surface: vertex matrix undefined")
+            out["P"] = T.vertex_matrix().tolist()
+            out["H"] = H.tolist()
+            out["duality"] = T.duality_check()
+        print(json.dumps(out, indent=2, sort_keys=True))
         return 0
-    raise InputError("unknown surf subcommand %r" % args.what)
+    _print_matrix("face matrix Q", Q, T.edges, T.edges)
+    if T.surface_class == "marked":
+        _print_matrix("vertex matrix P", T.vertex_matrix(), T.edges, T.edges)
+        _print_matrix("H (inner rows of Q)", H, T.inner_edges, T.edges)
+        rep = T.duality_check()
+        print("duality: PH^T = -4 id: %s; HPH^T = -4 Qring: %s; rank H = %d/%d: %s"
+              % (rep["PHt_ok"], rep["HPHt_ok"], rep["rank"], rep["inner"],
+                 "PASS" if rep["ok"] else "FAIL"))
+        return 0 if rep["ok"] else 1
+    print("generalized surface: vertex matrix undefined")
+    return 0
 
 
 def cmd_curve(args):
@@ -129,22 +127,20 @@ def cmd_curve(args):
             print("class: %s" % kind)
             print("multiplicities: %s" % json.dumps(mult, sort_keys=True))
         return 0
-    if args.what == "states":
-        states = enumerate_states(alpha)
-        labels = shear_spec(T).labels
-        rows = []
-        for s in states:
-            k = state_exponents(alpha, s, labels)
-            rows.append({"values": list(s),
-                         "k": {lab: v for lab, v in zip(labels, k) if v}})
-        if args.json:
-            print(json.dumps({"count": len(states), "states": rows}, sort_keys=True))
-        else:
-            print("%d admissible states" % len(states))
-            for r in rows:
-                print("  %s  k=%s" % (r["values"], json.dumps(r["k"], sort_keys=True)))
-        return 0
-    raise InputError("unknown curve subcommand %r" % args.what)
+    states = enumerate_states(alpha)
+    labels = shear_spec(T).labels
+    rows = []
+    for s in states:
+        k = state_exponents(alpha, s, labels)
+        rows.append({"values": list(s),
+                     "k": {lab: v for lab, v in zip(labels, k) if v}})
+    if args.json:
+        print(json.dumps({"count": len(states), "states": rows}, sort_keys=True))
+    else:
+        print("%d admissible states" % len(states))
+        for r in rows:
+            print("  %s  k=%s" % (r["values"], json.dumps(r["k"], sort_keys=True)))
+    return 0
 
 
 def cmd_trace(args):
@@ -197,6 +193,8 @@ def cmd_flipseq(args):
         )
     except SurfaceError as exc:
         raise InputError(str(exc))
+    if args.verify and not final.same_as(T):
+        raise InputError("--verify needs a flip sequence that returns to the start")
     for fd in datas:
         print("flip %s -> %s  quad (%s,%s,%s,%s)  %s"
               % (fd.a, fd.a_star, fd.b, fd.c, fd.d, fd.e, fd.coincidence))
@@ -204,9 +202,6 @@ def cmd_flipseq(args):
     print("returns to start: %s" % final.same_as(T))
     code = 0
     if args.verify:
-        if not final.same_as(T):
-            print("verification skipped: sequence does not return to the start")
-            return 2
         for lab, v in verify_generator_map_identity(
             comp, trials=args.trials, seed=args.seed
         ).items():
@@ -240,25 +235,23 @@ def cmd_puncture(args):
             bb = BarBundle(ld)
             print("  bar matrix checks: %s" % bb.checks)
         return 0
-    if args.what == "trace":
-        if not args.curve:
-            raise InputError("puncture trace needs a curve file")
-        alpha = _load_curve(T, args.curve)
-        res = bar_trace(ld, alpha)
-        if args.json:
-            print(json.dumps({
-                "shear": res.shear_side.to_json(),
-                "skein": res.skein_side.to_json(),
-                "states": res.state_count,
-                "cross_checked": res.cross_checked,
-            }, indent=2, sort_keys=True))
-        else:
-            print("%d admissible states; cross-checked: %s"
-                  % (res.state_count, res.cross_checked))
-            print("shear side: %s" % res.shear_side)
-            print("skein side: %s" % res.skein_side)
-        return 0 if res.cross_checked else 1
-    raise InputError("unknown puncture subcommand %r" % args.what)
+    if not args.curve:
+        raise InputError("puncture trace needs a curve file")
+    alpha = _load_curve(T, args.curve)
+    res = bar_trace(ld, alpha)
+    if args.json:
+        print(json.dumps({
+            "shear": res.shear_side.to_json(),
+            "skein": res.skein_side.to_json(),
+            "states": res.state_count,
+            "cross_checked": res.cross_checked,
+        }, indent=2, sort_keys=True))
+    else:
+        print("%d admissible states; cross-checked: %s"
+              % (res.state_count, res.cross_checked))
+        print("shear side: %s" % res.shear_side)
+        print("skein side: %s" % res.skein_side)
+    return 0 if res.cross_checked else 1
 
 
 def cmd_verify(args):

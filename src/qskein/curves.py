@@ -168,7 +168,7 @@ def _turn(i, o):
     return 1 if o == (i + 1) % 3 else -1
 
 
-def classify(alpha, T=None):
+def classify(alpha):
     """'simple', 'almost-simple', or 'general' by edge multiplicities."""
     mult = alpha.multiplicities()
     over = [e for e, m in mult.items() if m > 1]

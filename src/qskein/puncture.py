@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qtorus import TorusSpec, TorusElement, canonical_projection, mlh_apply, mlh_check
+from .qtorus import TorusElement, canonical_projection, mlh_apply, mlh_check
 from .curves import NormalCurve, enumerate_states, state_sum
-from .shear import ShearSkein
+from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError, Triangulation
 from .trace import trace_once_edge
 
@@ -151,11 +151,10 @@ class BarBundle:
     def __init__(self, ld):
         self.ld = ld
         self.delta_bundle = ShearSkein(ld.delta)
-        _, Qbar, _ = ld.lam.face_submatrices()
-        self.Qbar = Qbar
+        self.ylam = shear_spec(ld.lam)
+        self.Qbar = self.ylam.A
         self.Omega = ld.omega_matrix()
         self.Hbar = self.Omega @ self.delta_bundle.H
-        self.ylam = TorusSpec(ld.lam.inner_edges, Qbar, -8, letter="y")
         self.x = self.delta_bundle.x
         self.checks = self._run_checks()
         if not all(self.checks.values()):

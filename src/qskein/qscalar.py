@@ -85,13 +85,7 @@ class Laurent:
         return _as_laurent(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_laurent(other)
-        out = {}
-        for n1, c1 in self.terms.items():
-            for n2, c2 in other.terms.items():
-                n = n1 + n2
-                out[n] = out.get(n, 0) + c1 * c2
-        return Laurent(out)
+        return Laurent(_times(self, _as_laurent(other)))
 
     __rmul__ = __mul__
 
@@ -180,6 +174,19 @@ class Laurent:
 # the slot setters that __setattr__ refuses, for Laurent._canonical
 _set_terms = Laurent.terms.__set__
 _set_hash = Laurent._hash.__set__
+
+
+def _times(c1, c2):
+    """The terms of c1 * c2, {eighth exponent: int}, in the order in which
+    the term-by-term product first meets each exponent, zero sums kept:
+    adding them fills a coefficient in the term-by-term order, which its
+    numeric evaluation sums in."""
+    out = {}
+    for n1, a1 in c1.terms.items():
+        for n2, a2 in c2.terms.items():
+            n = n1 + n2
+            out[n] = out.get(n, 0) + a1 * a2
+    return out
 
 
 def _as_laurent(x):

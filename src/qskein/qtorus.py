@@ -11,28 +11,31 @@ where <k,n>_A = k A n^T, and the general commutation
 x^k x^n = u^(<k,n>_A) x^n x^k follows.  Since u is a power of q^(1/4),
 u^(1/2) lives in the coefficient ring and every product is exact.
 
-A product a * b groups the right operand's terms by coefficient and
-multiplies each distinct pair (left coefficient, right coefficient), keyed
-by Laurent value, once; a term pair then adds that product shifted by its
-phase (u_eighth/2) k1 A k2, with no further coefficient multiplication.
-The pairing row k1 A is computed once per left term, so a phase is one
-integer dot product.  Term pairs are visited in the order of the
-term-by-term product, and coefficients accumulate as Python ints.
+A product a * b is a pair loop: each term pair multiplies its two
+coefficients (qscalar._times, the product Laurent.__mul__ uses) and adds
+the result shifted by its phase (u_eighth/2) k1 A k2.  The pairing row
+k1 A is computed once per left term, so a phase is one integer dot
+product.  Term pairs are visited in the order of the term-by-term product,
+and coefficients accumulate as Python ints.
 
-A square a * a is one scatter on an exponent grid instead.  Every
+A square a * a is one int64 scatter on an exponent grid instead.  Every
 coefficient exponent lies in n0 + dZ, where d is the gcd of all exponent
 differences and all pair phases, so each distinct coefficient is a dense
 row on that grid, and each distinct unordered coefficient pair is
 convolved once.  Exponent vectors get mixed-radix codes with
 code(k_i + k_j) = code_i + code_j, which key the output monomials.  Each
-unordered term pair i <= j adds its product at +phase and, for i < j, at
--phase, since <k_j,k_i>_A = -<k_i,k_j>_A; one np.add.at per product column
-does this for all term pairs, so temporaries stay at one entry per term
-pair.  A row is as long as its coefficient's exponent span over d.  The
-coefficient arrays are int64 when ||a||_1^2 < 2^63, which bounds every
-partial sum, and Python ints in object arrays otherwise; numpy's integer
-operations are exact on both.  Codes, phases and exponents take their
-dtype by the same rule from their own bound.
+unordered term pair i <= j places its product at +phase and, for i < j, at
+-phase, since <k_j,k_i>_A = -<k_i,k_j>_A.  Sorted by the key (output
+monomial, start), the placements lose every gap that no earlier placement
+reaches across, so each monomial's placements form runs and the layout is
+never longer than the placements together.  One np.add.at per product
+column fills it, so temporaries stay at one entry per placement.
+
+The grid is used when every value it computes fits int64: codes below
+prod(radix), exponent vectors up to 2 max|k|, phases and output exponents
+up to a bound r, layout keys below (len(a.terms) + 1)^2 (r + 1), and
+partial sums up to ||a||_1^2.  Any other square takes the pair loop, which
+is exact on Python ints.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -48,7 +51,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .qscalar import Laurent, ONE
+from .qscalar import Laurent, ONE, _times
 
 
 class TorusSpec:
@@ -115,24 +118,6 @@ class TorusSpec:
     def half_phase(self, pair_value):
         """u^(pair_value/2) as a Laurent scalar (pair_value an integer)."""
         return Laurent.q_power((self.u_eighth // 2) * pair_value)
-
-
-def _times(c1, c2):
-    """c1 * c2 as (eighth exponent, int) items in the order in which the
-    term-by-term product first meets each exponent, zero sums kept: adding
-    them fills an output coefficient in the term-by-term order, which its
-    numeric evaluation sums in."""
-    out = {}
-    for n1, a1 in c1.terms.items():
-        for n2, a2 in c2.terms.items():
-            out[n1 + n2] = out.get(n1 + n2, 0) + a1 * a2
-    return tuple(out.items())
-
-
-def _exact_dtype(bound):
-    """int64 when no value of a computation exceeds ``bound`` < 2^63, else
-    object, whose Python ints make numpy's integer operations exact."""
-    return np.int64 if bound < 1 << 63 else object
 
 
 def _distinct(coeffs):
@@ -230,37 +215,29 @@ class TorusElement:
             c = other if isinstance(other, Laurent) else Laurent.integer(other)
             return TorusElement(self.spec, {k: v * c for k, v in self.terms.items()})
         self._check(other)
-        if other is self:
-            return self._square()
+        if other is self and (square := self._square()) is not None:
+            return square
         spec = self.spec
         half = spec.u_eighth // 2
-        coeffs, group = _distinct(other.terms.values())
-        right = list(zip(other.terms, group))   # right terms by coefficient
-        table = {}      # left coefficient -> its products with coeffs, as met
         acc = {}        # k -> {eighth exponent: int coefficient}
         for k1, c1 in self.terms.items():
-            prods = table.get(c1)
-            if prods is None:
-                prods = table[c1] = [None] * len(coeffs)
             row = [half * v for v in spec.pairing_row(k1)]
-            for k2, g in right:
+            for k2, c2 in other.terms.items():
                 shift = sum(map(mul, row, k2))
                 k = tuple(map(add, k1, k2))
                 slot = acc.get(k)
                 if slot is None:
                     slot = acc[k] = {}
                 get = slot.get
-                prod = prods[g]
-                if prod is None:
-                    prod = prods[g] = _times(c1, coeffs[g])
-                for n, a in prod:
+                for n, a in _times(c1, c2).items():
                     n += shift
                     slot[n] = get(n, 0) + a
         out = ((k, {n: a for n, a in slot.items() if a}) for k, slot in acc.items())
         return _element(spec, ((k, c) for k, c in out if c))
 
     def _square(self):
-        """self * self as one scatter on the exponent grid (module docstring)."""
+        """self * self as one int64 scatter on the exponent grid (module
+        docstring), or None when some value of it would not fit int64."""
         spec, terms = self.spec, self.terms
         if not terms:
             return TorusElement(spec)
@@ -268,32 +245,34 @@ class TorusElement:
         coeffs, group = _distinct(terms.values())
         ns = [n for c in coeffs for n in c.terms]
         n0 = min(ns)
-        # exponent side: mixed-radix codes, code(k_i + k_j) = code_i + code_j,
-        # and pair phases, in a dtype that holds every value exactly
         cols = list(zip(*keys))
         lows = [min(col) for col in cols]
         radix = [2 * (max(col) - low) + 1 for col, low in zip(cols, lows)]
-        strides = [math.prod(radix[:i]) for i in range(len(radix))]
         kabs = max((max(map(abs, col)) for col in cols), default=0)
         form = kabs * kabs * int(np.abs(spec.A).sum())     # bounds |k_i A k_j|
-        edtype = _exact_dtype(max(math.prod(radix), 2 * kabs,
-                                  form * max(abs(half), 1) + 4 * max(map(abs, ns))))
-        strides, radix, lows = (np.array(v, dtype=edtype) for v in (strides, radix, lows))
-        K = np.array(keys, dtype=edtype).reshape(len(keys), len(cols))
+        norm = sum(abs(v) for c in terms.values() for v in c.terms.values())
+        reach = form * max(abs(half), 1) + 4 * max(map(abs, ns))    # bounds phases, exponents
+        # codes, output exponent vectors, layout keys and partial sums
+        if max(math.prod(radix), 2 * kabs, (len(keys) + 1) ** 2 * (reach + 1),
+               norm * norm) >= 1 << 63:
+            return None
+        # exponent side: mixed-radix codes, code(k_i + k_j) = code_i + code_j,
+        # and pair phases
+        strides = np.array([math.prod(radix[:i]) for i in range(len(radix))], dtype=np.int64)
+        radix, lows = np.array(radix, dtype=np.int64), np.array(lows, dtype=np.int64)
+        K = np.array(keys, dtype=np.int64).reshape(len(keys), len(cols))
         code = (K - lows) @ strides
         iu, ju = np.triu_indices(len(keys))     # unordered term pairs i <= j
         out_codes, out_of = np.unique(code[iu] + code[ju], return_inverse=True)
-        phase = ((K @ spec.A.astype(edtype)) @ K.T)[iu, ju] * half
+        phase = ((K @ spec.A) @ K.T)[iu, ju] * half
         d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
         # coefficient side: each distinct coefficient a dense row on the grid
         # n0 + dZ from its first exponent, and one convolution per distinct
         # unordered coefficient pair
-        norm = sum(abs(v) for c in terms.values() for v in c.terms.values())
-        cdtype = _exact_dtype(norm * norm)      # bounds every partial sum
         offset = [(min(c.terms) - n0) // d for c in coeffs]
         size = np.array([(max(c.terms) - n0) // d + 1 for c in coeffs]) - offset
         ell = int(size.max())
-        rows = np.zeros((len(coeffs), ell), dtype=cdtype)
+        rows = np.zeros((len(coeffs), ell), dtype=np.int64)
         for g, c in enumerate(coeffs):
             for n, v in c.terms.items():
                 rows[g, (n - n0) // d - offset[g]] = v
@@ -302,39 +281,42 @@ class TorusElement:
         pairs, via = np.unique(np.minimum(g1, g2) * len(coeffs) + np.maximum(g1, g2),
                                return_inverse=True)
         left, right = divmod(pairs, len(coeffs))
-        conv = np.zeros((2 * ell - 1, len(pairs)), dtype=cdtype)    # a pair per column
+        conv = np.zeros((2 * ell - 1, len(pairs)), dtype=np.int64)    # a pair per column
         right_rows = rows[right].T
         for s in range(ell):
             conv[s:s + ell] += right_rows * rows[left, s]
         # a term pair's product starts at its grid position plus its phase
         # and, for i < j, also minus its phase, since <k_j,k_i> = -<k_i,k_j>
-        shift = (phase // d).astype(np.intp)
-        reach = int(np.abs(shift).max())
-        base = offset[g1] + offset[g2] + reach
+        shift = phase // d
+        base = offset[g1] + offset[g2]
         cross = iu != ju
-        out_of = np.concatenate((out_of, out_of[cross]))
         at = np.concatenate((base + shift, (base - shift)[cross]))
         via = np.concatenate((via, via[cross]))
         length = (size[left] + size[right] - 1)[via]
-        # one window of grid positions per output monomial, laid end to end
-        low = np.full(len(out_codes), at.max(), dtype=np.intp)
-        np.minimum.at(low, out_of, at)
-        high = np.zeros(len(out_codes), dtype=np.intp)
-        np.maximum.at(high, out_of, at + length)
-        starts = np.zeros(len(out_codes) + 1, dtype=np.intp)
-        np.cumsum(high - low, out=starts[1:])
-        flat = np.zeros(starts[-1], dtype=cdtype)
-        at += starts[out_of] - low[out_of]
+        # positions, first by the key (monomial, start), then in the layout,
+        # which cuts out each gap that no earlier placement reaches across
+        low = int(at.min())
+        span = int((at + length).max()) - low
+        pos = np.concatenate((out_of, out_of[cross])) * span + (at - low)
+        order = np.argsort(pos)
+        pos, via, length = pos[order], via[order], length[order]
+        # cut[i] sums the gaps up to placement i, where the farthest end so
+        # far falls short of the next start
+        cut = np.maximum.accumulate(pos + length)
+        cut = np.cumsum(np.maximum(pos - np.concatenate(([0], cut[:-1])), 0))
+        pos -= cut
+        flat = np.zeros(int((pos + length).max()), dtype=np.int64)
         # product column t adds to the term pairs whose product is longer
         order = np.argsort(length)
-        at, via, length = at[order], via[order], length[order]
+        at, via, length = pos[order], via[order], length[order]
         skip = np.searchsorted(length, np.arange(2 * ell - 1), side="right")
         for t, k in enumerate(skip.tolist()):
             np.add.at(flat, at[k:] + t, conv[t, via[k:]])
+        # a nonzero entry's key is its layout index plus the cut before it
         nz = np.flatnonzero(flat)
-        row = np.searchsorted(starts, nz, side="right") - 1
-        exps = ((nz - starts[row] + low[row] - reach).astype(edtype) * d + 2 * n0).tolist()
-        counts = np.diff(np.searchsorted(nz, starts)).tolist()
+        key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
+        exps = ((key % span + low) * d + 2 * n0).tolist()
+        counts = np.bincount(key // span, minlength=len(out_codes)).tolist()
         entries = zip(exps, flat[nz].tolist())
         out_keys = map(tuple, (out_codes[:, None] // strides % radix + 2 * lows).tolist())
         return _element(spec, ((k, dict(islice(entries, n)))

@@ -131,7 +131,6 @@ def suite_flipback(trials=20, seed=0):
                 if worst is None or v.max_residual > worst.max_residual or \
                         v.status != "PASS":
                     worst = v
-            ok = closes and worst is not None and worst.passed
             rows.append(
                 (
                     "flip-back %s %s at %s (%s)" % (side, name, edge,
@@ -268,13 +267,9 @@ def suite_dia9(trials=20, seed=0):
         b2 = ShearSkein(T2)
         _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(b1, b2))
         for v in sorted(theta.source.labels):
-            pos, neg = theta.images[v] if v in theta.images else (None, None)
-            if pos is None:
-                sign = 1
-                th = theta.image_of_generator(v, 1)
-            else:
-                sign = 1 if pos.is_polynomial() else -1
-                th = pos if sign == 1 else neg
+            pos, neg = theta.images[v]
+            sign = 1 if pos.is_polynomial() else -1
+            th = pos if sign == 1 else neg
             lhs = th.map_elements(lambda el: Expr.from_element(b1.psi(el)))
             img = b2.psi(TorusElement.generator(b2.y, v, 2 * sign))
             rhs = phi.apply_element(img)

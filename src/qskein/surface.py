@@ -15,7 +15,6 @@ its class has two sides, boundary when it has one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,9 +249,8 @@ class Triangulation:
 
     # -- face matrix -------------------------------------------------------
 
-    def edge_index(self, edges=None):
-        edges = edges or self.edges
-        return {e: i for i, e in enumerate(edges)}
+    def edge_index(self):
+        return {e: i for i, e in enumerate(self.edges)}
 
     def triangle_face_matrix(self, t):
         """The contribution Q_tau of triangle t, over all edges of Delta."""
@@ -514,11 +512,6 @@ class Triangulation:
         return Triangulation(
             tris, data.get("gluing", []), data.get("edge_labels"), hints
         )
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            return Triangulation.from_json(json.load(fh))
 
     def __repr__(self):
         return "Triangulation(%d triangles, %d edges (%d inner), class=%s)" % (

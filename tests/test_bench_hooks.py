@@ -72,15 +72,19 @@ def test_tracer_sees_one_product_per_mul():
 
 
 def test_tracer_sees_square_as_one_mul():
-    # a * a takes the grid-scatter path inside the wrapped __mul__, so it is
-    # still one qtorus.mul span with len(a.terms)^2 term pairs
+    # a * a takes the grid-scatter path, or the pair loop when the grid cannot
+    # hold it in int64 (here: coefficients of 2^40), inside the wrapped
+    # __mul__, so it is still one qtorus.mul span with len(a.terms)^2 term pairs
     tracing = load_tracing()
     s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
-    a = TorusElement(s, {(i, j): Laurent({i: 1, -j: 2}) for i in range(3) for j in range(2)})
-    tracer = tracing.Tracer()
-    with tracer.installed():
-        square = a * a
-    assert square == a * TorusElement(s, dict(a.terms))
-    assert tracer.counts["qtorus.muls"] == 1
-    assert tracer.counts["qtorus.term_pairs"] == len(a.terms) ** 2 == 36
-    assert [rec[0] for rec in tracer.spans] == ["qtorus.mul"]
+    for scale in (1, 2 ** 40):
+        a = TorusElement(s, {(i, j): Laurent({i: scale, -j: 2})
+                             for i in range(3) for j in range(2)})
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            square = a * a
+        assert square == a * TorusElement(s, dict(a.terms))
+        assert (a._square() is None) == (scale > 1)
+        assert tracer.counts["qtorus.muls"] == 1
+        assert tracer.counts["qtorus.term_pairs"] == len(a.terms) ** 2 == 36
+        assert [rec[0] for rec in tracer.spans] == ["qtorus.mul"]

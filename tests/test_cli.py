@@ -196,7 +196,19 @@ def test_input_errors(capsys, tmp_path, annulus_files):
          "--trials must be at least 1"),
         (("flipseq", "builtin:polygon5", "e0_2", "e0_3", "--labels", "n,n"),
          "new label n names an existing edge"),
+        (("flipseq", "builtin:polygon5", "e0_2", "--verify"),
+         "--verify needs a flip sequence that returns to the start"),
+        (("flipseq", surf, "d1", "--labels", "a,b"), "--labels needs one name per flip"),
+        (("puncture", "trace", "builtin:torus1"), "puncture trace needs a curve file"),
     ]
+    # a curve through a side no triangle has, an element on no inner edge
+    steps = json.loads((tmp_path / "core.json").read_text())["steps"]
+    off_side = tmp_path / "off_side.json"
+    off_side.write_text(json.dumps({"steps": [{**steps[0], "in": "T9.x"}] + steps[1:]}))
+    cases.append((("curve", "classify", surf, str(off_side)), "'T9.x'"))
+    off_edge = tmp_path / "off_edge.json"
+    off_edge.write_text(json.dumps({"terms": [{"exp": {"zz": 1}, "coeff": {"0": 1}}]}))
+    cases.append((("shear", "psi", surf, str(off_edge)), "unknown inner edge 'zz'"))
     # side-keyed data naming no side, and hints giving a vertex two names
     data = json.loads((tmp_path / "annulus.json").read_text())
     malformed = [

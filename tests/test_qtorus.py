@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qskein.curves import CurveError, transport_curve
 from qskein.library import surface_by_name, torus_curve
 from qskein.puncture import curve_lift, lift
-from qskein.qscalar import Laurent
+from qskein.qscalar import Laurent, ONE
 from qskein.qtorus import (
     TorusElement,
     TorusSpec,
@@ -163,19 +163,29 @@ def greedy_rung(crossings):
     return T, alpha
 
 
-def test_square_of_greedy_rung_trace_matches_reference():
+def test_square_of_greedy_rung_trace_matches_reference(monkeypatch):
     T, alpha = greedy_rung(14)
     assert len(alpha.steps) == 14
     shear, skein, _ = trace_once_edge(alpha, T, bundle=ShearSkein(T))
+    # the rung's squares come from the grid, not from the pair loop
+    grid, square_on_grid = [], TorusElement._square
+
+    def recorded(el):
+        grid.append(square_on_grid(el))
+        return grid[-1]
+
+    monkeypatch.setattr(TorusElement, "_square", recorded)
     for el in (shear, skein):
         assert len(el.terms) > 20
         square = el * el
+        assert grid[-1] is square
         assert square == reference_product(el, el)
         assert_canonical(square)
+    assert len(grid) == 2
 
 
 def test_square_int64_and_object_coefficients():
-    # ||a||_1^2 just below 2^63 takes int64 arrays, just above object arrays
+    # ||a||_1^2 just below 2^63 takes the int64 grid, just above the pair loop
     s = spec2(2)
     for norm in (3037000499, 3037000500):
         assert (norm * norm < 2 ** 63) == (norm == 3037000499)
@@ -197,16 +207,23 @@ def test_square_edge_cases():
     for spec in product_specs():        # zero width and u_eighth 0 among them
         one_term = TorusElement.monomial(spec, spec.zero_vec(), Laurent({3: -2, 5: 1}))
         assert (one_term * one_term).terms == {spec.zero_vec(): Laurent({6: 4, 8: -4, 10: 1})}
-    # exponent vectors past int64 take object arrays on the exponent side; on
-    # spec2 every phase and exponent difference is a multiple of d = 4 * big
+    # exponent vectors past int64 take the pair loop; on spec2 every phase and
+    # exponent difference is a multiple of d = 4 * big
     big = 2 ** 70
     for spec, keys, step in ((spec2(8), ((big, 0), (0, 1), (big, 1)), 4 * big),
-                             (TorusSpec(("a",), [[0]], 2), ((big,), (big + 3,), (big + 5,)), 8)):
+                             (TorusSpec(("a",), [[0]], 2), ((big,), (big + 3,), (big + 5,)), 8),
+                             (spec2(8), ((big, 0), (0, big), (big, -big)), big)):
         a = TorusElement(spec, {k: Laurent({0: i + 1, step * (i - 1): 2})
                                 for i, k in enumerate(keys)})
         square = a * a
         assert square == reference_product(a, a)
         assert_canonical(square)
+    # phases of 2^42 on a grid of step 8 fit int64; the placements of x^(2^20, 2^20)
+    # lie 2^40 grid steps apart, and the layout holds only the placements
+    a = TorusElement(spec2(8), {(2 ** 20, 0): Laurent({0: 1, 8: 1}), (0, 2 ** 20): ONE})
+    square = a * a
+    assert a._square() == square == reference_product(a, a) and len(square.terms) == 3
+    assert_canonical(square)
 
 
 def test_repeated_coefficients_match_per_pair_reference():
