@@ -75,7 +75,7 @@ def _load_curve(T, path):
     data = _load_json(path, "curve.schema.json")
     try:
         return NormalCurve.from_json(T, data)
-    except (CurveError, KeyError) as exc:
+    except CurveError as exc:
         raise InputError("%s: %s" % (path, exc))
 
 

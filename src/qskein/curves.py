@@ -16,10 +16,14 @@ opposite choice amounts to reversing the orientation of every surface.
 
 State sum.  Crossing j sits between step j and step j+1, so admissibility
 is a cyclic chain: step j forbids one value pair on crossings (j-1, j).
-enumerate_states walks that chain depth first and never builds an
-inadmissible prefix.  u(s) is an integer quadratic form in the state,
-2 u(s) = -s^T W s, whose matrix W is built once per curve and base edge;
-state_sum is the one loop over states behind every once-crossing trace.
+u(s) is an integer quadratic form in the state, 2 u(s) = -s^T W s, and W
+is a sum of triangle-local face pairings, so the state sum needs no whole
+state: state_sum walks the steps once from the base crossing, keeping a
+frontier of (first value, current value, per-side partial sums) with a
+count per value of 2 u so far.  Its work grows with the frontier, not
+with the number of states.  state_sum is behind every trace;
+enumerate_states and u_of_state list states and phases one state at a
+time, for listing and for the tests' references.
 """
 
 from __future__ import annotations
@@ -61,8 +65,10 @@ class NormalCurve:
         """Steps given as (in_side_id, out_side_id) pairs."""
         steps = []
         for sin, sout in side_steps:
-            t1, i = T.side_pos(sin)
-            t2, o = T.side_pos(sout)
+            try:
+                (t1, i), (t2, o) = T.side_pos(sin), T.side_pos(sout)
+            except KeyError as exc:
+                raise CurveError("unknown side %s" % exc) from None
             if t1 != t2:
                 raise CurveError("in and out sides of a step must share a triangle")
             steps.append((t1, i, o))
@@ -223,17 +229,13 @@ def _crossing_slots(alpha, index):
     return slots
 
 
-def _exponents(slots, values, width):
-    k = [0] * width
-    for j, v in zip(slots, values):
-        k[j] += v
-    return tuple(k)
-
-
 def state_exponents(alpha, values, labels):
     """k_s over the given inner-edge label order: per-edge sum of values."""
     index = {lab: i for i, lab in enumerate(labels)}
-    return _exponents(_crossing_slots(alpha, index), values, len(labels))
+    k = [0] * len(labels)
+    for j, v in zip(_crossing_slots(alpha, index), values):
+        k[j] += v
+    return tuple(k)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +316,6 @@ def _u_form(alpha, base_edge=None):
     return [(a, b, w) for (a, b), w in W.items() if w]
 
 
-def _twice_u(form, values):
-    return -sum(w * values[a] * values[b] for a, b, w in form)
-
-
 def u_of_state(alpha, values, base_edge=None):
     """The half-integer exponent of q attached to an admissible state.
 
@@ -325,32 +323,83 @@ def u_of_state(alpha, values, base_edge=None):
     over ordered pairs u << v of lifted crossing points inside each split
     triangle, pairs forming one curve interval excluded; see _u_form.
     """
-    return Fraction(_twice_u(_u_form(alpha, base_edge), values), 2)
+    form = _u_form(alpha, base_edge)
+    return Fraction(-sum(w * values[a] * values[b] for a, b, w in form), 2)
 
 
 def state_sum(alpha, T, spec, base_edge=None):
     """(sum_s q^(u(s)) y^(k_s) in the torus spec, number of states) over
     the admissible states of a curve crossing some edge of T once.
 
-    The form of u(s) and the crossings' label slots are built once; every
-    distinct k_s is checked once to be balanced.
+    A frontier walk, not a loop over states.  The steps are taken once,
+    from the base crossing on in the traversal order of _u_form.  A
+    frontier key is (first value, current value, P), where P[t, x] sums
+    the values lifted so far to side x of triangle t; it maps each value
+    of W s s over the prefix so far to its number of admissible prefixes.
+    Step m, entering on slot i with v_(m-1) and leaving on slot o with
+    v_m, forbids its corner pair and adds
+    v_(m-1) sum_x Q(x, i) P[t, x] + v_m sum_x Q(x, o) P[t, x] to W s s,
+    Q the local face pairing, with P read before it takes the step's two
+    points, so the two ends of one curve interval are never paired.  The
+    last step closes on the first value.  Every crossing of an edge lifts
+    once to each side of it, so k_s is P at one side per crossed edge
+    (summing both would double it); every distinct k_s is checked once to
+    be balanced.  The state count is the sum of the counts.
     """
-    form = _u_form(alpha, base_edge)
+    n = len(alpha.steps)
+    r = _base_crossing(alpha, base_edge) + 1
     slots = _crossing_slots(alpha, spec.index)
+    side = {}                                # (triangle, slot) -> index in P
+    for t, _, _ in alpha.steps:
+        for x in range(3):
+            side.setdefault((t, x), len(side))
+    walk = []
+    for m in range(r, r + n):
+        t, i, o = step = alpha.steps[m % n]
+        # sum_x Q(x, i) P[t, x] = P[t, i - 1] - P[t, i + 1]
+        walk.append((_forbidden_pair(step), side[t, i], side[t, o],
+                     side[t, (i + 2) % 3], side[t, (i + 1) % 3],
+                     side[t, (o + 2) % 3], side[t, (o + 1) % 3]))
+    zero = (0,) * len(side)
+    frontier = {(v, v, zero): {0: 1} for v in (1, -1)}
+    for m, (bad, at_i, at_o, i_prev, i_next, o_prev, o_next) in enumerate(walk):
+        nxt = {}
+        for (first, v, P), counts in frontier.items():
+            pair_in, pair_out = v * (P[i_prev] - P[i_next]), P[o_prev] - P[o_next]
+            for w in (first,) if m == n - 1 else (1, -1):
+                if (v, w) == bad:
+                    continue
+                sums = list(P)
+                sums[at_i] += v
+                sums[at_o] += w
+                key = (first, w, tuple(sums))
+                d = pair_in + w * pair_out
+                acc = nxt.get(key)
+                if acc is None:
+                    nxt[key] = {x + d: c for x, c in counts.items()}
+                else:
+                    for x, c in counts.items():
+                        acc[x + d] = acc.get(x + d, 0) + c
+        frontier = nxt
     width = len(spec.labels)
-    terms = {}
-    states = enumerate_states(alpha)
-    for values in states:
-        k = _exponents(slots, values, width)
+    read = {j: side[t, o] for j, (t, _, o) in zip(slots, alpha.steps)}
+    terms, states = {}, 0
+    for (_, _, P), counts in frontier.items():
+        k = [0] * width
+        for j, at in read.items():
+            k[j] = P[at]
+        k = tuple(k)
         coeffs = terms.get(k)
         if coeffs is None:
             if not is_balanced(k, T):
                 raise AssertionError("state exponent vector is not balanced")
             coeffs = terms[k] = {}
-        n8 = 4 * _twice_u(form, values)          # 8 u(s), in eighths of q
-        coeffs[n8] = coeffs.get(n8, 0) + 1
+        for x, c in counts.items():
+            n8 = -4 * x                          # 8 u(s), in eighths of q
+            coeffs[n8] = coeffs.get(n8, 0) + c
+            states += c
     shear = TorusElement(spec, {k: Laurent(c) for k, c in terms.items()})
-    return shear, len(states)
+    return shear, states
 
 
 def _local_face(slot1, slot2):

@@ -18,8 +18,9 @@ Three routes into the quantum torus are implemented and cross-checked:
   curves with an edge of multiplicity one, with the phase u(s) computed
   on the split surface.  For simple curves it reproduces trace_simple.
 
-curves.state_sum is the one loop over states behind every trace; the
-punctured trace shares it too.
+curves.state_sum is behind every trace, the punctured trace too.  It is
+a frontier walk over the curve's steps with per-side partial sums, so it
+never lists a state; curves.enumerate_states serves only listing.
 """
 
 from __future__ import annotations

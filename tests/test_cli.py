@@ -205,7 +205,7 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     steps = json.loads((tmp_path / "core.json").read_text())["steps"]
     off_side = tmp_path / "off_side.json"
     off_side.write_text(json.dumps({"steps": [{**steps[0], "in": "T9.x"}] + steps[1:]}))
-    cases.append((("curve", "classify", surf, str(off_side)), "'T9.x'"))
+    cases.append((("curve", "classify", surf, str(off_side)), "unknown side 'T9.x'"))
     off_edge = tmp_path / "off_edge.json"
     off_edge.write_text(json.dumps({"terms": [{"exp": {"zz": 1}, "coeff": {"0": 1}}]}))
     cases.append((("shear", "psi", surf, str(off_edge)), "unknown inner edge 'zz'"))

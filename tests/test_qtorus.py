@@ -129,7 +129,8 @@ def test_product_matches_per_pair_reference():
 
 
 def test_square_matches_per_pair_reference():
-    # a * a takes the grid-scatter path; u_eighth 0 makes +phase = -phase
+    # a * a takes the grid-scatter path, or the pair loop for big or sparse
+    # coefficients; u_eighth 0 makes +phase = -phase
     rng = np.random.default_rng(11)
     for spec in product_specs():
         for n_terms in (0, 1, 2, 5, 9):
@@ -185,8 +186,9 @@ def test_square_of_greedy_rung_trace_matches_reference(monkeypatch):
 
 
 def test_square_int64_and_object_coefficients():
-    # ||a||_1^2 just below 2^63 takes the int64 grid, just above the pair loop
-    s = spec2(2)
+    # ||a||_1^2 just below 2^63 takes the int64 grid, just above the pair loop;
+    # phases of 8 make the grid step 8, so each coefficient is a dense row
+    s = spec2(16)
     for norm in (3037000499, 3037000500):
         assert (norm * norm < 2 ** 63) == (norm == 3037000499)
         p = norm // 4
@@ -194,6 +196,7 @@ def test_square_int64_and_object_coefficients():
                              (0, 1): Laurent({0: p, -8: norm - 3 * p}),
                              (1, 1): Laurent()})
         assert sum(abs(v) for c in a.terms.values() for v in c.terms.values()) == norm
+        assert (a._square() is None) == (norm == 3037000500)
         square = a * a
         assert square == reference_product(a, a)
         assert_canonical(square)
@@ -223,6 +226,14 @@ def test_square_edge_cases():
     a = TorusElement(spec2(8), {(2 ** 20, 0): Laurent({0: 1, 8: 1}), (0, 2 ** 20): ONE})
     square = a * a
     assert a._square() == square == reference_product(a, a) and len(square.terms) == 3
+    assert_canonical(square)
+    # a coefficient of three terms spanning 2^40 grid steps would need a dense
+    # row of 2^40 entries, so its square takes the pair loop, as a * b does
+    a = TorusElement(spec2(8), {(1, 0): Laurent({0: 1, 1: 1, 2 ** 40: 1}), (0, 1): ONE})
+    square = a * a
+    assert a._square() is None
+    assert square == a * TorusElement(a.spec, dict(a.terms)) == reference_product(a, a)
+    assert len(square.terms) == 3
     assert_canonical(square)
 
 

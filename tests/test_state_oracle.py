@@ -3,8 +3,10 @@
 The references here do not reuse the code under test: admissibility is
 restated as a filter over all 2^n value tuples, the state count as the
 trace of a product of 2x2 0/1 transfer matrices, and u(s) is summed state
-by state through u_split_parts.  state_sum, which builds k_s and u(s) per
-curve, is pinned to the per-state helpers summed one state at a time.
+by state through u_split_parts.  state_sum, a frontier walk that never
+lists a state, is pinned to the per-state helpers summed one state at a
+time on every base edge, and past brute force to the transfer-matrix
+count, balancedness and psi(t t) = psi(t) psi(t).
 """
 
 from itertools import product
@@ -24,7 +26,7 @@ from qskein.library import annulus_core, sphere_curve, torus_curve
 from qskein.puncture import curve_lift, lift
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement, TorusSpec
-from qskein.shear import shear_spec
+from qskein.shear import ShearSkein, is_balanced, shear_spec
 from qskein.surface import SurfaceError, sphere_three_marked, torus_one_marked
 
 # forbidden (value at the ccw-first edge, value at the ccw-second edge)
@@ -56,9 +58,10 @@ def transfer_count(alpha):
     return prod[0][0] + prod[1][1]
 
 
-def greedy_walk(T, alpha):
+def greedy_walk(T, alpha, top=MAX_CROSSINGS, once=False):
     """Curves met by flipping, at each stage, the first edge that most
-    increases the crossing count, up to MAX_CROSSINGS crossings."""
+    increases the crossing count, up to top crossings; with once, only
+    flips that leave some edge crossed once count."""
     out = [alpha]
     while True:
         best = None
@@ -68,8 +71,10 @@ def greedy_walk(T, alpha):
                 moved = transport_curve(alpha, T, fd, T2)
             except (SurfaceError, CurveError):
                 continue
+            if once and 1 not in moved.multiplicities().values():
+                continue
             size = len(moved.steps)
-            if len(alpha.steps) < size <= MAX_CROSSINGS and (
+            if len(alpha.steps) < size <= top and (
                     best is None or size > len(best[1].steps)):
                 best = (T2, moved)
         if best is None:
@@ -122,11 +127,11 @@ def test_u_form_equals_split_parts_on_every_state():
     assert checked > 1000
 
 
-def per_state_sum(alpha, spec):
+def per_state_sum(alpha, spec, base=None):
     """sum_s q^(u(s)) y^(k_s), one admissible state at a time."""
     out = TorusElement.zero(spec)
     for s in enumerate_states(alpha):
-        n8 = 8 * u_of_state(alpha, s)
+        n8 = 8 * u_of_state(alpha, s, base)
         assert n8.denominator == 1
         k = state_exponents(alpha, s, spec.labels)
         out = out + TorusElement.monomial(spec, k, Laurent.q_power(int(n8)))
@@ -137,16 +142,32 @@ def test_state_sum_equals_per_state_sum():
     checked = 0
     for alpha in CURVES:
         spec = shear_spec(alpha.T)
-        if 1 not in alpha.multiplicities().values():
+        once = sorted(e for e, m in alpha.multiplicities().items() if m == 1)
+        if not once:
             # u(s) needs an edge crossed once
             with pytest.raises(CurveError, match="crossed exactly once"):
                 state_sum(alpha, alpha.T, spec)
             continue
-        element, count = state_sum(alpha, alpha.T, spec)
-        assert count == len(enumerate_states(alpha))
-        assert element == per_state_sum(alpha, spec)
-        checked += 1
-    assert checked == 71
+        count = len(enumerate_states(alpha))
+        for base in [None] + once:
+            assert state_sum(alpha, alpha.T, spec, base) == (
+                per_state_sum(alpha, spec, base), count)
+            checked += 1
+    assert checked == 274
+
+
+def test_state_sum_past_brute_force():
+    # a greedy-walk curve of 24 crossings has 34,723 states
+    ld = lift(torus_one_marked())
+    alpha = greedy_walk(ld.delta, curve_lift(ld, torus_curve("1,0", ld.lam)[1]),
+                        top=24, once=True)[-1]
+    assert len(alpha.steps) == 24
+    bundle = ShearSkein(alpha.T)
+    element, count = state_sum(alpha, alpha.T, bundle.y)
+    assert count == transfer_count(alpha) == 34723
+    assert all(is_balanced(k, alpha.T) for k in element.terms)
+    image = bundle.psi(element)
+    assert bundle.psi(element * element) == image * image
 
 
 def test_state_sum_rejects_an_edge_outside_the_labels():
