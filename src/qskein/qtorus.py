@@ -35,9 +35,10 @@ The grid is used when every value it computes fits int64: codes below
 prod(radix), exponent vectors up to 2 max|k|, phases and output exponents
 up to a bound r, layout keys below (len(a.terms) + 1)^2 (r + 1), and
 partial sums up to ||a||_1^2, and when no distinct coefficient's dense row
-is longer than a's coefficient terms together, so that one sparse
-coefficient with a wide span cannot ask for rows of mostly zeros.  Any
-other square takes the pair loop, which is exact on Python ints.
+is longer than the square of a's coefficient term count, which is the
+number of coefficient-term products the pair loop makes, so that one
+sparse coefficient with a wide span cannot ask for rows of mostly zeros.
+Any other square takes the pair loop, which is exact on Python ints.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -240,8 +241,8 @@ class TorusElement:
     def _square(self):
         """self * self as one int64 scatter on the exponent grid (module
         docstring), or None when some value of it would not fit int64 or a
-        distinct coefficient's dense row would be longer than all of self's
-        coefficient terms together."""
+        distinct coefficient's dense row would be longer than the square of
+        self's coefficient term count."""
         spec, terms = self.spec, self.terms
         if not terms:
             return TorusElement(spec)
@@ -276,8 +277,8 @@ class TorusElement:
         offset = [(min(c.terms) - n0) // d for c in coeffs]
         size = np.array([(max(c.terms) - n0) // d + 1 for c in coeffs]) - offset
         ell = int(size.max())
-        if ell > sum(len(c.terms) for c in terms.values()):
-            return None             # a sparse coefficient: its row is mostly zeros
+        if ell > sum(len(c.terms) for c in terms.values()) ** 2:
+            return None             # one row outgrows the whole pair loop's products
         rows = np.zeros((len(coeffs), ell), dtype=np.int64)
         for g, c in enumerate(coeffs):
             for n, v in c.terms.items():

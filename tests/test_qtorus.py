@@ -128,9 +128,16 @@ def test_product_matches_per_pair_reference():
             assert spec.pairing(k, n) == pairing(k, n, spec.A)
 
 
-def test_square_matches_per_pair_reference():
+def test_square_matches_per_pair_reference(monkeypatch):
     # a * a takes the grid-scatter path, or the pair loop for big or sparse
     # coefficients; u_eighth 0 makes +phase = -phase
+    paths, square_on_grid = [], TorusElement._square
+
+    def recorded(el):
+        paths.append((len(el.terms), square_on_grid(el)))
+        return paths[-1][1]
+
+    monkeypatch.setattr(TorusElement, "_square", recorded)
     rng = np.random.default_rng(11)
     for spec in product_specs():
         for n_terms in (0, 1, 2, 5, 9):
@@ -141,6 +148,10 @@ def test_square_matches_per_pair_reference():
                     assert square == reference_product(a, a)
                     assert square == a * TorusElement(spec, dict(a.terms))
                     assert_canonical(square)
+    # 54 of the 112 nonempty squares take the grid; the others exceed int64
+    # (big coefficients) or, in 2 cases, hold a row longer than their
+    # coefficient term count squared
+    assert sum(n > 0 and out is not None for n, out in paths) >= 54
 
 
 def greedy_rung(crossings):
