@@ -29,6 +29,7 @@ time, for listing and for the tests' references.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .qscalar import Laurent
 from .qtorus import TorusElement
@@ -96,26 +97,7 @@ class NormalCurve:
         # the quadrilateral of two consecutive steps always traps a marked
         # point once bounces are excluded (the cut-open quadrilateral is an
         # embedded square whose corners are all marked), so no further
-        # local check can fire; u-turn pairs are exposed for callers who
-        # want to audit minimal position globally.
-
-    def uturn_pairs(self):
-        """Consecutive step pairs that re-cross the edge they came from.
-
-        These are the only candidates for curve-edge bigons; whether one
-        is removable depends on global position, which the caller owns.
-        """
-        T = self.T
-        n = len(self.steps)
-        out = []
-        for idx in range(n):
-            t, i, o = self.steps[idx]
-            t2, i2, o2 = self.steps[(idx + 1) % n]
-            in_side = T.triangles[t][i]
-            out2_side = T.triangles[t2][o2]
-            if T.other_side(in_side) == out2_side and n > 2:
-                out.append((idx, (idx + 1) % n, T.edge_of_side(in_side)))
-        return out
+        # local check can fire.
 
     # -- crossings -------------------------------------------------------
 
@@ -290,8 +272,9 @@ def _base_crossing(alpha, base_edge=None):
     return alpha.crossing_edges().index(base_edge)
 
 
+@lru_cache(maxsize=8)
 def _u_form(alpha, base_edge=None):
-    """The matrix W of 2 u(s) = -s^T W s, as a list of (a, b, W_ab).
+    """The matrix W of 2 u(s) = -s^T W s, as a tuple of (a, b, W_ab).
 
     Splits the surface along the inner edges and lifts the crossing points
     to the split triangles in traversal order from the base crossing on:
@@ -299,6 +282,7 @@ def _u_form(alpha, base_edge=None):
     Every ordered pair of lifted points in one triangle, except the two
     ends of one curve interval, adds its local face pairing Q_t to W at
     their crossings.  W is kept upper triangular with nonzero entries.
+    Cached per (curve, base edge), since u_of_state asks once per state.
     """
     n = len(alpha.steps)
     r = _base_crossing(alpha, base_edge) + 1
@@ -313,7 +297,7 @@ def _u_form(alpha, base_edge=None):
                 if m1 != m2:
                     key = (min(a, b), max(a, b))
                     W[key] = W.get(key, 0) + _local_face(slot1, slot2)
-    return [(a, b, w) for (a, b), w in W.items() if w]
+    return tuple((a, b, w) for (a, b), w in W.items() if w)
 
 
 def u_of_state(alpha, values, base_edge=None):

@@ -21,9 +21,13 @@ by label.  Every inverse acts through one dense LU factorization of its
 L^r x L^r matrix, cached by the inverse's payload object, so an inverse
 that several words share is factorized once per order; the residual of
 each solve is checked on that cached matrix.  The trials at one order
-run as one batch of vectors.  Representations at roots of unity are not
-faithful, so PASS needs at least three completed orders, all at least
-5; this is a probabilistic check and is documented as such.
+run as one batch of random unit vectors, drawn in one call from the
+generator seeded by (seed, L) that first draws the central characters.
+The draw is trial-major, so trial t's vector is the same for any number
+of trials above t, and a fresh RootRep(spec, L, seed) draws a witness
+trial again.  Representations at roots of unity are not faithful, so
+PASS needs at least three completed orders, all at least 5; this is a
+probabilistic check and is documented as such.
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ def symplectic_normal_form(spec):
 
 class RootRep:
     """The clock-shift representation of one torus at order L, with central
-    characters drawn from seed and L.
+    characters and then random vectors drawn from one generator seeded by
+    seed and L.
 
     It acts on elements of spec and of any torus that contains spec as the
     sub-torus on spec.labels (same u, same submatrix), mapping exponents by
@@ -138,14 +143,19 @@ class RootRep:
             self._coords.append(np.arange(L, dtype=np.int64).reshape(sh))
         # z_j carries the character exp(2 pi i n_j / CHARACTER_ORDER): with
         # integer n_j the phase of z^c stays exact however large c is
-        rng = np.random.default_rng((seed, L))
-        self._character = rng.integers(0, CHARACTER_ORDER, len(spec.labels))
+        self._rng = np.random.default_rng((seed, L))
+        self._character = self._rng.integers(0, CHARACTER_ORDER, len(spec.labels))
         self._z_maps = {}
         self._lu_cache = {}
 
-    def random_vector(self, rng):
-        v = rng.standard_normal(self.shape) + 1j * rng.standard_normal(self.shape)
-        return v / np.linalg.norm(v)
+    def random_vectors(self, n):
+        """The next n random unit vectors of this representation's
+        generator, shape (n, L, ..., L).  Each row is drawn whole before
+        the next, so the first t rows do not depend on n."""
+        v = self._rng.standard_normal((n, 2, self.dim))
+        v = v[:, 0] + 1j * v[:, 1]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return v.reshape((n,) + self.shape)
 
     def _z_map(self, source):
         """(to_z, outside) for a source torus: to_z takes its exponent rows
@@ -274,10 +284,10 @@ def _support_spec(exprs, spec):
 def verify_identity(lhs, rhs, spec, trials=20, seed=0):
     """Compare two formal expressions (or lists summed termwise).
 
-    Applies each side once to a batch of random unit vectors at each root
-    order; FAIL with the first trial whose relative deviation exceeds
-    PASS_TOL as witness.  An inconclusive order pulls in a replacement
-    from EXTRA_ORDERS.  PASS needs at least MIN_ORDERS completed orders,
+    Applies each side once to the batch RootRep.random_vectors(trials) at
+    each root order; FAIL with the first trial whose relative deviation
+    exceeds PASS_TOL as witness.  An inconclusive order pulls in a
+    replacement from EXTRA_ORDERS.  PASS needs at least MIN_ORDERS completed orders,
     all at least 5; anything less is INCONCLUSIVE.
     """
     lhs_list = _as_expr_list(lhs)
@@ -293,9 +303,7 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0):
         L = queue.pop(0)
         try:
             rep = RootRep(sub, L, seed)
-            batch = np.empty((trials,) + rep.shape, dtype=np.complex128)
-            for t in range(trials):
-                batch[t] = rep.random_vector(np.random.default_rng((seed, L, t)))
+            batch = rep.random_vectors(trials)
             av = sum((rep.act_expr(e, batch) for e in lhs_list), np.zeros_like(batch))
             bv = sum((rep.act_expr(e, batch) for e in rhs_list), np.zeros_like(batch))
         except Inconclusive as exc:

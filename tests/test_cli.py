@@ -168,6 +168,14 @@ def test_verify_output_deterministic(capsys):
     assert data["seed"] == 0 and data["trials"] == 2
 
 
+def test_verify_seeded_output_is_byte_identical(capsys):
+    code1, out1, _ = run(capsys, "--json", "verify", "pentagon", "--seed", "3")
+    code2, out2, _ = run(capsys, "--json", "verify", "pentagon", "--seed", "3")
+    assert code1 == code2 == 0 and out1 == out2
+    data = json.loads(out1)
+    assert data["seed"] == 3 and data["trials"] == 20
+
+
 def test_input_errors(capsys, tmp_path, annulus_files):
     surf, curve = annulus_files
     code, _, err = run(capsys, "surf", "matrices", str(tmp_path / "no.json"))

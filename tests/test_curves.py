@@ -178,12 +178,6 @@ def test_transport_preserves_surviving_crossings():
     assert {e: m for e, m in new.items() if e != fd.a_star} == old
 
 
-def test_uturn_pairs_advisory():
-    lam, c = torus_curve("1,-1")
-    pairs = c.uturn_pairs()
-    assert all(len(p) == 3 for p in pairs)
-
-
 def test_json_roundtrip():
     A, core = annulus_core()
     again = NormalCurve.from_json(A, core.to_json())

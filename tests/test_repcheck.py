@@ -52,10 +52,9 @@ def test_representation_law():
         n = len(s.labels)
         for L in DEFAULT_ORDERS:
             rep = RootRep(s, L)
-            for _ in range(10):
+            for v in rep.random_vectors(10):
                 k = tuple(int(x) for x in rng.integers(-3, 4, n))
                 m = tuple(int(x) for x in rng.integers(-3, 4, n))
-                v = rep.random_vector(rng)
                 xk = TorusElement.monomial(s, k)
                 xm = TorusElement.monomial(s, m)
                 lhs = rep.act_element(xk, rep.act_element(xm, v))
@@ -66,8 +65,7 @@ def test_representation_law():
 def test_act_identity_and_inverse():
     s = spec2()
     rep = RootRep(s, 7)
-    rng = np.random.default_rng(22)
-    v = rep.random_vector(rng)
+    v = rep.random_vectors(1)[0]
     one = TorusElement.one(s)
     assert np.linalg.norm(rep.act_element(one, v) - v) == 0
     k = (2, -1)
@@ -82,7 +80,7 @@ def test_act_products_random_elements():
     for s in SPECS:
         rep = RootRep(s, 5)
         n = len(s.labels)
-        for _ in range(10):
+        for v in rep.random_vectors(10):
             a = TorusElement(
                 s, {tuple(int(x) for x in rng.integers(-2, 3, n)): Laurent.one()
                     for _ in range(2)},
@@ -91,7 +89,6 @@ def test_act_products_random_elements():
                 s, {tuple(int(x) for x in rng.integers(-2, 3, n)): Laurent.one()
                     for _ in range(2)},
             )
-            v = rep.random_vector(rng)
             lhs = rep.act_element(a * b, v)
             rhs = rep.act_element(a, rep.act_element(b, v))
             assert np.linalg.norm(lhs - rhs) < 1e-10
@@ -100,8 +97,7 @@ def test_act_products_random_elements():
 def test_solve_monomial_and_binomial():
     s = spec2()
     rep = RootRep(s, 7)
-    rng = np.random.default_rng(24)
-    v = rep.random_vector(rng)
+    v = rep.random_vectors(1)[0]
     mono = Expr.from_element(TorusElement.monomial(s, (1, 2), Laurent.q_power(3)))
     w = rep.act_expr(mono.inv(), v)
     assert np.linalg.norm(rep.act_expr(mono, w) - v) < 1e-10
@@ -118,7 +114,7 @@ def test_singular_action_inconclusive():
     s = TorusSpec(("a",), [[0]], 2)
     bad = Expr.from_element(TorusElement.zero(s))
     rep = RootRep(s, 5)
-    v = rep.random_vector(np.random.default_rng(26))
+    v = rep.random_vectors(1)[0]
     with pytest.raises(Inconclusive):
         rep.act_expr(bad.inv(), v)
     verdict = verify_identity(bad.inv(), bad.inv(), s, trials=2)
@@ -168,7 +164,7 @@ def test_rep_acts_on_ambient_elements_by_label():
     on_sub = TorusElement(sub, coeffs)
     for L in DEFAULT_ORDERS:
         rep = RootRep(sub, L)
-        v = rep.random_vector(np.random.default_rng(L))
+        v = rep.random_vectors(1)[0]
         assert np.array_equal(rep.act_element(on_big, v), rep.act_element(on_sub, v))
         with pytest.raises(ValueError):
             rep.act_element(TorusElement.generator(big, "c"), v)
@@ -260,7 +256,7 @@ def test_solve_residual_uses_cached_matrix(monkeypatch):
     s = spec2()
     binom = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (1, 0)))
     rep = RootRep(s, 7)
-    v = rep.random_vector(np.random.default_rng(27))
+    v = rep.random_vectors(1)[0]
     with pytest.raises(Inconclusive, match="did not converge"):
         rep.act_expr(binom.inv(), v)
     verdict = verify_identity(binom.inv(), binom.inv(), s, trials=2)
@@ -276,9 +272,10 @@ def test_fail_witness_is_first_failing_trial():
     assert verdict.status == "FAIL" and verdict.orders == (L,)
     assert verdict.witness["order"] == L and verdict.witness["trial"] == 0
     assert verdict.max_residual == verdict.witness["residual"]
-    # the batched residual agrees with one trial vector acted on alone
+    # the batched residual agrees with the witness trial's vector, drawn
+    # again from a fresh representation and acted on alone
     rep = RootRep(s, L, seed=0)
-    v = rep.random_vector(np.random.default_rng((0, L, 0)))
+    v = rep.random_vectors(5)[verdict.witness["trial"]]
     a, b = rep.act_expr(x, v), rep.act_expr(wrong, v)
     alone = np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
     assert abs(verdict.witness["residual"] - alone) < 1e-12
@@ -297,3 +294,34 @@ def test_nan_residual_fails(monkeypatch):
     x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
     verdict = verify_identity(x, x, s, trials=4)
     assert verdict.status == "FAIL" and verdict.witness["trial"] == 2
+
+
+def test_trial_vectors_do_not_depend_on_trials():
+    for s in SPECS:
+        for L in DEFAULT_ORDERS:
+            rep = RootRep(s, L, seed=4)
+            few = rep.random_vectors(3)
+            many = RootRep(s, L, seed=4).random_vectors(20)
+            assert few.shape == (3,) + rep.shape
+            assert np.array_equal(few, many[:3])
+            norms = np.linalg.norm(many.reshape(20, -1), axis=1)
+            assert np.allclose(norms, 1.0)
+            assert not np.array_equal(many[0], RootRep(s, L, seed=5).random_vectors(1)[0])
+
+
+def test_one_generator_per_order(monkeypatch):
+    # the characters and the whole trial batch of an order come from one
+    # generator seeded by (seed, L)
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    s = spec2()
+    x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
+    verdict = verify_identity(x, x, s, trials=20, seed=3)
+    assert verdict.passed and verdict.orders == DEFAULT_ORDERS
+    assert seeds == [(3, L) for L in DEFAULT_ORDERS]

@@ -1,0 +1,66 @@
+"""How the suites turn verdicts and exceptions into rows."""
+
+import json
+
+import pytest
+
+from qskein import suites
+from qskein.cli import main
+from qskein.repcheck import Verdict
+
+
+def stub_verdicts(*pairs):
+    """A generator-map check that returns the given (status, residual)
+    verdicts, in order, for every composite."""
+    def verify(comp, trials=20, seed=0):
+        return {"Y%d" % i: Verdict(status, resid, (5, 7, 11), trials)
+                for i, (status, resid) in enumerate(pairs)}
+    return verify
+
+
+@pytest.mark.parametrize("pairs, status, detail", [
+    # a PASS with a larger residual must not hide an INCONCLUSIVE generator
+    ((("INCONCLUSIVE", 1e-12), ("PASS", 1e-10)), "INCONCLUSIVE", "max residual 1.00e-10"),
+    # an INCONCLUSIVE generator must not hide a FAIL
+    ((("FAIL", 1e-3), ("INCONCLUSIVE", 0.0)), "FAIL", "max residual 1.00e-03"),
+])
+def test_flipback_row_reports_the_worst_generator(monkeypatch, capsys, pairs, status, detail):
+    monkeypatch.setattr(suites, "verify_generator_map_identity", stub_verdicts(*pairs))
+    rows = suites.suite_flipback(trials=2)
+    assert len(rows) == 2 * len(suites.FLIP_LIBRARY)
+    assert {(s, d) for _, s, d in rows} == {(status, detail)}
+    code = main(["--json", "verify", "flipback"])
+    data = json.loads(capsys.readouterr().out)
+    assert {r["status"] for r in data["results"]} == {status}
+    assert code == (1 if status == "FAIL" else 0)
+
+
+def test_transfer_row_names_do_not_depend_on_the_outcome(monkeypatch):
+    passing = suites.suite_transfer()
+
+    def broken(alpha, T, bundle):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(suites, "psi_image_of_knot_monomial", broken)
+    failing = suites.suite_transfer()
+    assert [r[0] for r in failing] == [r[0] for r in passing]
+    psi_rows = [r for r in failing if r[0].startswith("psi(y^k)=X^eps")]
+    assert len(psi_rows) == len(suites.library_simple_curves()) + 1
+    assert {(s, d) for _, s, d in psi_rows} == {("FAIL", "forced")}
+    assert all(s == "PASS" for _, s, _ in passing)
+
+
+def test_naturality_builds_one_bundle_per_surface(monkeypatch):
+    built = []
+    shear_skein = suites.ShearSkein
+
+    def counted(T):
+        built.append(T)             # held, so no id is reused
+        return shear_skein(T)
+
+    monkeypatch.setattr(suites, "ShearSkein", counted)
+    rows = suites.suite_naturality(trials=2)
+    assert len(rows) == 2 * len(suites._naturality_cases())
+    assert all(s == "PASS" for _, s, _ in rows)
+    # two surfaces before the flips, one flipped surface per case
+    assert len(built) == len({id(T) for T in built}) == 2 + len(suites._naturality_cases())
