@@ -6,10 +6,14 @@ Flipping an inner edge changes both coordinate systems.  On the skein
 side the new diagonal maps to a two-term sum; on the shear side the
 squared generators transform by Laurent polynomials and inverses of
 Laurent polynomials.  Composites of these maps along flip sequences are
-kept as formal words and certified numerically: the torus acts by
-clock-shift matrices at a primitive L-th root of unity, formal inverses
-act by linear solves, and an identity is accepted only if it holds on
-random vectors at several coprime orders.
+kept as formal words.  A generator whose image has no inverse, or one
+nonzero denominator D shared by every word on one side, is decided
+exactly: D^-1 A = C holds iff A = D C (A D^-1 = C iff A = C D).  The
+others are certified numerically: the torus acts by clock-shift
+matrices at a primitive L-th root of unity, formal inverses act by
+linear solves, and an identity is accepted only if it holds on random
+vectors at several coprime orders.  The flip-back below is decided
+exactly; the pentagon's generators take the representations.
 """
 
 from qskein import compose_flips, theta_flip, verify_generator_map_identity

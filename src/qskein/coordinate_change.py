@@ -3,8 +3,12 @@
 Skew-field elements are never normalized symbolically.  They are kept as
 formal sums of words; a word is a scalar prefactor times a sequence of
 factors, each factor either a torus element or the formal inverse of a
-whole expression.  Equality of such expressions is certified numerically
-by the root-of-unity evaluator in repcheck.
+whole expression.  repcheck decides a generator row of a composite
+exactly when its image has no inverse, or one nonzero inverse-free
+denominator D that every word starts (or ends) with: in the skew field
+of the torus, an Ore domain, D^-1 A = C iff A = D C and A D^-1 = C iff
+A = C D, all polynomial.  Every other equality of such expressions is
+certified numerically by the root-of-unity evaluator in repcheck.
 
 The flip at an inner edge a replaces it by the opposite diagonal a* of
 its quadrilateral with boundary edges b, c, d, e in cyclic order, the two
@@ -19,6 +23,8 @@ flip adds a bounded number of nodes.  Every walk over an expression
 visits a shared node once (support_labels keys a memo by node id, the
 root-of-unity evaluator caches each inverse's factorization by node),
 so composing and certifying cost time linear in the number of flips.
+compose_flips builds each triangulation's ShearSkein bundle once and
+hands it to the flip out of it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import ClassVar
 from .qscalar import Laurent, ONE
 from .qtorus import TorusElement, TorusSpec, decompose_monomial
 from .curves import CurveError, classify, transport_curve, _epsilon_at
-from .shear import ShearSkein, shear_spec
+from .shear import ShearSkein
 from .surface import SurfaceError
 
 
@@ -251,9 +257,13 @@ def theta_flip(T, a, new_label=None):
     whose middle coefficient depends on the commutation of the
     surrounding loops.
     """
-    bundle = ShearSkein(T)
     T2, fd = T.flip(a, new_label=new_label)
-    bundle2 = ShearSkein(T2)
+    return theta_flip_from_data(T, T2, fd)
+
+
+def theta_flip_from_data(T, T2, fd, bundles=None):
+    """theta_flip for an already performed flip."""
+    bundle, bundle2 = bundles or (ShearSkein(T), ShearSkein(T2))
     _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
     y, y2 = bundle.y, bundle2.y
 
@@ -283,16 +293,22 @@ def compose_flips(T, edges, side="shear", new_labels=None):
     Returns (final triangulation, composite GeneratorImageMap from the
     final coordinates into the initial ones, list of FlipData).
     new_labels optionally names the created diagonals, one per flip.
+    Each triangulation's ShearSkein bundle is built once and serves the
+    flips into and out of it.
     """
-    maker = theta_flip if side == "shear" else phi_flip
+    from_data = theta_flip_from_data if side == "shear" else phi_flip_from_data
+    bundle = ShearSkein(T)
     cur, composite, datas = T, None, []
     for step, a in enumerate(edges):
         lab = new_labels[step] if new_labels else None
-        cur, fd, gmap = maker(cur, a, new_label=lab)
+        nxt, fd = cur.flip(a, new_label=lab)
+        bundle2 = ShearSkein(nxt)
+        _, _, gmap = from_data(cur, nxt, fd, bundles=(bundle, bundle2))
         composite = gmap if composite is None else composite.compose_after(gmap)
         datas.append(fd)
+        cur, bundle = nxt, bundle2
     if composite is None:
-        spec = shear_spec(T) if side == "shear" else ShearSkein(T).x
+        spec = bundle.y if side == "shear" else bundle.x
         composite = GeneratorImageMap(source=spec, target=spec, images={})
     return cur, composite, datas
 

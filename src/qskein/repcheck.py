@@ -1,4 +1,5 @@
-"""Root-of-unity representations certifying skew-field identities.
+"""Root-of-unity representations certifying skew-field identities, and
+exact decisions for the generator rows that need none.
 
 At an odd order L the scalar q^(1/8) is sent to zeta = exp(2 pi i / L).
 An exact integer symplectic normal form, P A P^T = (+) d_i J (+) 0 with P
@@ -28,6 +29,27 @@ of trials above t, and a fresh RootRep(spec, L, seed) draws a witness
 trial again.  Representations at roots of unity are not faithful, so
 PASS needs at least three completed orders, all at least 5; this is a
 probabilistic check and is documented as such.
+
+verify_generator_map_identity decides a generator row X = image exactly,
+with no representation, when a scan of the image's factor kinds finds one
+of three shapes (A, D and the generator monomial C inverse-free):
+
+    inverse-free        image = A          compare A with C
+    left denominator    image = D^-1 A     compare A with D C
+    right denominator   image = A D^-1     compare A with C D
+
+Here every word starts (or ends) with the same inverse node D^-1, and A
+sums the rests of the words with their central coefficients.  The quantum
+torus is an Ore domain, so it embeds in its skew field of fractions, where
+every D != 0 is invertible (Goodearl-Warfield, An Introduction to
+Noncommutative Noetherian Rings, ch. 6); multiplying by D on the left (or
+right) gives D^-1 A = C <=> A = D C and A D^-1 = C <=> A = C D.  Such a
+verdict has method "exact", no orders and residual 0.  A zero or nested
+denominator, or any other shape, goes to verify_identity, with one
+(RootRep, trial batch) per (sub-torus, order) shared by all generators of
+the map: a RootRep(sub, L, seed) draws the same characters and batch every
+time, so sharing changes no verdict and factorizes a shared inverse once
+per order.
 """
 
 from __future__ import annotations
@@ -40,7 +62,7 @@ from scipy.linalg import lu_factor, lu_solve
 # unused here; kept importable because the benchmark's tracer patches them by name
 from scipy.sparse.linalg import lgmres, splu  # noqa: F401
 
-from .qscalar import RootOfUnity
+from .qscalar import ZERO, RootOfUnity
 from .qtorus import TorusElement, TorusSpec
 from .coordinate_change import Expr
 
@@ -249,15 +271,19 @@ class Verdict:
     trials: int
     witness: object = None
     notes: list = field(default_factory=list)
+    method: str = "representation"        # or 'exact'
 
     @property
     def passed(self):
         return self.status == "PASS"
 
     def __str__(self):
-        s = "%s (max residual %.3e over orders %s, %d trials/order)" % (
-            self.status, self.max_residual, list(self.orders), self.trials
-        )
+        if self.method == "exact":
+            s = "%s (exact)" % self.status
+        else:
+            s = "%s (max residual %.3e over orders %s, %d trials/order)" % (
+                self.status, self.max_residual, list(self.orders), self.trials
+            )
         if self.witness:
             s += " witness=%s" % (self.witness,)
         return s
@@ -281,7 +307,7 @@ def _support_spec(exprs, spec):
     return TorusSpec(sub_labels, spec.A[np.ix_(idx, idx)], spec.u_eighth)
 
 
-def verify_identity(lhs, rhs, spec, trials=20, seed=0):
+def verify_identity(lhs, rhs, spec, trials=20, seed=0, *, _reps=None):
     """Compare two formal expressions (or lists summed termwise).
 
     Applies each side once to the batch RootRep.random_vectors(trials) at
@@ -289,10 +315,15 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0):
     exceeds PASS_TOL as witness.  An inconclusive order pulls in a
     replacement from EXTRA_ORDERS.  PASS needs at least MIN_ORDERS completed orders,
     all at least 5; anything less is INCONCLUSIVE.
+
+    _reps is a table {(sub-torus, L): (RootRep, batch)} that calls with
+    the same trials and seed may share; the verdict is the same with or
+    without it.
     """
     lhs_list = _as_expr_list(lhs)
     rhs_list = _as_expr_list(rhs)
     sub = _support_spec(lhs_list + rhs_list, spec)
+    reps = {} if _reps is None else _reps
 
     queue = list(DEFAULT_ORDERS)
     extras = list(EXTRA_ORDERS)
@@ -302,8 +333,11 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0):
     while queue:
         L = queue.pop(0)
         try:
-            rep = RootRep(sub, L, seed)
-            batch = rep.random_vectors(trials)
+            entry = reps.get((sub, L))
+            if entry is None:
+                rep = RootRep(sub, L, seed)
+                entry = reps[sub, L] = (rep, rep.random_vectors(trials))
+            rep, batch = entry
             av = sum((rep.act_expr(e, batch) for e in lhs_list), np.zeros_like(batch))
             bv = sum((rep.act_expr(e, batch) for e in rhs_list), np.zeros_like(batch))
         except Inconclusive as exc:
@@ -329,14 +363,66 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0):
     return Verdict(status, max_resid, tuple(done), trials, notes=notes)
 
 
+def _split_denominator(expr):
+    """(side, D, A) with expr = A (side None, D None), D^-1 A ('left') or
+    A D^-1 ('right'), where A and D are inverse-free Exprs; None for any
+    other shape.  Only factor kinds and node identities are read, so no
+    product is formed for an expression that does not qualify."""
+    if expr.is_polynomial():
+        return None, None, expr
+    words = expr.words
+    first = words[0][1]
+    for side, end, rest in (("left", 0, slice(1, None)), ("right", -1, slice(None, -1))):
+        D = first[end][1] if first and first[end][0] == "inv" else None
+        if (D is not None and D.is_polynomial()
+                and all(fs and fs[end][1] is D
+                        and all(kind == "el" for kind, _ in fs[rest])
+                        for _, fs in words)):
+            return side, D, Expr(expr.spec, [(c, fs[rest]) for c, fs in words])
+    return None
+
+
+def _exact_verdict(expr, want):
+    """The exact verdict on expr = want for an inverse-free torus element
+    want, or None when expr is not of a shape _split_denominator accepts
+    or its denominator is zero."""
+    shape = _split_denominator(expr)
+    if shape is None:
+        return None
+    side, D, A = shape
+    lhs, rhs, notes = A.as_element(), want, []
+    if D is not None:
+        den = D.as_element()
+        if not den.terms:
+            return None
+        rhs = den * want if side == "left" else want * den
+        notes.append("%s denominator cleared" % side)
+    if lhs == rhs:
+        return Verdict("PASS", 0.0, (), 0, notes=notes, method="exact")
+    k = min(k for k in lhs.terms.keys() | rhs.terms.keys()
+            if lhs.terms.get(k) != rhs.terms.get(k))
+    spec = lhs.spec
+    mono = " ".join("%s[%s]^%d" % (spec.letter, lab, e)
+                    for lab, e in zip(spec.labels, k) if e)
+    witness = {"monomial": mono or "1", "lhs": str(lhs.terms.get(k, ZERO)),
+               "rhs": str(rhs.terms.get(k, ZERO))}
+    return Verdict("FAIL", 0.0, (), 0, witness=witness, notes=notes, method="exact")
+
+
 def verify_generator_map_identity(gmap, trials=20, seed=0):
     """Check that a composite generator map is the identity on every
-    generator.  Returns {label: Verdict}."""
-    out = {}
+    generator.  Returns {label: Verdict}.
+
+    Each generator is first decided exactly when its image allows it (see
+    the module docstring); the others go to verify_identity with one
+    shared table of representations and trial batches."""
+    out, reps = {}, {}
     for lab in sorted(gmap.source.labels):
         img = gmap.image_of_generator(lab, 1)
-        want = Expr.from_element(
-            TorusElement.generator(gmap.target, lab, gmap.gen_exponent)
-        )
-        out[lab] = verify_identity(img, want, gmap.target, trials=trials, seed=seed)
+        want = TorusElement.generator(gmap.target, lab, gmap.gen_exponent)
+        verdict = _exact_verdict(img, want)
+        if verdict is None:
+            verdict = verify_identity(img, Expr.from_element(want), gmap.target,
+                                      trials=trials, seed=seed, _reps=reps)
+        out[lab] = verdict
     return out

@@ -16,16 +16,11 @@ from .qtorus import TorusSpec, TorusElement, mlh_apply
 from .surface import SurfaceError
 
 
-def shear_spec(T):
+def shear_spec(T, Qring=None):
     """Y(Delta) = T(Qring, q^(-1), y) over the inner edges."""
-    _, Qring, _ = T.face_submatrices()
+    if Qring is None:
+        _, Qring, _ = T.face_submatrices()
     return TorusSpec(T.inner_edges, Qring, -8, letter="y")
-
-
-def skein_spec(T):
-    """The square-root Muller torus T(P, q^(1/4), x) over all edges."""
-    P = T.vertex_matrix()
-    return TorusSpec(T.edges, P, 2)
 
 
 class ShearSkein:
@@ -34,10 +29,13 @@ class ShearSkein:
     def __init__(self, T):
         T.validate(require_marked=True)
         self.T = T
+        # each matrix is derived once and serves both tori and the check
         self.Q, self.Qring, self.H = T.face_submatrices()
-        self.y = shear_spec(T)
-        self.x = skein_spec(T)
-        rep = T.duality_check()
+        P = T.vertex_matrix()
+        self.y = shear_spec(T, self.Qring)
+        # the square-root Muller torus T(P, q^(1/4), x) over all edges
+        self.x = TorusSpec(T.edges, P, 2)
+        rep = T.duality_check(matrices=(self.Qring, self.H, P))
         if not rep["ok"]:
             raise SurfaceError("duality check failed: %s" % rep)
 

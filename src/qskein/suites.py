@@ -50,7 +50,8 @@ def _row(name, ok_or_verdict, detail=""):
     if hasattr(ok_or_verdict, "status"):
         v = ok_or_verdict
         return (name, v.status,
-                detail or ("max residual %.2e at orders %s"
+                detail or ("exact" if v.method == "exact" else
+                           "max residual %.2e at orders %s"
                            % (v.max_residual, list(v.orders))))
     return (name, "PASS" if ok_or_verdict else "FAIL", detail)
 
@@ -119,6 +120,20 @@ def suite_balanced(samples=1000, seed=7):
 _SEVERITY = {"PASS": 0, "INCONCLUSIVE": 1, "FAIL": 2}
 
 
+def _generators_detail(verdicts):
+    """How a row of generator verdicts was decided: 'exact' when every
+    generator was, else the largest residual of those certified by
+    representation, naming the exact ones' share if there are any."""
+    by_rep = [v for v in verdicts if v.method != "exact"]
+    if not by_rep:
+        return "exact"
+    detail = "max residual %.2e" % max(v.max_residual for v in by_rep)
+    if len(by_rep) == len(verdicts):
+        return detail
+    return "exact on %d of %d generators, %s on the others" % (
+        len(verdicts) - len(by_rep), len(verdicts), detail)
+
+
 def suite_flipback(trials=20, seed=0):
     rows = []
     for name, edge in FLIP_LIBRARY:
@@ -127,15 +142,15 @@ def suite_flipback(trials=20, seed=0):
             final, comp, datas = compose_flips(
                 T, [edge, "tmpflip"], side=side, new_labels=["tmpflip", edge]
             )
-            verdicts = verify_generator_map_identity(
-                comp, trials=trials, seed=seed).values()
+            verdicts = list(verify_generator_map_identity(
+                comp, trials=trials, seed=seed).values())
             status = max((v.status for v in verdicts), key=_SEVERITY.get)
             rows.append(
                 (
                     "flip-back %s %s at %s (%s)" % (side, name, edge,
                                                     datas[0].coincidence),
                     status if final.same_as(T) else "FAIL",
-                    "max residual %.2e" % max(v.max_residual for v in verdicts),
+                    _generators_detail(verdicts),
                 )
             )
     return rows

@@ -339,10 +339,16 @@ class Triangulation:
                     P[labs[i], labs[j]] += 1 if j > i else -1
         return P
 
-    def duality_check(self):
-        """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges."""
-        Q, Qring, H = self.face_submatrices()
-        P = self.vertex_matrix()
+    def duality_check(self, matrices=None):
+        """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges.
+
+        matrices, if given, is (Qring, H, P) as face_submatrices and
+        vertex_matrix return them for this triangulation."""
+        if matrices is None:
+            _, Qring, H = self.face_submatrices()
+            P = self.vertex_matrix()
+        else:
+            Qring, H, P = matrices
         idx = self.edge_index()
         rows = [idx[e] for e in self.inner_edges]
         want = np.zeros((len(self.edges), len(self.inner_edges)), dtype=np.int64)

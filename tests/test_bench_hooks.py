@@ -6,7 +6,8 @@ import importlib.util
 from pathlib import Path
 
 from qskein import repcheck
-from qskein.coordinate_change import Expr
+from qskein.coordinate_change import Expr, compose_flips
+from qskein.library import surface_by_name
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement, TorusSpec
 
@@ -88,3 +89,21 @@ def test_tracer_sees_square_as_one_mul():
         assert tracer.counts["qtorus.muls"] == 1
         assert tracer.counts["qtorus.term_pairs"] == len(a.terms) ** 2 == 36
         assert [rec[0] for rec in tracer.spans] == ["qtorus.mul"]
+
+
+def test_tracer_keeps_exact_generator_verdicts():
+    # the tracer's verify hook reads min(out.orders) on every PASS that
+    # verify_identity returns; exactly decided rows (no orders) never pass
+    # through it, and tracing changes no verdict
+    tracing = load_tracing()
+    _, comp, _ = compose_flips(surface_by_name("polygon6"), ["e0_3", "e2_4"],
+                               new_labels=["e2_4", "e0_3"])
+    plain = repcheck.verify_generator_map_identity(comp, trials=3)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = repcheck.verify_generator_map_identity(comp, trials=3)
+    methods = [v.method for v in plain.values()]
+    assert "exact" in methods and "representation" in methods
+    assert {lab: (v.status, v.method, v.orders, v.max_residual) for lab, v in traced.items()} \
+        == {lab: (v.status, v.method, v.orders, v.max_residual) for lab, v in plain.items()}
+    assert tracer.counts["repcheck.identities"] == methods.count("representation")

@@ -120,12 +120,13 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_pentagon_composite_identity(monkeypatch):
-    # the pentagon repeated 1, 2 and 3 times: each flip adds 6 dense
-    # factorizations (2 generators x 3 orders), so verification stays
-    # linear in the number of flips
+    # the pentagon repeated 1, 2 and 3 times: both generators share one
+    # representation per order, so each distinct inverse node is factorized
+    # once per order (4, 9 and 14 nodes x 3 orders) and every 5 flips add
+    # 15 dense factorizations, linear in the number of flips
     factorizations = _counting(monkeypatch, repcheck, "lu_factor")
     P = polygon(5)
-    for reps, want in ((1, 18), (2, 48), (3, 78)):
+    for reps, want in ((1, 12), (2, 27), (3, 42)):
         factorizations[0] = 0
         final, comp, _ = compose_flips(P, list(PENTAGON_SEQUENCE) * reps, side="shear")
         assert final.same_as(P)

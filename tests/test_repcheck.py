@@ -12,9 +12,11 @@ from qskein.repcheck import (
     Inconclusive,
     RootRep,
     symplectic_normal_form,
+    verify_generator_map_identity,
     verify_identity,
 )
 from qskein.shear import ShearSkein
+from test_negative_controls import scale_coefficient, shift_exponent
 
 
 def spec2(u_eighth=2):
@@ -325,3 +327,147 @@ def test_one_generator_per_order(monkeypatch):
     verdict = verify_identity(x, x, s, trials=20, seed=3)
     assert verdict.passed and verdict.orders == DEFAULT_ORDERS
     assert seeds == [(3, L) for L in DEFAULT_ORDERS]
+
+
+# ---------------------------------------------------------------------------
+# generator rows decided exactly
+
+
+def flipbacks(T):
+    """(edges, labels) of every flip-back on T: flip an edge, then the new
+    diagonal back under the old label."""
+    return [([e, "tmp"], ["tmp", e]) for e in T.inner_edges]
+
+
+def two_flip_walks(T):
+    """(edges, labels) of every walk of two flips, the second never undoing
+    the first, followed by their reverse, which restores every label."""
+    walks = []
+    for e in T.inner_edges:
+        T2, fd = T.flip(e)
+        for f in T2.inner_edges:
+            if f != fd.a_star:
+                _, fd2 = T2.flip(f)
+                walks.append(([e, f, fd2.a_star, fd.a_star], [fd.a_star, fd2.a_star, f, e]))
+    return walks
+
+
+def closed_walk_composites():
+    """Every flip-back on polygon4-7 on both sides, both two-flip walks on
+    polygon5 and the pentagon, as (name, composite)."""
+    out = []
+    for n in (4, 5, 6, 7):
+        T = surface_by_name("polygon%d" % n)
+        for side in ("shear", "skein"):
+            for edges, labels in flipbacks(T):
+                _, comp, _ = cc.compose_flips(T, edges, side=side, new_labels=labels)
+                out.append(("%s polygon%d %s" % (side, n, edges[0]), comp))
+    P5 = surface_by_name("polygon5")
+    walks = two_flip_walks(P5)
+    assert len(walks) == 2
+    for edges, labels in walks:
+        _, comp, _ = cc.compose_flips(P5, edges, new_labels=labels)
+        out.append(("walk " + " ".join(edges), comp))
+    _, comp, _ = cc.compose_flips(P5, list(suites.PENTAGON_SEQUENCE))
+    out.append(("pentagon", comp))
+    return out
+
+
+def generator_row(comp, lab):
+    """(image, generator) of one row of a composite."""
+    want = Expr.from_element(TorusElement.generator(comp.target, lab, comp.gen_exponent))
+    return comp.image_of_generator(lab, 1), want
+
+
+def row_verdict(img, lab, spec):
+    """verify_generator_map_identity's verdict on the row lab -> img (the
+    inverse's image is not read)."""
+    gmap = cc.GeneratorImageMap(source=spec, target=spec, images={lab: (img, img)})
+    return verify_generator_map_identity(gmap, trials=3)[lab]
+
+
+def test_exact_rows_agree_with_representations():
+    # the representation certifier still runs on every exactly decided row
+    # and must give the same status
+    methods = set()
+    for name, comp in closed_walk_composites():
+        for lab, v in verify_generator_map_identity(comp, trials=3).items():
+            methods.add((v.method, tuple(v.notes)))
+            img, want = generator_row(comp, lab)
+            by_rep = verify_identity(img, want, comp.target, trials=3)
+            assert by_rep.method == "representation" and by_rep.orders == DEFAULT_ORDERS
+            assert v.status == by_rep.status == "PASS", (name, lab, v, by_rep)
+            if v.method == "exact":
+                assert v.orders == () and v.max_residual == 0.0 and str(v) == "PASS (exact)"
+    assert methods == {("exact", ()), ("exact", ("left denominator cleared",)),
+                       ("exact", ("right denominator cleared",)), ("representation", ())}
+
+
+def test_pentagon_generators_take_representations():
+    _, comp, _ = cc.compose_flips(surface_by_name("polygon5"), list(suites.PENTAGON_SEQUENCE))
+    verdicts = verify_generator_map_identity(comp, trials=3)
+    assert len(verdicts) == 2
+    for v in verdicts.values():
+        assert v.passed and v.method == "representation" and v.orders == DEFAULT_ORDERS
+
+
+def test_shared_representations_keep_verdicts_bit_identical():
+    # one (RootRep, batch) per (sub-torus, order) for all generators of a
+    # map: the residuals equal those of separate verify_identity calls
+    _, comp, _ = cc.compose_flips(surface_by_name("polygon5"),
+                                  list(suites.PENTAGON_SEQUENCE) * 2)
+    for lab, v in verify_generator_map_identity(comp, trials=4, seed=2).items():
+        alone = verify_identity(*generator_row(comp, lab), comp.target, trials=4, seed=2)
+        assert (v.status, v.max_residual, v.orders) == (
+            alone.status, alone.max_residual, alone.orders)
+
+
+def exact_shape_images():
+    """(name, image, label, torus) of a true row of each exact shape: an
+    inverse-free shear image, a left-denominator shear image folded into
+    one word D^-1 A, and a right-denominator skein image."""
+    P5 = surface_by_name("polygon5")
+    _, shear, _ = cc.compose_flips(P5, ["e0_2", "e1_3"], new_labels=["e1_3", "e0_2"])
+    _, skein, _ = cc.compose_flips(P5, ["e0_2", "tmp"], side="skein",
+                                   new_labels=["tmp", "e0_2"])
+    free, _ = generator_row(shear, "e0_2")
+    left, _ = generator_row(shear, "e0_3")
+    right, _ = generator_row(skein, "e0_2")
+    # every word of left starts with the same inverse; shift_exponent edits
+    # the first factor met, so in one word it changes that inverse itself
+    (kind, den), = {fs[0] for _, fs in left.words}
+    assert kind == "inv"
+    rest = Expr(left.spec, [(c, fs[1:]) for c, fs in left.words]).as_element()
+    folded = Expr(left.spec, [(Laurent.one(), (("inv", den), ("el", rest)))])
+    return [("inverse-free", free, "e0_2", shear.target),
+            ("left denominator", folded, "e0_3", shear.target),
+            ("right denominator", right, "e0_2", skein.target)]
+
+
+def test_negative_controls_fail_exactly():
+    for name, img, lab, spec in exact_shape_images():
+        assert row_verdict(img, lab, spec).status == "PASS"
+        for perturb in (scale_coefficient, shift_exponent):
+            v = row_verdict(perturb(img), lab, spec)
+            assert v.status == "FAIL" and v.method == "exact", (name, perturb.__name__, v)
+            assert v.orders == () and v.max_residual == 0.0
+            w = v.witness
+            assert set(w) == {"monomial", "lhs", "rhs"} and w["lhs"] != w["rhs"]
+            assert str(v).startswith("FAIL (exact) witness=")
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_zero_and_nested_denominators_take_representations():
+    s = spec2()
+    a = TorusElement.monomial(s, (2, 0))
+    x = Expr.from_element(a)
+    zero = Expr.from_element(TorusElement.zero(s))
+    cancelling = x + x * -1                 # two words whose sum is 0
+    nested = (x + x.inv()).inv() * x
+    for den in (zero, cancelling):
+        v = row_verdict(den.inv() * x, "a", s)
+        assert v.method == "representation" and v.status == "INCONCLUSIVE", v
+    assert row_verdict(nested, "a", s).method == "representation"
+    # an inverse inside a word's rest is not cleared either
+    assert row_verdict(x.inv() * x * x.inv() * x * x, "a", s).method == "representation"
+    assert row_verdict(x.inv() * x * x, "a", s).method == "exact"
