@@ -13,7 +13,8 @@ others are certified numerically: the torus acts by clock-shift
 matrices at a primitive L-th root of unity, formal inverses act by
 linear solves, and an identity is accepted only if it holds on random
 vectors at several coprime orders.  The flip-back below is decided
-exactly; the pentagon's generators take the representations.
+exactly, and its row with the most words is certified by both methods;
+the pentagon's generators take the representations.
 """
 
 from qskein import compose_flips, theta_flip, verify_generator_map_identity

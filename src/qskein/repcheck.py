@@ -49,7 +49,10 @@ denominator, or any other shape, goes to verify_identity, with one
 (RootRep, trial batch) per (sub-torus, order) shared by all generators of
 the map: a RootRep(sub, L, seed) draws the same characters and batch every
 time, so sharing changes no verdict and factorizes a shared inverse once
-per order.
+per order.  A map whose rows are all decided exactly sends its row with
+the most words to verify_identity as well, and that row reports the
+failing verdict if either method fails: no map's verdicts rest on the
+exact decisions alone.
 """
 
 from __future__ import annotations
@@ -409,14 +412,26 @@ def _exact_verdict(expr, want):
     return Verdict("FAIL", 0.0, (), 0, witness=witness, notes=notes, method="exact")
 
 
+def _cross_checked(exact, rep):
+    """The verdict on a row decided exactly and also by representation:
+    the failing one if either fails, else the exact one, noting the other."""
+    if rep.status == "FAIL" and exact.status != "FAIL":
+        rep.notes.append("exact: %s" % exact.status)
+        return rep
+    exact.notes.append("representation: %s" % rep)
+    return exact
+
+
 def verify_generator_map_identity(gmap, trials=20, seed=0):
     """Check that a composite generator map is the identity on every
     generator.  Returns {label: Verdict}.
 
     Each generator is first decided exactly when its image allows it (see
     the module docstring); the others go to verify_identity with one
-    shared table of representations and trial batches."""
-    out, reps = {}, {}
+    shared table of representations and trial batches.  When every row is
+    decided exactly, the row with the most words goes to verify_identity
+    as well, so no map rests on one certifier alone."""
+    out, reps, exact = {}, {}, []
     for lab in sorted(gmap.source.labels):
         img = gmap.image_of_generator(lab, 1)
         want = TorusElement.generator(gmap.target, lab, gmap.gen_exponent)
@@ -424,5 +439,12 @@ def verify_generator_map_identity(gmap, trials=20, seed=0):
         if verdict is None:
             verdict = verify_identity(img, Expr.from_element(want), gmap.target,
                                       trials=trials, seed=seed, _reps=reps)
+        else:
+            exact.append((lab, img, want))
         out[lab] = verdict
+    if exact and len(exact) == len(out):
+        lab, img, want = max(exact, key=lambda row: len(row[1].words))
+        rep = verify_identity(img, Expr.from_element(want), gmap.target,
+                              trials=trials, seed=seed)
+        out[lab] = _cross_checked(out[lab], rep)
     return out

@@ -16,10 +16,9 @@ from .qtorus import TorusSpec, TorusElement, mlh_apply
 from .surface import SurfaceError
 
 
-def shear_spec(T, Qring=None):
+def shear_spec(T):
     """Y(Delta) = T(Qring, q^(-1), y) over the inner edges."""
-    if Qring is None:
-        _, Qring, _ = T.face_submatrices()
+    _, Qring, _ = T.face_submatrices()
     return TorusSpec(T.inner_edges, Qring, -8, letter="y")
 
 
@@ -32,10 +31,11 @@ class ShearSkein:
         # each matrix is derived once and serves both tori and the check
         self.Q, self.Qring, self.H = T.face_submatrices()
         P = T.vertex_matrix()
-        self.y = shear_spec(T, self.Qring)
-        # the square-root Muller torus T(P, q^(1/4), x) over all edges
+        # Y(Delta) = T(Qring, q^(-1), y) over the inner edges and the
+        # square-root Muller torus T(P, q^(1/4), x) over all edges
+        self.y = TorusSpec(T.inner_edges, self.Qring, -8, letter="y")
         self.x = TorusSpec(T.edges, P, 2)
-        rep = T.duality_check(matrices=(self.Qring, self.H, P))
+        rep = T._duality_check(self.Qring, self.H, P)
         if not rep["ok"]:
             raise SurfaceError("duality check failed: %s" % rep)
 

@@ -339,16 +339,14 @@ class Triangulation:
                     P[labs[i], labs[j]] += 1 if j > i else -1
         return P
 
-    def duality_check(self, matrices=None):
-        """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges.
+    def duality_check(self):
+        """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges."""
+        _, Qring, H = self.face_submatrices()
+        return self._duality_check(Qring, H, self.vertex_matrix())
 
-        matrices, if given, is (Qring, H, P) as face_submatrices and
-        vertex_matrix return them for this triangulation."""
-        if matrices is None:
-            _, Qring, H = self.face_submatrices()
-            P = self.vertex_matrix()
-        else:
-            Qring, H, P = matrices
+    def _duality_check(self, Qring, H, P):
+        """duality_check on this triangulation's Qring, H and P, for a
+        caller that has already derived them."""
         idx = self.edge_index()
         rows = [idx[e] for e in self.inner_edges]
         want = np.zeros((len(self.edges), len(self.inner_edges)), dtype=np.int64)

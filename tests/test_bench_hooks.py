@@ -94,16 +94,20 @@ def test_tracer_sees_square_as_one_mul():
 def test_tracer_keeps_exact_generator_verdicts():
     # the tracer's verify hook reads min(out.orders) on every PASS that
     # verify_identity returns; exactly decided rows (no orders) never pass
-    # through it, and tracing changes no verdict
+    # through it, and tracing changes no verdict.  On polygon6 e0_3 e2_4 one
+    # row needs the representations; on e0_2 e1_3 every row is exact and
+    # one of them is also certified by representation.
     tracing = load_tracing()
-    _, comp, _ = compose_flips(surface_by_name("polygon6"), ["e0_3", "e2_4"],
-                               new_labels=["e2_4", "e0_3"])
-    plain = repcheck.verify_generator_map_identity(comp, trials=3)
-    tracer = tracing.Tracer()
-    with tracer.installed():
-        traced = repcheck.verify_generator_map_identity(comp, trials=3)
-    methods = [v.method for v in plain.values()]
-    assert "exact" in methods and "representation" in methods
-    assert {lab: (v.status, v.method, v.orders, v.max_residual) for lab, v in traced.items()} \
-        == {lab: (v.status, v.method, v.orders, v.max_residual) for lab, v in plain.items()}
-    assert tracer.counts["repcheck.identities"] == methods.count("representation")
+    for edges, labels, identities in ((["e0_3", "e2_4"], ["e2_4", "e0_3"], 1),
+                                      (["e0_2", "e1_3"], ["e1_3", "e0_2"], 1)):
+        _, comp, _ = compose_flips(surface_by_name("polygon6"), edges, new_labels=labels)
+        plain = repcheck.verify_generator_map_identity(comp, trials=3)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            traced = repcheck.verify_generator_map_identity(comp, trials=3)
+        assert "exact" in [v.method for v in plain.values()]
+        assert {lab: (v.status, v.method, v.orders, v.max_residual, v.notes)
+                for lab, v in traced.items()} \
+            == {lab: (v.status, v.method, v.orders, v.max_residual, v.notes)
+                for lab, v in plain.items()}
+        assert tracer.counts["repcheck.identities"] == identities

@@ -392,7 +392,8 @@ def test_exact_rows_agree_with_representations():
     methods = set()
     for name, comp in closed_walk_composites():
         for lab, v in verify_generator_map_identity(comp, trials=3).items():
-            methods.add((v.method, tuple(v.notes)))
+            methods.add((v.method, tuple(n for n in v.notes
+                                         if not n.startswith("representation: "))))
             img, want = generator_row(comp, lab)
             by_rep = verify_identity(img, want, comp.target, trials=3)
             assert by_rep.method == "representation" and by_rep.orders == DEFAULT_ORDERS
@@ -401,6 +402,37 @@ def test_exact_rows_agree_with_representations():
                 assert v.orders == () and v.max_residual == 0.0 and str(v) == "PASS (exact)"
     assert methods == {("exact", ()), ("exact", ("left denominator cleared",)),
                        ("exact", ("right denominator cleared",)), ("representation", ())}
+
+
+def test_all_exact_maps_cross_check_one_row(monkeypatch):
+    # a map whose rows are all decided exactly still certifies its row with
+    # the most words by representation; a wrong representation verdict there
+    # fails the map, and a wrong exact verdict is reported over a PASS one
+    _, comp, _ = cc.compose_flips(surface_by_name("polygon6"), ["e0_2", "e1_3"],
+                                  new_labels=["e1_3", "e0_2"])
+    verdicts = verify_generator_map_identity(comp, trials=3)
+    assert {v.method for v in verdicts.values()} == {"exact"}
+    checked = [lab for lab, v in verdicts.items()
+               if any(n.startswith("representation: PASS") for n in v.notes)]
+    assert checked == ["e0_3"] and len(comp.image_of_generator("e0_3", 1).words) == 2
+    assert all(v.passed for v in verdicts.values())
+
+    honest, honest_exact = repcheck.verify_identity, repcheck._exact_verdict
+
+    def flipped(verdict):
+        verdict.status = "FAIL" if verdict.status == "PASS" else "PASS"
+        return verdict
+
+    monkeypatch.setattr(repcheck, "verify_identity",
+                        lambda *a, **kw: flipped(honest(*a, **kw)))
+    v = verify_generator_map_identity(comp, trials=3)["e0_3"]
+    assert v.status == "FAIL" and v.method == "representation" and "exact: PASS" in v.notes
+    monkeypatch.setattr(repcheck, "verify_identity", honest)
+    monkeypatch.setattr(repcheck, "_exact_verdict",
+                        lambda *a: flipped(honest_exact(*a)))
+    v = verify_generator_map_identity(comp, trials=3)["e0_3"]
+    assert v.status == "FAIL" and v.method == "exact"
+    assert any(n.startswith("representation: PASS") for n in v.notes)
 
 
 def test_pentagon_generators_take_representations():
