@@ -9,10 +9,10 @@ Laurent polynomials.  Composites of these maps along flip sequences are
 kept as formal words.  A generator whose image has no inverse, or one
 nonzero denominator D shared by every word on one side, is decided
 exactly: D^-1 A = C holds iff A = D C (A D^-1 = C iff A = C D).  The
-others are certified numerically: the torus acts by clock-shift
-matrices at a primitive L-th root of unity, formal inverses act by
-linear solves, and an identity is accepted only if it holds on random
-vectors at several coprime orders.  The flip-back below is decided
+others are certified by representation: the torus acts by clock-shift
+matrices at a primitive L-th root of unity in a prime field F_p,
+formal inverses act by exact solves mod p, and an identity is accepted
+only if it holds exactly on random vectors at several coprime orders.  The flip-back below is decided
 exactly, and its row with the most words is certified by both methods;
 the pentagon's generators take the representations.
 """
@@ -26,11 +26,11 @@ P = polygon(5)
 T2, fd, theta = theta_flip(P, "e0_2")
 print("flip %s -> %s" % (fd.a, fd.a_star))
 for v in sorted(theta.source.labels):
-    pos, neg = theta.images[v]
+    pos = theta.image_of_generator(v, 1)
     if pos.is_polynomial():
         print("  Y[%s]    -> %s" % (v, pos.as_element()))
     else:
-        print("  Y[%s]^-1 -> %s" % (v, neg.as_element()))
+        print("  Y[%s]^-1 -> %s" % (v, theta.image_of_generator(v, -1).as_element()))
 
 # flip there and back: the composite must be the identity
 final, comp, _ = compose_flips(P, ["e0_2", "tmp"], new_labels=["tmp", "e0_2"])

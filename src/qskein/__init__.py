@@ -13,7 +13,8 @@ The package computes, over the ring Z[q^(1/8), q^(-1/8)]:
 * flip coordinate changes on both coordinate systems, composed along
   flip sequences as formal skew-field words (coordinate_change),
 * punctured surfaces via the associated marked surface (puncture),
-* a root-of-unity evaluator certifying skew-field identities (repcheck).
+* root-of-unity representations over F_p certifying skew-field
+  identities (repcheck).
 """
 
 from .qscalar import Laurent, RootOfUnity

@@ -5,7 +5,8 @@ qskein/schemas/); anywhere a file is expected, a builtin name like
 ``builtin:polygon5``, ``builtin:annulus``, ``builtin:torus1`` or
 ``builtin:sphere3-lift`` works too.  Exit codes: 0 on success, 1 when a
 verification suite reports FAIL, 2 on input errors, 3 on internal errors
-(with a traceback on stderr).
+(with a traceback on stderr), and 141 (128 + SIGPIPE, nothing on stderr)
+when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import traceback
 from importlib import resources
@@ -342,7 +344,14 @@ def main(argv=None):
         for name, least in (("trials", 1), ("seed", 0)):
             if getattr(args, name, least) < least:
                 raise InputError("--%s must be at least %d" % (name, least))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what stdout still buffers to devnull, so
+        # that the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, CurveError, SurfaceError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

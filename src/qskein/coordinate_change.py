@@ -8,7 +8,7 @@ exactly when its image has no inverse, or one nonzero inverse-free
 denominator D that every word starts (or ends) with: in the skew field
 of the torus, an Ore domain, D^-1 A = C iff A = D C and A D^-1 = C iff
 A = C D, all polynomial.  Every other equality of such expressions is
-certified numerically by the root-of-unity evaluator in repcheck.
+certified by repcheck's root-of-unity representations over F_p.
 
 The flip at an inner edge a replaces it by the opposite diagonal a* of
 its quadrilateral with boundary edges b, c, d, e in cyclic order, the two
@@ -21,7 +21,7 @@ Composites along a flip sequence are DAGs, not trees: each flip's images
 refer to the previous composite's expressions by reference, so every
 flip adds a bounded number of nodes.  Every walk over an expression
 visits a shared node once (support_labels keys a memo by node id, the
-root-of-unity evaluator caches each inverse's factorization by node),
+root-of-unity representations cache each inverse's matrix by node),
 so composing and certifying cost time linear in the number of flips.
 compose_flips builds each triangulation's ShearSkein bundle once and
 hands it to the flip out of it.
@@ -268,10 +268,13 @@ def theta_flip_from_data(T, T2, fd, bundles=None):
     y, y2 = bundle.y, bundle2.y
 
     # psi'(Y_v^s) = X^(2s H'_v): expand the near side s, whose skein image
-    # has no negative power of X_(a*); the far side is its inverse
+    # has no negative power of X_(a*); the far side is its inverse.  Y_v with
+    # v != a* and H'[v, a*] = 0 maps to itself, which a missing entry means
     a_star_col = bundle2.H[:, bundle2.x.index[fd.a_star]]
     images = {}
     for v in y2.labels:
+        if v != fd.a_star and not a_star_col[y2.index[v]]:
+            continue
         sign = 1 if a_star_col[y2.index[v]] >= 0 else -1
         el = phi.apply_element(bundle2.psi_vec(y2.unit_vec(v, 2 * sign))).as_element()
         near_el = bundle.psi_preimage(el)

@@ -394,35 +394,6 @@ def _local_face(slot1, slot2):
     return 0
 
 
-def u_split_parts(alpha, values, base_edge=None):
-    """(u1, u2) with u = u1 + u2: the normalized-pair part over the curve
-    intervals and the reordering part over all lifted pairs.
-
-    Evaluated state by state on the curve rotated to its base crossing,
-    independently of the form behind u_of_state, which it checks.
-    """
-    r = _base_crossing(alpha, base_edge) + 1
-    rot = alpha.rotated(r)
-    n = len(alpha.steps)
-    vals = tuple(values[(r + i) % n] for i in range(n))
-    pts = []
-    for idx, (t, i, o) in enumerate(rot.steps):
-        pts.append((t, i, vals[(idx - 1) % n], idx))
-        pts.append((t, o, vals[idx], idx))
-    u1_2 = 0
-    for idx, (t, i, o) in enumerate(rot.steps):
-        u1_2 += _local_face(i, o) * vals[(idx - 1) % n] * vals[idx]
-    u2_2 = 0
-    for x in range(len(pts)):
-        for y in range(x + 1, len(pts)):
-            t1, s1, v1, _ = pts[x]
-            t2, s2, v2, _ = pts[y]
-            if t1 != t2:
-                continue
-            u2_2 -= _local_face(s1, s2) * v1 * v2
-    return Fraction(u1_2, 2), Fraction(u2_2, 2)
-
-
 # ---------------------------------------------------------------------------
 # transport of a curve through a flip
 

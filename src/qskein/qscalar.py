@@ -10,8 +10,11 @@ Python ints, so repeated flip compositions cannot overflow.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
+
+PRIME_BOUND = 2 ** 25
 
 
 class Laurent:
@@ -149,14 +152,12 @@ class Laurent:
         """The involution q^(1/8) -> q^(-1/8); negates every exponent."""
         return Laurent({-n: c for n, c in self.terms.items()})
 
-    # -- numerical evaluation ----------------------------------------
+    # -- evaluation at a root of unity -------------------------------
 
     def evaluate(self, root):
-        """Sum of coeff * zeta^n where zeta = root.zeta is the value of q^(1/8)."""
-        z = 0j
-        for n, c in self.terms.items():
-            z += c * root.zeta_pow(n)
-        return z
+        """The residue mod root.p of sum_n c_n zeta^n, where zeta = root.zeta
+        is the value of q^(1/8) in F_p."""
+        return sum(c * root.zeta_pow(n) for n, c in self.terms.items()) % root.p
 
     # -- printing -----------------------------------------------------
 
@@ -178,9 +179,7 @@ _set_hash = Laurent._hash.__set__
 
 def _times(c1, c2):
     """The terms of c1 * c2, {eighth exponent: int}, in the order in which
-    the term-by-term product first meets each exponent, zero sums kept:
-    adding them fills a coefficient in the term-by-term order, which its
-    numeric evaluation sums in."""
+    the term-by-term product first meets each exponent, zero sums kept."""
     out = {}
     for n1, a1 in c1.terms.items():
         for n2, a2 in c2.terms.items():
@@ -209,20 +208,33 @@ ONE = Laurent.one()
 
 
 class RootOfUnity:
-    """Evaluation context sending q^(1/8) to a primitive L-th root of unity."""
+    """Evaluation context sending q^(1/8) to the primitive L-th root of
+    unity zeta = g^((p - 1) / L) of F_p, where p is the largest prime below
+    PRIME_BOUND with p = 1 (mod L) and g generates F_p^*."""
 
     def __init__(self, L):
         if L < 3 or L % 2 == 0:
             raise ValueError("root order must be an odd integer >= 3")
         self.L = L
-        self._table = [cmath.exp(2j * cmath.pi * k / L) for k in range(L)]
-
-    @property
-    def zeta(self):
-        return self._table[1 % self.L]
+        self.p, self.g = _prime_field(L)
+        self.zeta = pow(self.g, (self.p - 1) // L, self.p)
+        self._table = [pow(self.zeta, k, self.p) for k in range(L)]
 
     def zeta_pow(self, n):
         return self._table[n % self.L]
 
     def __repr__(self):
-        return "RootOfUnity(L=%d)" % self.L
+        return "RootOfUnity(L=%d, p=%d)" % (self.L, self.p)
+
+
+@lru_cache(maxsize=None)
+def _prime_field(L):
+    """(p, g): the largest prime p < PRIME_BOUND with p = 1 (mod L), and
+    the least generator g of F_p^*; trial division suffices below 2^25."""
+    p = (PRIME_BOUND - 2) // (2 * L) * (2 * L) + 1     # odd L: p = 1 (mod 2L)
+    while any(p % f == 0 for f in range(3, isqrt(p) + 1, 2)):
+        p -= 2 * L
+    n = p - 1                     # g generates iff g^d != 1 for all d | n, d < n
+    divisors = {d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)}
+    g = next(g for g in range(2, p) if all(pow(g, d, p) != 1 for d in divisors - {n}))
+    return p, g

@@ -1,34 +1,48 @@
-"""Root-of-unity representations certifying skew-field identities, and
-exact decisions for the generator rows that need none.
+"""Root-of-unity representations over F_p certifying skew-field
+identities, and exact decisions for the generator rows that need none.
 
-At an odd order L the scalar q^(1/8) is sent to zeta = exp(2 pi i / L).
-An exact integer symplectic normal form, P A P^T = (+) d_i J (+) 0 with P
+At an odd order L the scalar q^(1/8) is sent to zeta = g^((p - 1) / L),
+a primitive L-th root of unity in F_p, where p is the largest prime below
+2^25 with p = 1 (mod L) and g generates F_p^* (qscalar.RootOfUnity).  An
+exact integer symplectic normal form, P A P^T = (+) d_i J (+) 0 with P
 unimodular, rewrites x^k as the monomial z^c, c = k P^(-1), of a torus
 whose form is block diagonal.  With u^(1/2) = zeta^h, each block d J with
-L not dividing h d acts on its own factor C^L by a clock-shift pair,
+L not dividing h d acts on its own factor F_p^L by a clock-shift pair,
 
     z^(a,b) . e_n = zeta^(h d (2 a n + a b)) e_(n + b),
 
-and the other blocks are central.  Every z-generator also carries a random
-unit-modulus scalar, its central character.  The result is an irreducible
-representation on (C^L)^(tensor r) of dimension L^r, r = rank_L A / 2
-(Bonahon-Liu, Bonahon-Wong), and rep(x^k) rep(x^m) = u^((1/2)<k,m>)
-rep(x^(k+m)) holds exactly at the chosen root.
+and the other blocks are central.  Each z_j also carries a central
+character g^(n_j), n_j uniform, so z^c carries g^(c . n).  This is the
+irreducible representation on (F_p^L)^(tensor r), r = rank_L A / 2, that
+Bonahon-Liu build over any field with a primitive L-th root of unity, and
+rep(x^k) rep(x^m) = u^((1/2)<k,m>) rep(x^(k+m)) holds exactly.
 
 verify_identity represents the sub-torus on the labels its expressions
 use, which keeps L^r small, and acts on the caller's expressions as they
-are: the representation maps each element's exponents to the sub-torus
-by label.  Every inverse acts through one dense LU factorization of its
-L^r x L^r matrix, cached by the inverse's payload object, so an inverse
-that several words share is factorized once per order; the residual of
-each solve is checked on that cached matrix.  The trials at one order
-run as one batch of random unit vectors, drawn in one call from the
-generator seeded by (seed, L) that first draws the central characters.
-The draw is trial-major, so trial t's vector is the same for any number
-of trials above t, and a fresh RootRep(spec, L, seed) draws a witness
-trial again.  Representations at roots of unity are not faithful, so
-PASS needs at least three completed orders, all at least 5; this is a
-probabilistic check and is documented as such.
+are, mapping each element's exponents to the sub-torus by label.  Every
+inverse acts through its matrix inverted once mod p (lu_factor), cached
+by the inverse's payload object, so an inverse that several words share
+is inverted once per order.  An order is INCONCLUSIVE only when such a
+matrix is singular mod p or L^r > DENSE_DIM.  The trials at one order
+are one batch of vectors uniform in F_p^(L^r), drawn trial by trial from
+the generator seeded by (seed, L) after the characters, so trial t's
+vector does not depend on the number of trials and a fresh
+RootRep(spec, L, seed) draws a witness again.  A trial passes only when
+both sides agree exactly.
+
+A false PASS at one order is unlikely (Schwartz, J. ACM 1980; Zippel
+1979): if the sides differ, an entry of their difference, denominators
+cleared, is a nonzero polynomial of some degree deg in the characters,
+which vanishes at the drawn ones with probability at most deg/(p - 1);
+if it does not, each trial vector lies in the difference's kernel with
+probability at most 1/p.  So a trial misses with probability about deg/p
+at most.  Representations at roots of unity are not faithful, so PASS
+needs at least three completed orders, all at least 5.
+
+Everything is int64 residues mod p < 2^25: a product of two residues is
+below 2^50, a mat-vec over at most DENSE_DIM = 4000 < 2^12 terms below
+2^62, and since the elimination reduces only the pivot row and column at
+each step, an unreduced entry stays below n p^2 < 2^62.
 
 verify_generator_map_identity decides a generator row X = image exactly,
 with no representation, when a scan of the image's factor kinds finds one
@@ -44,15 +58,14 @@ torus is an Ore domain, so it embeds in its skew field of fractions, where
 every D != 0 is invertible (Goodearl-Warfield, An Introduction to
 Noncommutative Noetherian Rings, ch. 6); multiplying by D on the left (or
 right) gives D^-1 A = C <=> A = D C and A D^-1 = C <=> A = C D.  Such a
-verdict has method "exact", no orders and residual 0.  A zero or nested
-denominator, or any other shape, goes to verify_identity, with one
-(RootRep, trial batch) per (sub-torus, order) shared by all generators of
-the map: a RootRep(sub, L, seed) draws the same characters and batch every
-time, so sharing changes no verdict and factorizes a shared inverse once
-per order.  A map whose rows are all decided exactly sends its row with
-the most words to verify_identity as well, and that row reports the
-failing verdict if either method fails: no map's verdicts rest on the
-exact decisions alone.
+verdict has method "exact" and no orders.  A zero or nested denominator,
+or any other shape, goes to verify_identity, with one (RootRep, trial
+batch) per (sub-torus, order) shared by all generators of the map: a
+RootRep(sub, L, seed) draws the same characters and batch every time, so
+sharing changes no verdict and inverts a shared inverse once per order.
+A map whose rows are all decided exactly also sends its row with the most
+words to verify_identity, and that row reports the failing verdict if
+either method fails.
 """
 
 from __future__ import annotations
@@ -61,7 +74,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 # unused here; kept importable because the benchmark's tracer patches them by name
 from scipy.sparse.linalg import lgmres, splu  # noqa: F401
 
@@ -73,13 +85,36 @@ DEFAULT_ORDERS = (5, 7, 11)
 EXTRA_ORDERS = (13, 17, 19)
 MIN_ORDERS = 3
 DENSE_DIM = 4000
-CHARACTER_ORDER = 2 ** 20
-PASS_TOL = 1e-8
-SOLVE_TOL = 1e-10
 
 
 class Inconclusive(Exception):
-    """This root order cannot decide: a solve failed or the dimension is too large."""
+    """This root order cannot decide: a matrix is singular mod p, or L^r > DENSE_DIM."""
+
+
+def lu_factor(mat, p):
+    """The inverse of mat mod p by Gauss-Jordan elimination on [mat | 1];
+    ValueError when mat is singular mod p.  (The benchmark's tracer
+    counts calls to this name as factorizations.)"""
+    n = len(mat)
+    m = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
+    for k in range(n):
+        col = m[:, k] % p
+        if not col[k]:
+            j = k + int(np.argmax(col[k:] != 0))
+            if not col[j]:
+                raise ValueError("matrix is singular mod %d" % p)
+            m[[k, j]], col[[k, j]] = m[[j, k]], col[[j, k]]
+        row = m[k, k:] % p * pow(int(col[k]), -1, p) % p
+        col[k] = 0
+        m[:, k:] -= col[:, None] * row
+        m[k, k:] = row
+    return m[:, n:] % p
+
+
+def lu_solve(inverse, rhs, p):
+    """x with mat x = rhs mod p, one system per column of rhs, for the
+    inverse that lu_factor(mat, p) returned."""
+    return inverse @ rhs % p
 
 
 @lru_cache(maxsize=None)
@@ -132,9 +167,9 @@ def symplectic_normal_form(spec):
 
 
 class RootRep:
-    """The clock-shift representation of one torus at order L, with central
-    characters and then random vectors drawn from one generator seeded by
-    seed and L.
+    """The clock-shift representation of one torus at order L over F_p,
+    with central characters and then random vectors drawn from one
+    generator seeded by seed and L.
 
     It acts on elements of spec and of any torus that contains spec as the
     sub-torus on spec.labels (same u, same submatrix), mapping exponents by
@@ -144,6 +179,7 @@ class RootRep:
         self.spec = spec
         self.root = RootOfUnity(L)
         self.L = L
+        self.p = self.root.p
         _, self._to_z, d = symplectic_normal_form(spec)
         h = spec.u_eighth // 2
         blocks = [i for i, di in enumerate(d) if (h * di) % L]
@@ -158,28 +194,21 @@ class RootRep:
         self.shape = (L,) * self.r
         self._axes = tuple(range(-self.r, 0))
         # zeta^j lookup and the per-axis coordinate grids
-        self._zpow = np.array(
-            [self.root.zeta_pow(j) for j in range(L)], dtype=np.complex128
-        )
-        self._coords = []
-        for ax in range(self.r):
-            sh = [1] * self.r
-            sh[ax] = L
-            self._coords.append(np.arange(L, dtype=np.int64).reshape(sh))
-        # z_j carries the character exp(2 pi i n_j / CHARACTER_ORDER): with
-        # integer n_j the phase of z^c stays exact however large c is
+        self._zpow = np.array([self.root.zeta_pow(j) for j in range(L)],
+                              dtype=np.int64)
+        self._coords = [np.arange(L, dtype=np.int64).reshape(
+            [L if i == ax else 1 for i in range(self.r)]) for ax in range(self.r)]
+        # z_j carries the character g^(n_j), so z^c carries g^(c . n mod (p - 1))
         self._rng = np.random.default_rng((seed, L))
-        self._character = self._rng.integers(0, CHARACTER_ORDER, len(spec.labels))
+        self._character = self._rng.integers(0, self.p - 1, len(spec.labels))
         self._z_maps = {}
-        self._lu_cache = {}
+        self._inverses = {}
 
     def random_vectors(self, n):
-        """The next n random unit vectors of this representation's
+        """The next n vectors uniform in F_p^dim from this representation's
         generator, shape (n, L, ..., L).  Each row is drawn whole before
         the next, so the first t rows do not depend on n."""
-        v = self._rng.standard_normal((n, 2, self.dim))
-        v = v[:, 0] + 1j * v[:, 1]
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = self._rng.integers(0, self.p, (n, self.dim), dtype=np.int64)
         return v.reshape((n,) + self.shape)
 
     def _z_map(self, source):
@@ -200,8 +229,9 @@ class RootRep:
         return zmap
 
     def act_element(self, el, v):
-        """Apply a torus element to v of shape (..., L, ..., L): the last r
-        axes carry the representation, leading axes are a batch."""
+        """Apply a torus element to v of shape (..., L, ..., L), residues
+        mod p: the last r axes carry the representation, leading axes are
+        a batch."""
         out = np.zeros_like(v)
         if not el.terms:
             return out
@@ -211,19 +241,20 @@ class RootRep:
             raise ValueError("element not supported on the sublabels")
         c = k @ to_z
         a, b = c[:, self._a], c[:, self._b]
-        turns = (c @ self._character) % CHARACTER_ORDER / CHARACTER_ORDER
-        scale = np.exp(2j * np.pi * turns) * self._zpow[
-            np.mod((self._hd * a * b).sum(axis=1), self.L)]
+        p, root = self.p, self.root
+        turns = (c @ self._character) % (p - 1)
+        clock = np.mod((self._hd * a * b).sum(axis=1), self.L)
         grads = np.mod(2 * self._hd * a, self.L)
         for t, coeff in enumerate(el.terms.values()):
             phase = sum(int(g) * x for g, x in zip(grads[t], self._coords) if g)
-            weight = scale[t] * complex(coeff.evaluate(self.root))
-            w = v * (weight * self._zpow[np.mod(phase, self.L)])
+            weight = (pow(root.g, int(turns[t]), p) * root.zeta_pow(int(clock[t]))
+                      * coeff.evaluate(root)) % p
+            w = v * (weight * self._zpow % p)[np.mod(phase, self.L)] % p
             shifts = tuple(int(s) % self.L for s in b[t])
             if any(shifts):
                 w = np.roll(w, shifts, axis=self._axes)
             out += w
-        return out
+        return out % p
 
     def act_expr(self, expr, v):
         """Apply a formal expression: sum over words, factors applied
@@ -232,44 +263,31 @@ class RootRep:
         for coeff, factors in expr.words:
             w = v
             for kind, payload in reversed(factors):
-                if kind == "el":
-                    w = self.act_element(payload, w)
-                else:
-                    w = self._solve(payload, w)
-            out += complex(coeff.evaluate(self.root)) * w
-        return out
+                w = self.act_element(payload, w) if kind == "el" else self._solve(payload, w)
+            out += coeff.evaluate(self.root) * w % self.p
+        return out % self.p
 
     def _solve(self, expr, v):
-        """w with expr . w = v through a cached dense LU factorization of
-        expr's matrix; a relative residual |M w - v| / |v| above SOLVE_TOL
-        in any batch column raises Inconclusive so the caller can retry at
-        another order."""
+        """w with expr . w = v, through expr's matrix inverted once mod p
+        and cached by the payload object; a matrix singular mod p raises
+        Inconclusive so the caller can retry at another order."""
         key = id(expr)
-        if key not in self._lu_cache:
-            basis = np.eye(self.dim, dtype=np.complex128).reshape(
-                (self.dim,) + self.shape)
+        if key not in self._inverses:
+            basis = np.eye(self.dim, dtype=np.int64).reshape((self.dim,) + self.shape)
             mat = self.act_expr(expr, basis).reshape(self.dim, self.dim).T
             try:
-                lu = lu_factor(mat)
+                inverse = lu_factor(mat, self.p)
             except ValueError as exc:
                 raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
-            self._lu_cache[key] = (expr, mat, lu)
-        _, mat, lu = self._lu_cache[key]
-        rhs = v.reshape(-1, self.dim).T
-        sol = lu_solve(lu, rhs)
-        resid = np.max(np.linalg.norm(mat @ sol - rhs, axis=0)
-                       / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
-        if not np.isfinite(resid) or resid > SOLVE_TOL:
-            raise Inconclusive(
-                "solve at L=%d did not converge (residual %.2e)" % (self.L, resid)
-            )
+            self._inverses[key] = (expr, inverse)
+        _, inverse = self._inverses[key]
+        sol = lu_solve(inverse, v.reshape(-1, self.dim).T, self.p)
         return sol.T.reshape(v.shape)
 
 
 @dataclass
 class Verdict:
     status: str                   # 'PASS' | 'FAIL' | 'INCONCLUSIVE'
-    max_residual: float
     orders: tuple
     trials: int
     witness: object = None
@@ -284,8 +302,8 @@ class Verdict:
         if self.method == "exact":
             s = "%s (exact)" % self.status
         else:
-            s = "%s (max residual %.3e over orders %s, %d trials/order)" % (
-                self.status, self.max_residual, list(self.orders), self.trials
+            s = "%s (mod p over orders %s, %d trials/order)" % (
+                self.status, list(self.orders), self.trials
             )
         if self.witness:
             s += " witness=%s" % (self.witness,)
@@ -314,10 +332,10 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0, *, _reps=None):
     """Compare two formal expressions (or lists summed termwise).
 
     Applies each side once to the batch RootRep.random_vectors(trials) at
-    each root order; FAIL with the first trial whose relative deviation
-    exceeds PASS_TOL as witness.  An inconclusive order pulls in a
-    replacement from EXTRA_ORDERS.  PASS needs at least MIN_ORDERS completed orders,
-    all at least 5; anything less is INCONCLUSIVE.
+    each order of DEFAULT_ORDERS, and of EXTRA_ORDERS in turn for each
+    inconclusive one; FAIL with the first trial on which the two sides
+    differ mod p as witness.  PASS needs at least MIN_ORDERS completed
+    orders, all at least 5; anything less is INCONCLUSIVE.
 
     _reps is a table {(sub-torus, L): (RootRep, batch)} that calls with
     the same trials and seed may share; the verdict is the same with or
@@ -328,13 +346,10 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0, *, _reps=None):
     sub = _support_spec(lhs_list + rhs_list, spec)
     reps = {} if _reps is None else _reps
 
-    queue = list(DEFAULT_ORDERS)
-    extras = list(EXTRA_ORDERS)
-    done = []
-    max_resid = 0.0
-    notes = []
-    while queue:
-        L = queue.pop(0)
+    done, notes = [], []
+    for L in DEFAULT_ORDERS + EXTRA_ORDERS:
+        if len(done) == len(DEFAULT_ORDERS):
+            break
         try:
             entry = reps.get((sub, L))
             if entry is None:
@@ -345,25 +360,14 @@ def verify_identity(lhs, rhs, spec, trials=20, seed=0, *, _reps=None):
             bv = sum((rep.act_expr(e, batch) for e in rhs_list), np.zeros_like(batch))
         except Inconclusive as exc:
             notes.append(str(exc))
-            if extras:
-                queue.append(extras.pop(0))
             continue
-        a, b = av.reshape(trials, -1), bv.reshape(trials, -1)
-        na, nb, nd = (np.linalg.norm(w, axis=1) for w in (a, b, a - b))
-        resid = nd / np.maximum(np.maximum(na, nb), 1.0)
-        failing = np.flatnonzero(~(resid <= PASS_TOL))    # NaN fails too
+        failing = np.flatnonzero(((av - bv) % rep.p).reshape(trials, -1).any(axis=1))
         if failing.size:
-            t = int(failing[0])
-            max_resid = float(np.max(resid[:t + 1], initial=max_resid))
-            return Verdict(
-                "FAIL", max_resid, tuple(done + [L]), trials,
-                witness={"order": L, "trial": t, "residual": float(resid[t])},
-                notes=notes,
-            )
-        max_resid = float(np.max(resid, initial=max_resid))
+            return Verdict("FAIL", tuple(done + [L]), trials,
+                           witness={"order": L, "trial": int(failing[0])}, notes=notes)
         done.append(L)
     status = "PASS" if len(done) >= MIN_ORDERS and min(done) >= 5 else "INCONCLUSIVE"
-    return Verdict(status, max_resid, tuple(done), trials, notes=notes)
+    return Verdict(status, tuple(done), trials, notes=notes)
 
 
 def _split_denominator(expr):
@@ -401,7 +405,7 @@ def _exact_verdict(expr, want):
         rhs = den * want if side == "left" else want * den
         notes.append("%s denominator cleared" % side)
     if lhs == rhs:
-        return Verdict("PASS", 0.0, (), 0, notes=notes, method="exact")
+        return Verdict("PASS", (), 0, notes=notes, method="exact")
     k = min(k for k in lhs.terms.keys() | rhs.terms.keys()
             if lhs.terms.get(k) != rhs.terms.get(k))
     spec = lhs.spec
@@ -409,7 +413,7 @@ def _exact_verdict(expr, want):
                     for lab, e in zip(spec.labels, k) if e)
     witness = {"monomial": mono or "1", "lhs": str(lhs.terms.get(k, ZERO)),
                "rhs": str(rhs.terms.get(k, ZERO))}
-    return Verdict("FAIL", 0.0, (), 0, witness=witness, notes=notes, method="exact")
+    return Verdict("FAIL", (), 0, witness=witness, notes=notes, method="exact")
 
 
 def _cross_checked(exact, rep):

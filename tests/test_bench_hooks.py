@@ -106,8 +106,8 @@ def test_tracer_keeps_exact_generator_verdicts():
         with tracer.installed():
             traced = repcheck.verify_generator_map_identity(comp, trials=3)
         assert "exact" in [v.method for v in plain.values()]
-        assert {lab: (v.status, v.method, v.orders, v.max_residual, v.notes)
+        assert {lab: (v.status, v.method, v.orders, v.witness, v.notes)
                 for lab, v in traced.items()} \
-            == {lab: (v.status, v.method, v.orders, v.max_residual, v.notes)
+            == {lab: (v.status, v.method, v.orders, v.witness, v.notes)
                 for lab, v in plain.items()}
         assert tracer.counts["repcheck.identities"] == identities

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,23 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err, argv
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # the psi image of 6,000 terms is about 1.3 MB of JSON, more than a pipe
+    # holds, so the CLI is still writing when the reader closes after one line
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"terms": [
+        {"exp": {"e0_2": i % 100, "e0_3": i // 100}, "coeff": {"0": 1}}
+        for i in range(6000)]}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qskein.cli", "--json", "shear", "psi",
+         "builtin:polygon5", str(element)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -9,16 +9,17 @@ from qskein.coordinate_change import (
     phi_flip,
     phi_flip_from_data,
     theta_flip,
+    theta_flip_from_data,
     theta_on_balanced,
 )
 from qskein.curves import transport_curve
-from qskein.library import annulus_core, torus_curve
+from qskein.library import annulus_core, surface_by_name, torus_curve
 from qskein.puncture import curve_lift, lift
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
 from qskein.repcheck import verify_generator_map_identity, verify_identity
 from qskein.shear import ShearSkein
-from qskein.suites import PENTAGON_SEQUENCE
+from qskein.suites import FLIP_LIBRARY, PENTAGON_SEQUENCE
 from qskein.surface import annulus, polygon, torus_one_marked
 from qskein.trace import trace_simple
 
@@ -174,9 +175,9 @@ def test_dia9_commutative_square():
         b2 = ShearSkein(T2)
         _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(b1, b2))
         for v in theta.source.labels:
-            pos, neg = theta.images[v]
+            pos = theta.image_of_generator(v, 1)
             sign = 1 if pos.is_polynomial() else -1
-            th = pos if sign == 1 else neg
+            th = pos if sign == 1 else theta.image_of_generator(v, -1)
             lhs = th.map_elements(lambda el: Expr.from_element(b1.psi(el)))
             rhs = phi.apply_element(
                 b2.psi(TorusElement.generator(b2.y, v, 2 * sign))
@@ -237,3 +238,47 @@ def test_expr_algebra():
     assert (e * Laurent.q_power(8)).as_element() == el * Laurent.q_power(8)
     assert e.power(-2).words[0][1][0][0] == "inv"
     assert e.support_labels() == {"e0_2"}
+
+
+def walk_flips():
+    """(T, edge, new label) of every FLIP_LIBRARY flip and of every flip
+    along the flipwalk benchmark's closed walks: the pentagon sequence,
+    every flip-back on polygon5-7 and every two-flip walk on polygon5
+    followed by its reverse."""
+    flips = [(surface_by_name(name), edge, None) for name, edge in FLIP_LIBRARY]
+    walks = [(polygon(5), list(PENTAGON_SEQUENCE), [None] * 5)]
+    for n in (5, 6, 7):
+        T = polygon(n)
+        walks += [(T, [e, "tmp"], ["tmp", e]) for e in T.inner_edges]
+    P5 = polygon(5)
+    for e in P5.inner_edges:
+        T2, fd = P5.flip(e)
+        for f in T2.inner_edges:
+            if f != fd.a_star:
+                _, fd2 = T2.flip(f)
+                walks.append((P5, [e, f, fd2.a_star, fd.a_star],
+                              [fd.a_star, fd2.a_star, f, e]))
+    for T, edges, labels in walks:
+        for edge, label in zip(edges, labels):
+            flips.append((T, edge, label))
+            T, _ = T.flip(edge, new_label=label)
+    return flips
+
+
+def test_theta_leaves_out_only_fixed_generators():
+    # theta_flip keeps no entry for a label whose row of H' has 0 in the
+    # column of the new diagonal; the image it would have built is Y_v
+    skipped = 0
+    for T, edge, label in walk_flips():
+        T2, fd = T.flip(edge, new_label=label)
+        b1, b2 = ShearSkein(T), ShearSkein(T2)
+        _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(b1, b2))
+        _, _, theta = theta_flip_from_data(T, T2, fd, bundles=(b1, b2))
+        assert fd.a_star in theta.images
+        for v in set(b2.y.labels) - set(theta.images):
+            skipped += 1
+            el = phi.apply_element(b2.psi_vec(b2.y.unit_vec(v, 2))).as_element()
+            assert b1.psi_preimage(el) == TorusElement.generator(b1.y, v, 2), (edge, v)
+            assert theta.image_of_generator(v, 1).as_element() == \
+                TorusElement.generator(b1.y, v, 2)
+    assert skipped > 0

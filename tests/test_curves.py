@@ -12,13 +12,13 @@ from qskein.curves import (
     state_exponents,
     transport_curve,
     u_of_state,
-    u_split_parts,
 )
 from qskein.library import annulus_core, sphere_curve, torus_curve
 from qskein.puncture import curve_lift, lift
 from qskein.shear import shear_spec
 from qskein.surface import annulus, torus_one_marked
 from qskein.trace import oracle_resolution, trace_simple
+from test_state_oracle import u_split_parts
 
 
 def test_step_validation():

@@ -3,24 +3,27 @@
 The references here do not reuse the code under test: admissibility is
 restated as a filter over all 2^n value tuples, the state count as the
 trace of a product of 2x2 0/1 transfer matrices, and u(s) is summed state
-by state through u_split_parts.  state_sum, a frontier walk that never
-lists a state, is pinned to the per-state helpers summed one state at a
-time on every base edge, and past brute force to the transfer-matrix
-count, balancedness and psi(t t) = psi(t) psi(t).
+by state through u_split_parts, which lives here as the tests' own
+oracle.  state_sum, a frontier walk that never lists a state, is pinned
+to the per-state helpers summed one state at a time on every base edge,
+and past brute force to the transfer-matrix count, balancedness and
+psi(t t) = psi(t) psi(t).
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from qskein.curves import (
     CurveError,
+    _base_crossing,
+    _local_face,
     enumerate_states,
     state_exponents,
     state_sum,
     transport_curve,
     u_of_state,
-    u_split_parts,
 )
 from qskein.library import annulus_core, sphere_curve, torus_curve
 from qskein.puncture import curve_lift, lift
@@ -28,6 +31,36 @@ from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement, TorusSpec
 from qskein.shear import ShearSkein, is_balanced, shear_spec
 from qskein.surface import SurfaceError, sphere_three_marked, torus_one_marked
+
+
+def u_split_parts(alpha, values, base_edge=None):
+    """(u1, u2) with u = u1 + u2: the normalized-pair part over the curve
+    intervals and the reordering part over all lifted pairs.
+
+    Evaluated state by state on the curve rotated to its base crossing,
+    independently of the form behind u_of_state, which it checks.
+    """
+    r = _base_crossing(alpha, base_edge) + 1
+    rot = alpha.rotated(r)
+    n = len(alpha.steps)
+    vals = tuple(values[(r + i) % n] for i in range(n))
+    pts = []
+    for idx, (t, i, o) in enumerate(rot.steps):
+        pts.append((t, i, vals[(idx - 1) % n], idx))
+        pts.append((t, o, vals[idx], idx))
+    u1_2 = 0
+    for idx, (t, i, o) in enumerate(rot.steps):
+        u1_2 += _local_face(i, o) * vals[(idx - 1) % n] * vals[idx]
+    u2_2 = 0
+    for x in range(len(pts)):
+        for y in range(x + 1, len(pts)):
+            t1, s1, v1, _ = pts[x]
+            t2, s2, v2, _ = pts[y]
+            if t1 != t2:
+                continue
+            u2_2 -= _local_face(s1, s2) * v1 * v2
+    return Fraction(u1_2, 2), Fraction(u2_2, 2)
+
 
 # forbidden (value at the ccw-first edge, value at the ccw-second edge)
 FORBIDDEN = (1, -1)

@@ -10,20 +10,22 @@ from qskein.repcheck import Verdict
 
 
 def stub_verdicts(*pairs):
-    """A generator-map check that returns the given (status, residual)
+    """A generator-map check that returns the given (status, orders)
     verdicts, in order, for every composite."""
     def verify(comp, trials=20, seed=0):
-        return {"Y%d" % i: Verdict(status, resid, (5, 7, 11), trials)
-                for i, (status, resid) in enumerate(pairs)}
+        return {"Y%d" % i: Verdict(status, orders, trials)
+                for i, (status, orders) in enumerate(pairs)}
     return verify
 
 
 @pytest.mark.parametrize("pairs, status, detail", [
-    # a PASS with a larger residual must not hide an INCONCLUSIVE generator
-    ((("INCONCLUSIVE", 1e-12), ("PASS", 1e-10)), "INCONCLUSIVE", "max residual 1.00e-10"),
+    # a PASS must not hide an INCONCLUSIVE generator; the detail names the
+    # orders of both
+    ((("INCONCLUSIVE", (7, 11, 13)), ("PASS", (5, 7, 11))), "INCONCLUSIVE",
+     "mod p at orders [5, 7, 11, 13]"),
     # an INCONCLUSIVE generator must not hide a FAIL
-    ((("FAIL", 1e-3), ("INCONCLUSIVE", 0.0)), "FAIL", "max residual 1.00e-03"),
-])
+    ((("FAIL", (5,)), ("INCONCLUSIVE", (17, 19))), "FAIL", "mod p at orders [5, 17, 19]"),
+], ids=["inconclusive-over-pass", "fail-over-inconclusive"])
 def test_flipback_row_reports_the_worst_generator(monkeypatch, capsys, pairs, status, detail):
     monkeypatch.setattr(suites, "verify_generator_map_identity", stub_verdicts(*pairs))
     rows = suites.suite_flipback(trials=2)

@@ -138,7 +138,7 @@ def test_commutes_with_disjoint_edges():
     # the skein image of a curve commutes with the edge element X_e for
     # every edge e the curve does not meet; the commutation pairing
     # <CH, 2 delta_e> = 8 C(e) vanishes there, so equality is exact, and
-    # the root-of-unity evaluator confirms it to 1e-8 as a sanity check
+    # the root-of-unity evaluator confirms it mod p as a sanity check
     ld = lift(sphere_three_marked())
     T = ld.delta
     bundle = ShearSkein(T)
@@ -155,7 +155,7 @@ def test_commutes_with_disjoint_edges():
             Expr.from_element(xe * res.skein_side),
             bundle.x, trials=4,
         )
-        assert v.passed and v.max_residual < 1e-8
+        assert v.passed and v.orders == (5, 7, 11)
     # a crossed edge does not commute
     e = alpha.crossed_edges()[0]
     xe = TorusElement.generator(bundle.x, e, 2)
