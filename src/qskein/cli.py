@@ -24,7 +24,7 @@ from .curves import CurveError, NormalCurve, classify, enumerate_states, state_e
 from .library import surface_by_name
 from .puncture import BarBundle, bar_trace, lift
 from .qtorus import element_from_json
-from .repcheck import verify_generator_map_identity
+from .repcheck import DEFAULT_TRIALS, verify_generator_map_identity
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError, Triangulation
 from . import suites
@@ -319,7 +319,7 @@ def build_parser():
     fp.add_argument("--side", choices=["shear", "skein"], default="shear")
     fp.add_argument("--labels", help="comma-separated names for the new diagonals")
     fp.add_argument("--verify", action="store_true")
-    fp.add_argument("--trials", type=int, default=20)
+    fp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     fp.add_argument("--seed", type=int, default=0)
     fp.set_defaults(func=cmd_flipseq)
 
@@ -332,7 +332,7 @@ def build_parser():
 
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("suite", choices=sorted(suites.SUITES))
-    vp.add_argument("--trials", type=int, default=20)
+    vp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     vp.add_argument("--seed", type=int, default=0)
     vp.set_defaults(func=cmd_verify)
     return p

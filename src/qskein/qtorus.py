@@ -430,7 +430,7 @@ def element_from_json(spec, data):
     terms = {}
     for t in data["terms"]:
         k = spec.vec({lab: int(e) for lab, e in t["exp"].items()})
-        co = Laurent({int(n): int(c) for n, c in t["coeff"].items()})
+        co = Laurent({int(n): int(c) for n, c in t.get("coeff", {"0": 1}).items()})
         terms[k] = terms.get(k, Laurent.zero()) + co
     return TorusElement(spec, terms)
 

@@ -25,7 +25,7 @@ from .library import MARKED_LIBRARY, annulus_core, surface_by_name, torus_curve,
 from .puncture import bar_trace, curve_lift, lift
 from .qscalar import Laurent
 from .qtorus import TorusElement
-from .repcheck import verify_generator_map_identity, verify_identity
+from .repcheck import DEFAULT_TRIALS, verify_generator_map_identity, verify_identity
 from .shear import ShearSkein, even_image_check
 from .surface import annulus, polygon, sphere_three_marked, torus_one_marked
 from .trace import (
@@ -133,7 +133,7 @@ def _generators_detail(verdicts):
         len(verdicts) - len(by_rep), len(verdicts), detail)
 
 
-def suite_flipback(trials=20, seed=0):
+def suite_flipback(trials=DEFAULT_TRIALS, seed=0):
     rows = []
     for name, edge in FLIP_LIBRARY:
         T = surface_by_name(name)
@@ -158,7 +158,7 @@ def suite_flipback(trials=20, seed=0):
 PENTAGON_SEQUENCE = ("e0_2", "e0_3", "e1_3", "e1_4", "e2_4")
 
 
-def suite_pentagon(trials=20, seed=0):
+def suite_pentagon(trials=DEFAULT_TRIALS, seed=0):
     P = polygon(5)
     final, comp, _ = compose_flips(P, list(PENTAGON_SEQUENCE), side="shear")
     rows = [_row("pentagon sequence closes", final.same_as(P))]
@@ -192,7 +192,7 @@ def _naturality_cases():
     return cases
 
 
-def suite_naturality(trials=12, seed=0):
+def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
     rows = []
     bundles = {}
     for name, T, edge, alpha in _naturality_cases():
@@ -241,7 +241,7 @@ def _phased_cases():
     return out
 
 
-def suite_phased_naturality(trials=6, seed=0):
+def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
     """Skein-side naturality for curves that are almost-simple after the
     flip: the once-crossing trace, q-phases included, must equal the
     image of the simple-side state sum under the skein coordinate change.
@@ -269,7 +269,7 @@ def suite_phased_naturality(trials=6, seed=0):
     return rows
 
 
-def suite_dia9(trials=20, seed=0):
+def suite_dia9(trials=DEFAULT_TRIALS, seed=0):
     """psi o Theta = Phi o psi on the squared shear generators.
 
     Verified on the side where the Theta image is polynomial, so the
@@ -351,7 +351,7 @@ def suite_punctured():
     return rows
 
 
-def suite_negative(trials=8, seed=0):
+def suite_negative(trials=DEFAULT_TRIALS, seed=0):
     """A corrupted coordinate change must FAIL at some root order."""
     A = annulus()
     b1 = ShearSkein(A)

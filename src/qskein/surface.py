@@ -239,8 +239,6 @@ class Triangulation:
             raise SurfaceError("sphere with at most two marked points is excluded")
         if chi == 1 and V == 1:
             raise SurfaceError("monogon is excluded")
-        if chi == 1 and V == 2 and F == 0:
-            raise SurfaceError("digon is excluded")
         if require_marked and self.surface_class != "marked":
             if self.interior_vertices:
                 raise SurfaceError("interior marked points: not a marked surface")

@@ -20,7 +20,8 @@ Three routes into the quantum torus are implemented and cross-checked:
 
 curves.state_sum is behind every trace, the punctured trace too.  It is
 a frontier walk over the curve's steps with per-side partial sums, so it
-never lists a state; curves.enumerate_states serves only listing.
+never lists a state; curves.enumerate_states serves only listing (the
+CLI's state listing and puncture.equivariant_states).
 """
 
 from __future__ import annotations

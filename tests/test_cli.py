@@ -75,6 +75,23 @@ def test_shear_psi(capsys, annulus_files, tmp_path):
     assert "x[d1]^-2 x[d2]^2" in out
 
 
+def test_shear_psi_coefficient_defaults_to_one(capsys, annulus_files, tmp_path):
+    surf, _ = annulus_files
+    outputs = []
+    for term in ({"exp": {"d1": 1, "d2": 1}, "coeff": {"0": 1}},
+                 {"exp": {"d1": 1, "d2": 1}}):
+        elem = tmp_path / "elem.json"
+        elem.write_text(json.dumps({"terms": [term]}))
+        code, out, err = run(capsys, "shear", "psi", surf, str(elem))
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    # a missing coefficient is not an unknown label, and a bad label is named
+    elem.write_text(json.dumps({"terms": [{"exp": {"zz": 1}}]}))
+    code, _, err = run(capsys, "shear", "psi", surf, str(elem))
+    assert code == 2 and "unknown inner edge 'zz'" in err
+
+
 def test_flipseq_verify(capsys, annulus_files):
     surf, _ = annulus_files
     code, out, _ = run(
@@ -235,6 +252,31 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err, argv
+
+
+NO_SCIPY = """
+import sys
+import qskein, qskein.cli
+from qskein.coordinate_change import Expr
+from qskein.qtorus import TorusElement, TorusSpec
+from qskein.repcheck import verify_identity
+s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
+x = Expr.from_element(TorusElement.monomial(s, (1, 1)) + TorusElement.monomial(s, (0, 1)))
+one = Expr.from_element(TorusElement.monomial(s, (0, 0)))
+assert verify_identity(x.inv() * x, one, s, trials=2).passed
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a benchmark dependency only; the CLI and the certifier,
+    # inverses included, run on numpy alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_closed_pipe_exits_quietly(tmp_path):
