@@ -24,7 +24,6 @@ from .qtorus import (
     canonical_projection,
     mlh_apply,
     mlh_check,
-    pairing,
     weyl_normalize,
 )
 from .surface import (
@@ -49,7 +48,6 @@ from .curves import (
 )
 from .shear import (
     ShearSkein,
-    balanced_decompose,
     even_image_check,
     is_balanced,
 )
@@ -70,6 +68,6 @@ from .coordinate_change import (
     theta_on_balanced,
 )
 from .repcheck import RootRep, Verdict, verify_generator_map_identity, verify_identity
-from .puncture import BarBundle, LiftData, bar_trace, curve_lift, equivariant_states, lift
+from .puncture import BarBundle, LiftData, bar_trace, curve_lift, lift
 
 __version__ = "0.1.0"

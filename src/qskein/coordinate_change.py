@@ -34,7 +34,7 @@ from typing import ClassVar
 
 from .qscalar import Laurent, ONE
 from .qtorus import TorusElement, TorusSpec, decompose_monomial
-from .curves import CurveError, classify, transport_curve, _epsilon_at
+from .curves import CurveError, classify, crossing_pattern, transport_curve
 from .shear import ShearSkein
 from .surface import SurfaceError
 
@@ -357,8 +357,8 @@ def knot_monomial_transfer(alpha2, T, a, T2, fd):
     k2 = bundle2.y.vec(mult2)
     y = bundle.y
 
-    eps = _epsilon_at(alpha2, fd.a_star) if mult2.get(fd.a_star) == 1 else 0
-    case = {1: "right-left", -1: "left-right", 0: "unchanged"}[eps]
+    # a simple curve crosses a* at most once
+    case = crossing_pattern(alpha2, fd.a_star) if fd.a_star in mult2 else "unchanged"
     sign = -1 if case == "left-right" else 1
 
     # transport the curve back through the inverse flip; T3 carries T's

@@ -22,8 +22,8 @@ state: state_sum walks the steps once from the base crossing, keeping a
 frontier of (first value, current value, per-side partial sums) with a
 count per value of 2 u so far.  Its work grows with the frontier, not
 with the number of states.  state_sum is behind every trace;
-enumerate_states and u_of_state list states and phases one state at a
-time, for listing and for the tests' references.
+enumerate_states lists the states one at a time for the CLI's state
+listing only, and u_of_state gives one state's phase, the tests' reference.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qtorus import TorusElement, canonical_projection, mlh_apply, mlh_check
-from .curves import NormalCurve, enumerate_states, state_sum
+from .curves import NormalCurve, state_sum
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError, Triangulation
 from .trace import trace_once_edge
@@ -38,7 +38,6 @@ class LiftData:
     fake_tris: dict          # point -> triangle index in delta
     omega: dict              # delta edge -> lambda edge (c_p's excluded)
     tri_map: dict            # non-fake delta triangle -> (lambda tri, rot)
-    variant: str             # 'after' | 'before', at every point
 
     def omega_matrix(self):
         lam_inner = self.lam.inner_edges
@@ -69,7 +68,6 @@ def lift(lam, variant="after"):
     fake_tris = {}
     cp_edge = {}
     points = []
-    counter = 0
     fake_set = set()
 
     while True:
@@ -126,8 +124,7 @@ def lift(lam, variant="after"):
             lt, rot = tri_map[t]
             tri_map[t] = (lt, (rot + rot_add) % 3)
         cur = new_tri
-        counter += 1
-        if counter > 64:
+        if len(points) > 64:
             raise SurfaceError("runaway lift; malformed input?")
 
     for e in lam.edges:
@@ -135,10 +132,8 @@ def lift(lam, variant="after"):
     for cpl in cp_edge.values():
         omega.pop(cpl, None)
     cur.validate(require_marked=True)
-    return LiftData(
-        lam=lam, delta=cur, points=tuple(points), cp_edge=cp_edge,
-        fake_tris=fake_tris, omega=omega, tri_map=tri_map, variant=variant,
-    )
+    return LiftData(lam=lam, delta=cur, points=tuple(points), cp_edge=cp_edge,
+                    fake_tris=fake_tris, omega=omega, tri_map=tri_map)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +156,7 @@ class BarBundle:
             raise SurfaceError("bar matrix checks failed: %s" % self.checks)
 
     def _run_checks(self):
-        Qring = self.delta_bundle.Qring
+        Qring = self.delta_bundle.y.A
         P = self.x.A
         ok_q = np.array_equal(self.Qbar, self.Omega @ Qring @ self.Omega.T)
         ok_dual = mlh_check(self.Hbar, P, self.Qbar, -4)
@@ -175,9 +170,6 @@ class BarBundle:
 
     def bar_psi(self, elem):
         return mlh_apply(self.Hbar, self.ylam, self.x, elem)
-
-    def bar_psi_vec(self, k):
-        return self.bar_psi(TorusElement.monomial(self.ylam, tuple(k)))
 
     def bar_projection(self, elem):
         """Quotient by the central boundary loops on the positive part."""
@@ -225,54 +217,6 @@ def curve_lift(ld, lam_curve):
         if cur != want:
             raise SurfaceError("lifted curve does not close through the strip")
     return NormalCurve(delta, steps)
-
-
-def is_equivariant(ld, alpha_d, values):
-    """A state is omega-equivariant when it agrees across every fake
-    triangle passage."""
-    fake_set = set(ld.fake_tris.values())
-    n = len(alpha_d.steps)
-    for j, (t, i, o) in enumerate(alpha_d.steps):
-        if t in fake_set:
-            if values[(j - 1) % n] != values[j]:
-                return False
-    return True
-
-
-def project_state(ld, alpha_d, values):
-    """Restrict an equivariant Delta-state to the Lambda-crossings."""
-    fake_set = set(ld.fake_tris.values())
-    n = len(alpha_d.steps)
-    out = []
-    for j, (t, i, o) in enumerate(alpha_d.steps):
-        if t in fake_set:
-            continue
-        # the crossing after the last non-fake step of each chain
-        out.append(values[j])
-    return tuple(out)
-
-
-def project_curve(ld, alpha_d):
-    """Collapse the fake steps of a lifted curve back to Lambda."""
-    fake_set = set(ld.fake_tris.values())
-    steps = []
-    for (t, i, o) in alpha_d.steps:
-        if t in fake_set:
-            continue
-        lt, rot = ld.tri_map[t]
-        steps.append((lt, (i + rot) % 3, (o + rot) % 3))
-    return NormalCurve(ld.lam, steps)
-
-
-def equivariant_states(ld, alpha_d):
-    """(equivariant admissible Delta-states, their Lambda restrictions)."""
-    eq = []
-    bars = []
-    for values in enumerate_states(alpha_d):
-        if is_equivariant(ld, alpha_d, values):
-            eq.append(values)
-            bars.append(project_state(ld, alpha_d, values))
-    return eq, bars
 
 
 # ---------------------------------------------------------------------------

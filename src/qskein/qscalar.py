@@ -68,9 +68,13 @@ class Laurent:
         return Laurent({n: coeff})
 
     # -- ring structure ----------------------------------------------
+    # any other operand gets NotImplemented, so that a torus element or an
+    # expression takes its own reflected product with a scalar
 
     def __add__(self, other):
         other = _as_laurent(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.terms)
         for n, c in other.terms.items():
             out[n] = out.get(n, 0) + c
@@ -82,13 +86,16 @@ class Laurent:
         return Laurent({n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_as_laurent(other))
+        other = _as_laurent(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return _as_laurent(other) + (-self)
+        other = _as_laurent(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        return Laurent(_times(self, _as_laurent(other)))
+        other = _as_laurent(other)
+        return other if other is NotImplemented else Laurent(_times(self, other))
 
     __rmul__ = __mul__
 
@@ -189,11 +196,12 @@ def _times(c1, c2):
 
 
 def _as_laurent(x):
+    """x as a Laurent when it is a Laurent or an int, else NotImplemented."""
     if isinstance(x, Laurent):
         return x
     if isinstance(x, int):
         return Laurent.integer(x)
-    raise TypeError("cannot coerce %r to a scalar" % (x,))
+    return NotImplemented
 
 
 def _exp_str(n):

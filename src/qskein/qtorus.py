@@ -146,12 +146,6 @@ def _element(spec, terms):
     return out
 
 
-def pairing(k, n, A):
-    k = np.asarray(k, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    return int(k @ np.asarray(A, dtype=np.int64) @ n)
-
-
 class TorusElement:
     """A finite R-linear combination of normalized monomials x^k."""
 

@@ -27,17 +27,14 @@ class ShearSkein:
 
     def __init__(self, T):
         T.validate(require_marked=True)
-        self.T = T
-        # each matrix is derived once and serves both tori and the check
-        self.Q, self.Qring, self.H = T.face_submatrices()
-        P = T.vertex_matrix()
-        # Y(Delta) = T(Qring, q^(-1), y) over the inner edges and the
-        # square-root Muller torus T(P, q^(1/4), x) over all edges
-        self.y = TorusSpec(T.inner_edges, self.Qring, -8, letter="y")
-        self.x = TorusSpec(T.edges, P, 2)
-        rep = T._duality_check(self.Qring, self.H, P)
+        rep = T.duality_check()
         if not rep["ok"]:
             raise SurfaceError("duality check failed: %s" % rep)
+        self.T = T
+        self.H = T.face_submatrices()[2]
+        self.y = shear_spec(T)
+        # the square-root Muller torus T(P, q^(1/4), x) over all edges
+        self.x = TorusSpec(T.edges, T.vertex_matrix(), 2)
 
     def psi(self, elem):
         """The shear-to-skein map on an element of Y(Delta)."""
@@ -68,20 +65,6 @@ def is_balanced(k, T):
         if s % 2:
             return False
     return True
-
-
-def balanced_decompose(k, T=None):
-    """Split a balanced vector as k = u + m with u in {0,1} and m even."""
-    u = tuple(e % 2 for e in k)
-    m = tuple(e - e % 2 for e in k)
-    if T is not None and not is_balanced(k, T):
-        raise ValueError("vector is not balanced")
-    return u, m
-
-
-def is_in_Ybl(elem, T):
-    """Termwise balancedness of an element of Y(Delta)."""
-    return all(is_balanced(k, T) for k in elem.terms)
 
 
 def even_image_check(k, T, bundle=None):

@@ -87,6 +87,7 @@ class Triangulation:
                 )
 
         self._vertex_hints = dict(vertex_hints)
+        self._face = self._P = None
         self._derive()
 
     # -- derived structure ---------------------------------------------
@@ -146,7 +147,6 @@ class Triangulation:
                 t, i = self._side_pos[s]
                 on_bd.add(self.vertex_of[(t, i)])
                 on_bd.add(self.vertex_of[(t, (i + 1) % 3)])
-        self.boundary_vertices = frozenset(on_bd)
         self.interior_vertices = frozenset(
             vi for vi in range(len(self.vertices)) if vi not in on_bd
         )
@@ -250,40 +250,29 @@ class Triangulation:
     def edge_index(self):
         return {e: i for i, e in enumerate(self.edges)}
 
-    def triangle_face_matrix(self, t):
-        """The contribution Q_tau of triangle t, over all edges of Delta."""
-        n = len(self.edges)
-        Q = np.zeros((n, n), dtype=np.int64)
-        if self.self_folded[t]:
-            return Q
-        idx = self.edge_index()
-        labs = self.triangle_edges(t)
-        for i in range(3):
-            a, b = idx[labs[i]], idx[labs[(i + 1) % 3]]
-            Q[a, b] += 1
-            Q[b, a] -= 1
-        return Q
-
     def face_matrix(self):
-        n = len(self.edges)
-        Q = np.zeros((n, n), dtype=np.int64)
-        for t in range(len(self.triangles)):
-            Q += self.triangle_face_matrix(t)
-        return Q
+        return self.face_submatrices()[0]
 
     def face_submatrices(self):
-        """(Q, Qring, H): full face matrix, inner-inner block and inner rows."""
-        Q = self.face_matrix()
-        idx = self.edge_index()
-        rows = [idx[e] for e in self.inner_edges]
-        H = Q[rows, :]
-        Qring = Q[np.ix_(rows, rows)]
-        return Q, Qring, H
-
-    def row_action(self, k, t):
-        """k Q_tau for an exponent vector k over the edges of Delta."""
-        k = np.asarray(k, dtype=np.int64)
-        return tuple(int(x) for x in k @ self.triangle_face_matrix(t))
+        """(Q, Qring, H): full face matrix, inner-inner block and inner rows,
+        derived on the first call and read-only."""
+        if self._face is None:
+            n = len(self.edges)
+            idx = self.edge_index()
+            Q = np.zeros((n, n), dtype=np.int64)
+            for t in range(len(self.triangles)):
+                if self.self_folded[t]:
+                    continue
+                labs = self.triangle_edges(t)
+                for i in range(3):
+                    a, b = idx[labs[i]], idx[labs[(i + 1) % 3]]
+                    Q[a, b] += 1
+                    Q[b, a] -= 1
+            rows = [idx[e] for e in self.inner_edges]
+            self._face = tuple(
+                _read_only(m) for m in (Q, Q[np.ix_(rows, rows)], Q[rows, :])
+            )
+        return self._face
 
     # -- vertex fans and the vertex matrix ----------------------------------
 
@@ -321,35 +310,31 @@ class Triangulation:
         return fan
 
     def vertex_matrix(self):
-        """Muller's orientation matrix P over all edges; marked surfaces only."""
+        """Muller's orientation matrix P over all edges, derived on the first
+        call and read-only; marked surfaces only."""
         if self.surface_class != "marked":
             raise SurfaceError("vertex matrix needs a marked surface")
-        n = len(self.edges)
-        idx = self.edge_index()
-        P = np.zeros((n, n), dtype=np.int64)
-        for vi in range(len(self.vertices)):
-            fan = self.vertex_fan(vi)
-            labs = [idx[self.side_edge[s]] for s in fan]
-            for i in range(len(labs)):
-                for j in range(len(labs)):
-                    if i == j:
-                        continue
-                    P[labs[i], labs[j]] += 1 if j > i else -1
-        return P
+        if self._P is None:
+            n = len(self.edges)
+            idx = self.edge_index()
+            P = np.zeros((n, n), dtype=np.int64)
+            for vi in range(len(self.vertices)):
+                fan = self.vertex_fan(vi)
+                labs = [idx[self.side_edge[s]] for s in fan]
+                for i, a in enumerate(labs):
+                    for b in labs[i + 1:]:
+                        P[a, b] += 1
+                        P[b, a] -= 1
+            self._P = _read_only(P)
+        return self._P
 
     def duality_check(self):
         """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges."""
         _, Qring, H = self.face_submatrices()
-        return self._duality_check(Qring, H, self.vertex_matrix())
-
-    def _duality_check(self, Qring, H, P):
-        """duality_check on this triangulation's Qring, H and P, for a
-        caller that has already derived them."""
+        P = self.vertex_matrix()
         idx = self.edge_index()
         rows = [idx[e] for e in self.inner_edges]
-        want = np.zeros((len(self.edges), len(self.inner_edges)), dtype=np.int64)
-        for col, r in enumerate(rows):
-            want[r, col] = -4
+        want = -4 * np.eye(len(self.edges), dtype=np.int64)[:, rows]
         PHt = P @ H.T
         ok1 = np.array_equal(PHt, want)
         HPHt = H @ P @ H.T
@@ -407,7 +392,9 @@ class Triangulation:
 
         if new_label and new_label in self.edges and new_label != a:
             raise SurfaceError("new label %s names an existing edge" % new_label)
-        a_star = new_label or self._derive_flip_label(sb, sc, sd, se, a)
+        hints = self._collect_vertex_hints()
+        pb, pe = hints.get(sb), hints.get(se)
+        a_star = new_label or _flip_label(pb, pe, a)
         if a_star in self.edges and a_star != a:
             a_star = a + "*"
             while a_star in self.edges:
@@ -432,13 +419,10 @@ class Triangulation:
         side_edge[n1] = a_star
         side_edge[n2] = a_star
 
-        hints = self._collect_vertex_hints()
         hints.pop(s1, None)
         hints.pop(s2, None)
         # endpoints of the new diagonal: corner between b and c, corner
         # between d and e (opposite corners of the quadrilateral)
-        pb = hints.get(sb)
-        pe = hints.get(se)
         if pb and pe:
             # n1 runs from end of sb to start of se in triangle (sb, n1, se)
             hints[n1] = (pb[1], pe[0])
@@ -458,19 +442,6 @@ class Triangulation:
             if n0 is not None or n1 is not None:
                 hints[s] = (n0, n1)
         return hints
-
-    def _derive_flip_label(self, sb, sc, sd, se, a):
-        hints = self._collect_vertex_hints()
-        pb = hints.get(sb)
-        pe = hints.get(se)
-        if pb and pb[1] is not None and pe and pe[0] is not None:
-            u, v = pb[1], pe[0]
-            try:
-                lo, hi = sorted([u, v], key=int)
-            except ValueError:
-                lo, hi = sorted([u, v])
-            return "e%s_%s" % (lo, hi)
-        return a + "*"
 
     # -- structural equality ---------------------------------------------
 
@@ -522,6 +493,23 @@ class Triangulation:
             len(self.inner_edges),
             self.surface_class,
         )
+
+
+def _read_only(m):
+    m.flags.writeable = False
+    return m
+
+
+def _flip_label(pb, pe, a):
+    """The new diagonal's label, from the vertex hints of sides b and e."""
+    if pb and pb[1] is not None and pe and pe[0] is not None:
+        u, v = pb[1], pe[0]
+        try:
+            lo, hi = sorted([u, v], key=int)
+        except ValueError:
+            lo, hi = sorted([u, v])
+        return "e%s_%s" % (lo, hi)
+    return a + "*"
 
 
 @dataclass(frozen=True)

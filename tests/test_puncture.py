@@ -1,22 +1,36 @@
 import numpy as np
 import pytest
 
-from qskein.curves import enumerate_states, state_exponents, u_of_state
+from qskein.curves import NormalCurve, enumerate_states, state_exponents, u_of_state
 from qskein.library import sphere_curve, torus_curve
-from qskein.puncture import (
-    BarBundle,
-    bar_trace,
-    curve_lift,
-    equivariant_states,
-    is_equivariant,
-    lift,
-    project_curve,
-    project_state,
-)
+from qskein.puncture import BarBundle, bar_trace, curve_lift, lift
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
 from qskein.shear import ShearSkein
 from qskein.surface import polygon, sphere_three_marked, torus_one_marked
+
+
+def is_equivariant(ld, alpha_d, values):
+    """A lifted state agrees across every fake triangle, one not in tri_map."""
+    return all(values[j - 1] == values[j]
+               for j, (t, _, _) in enumerate(alpha_d.steps) if t not in ld.tri_map)
+
+
+def project_state(ld, alpha_d, values):
+    """Restrict an equivariant Delta-state to the Lambda-crossings."""
+    return tuple(v for (t, _, _), v in zip(alpha_d.steps, values) if t in ld.tri_map)
+
+
+def project_curve(ld, alpha_d):
+    """Collapse the fake steps of a lifted curve back to Lambda."""
+    real = [(ld.tri_map[t], i, o) for t, i, o in alpha_d.steps if t in ld.tri_map]
+    return NormalCurve(ld.lam, [(lt, (i + r) % 3, (o + r) % 3) for (lt, r), i, o in real])
+
+
+def equivariant_states(ld, alpha_d):
+    """(equivariant admissible Delta-states, their Lambda restrictions)."""
+    eq = [s for s in enumerate_states(alpha_d) if is_equivariant(ld, alpha_d, s)]
+    return eq, [project_state(ld, alpha_d, s) for s in eq]
 
 
 def test_lift_torus():
@@ -202,15 +216,15 @@ def test_bar_psi_lands_in_xbar():
     bb = BarBundle(ld)
     cp = bb.x.index["cp0"]
     rng = np.random.default_rng(34)
-    assert bb.bar_psi_vec((0,) * 3).is_one()
+    assert bb.bar_psi(TorusElement.one(bb.ylam)).is_one()
     for _ in range(20):
         k = tuple(int(2 * v) for v in rng.integers(-2, 3, 3))
-        img = bb.bar_psi_vec(k)
+        img = bb.bar_psi(TorusElement.monomial(bb.ylam, k))
         assert all(kk[cp] == 0 for kk in img.terms)
     # k_alpha of a simple curve also lands in Xbar
     _, c10 = torus_curve("1,0")
     kalpha = bb.ylam.vec(c10.multiplicities())
-    img = bb.bar_psi_vec(kalpha)
+    img = bb.bar_psi(TorusElement.monomial(bb.ylam, kalpha))
     assert all(kk[cp] == 0 for kk in img.terms)
 
 

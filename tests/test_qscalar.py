@@ -115,3 +115,19 @@ def test_printing():
     assert str(Laurent.zero()) == "0"
     assert str(q(4) + q(-4, 3)) == "3*q^(-1/2) + 1*q^(1/2)"
     assert str(q(8, 2)) == "2*q^(1)"
+
+
+def test_scalar_on_the_left():
+    from qskein.coordinate_change import Expr
+    from qskein.qtorus import TorusElement, TorusSpec
+
+    spec = TorusSpec(("a", "b"), [[0, 1], [-1, 0]], 2)
+    el = TorusElement.generator(spec, "a") + TorusElement.generator(spec, "b", -1)
+    e = Expr.from_element(el) * Expr.from_element(el).inv()
+    c = q(1)
+    assert c * el == el * c
+    assert (c * e).words == (e * c).words
+    with pytest.raises(TypeError):
+        c + el
+    with pytest.raises(TypeError):
+        c - 1.5

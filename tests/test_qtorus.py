@@ -16,7 +16,6 @@ from qskein.qtorus import (
     mlh_apply,
     mlh_check,
     ordered_product_phase,
-    pairing,
     weyl_normalize,
 )
 from qskein.shear import ShearSkein
@@ -32,15 +31,20 @@ def rng_vec(rng, spec, lo=-3, hi=4):
     return tuple(int(v) for v in rng.integers(lo, hi, len(spec.labels)))
 
 
+def pairing(k, n, A):
+    """The reference form k A n^T, in numpy."""
+    return int(np.asarray(k) @ np.asarray(A) @ np.asarray(n))
+
+
 def test_pairing_examples():
-    A = np.array([[0, 1], [-1, 0]])
-    assert pairing((1, 0), (0, 1), A) == 1
+    s = spec2()
+    assert s.pairing((1, 0), (0, 1)) == 1
     rng = np.random.default_rng(0)
     for _ in range(50):
         k = tuple(rng.integers(-5, 6, 2))
         n = tuple(rng.integers(-5, 6, 2))
-        assert pairing(k, k, A) == 0
-        assert pairing(k, n, A) == -pairing(n, k, A)
+        assert s.pairing(k, k) == 0
+        assert s.pairing(k, n) == -s.pairing(n, k) == pairing(k, n, s.A)
 
 
 def reference_product(a, b):

@@ -46,9 +46,19 @@ def test_face_matrix_single_triangle():
     assert np.array_equal(Q, -Q.T)
 
 
+def triangle_face_matrix(T, t):
+    """The contribution Q_t of triangle t, over all edges of T."""
+    Q = np.zeros((len(T.edges),) * 2, dtype=np.int64)
+    labs = [T.edge_index()[e] for e in T.triangle_edges(t)]
+    for a, b in zip(labs, labs[1:] + labs[:1]):
+        Q[a, b] += 1
+        Q[b, a] -= 1
+    return Q
+
+
 def test_face_matrix_is_sum_of_triangles():
     T = polygon(4)
-    total = sum(T.triangle_face_matrix(t) for t in range(len(T.triangles)))
+    total = sum(triangle_face_matrix(T, t) for t in range(len(T.triangles)))
     assert np.array_equal(T.face_matrix(), total)
 
 
@@ -60,10 +70,18 @@ def test_row_action_lemma():
         # (k Q_t)(c) = k(b) - k(a) for the counterclockwise cycle (a, b, c)
         k = np.zeros(len(T.edges), dtype=int)
         k[idx[eb]] = 1
-        assert T.row_action(tuple(k), t)[idx[ec]] == 1
-        assert all(v == 0 for v in T.row_action((0,) * len(T.edges), t))
+        assert (k @ triangle_face_matrix(T, t))[idx[ec]] == 1
         k[idx[ea]] = 1
-        assert T.row_action(tuple(k), t)[idx[ec]] == 0
+        assert (k @ triangle_face_matrix(T, t))[idx[ec]] == 0
+
+
+def test_matrices_are_derived_once_and_read_only():
+    T = polygon(5)
+    for get in (T.face_matrix, T.face_submatrices, T.vertex_matrix):
+        assert get() is get()
+    for m in T.face_submatrices() + (T.vertex_matrix(),):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1
 
 
 def test_vertex_matrix_basics():
@@ -106,7 +124,7 @@ def test_self_folded_triangle():
     )
     assert T.self_folded[0]
     assert T.surface_class == "generalized"
-    assert not T.triangle_face_matrix(0).any()
+    assert not T.face_matrix().any()
 
 
 def test_validation_errors():

@@ -6,7 +6,7 @@ from qskein.library import annulus_core, sphere_curve, torus_curve
 from qskein.puncture import curve_lift, lift
 from qskein.qtorus import TorusElement
 from qskein.repcheck import verify_identity
-from qskein.shear import ShearSkein, is_in_Ybl
+from qskein.shear import ShearSkein, is_balanced
 from qskein.surface import sphere_three_marked, torus_one_marked
 from qskein.trace import (
     oracle_resolution,
@@ -59,7 +59,7 @@ def test_trace_invariants_library():
         assert all(all(v % 2 == 0 for v in k) for k in res.skein_side.terms)
         assert res.skein_side.is_reflection_invariant()
         assert bundle.psi(res.shear_side) == res.skein_side
-        assert is_in_Ybl(res.shear_side, T)
+        assert all(is_balanced(k, T) for k in res.shear_side.terms)
 
 
 def test_oracle_matches_trace():
