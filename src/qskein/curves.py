@@ -18,18 +18,18 @@ State sum.  Crossing j sits between step j and step j+1, so admissibility
 is a cyclic chain: step j forbids one value pair on crossings (j-1, j).
 u(s) is an integer quadratic form in the state, 2 u(s) = -s^T W s, and W
 is a sum of triangle-local face pairings, so the state sum needs no whole
-state: state_sum walks the steps once from the base crossing, keeping a
-frontier of (first value, current value, per-side partial sums) with a
-count per value of 2 u so far.  Its work grows with the frontier, not
-with the number of states.  state_sum is behind every trace;
-enumerate_states lists the states one at a time for the CLI's state
-listing only, and u_of_state gives one state's phase, the tests' reference.
+state: state_sum takes the rows of one step table (_step_table) once from
+the base crossing, keeping a frontier of (first value, current value,
+per-side partial sums) with a count per value of 2 u so far.  Its work
+grows with the frontier, not with the number of states.  u_of_state runs
+the same rows on one state, for the tests and the benchmark tracer's hook.
+state_sum is behind every trace; enumerate_states lists the states one at
+a time for the CLI's state listing only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .qscalar import Laurent
 from .qtorus import TorusElement
@@ -119,15 +119,6 @@ class NormalCurve:
 
     def crossed_edges(self):
         return tuple(sorted(self.multiplicities()))
-
-    def reversed(self):
-        return NormalCurve(
-            self.T, [(t, o, i) for t, i, o in reversed(self.steps)]
-        )
-
-    def rotated(self, r):
-        n = len(self.steps)
-        return NormalCurve(self.T, [self.steps[(i + r) % n] for i in range(n)])
 
     def to_json(self):
         return {
@@ -272,54 +263,58 @@ def _base_crossing(alpha, base_edge=None):
     return alpha.crossing_edges().index(base_edge)
 
 
-@lru_cache(maxsize=8)
-def _u_form(alpha, base_edge=None):
-    """The matrix W of 2 u(s) = -s^T W s, as a tuple of (a, b, W_ab).
+def _step_table(alpha, base_edge=None):
+    """(base crossing, side, rows): the walk behind u(s) and the state sum.
 
-    Splits the surface along the inner edges and lifts the crossing points
-    to the split triangles in traversal order from the base crossing on:
-    step m enters through crossing m-1 and leaves through crossing m.
-    Every ordered pair of lifted points in one triangle, except the two
-    ends of one curve interval, adds its local face pairing Q_t to W at
-    their crossings.  W is kept upper triangular with nonzero entries.
-    Cached per (curve, base edge), since u_of_state asks once per state.
+    side numbers the (triangle, slot) pairs the curve visits.  rows holds
+    one row per step, from the base crossing on: step m enters through
+    crossing m-1 on slot i and leaves through crossing m on slot o, and
+    its row is (forbidden corner pair, side[t, i], side[t, o],
+    side[t, i - 1], side[t, i + 1], side[t, o - 1], side[t, o + 1]).
     """
     n = len(alpha.steps)
-    r = _base_crossing(alpha, base_edge) + 1
-    lifted = {}
-    for m in range(r, r + n):
-        t, i, o = alpha.steps[m % n]
-        lifted.setdefault(t, []).extend([(m, i, (m - 1) % n), (m, o, m % n)])
-    W = {}
-    for pts in lifted.values():
-        for x, (m1, slot1, a) in enumerate(pts):
-            for m2, slot2, b in pts[x + 1:]:
-                if m1 != m2:
-                    key = (min(a, b), max(a, b))
-                    W[key] = W.get(key, 0) + _local_face(slot1, slot2)
-    return tuple((a, b, w) for (a, b), w in W.items() if w)
+    base = _base_crossing(alpha, base_edge)
+    side = {}
+    for t, _, _ in alpha.steps:
+        for x in range(3):
+            side.setdefault((t, x), len(side))
+    rows = []
+    for m in range(base + 1, base + 1 + n):
+        t, i, o = step = alpha.steps[m % n]
+        # sum_x Q(x, i) P[t, x] = P[t, i - 1] - P[t, i + 1]
+        rows.append((_forbidden_pair(step), side[t, i], side[t, o],
+                     side[t, (i + 2) % 3], side[t, (i + 1) % 3],
+                     side[t, (o + 2) % 3], side[t, (o + 1) % 3]))
+    return base, side, rows
 
 
 def u_of_state(alpha, values, base_edge=None):
     """The half-integer exponent of q attached to an admissible state.
 
-    Accumulates the local face pairings -1/2 Q_t(e(u), e(v)) s(u) s(v)
-    over ordered pairs u << v of lifted crossing points inside each split
-    triangle, pairs forming one curve interval excluded; see _u_form.
+    Runs the rows of _step_table on this one state, the increments that
+    state_sum adds along one path of its frontier: 2 u(s) = -W s s.
     """
-    form = _u_form(alpha, base_edge)
-    return Fraction(-sum(w * values[a] * values[b] for a, b, w in form), 2)
+    base, side, rows = _step_table(alpha, base_edge)
+    n = len(rows)
+    P = [0] * len(side)
+    x = 0
+    for m, (_, at_i, at_o, i_prev, i_next, o_prev, o_next) in enumerate(rows, base):
+        v, w = values[m % n], values[(m + 1) % n]
+        x += v * (P[i_prev] - P[i_next]) + w * (P[o_prev] - P[o_next])
+        P[at_i] += v
+        P[at_o] += w
+    return Fraction(-x, 2)
 
 
 def state_sum(alpha, T, spec, base_edge=None):
     """(sum_s q^(u(s)) y^(k_s) in the torus spec, number of states) over
     the admissible states of a curve crossing some edge of T once.
 
-    A frontier walk, not a loop over states.  The steps are taken once,
-    from the base crossing on in the traversal order of _u_form.  A
-    frontier key is (first value, current value, P), where P[t, x] sums
-    the values lifted so far to side x of triangle t; it maps each value
-    of W s s over the prefix so far to its number of admissible prefixes.
+    A frontier walk, not a loop over states.  The rows of _step_table are
+    taken once, from the base crossing on.  A frontier key is (first
+    value, current value, P), where P[t, x] sums the values lifted so far
+    to side x of triangle t; it maps each value of W s s over the prefix
+    so far to its number of admissible prefixes.
     Step m, entering on slot i with v_(m-1) and leaving on slot o with
     v_m, forbids its corner pair and adds
     v_(m-1) sum_x Q(x, i) P[t, x] + v_m sum_x Q(x, o) P[t, x] to W s s,
@@ -331,19 +326,8 @@ def state_sum(alpha, T, spec, base_edge=None):
     be balanced.  The state count is the sum of the counts.
     """
     n = len(alpha.steps)
-    r = _base_crossing(alpha, base_edge) + 1
+    _, side, walk = _step_table(alpha, base_edge)
     slots = _crossing_slots(alpha, spec.index)
-    side = {}                                # (triangle, slot) -> index in P
-    for t, _, _ in alpha.steps:
-        for x in range(3):
-            side.setdefault((t, x), len(side))
-    walk = []
-    for m in range(r, r + n):
-        t, i, o = step = alpha.steps[m % n]
-        # sum_x Q(x, i) P[t, x] = P[t, i - 1] - P[t, i + 1]
-        walk.append((_forbidden_pair(step), side[t, i], side[t, o],
-                     side[t, (i + 2) % 3], side[t, (i + 1) % 3],
-                     side[t, (o + 2) % 3], side[t, (o + 1) % 3]))
     zero = (0,) * len(side)
     frontier = {(v, v, zero): {0: 1} for v in (1, -1)}
     for m, (bad, at_i, at_o, i_prev, i_next, o_prev, o_next) in enumerate(walk):
@@ -384,14 +368,6 @@ def state_sum(alpha, T, spec, base_edge=None):
             states += c
     shear = TorusElement(spec, {k: Laurent(c) for k, c in terms.items()})
     return shear, states
-
-
-def _local_face(slot1, slot2):
-    if slot2 == (slot1 + 1) % 3:
-        return 1
-    if slot2 == (slot1 + 2) % 3:
-        return -1
-    return 0
 
 
 # ---------------------------------------------------------------------------

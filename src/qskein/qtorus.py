@@ -201,6 +201,11 @@ class TorusElement:
             out[k] = c if s is None else s + c
         return TorusElement(self.spec, out)
 
+    def __radd__(self, other):
+        if isinstance(other, int):
+            return self + other
+        return NotImplemented
+
     def __neg__(self):
         return TorusElement(self.spec, {k: -c for k, c in self.terms.items()})
 
@@ -498,10 +503,12 @@ def mlh_apply(H, src_spec, dst_spec, elem):
     which the caller checks once with mlh_check."""
     if elem.spec != src_spec:
         raise ValueError("element does not live in the source torus")
-    H = np.asarray(H, dtype=np.int64)
+    if not elem.terms:
+        return TorusElement(dst_spec)
+    # one product over Python ints: exponents may exceed int64
+    images = np.array(list(elem.terms), dtype=object) @ np.asarray(H).astype(object)
     out = {}
-    for k, c in elem.terms.items():
-        kk = tuple(int(x) for x in (np.asarray(k, dtype=np.int64) @ H))
+    for kk, c in zip(map(tuple, images.tolist()), elem.terms.values()):
         s = out.get(kk)
         out[kk] = c if s is None else s + c
     return TorusElement(dst_spec, out)

@@ -15,6 +15,7 @@ its class has two sides, boundary when it has one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ class Triangulation:
                 )
 
         self._vertex_hints = dict(vertex_hints)
-        self._face = self._P = None
+        self._face = self._P = self._duality = None
         self._derive()
 
     # -- derived structure ---------------------------------------------
@@ -111,45 +112,25 @@ class Triangulation:
             e for e in self.edges if len(self.edge_sides[e]) == 1
         )
 
-        # vertices: union-find over corners (t,i) = start of side i
+        # vertices: orbits of the corner step (t, i) -> the corner across
+        # side i - 1.  Orbits started from corners whose own side i is
+        # unglued are the boundary chains; the corners left over form
+        # cycles, the interior vertices.
         corners = [(t, i) for t in range(len(self.triangles)) for i in range(3)]
-        parent = {c: c for c in corners}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        def union(c1, c2):
-            r1, r2 = find(c1), find(c2)
-            if r1 != r2:
-                parent[r1] = r2
-
-        for s, s2 in self.glue.items():
-            t, i = self._side_pos[s]
-            t2, j = self._side_pos[s2]
-            union((t, i), (t2, (j + 1) % 3))
-            union((t, (i + 1) % 3), (t2, j))
-        groups = {}
-        for c in corners:
-            groups.setdefault(find(c), []).append(c)
-        self.vertices = tuple(frozenset(g) for g in groups.values())
-        self.vertex_of = {}
-        for vi, g in enumerate(self.vertices):
-            for c in g:
-                self.vertex_of[c] = vi
-
-        # a vertex is on the boundary iff some incident side is unglued
-        on_bd = set()
-        for s in self.sides:
-            if s not in self.glue:
-                t, i = self._side_pos[s]
-                on_bd.add(self.vertex_of[(t, i)])
-                on_bd.add(self.vertex_of[(t, (i + 1) % 3)])
-        self.interior_vertices = frozenset(
-            vi for vi in range(len(self.vertices)) if vi not in on_bd
-        )
+        starts = [(t, i) for t, i in corners if self.triangles[t][i] not in self.glue]
+        seen, orbits = set(), []
+        for c in starts + corners:
+            orbit = []
+            while c is not None and c not in seen:
+                seen.add(c)
+                orbit.append(c)
+                mate = self.glue.get(self.triangles[c[0]][c[1] - 1])
+                c = None if mate is None else self._side_pos[mate]
+            if orbit:
+                orbits.append(tuple(orbit))
+        self.vertices = tuple(orbits)
+        self.vertex_of = {c: vi for vi, orbit in enumerate(orbits) for c in orbit}
+        self.interior_vertices = frozenset(range(len(starts), len(orbits)))
 
         # self-folded triangles: a triangle glued to itself along two sides
         self.self_folded = tuple(
@@ -282,32 +263,15 @@ class Triangulation:
         Returns a list of side ids: the first and last are boundary sides,
         and each inner edge incident to the vertex appears once per
         half-edge (a glued side pair is collapsed to its first member).
-        The order sweeps the interior counterclockwise; the duality test
-        PH^T = -4 id pins this convention.
+        These are the own side of the chain's first corner and side i - 1
+        of each corner (t, i) in turn.  The order sweeps the interior
+        counterclockwise; the duality test PH^T = -4 id pins this convention.
         """
         if vi in self.interior_vertices:
             raise SurfaceError("vertex %d is interior; no boundary fan" % vi)
-        # start corner: the one whose outgoing side (t,i) is unglued
-        start = None
-        for (t, i) in self.vertices[vi]:
-            if self.triangles[t][i] not in self.glue:
-                start = (t, i)
-                break
-        if start is None:
-            raise SurfaceError("no boundary side at vertex %d" % vi)
-        t, i = start
-        fan = [self.triangles[t][i]]
-        corner = start
-        while True:
-            t, i = corner
-            prev_side = self.triangles[t][(i - 1) % 3]
-            fan.append(prev_side)
-            mate = self.glue.get(prev_side)
-            if mate is None:
-                break
-            t2, j = self._side_pos[mate]
-            corner = (t2, j)
-        return fan
+        orbit = self.vertices[vi]
+        t, i = orbit[0]
+        return [self.triangles[t][i]] + [self.triangles[t][i - 1] for t, i in orbit]
 
     def vertex_matrix(self):
         """Muller's orientation matrix P over all edges, derived on the first
@@ -329,39 +293,42 @@ class Triangulation:
         return self._P
 
     def duality_check(self):
-        """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges."""
-        _, Qring, H = self.face_submatrices()
-        P = self.vertex_matrix()
-        idx = self.edge_index()
-        rows = [idx[e] for e in self.inner_edges]
-        want = -4 * np.eye(len(self.edges), dtype=np.int64)[:, rows]
-        PHt = P @ H.T
-        ok1 = np.array_equal(PHt, want)
-        HPHt = H @ P @ H.T
-        ok2 = np.array_equal(HPHt, -4 * Qring)
-        rank = np.linalg.matrix_rank(H.astype(np.float64)) if H.size else 0
-        ok3 = int(rank) == len(self.inner_edges)
-        report = {
-            "PHt_ok": bool(ok1),
-            "HPHt_ok": bool(ok2),
-            "rank_ok": bool(ok3),
-            "rank": int(rank),
-            "inner": len(self.inner_edges),
-        }
-        if not ok1:
-            bad = np.argwhere(PHt != want)
-            report["PHt_offending"] = [
-                (self.edges[i], self.inner_edges[j], int(PHt[i, j]))
-                for i, j in bad[:5]
-            ]
-        if not ok2:
-            bad = np.argwhere(HPHt != -4 * Qring)
-            report["HPHt_offending"] = [
-                (self.inner_edges[i], self.inner_edges[j], int(HPHt[i, j]))
-                for i, j in bad[:5]
-            ]
-        report["ok"] = bool(ok1 and ok2 and ok3)
-        return report
+        """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges:
+        a copy of the report, derived on the first call and kept."""
+        if self._duality is None:
+            _, Qring, H = self.face_submatrices()
+            P = self.vertex_matrix()
+            idx = self.edge_index()
+            rows = [idx[e] for e in self.inner_edges]
+            want = -4 * np.eye(len(self.edges), dtype=np.int64)[:, rows]
+            PHt = P @ H.T
+            ok1 = np.array_equal(PHt, want)
+            HPHt = H @ P @ H.T
+            ok2 = np.array_equal(HPHt, -4 * Qring)
+            rank = np.linalg.matrix_rank(H.astype(np.float64)) if H.size else 0
+            ok3 = int(rank) == len(self.inner_edges)
+            report = {
+                "PHt_ok": bool(ok1),
+                "HPHt_ok": bool(ok2),
+                "rank_ok": bool(ok3),
+                "rank": int(rank),
+                "inner": len(self.inner_edges),
+            }
+            if not ok1:
+                bad = np.argwhere(PHt != want)
+                report["PHt_offending"] = [
+                    (self.edges[i], self.inner_edges[j], int(PHt[i, j]))
+                    for i, j in bad[:5]
+                ]
+            if not ok2:
+                bad = np.argwhere(HPHt != -4 * Qring)
+                report["HPHt_offending"] = [
+                    (self.inner_edges[i], self.inner_edges[j], int(HPHt[i, j]))
+                    for i, j in bad[:5]
+                ]
+            report["ok"] = bool(ok1 and ok2 and ok3)
+            self._duality = report
+        return copy.deepcopy(self._duality)
 
     # -- flips ---------------------------------------------------------------
 

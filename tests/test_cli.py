@@ -92,6 +92,21 @@ def test_shear_psi_coefficient_defaults_to_one(capsys, annulus_files, tmp_path):
     assert code == 2 and "unknown inner edge 'zz'" in err
 
 
+def test_shear_psi_exponents_past_int64(capsys, tmp_path):
+    elem = tmp_path / "elem.json"
+    b = 3 * 2 ** 61
+    elem.write_text(json.dumps({"terms": [{"exp": {"d1": b, "d2": b}}]}))
+    code, out, err = run(capsys, "shear", "psi", "builtin:annulus", str(elem))
+    assert code == 0, err
+    assert out == "1*q^(0) * x[d1]^%d x[d2]^%d\n" % (-2 * b, 2 * b)
+    # the quadrilateral of e0_2 has boundary (e0_1, e1_2, e2_3, e0_3)
+    elem.write_text(json.dumps({"terms": [{"exp": {"e0_2": 2 ** 70}}]}))
+    code, out, err = run(capsys, "--json", "shear", "psi", "builtin:polygon5", str(elem))
+    assert code == 0, err
+    [term] = json.loads(out)["terms"]
+    assert term["exp"] == {"e0_1": 2 ** 70, "e1_2": -2 ** 70, "e2_3": 2 ** 70, "e0_3": -2 ** 70}
+
+
 def test_flipseq_verify(capsys, annulus_files):
     surf, _ = annulus_files
     code, out, _ = run(

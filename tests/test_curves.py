@@ -141,15 +141,6 @@ def test_u_corner_contribution():
         assert u_split_parts(c, s) == tuple(Fraction(v) for v in parts)
 
 
-def test_reversal_and_rotation():
-    A, core = annulus_core()
-    rev = core.reversed()
-    assert classify(rev) == "simple"
-    assert sorted(rev.crossed_edges()) == sorted(core.crossed_edges())
-    rot = core.rotated(1)
-    assert rot.multiplicities() == core.multiplicities()
-
-
 def test_transport_through_flip():
     A, core = annulus_core()
     for edge in ("d1", "d2"):

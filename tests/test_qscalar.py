@@ -127,6 +127,7 @@ def test_scalar_on_the_left():
     c = q(1)
     assert c * el == el * c
     assert (c * e).words == (e * c).words
+    assert 1 + el == el + 1 and sum([el, el]) == el * 2
     with pytest.raises(TypeError):
         c + el
     with pytest.raises(TypeError):

@@ -127,8 +127,7 @@ def test_singular_action_inconclusive():
 def test_orders_skipped_for_dimension():
     # four unit blocks: dimension L^4 fits under DENSE_DIM at L = 5 and 7 only
     s = TorusSpec(tuple("abcdefgh"), np.kron(np.eye(4, dtype=int), [[0, 1], [-1, 0]]), 2)
-    x = Expr.from_element(sum((TorusElement.generator(s, lab) for lab in s.labels),
-                              TorusElement.zero(s)))
+    x = Expr.from_element(sum(TorusElement.generator(s, lab) for lab in s.labels))
     verdict = verify_identity(x, x, s)
     assert verdict.status == "INCONCLUSIVE" and verdict.orders == (5, 7)
     assert verdict.notes == ["order %d skipped (dimension %d > %d)"

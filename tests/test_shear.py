@@ -58,6 +58,15 @@ def test_psi_explicit_quadrilateral():
     assert img == expected
 
 
+def test_psi_exponents_past_int64():
+    # y^(b, b) -> x[d1]^(-2b) x[d2]^(2b); at b = 3 * 2^61 the image leaves
+    # int64, and 2^70 does not fit int64 even as input
+    bundle = ShearSkein(annulus())
+    for b in (1, 3 * 2 ** 61, 2 ** 70):
+        image = TorusElement.monomial(bundle.x, bundle.x.vec({"d1": -2 * b, "d2": 2 * b}))
+        assert bundle.psi_vec((b, b)) == image
+
+
 def test_psi_is_algebra_map():
     A = annulus()
     bundle = ShearSkein(A)

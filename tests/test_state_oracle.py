@@ -17,8 +17,8 @@ import pytest
 
 from qskein.curves import (
     CurveError,
+    NormalCurve,
     _base_crossing,
-    _local_face,
     enumerate_states,
     state_exponents,
     state_sum,
@@ -33,6 +33,17 @@ from qskein.shear import ShearSkein, is_balanced, shear_spec
 from qskein.surface import SurfaceError, sphere_three_marked, torus_one_marked
 
 
+def _local_face(slot1, slot2):
+    """The local face pairing of two slots of one triangle."""
+    return {(slot1 + 1) % 3: 1, (slot1 + 2) % 3: -1}.get(slot2, 0)
+
+
+def rotated(alpha, r):
+    """alpha with its steps read from step r on."""
+    n = len(alpha.steps)
+    return NormalCurve(alpha.T, [alpha.steps[(i + r) % n] for i in range(n)])
+
+
 def u_split_parts(alpha, values, base_edge=None):
     """(u1, u2) with u = u1 + u2: the normalized-pair part over the curve
     intervals and the reordering part over all lifted pairs.
@@ -41,7 +52,7 @@ def u_split_parts(alpha, values, base_edge=None):
     independently of the form behind u_of_state, which it checks.
     """
     r = _base_crossing(alpha, base_edge) + 1
-    rot = alpha.rotated(r)
+    rot = rotated(alpha, r)
     n = len(alpha.steps)
     vals = tuple(values[(r + i) % n] for i in range(n))
     pts = []

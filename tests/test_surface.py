@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qskein import surface
 from qskein.library import MARKED_LIBRARY, surface_by_name
 from qskein.puncture import lift
+from qskein.shear import ShearSkein
 from qskein.surface import (
     SurfaceError,
     Triangulation,
@@ -82,6 +84,19 @@ def test_matrices_are_derived_once_and_read_only():
     for m in T.face_submatrices() + (T.vertex_matrix(),):
         with pytest.raises(ValueError):
             m[0, 0] = 1
+
+
+def test_duality_report_is_derived_once(monkeypatch):
+    T = polygon(5)
+    report = T.duality_check()
+    ShearSkein(T)
+    # with numpy gone from surface, no matrix work can happen there
+    monkeypatch.setattr(surface, "np", None)
+    again = T.duality_check()
+    assert again == report and again["ok"]
+    ShearSkein(T)
+    again["ok"] = False
+    assert T.duality_check() == report
 
 
 def test_vertex_matrix_basics():
@@ -214,15 +229,64 @@ def test_side_keyed_data_must_name_sides():
         Triangulation(tri, glue, None, {"s0": ("u", "v"), "s1": ("w", "u")})
 
 
-def test_json_roundtrip():
-    surfaces = [torus_one_marked()]
+def library_surfaces():
+    """torus1, sphere3, both lifts of each, and every MARKED_LIBRARY
+    surface with each of its single flips."""
+    surfaces = []
+    for base in (torus_one_marked(), sphere_three_marked()):
+        surfaces.append(base)
+        surfaces.extend(lift(base, variant=v).delta for v in ("after", "before"))
     for name in MARKED_LIBRARY:
         T = surface_by_name(name)
         surfaces.append(T)
         surfaces.extend(T.flip(e)[0] for e in T.inner_edges)
-    for base in (torus_one_marked(), sphere_three_marked()):
-        surfaces.extend(lift(base, variant=v).delta for v in ("after", "before"))
-    for T in surfaces:
+    return surfaces
+
+
+def union_find_vertices(T):
+    """(vertices, interior vertices) as sets of corner classes, by
+    union-find over the corners (t, i) that each gluing identifies."""
+    parent = {(t, i): (t, i) for t in range(len(T.triangles)) for i in range(3)}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for s, s2 in T.glue.items():
+        (t, i), (t2, j) = T.side_pos(s), T.side_pos(s2)
+        parent[find((t, i))] = find((t2, (j + 1) % 3))
+        parent[find((t, (i + 1) % 3))] = find((t2, j))
+    classes = {}
+    for c in parent:
+        classes.setdefault(find(c), set()).add(c)
+    on_boundary = set()
+    for s in T.sides:
+        if s not in T.glue:
+            t, i = T.side_pos(s)
+            on_boundary |= {find((t, i)), find((t, (i + 1) % 3))}
+    return ({frozenset(g) for g in classes.values()},
+            {frozenset(g) for r, g in classes.items() if r not in on_boundary})
+
+
+def test_corner_walk_matches_union_find():
+    for T in library_surfaces():
+        vertices, interior = union_find_vertices(T)
+        assert {frozenset(v) for v in T.vertices} == vertices
+        assert {frozenset(T.vertices[vi]) for vi in T.interior_vertices} == interior
+        for vi, corners in enumerate(T.vertices):
+            if vi in T.interior_vertices:
+                with pytest.raises(SurfaceError, match="interior"):
+                    T.vertex_fan(vi)
+                continue
+            fan = T.vertex_fan(vi)
+            assert len(fan) == len(corners) + 1
+            assert fan[0] not in T.glue and fan[-1] not in T.glue
+            assert all(s in T.glue for s in fan[1:-1])
+
+
+def test_json_roundtrip():
+    for T in library_surfaces():
         data = T.to_json()
         T2 = Triangulation.from_json(data)
         assert T2.same_as(T)
