@@ -34,9 +34,8 @@ from typing import ClassVar
 
 from .qscalar import Laurent, ONE
 from .qtorus import TorusElement, TorusSpec, decompose_monomial
-from .curves import CurveError, classify, crossing_pattern, transport_curve
+from .curves import CurveError, _flip_weights, classify, crossing_pattern
 from .shear import ShearSkein
-from .surface import SurfaceError
 
 
 class Expr:
@@ -361,13 +360,8 @@ def knot_monomial_transfer(alpha2, T, a, T2, fd):
     case = crossing_pattern(alpha2, fd.a_star) if fd.a_star in mult2 else "unchanged"
     sign = -1 if case == "left-right" else 1
 
-    # transport the curve back through the inverse flip; T3 carries T's
-    # edge labels, so the multiplicities read on T3 are those on T
-    T3, fd_back = T2.flip(fd.a_star, new_label=a)
-    if not T3.same_as(T):
-        raise SurfaceError("flip-back does not restore the triangulation")
-    back = transport_curve(alpha2, T2, fd_back, T3)
-    mult = {e: sign * m for e, m in back.multiplicities().items()}
+    # the curve's weights on T, by the tropical rule run back from a* to a
+    mult = {e: sign * m for e, m in _flip_weights(mult2, fd, back=True).items()}
     k1 = y.vec(mult)
 
     if case == "unchanged":

@@ -1,10 +1,11 @@
 """Normal closed curves on a triangulated surface.
 
 A curve is a cyclic sequence of steps (triangle, in-side, out-side); each
-consecutive pair of steps crosses the edge glueing them.  The module
-provides the admissible states of the state-sum trace, the
-crossing-pattern classification of single crossings, and the phase
-exponent u(s) of the once-crossing trace formula.
+consecutive pair of steps crosses the edge glueing them.  A connected
+normal curve is fixed by its edge weights (NormalCurve.from_weights),
+and transport_curve carries them through a flip by the tropical Ptolemy
+rule.  The module also provides the admissible states of the state sum,
+crossing patterns, and the phase exponent u(s) of the once-crossing trace.
 
 Corner convention.  Inside a triangle with counterclockwise side cycle
 (..., x, y, ...) a curve segment cutting the corner between x and y sees
@@ -75,6 +76,44 @@ class NormalCurve:
             steps.append((t1, i, o))
         return NormalCurve(T, steps)
 
+    @staticmethod
+    def from_weights(T, weights, start=None):
+        """The connected normal curve crossing each edge e weights[e] times.
+
+        A triangle holds (w_(j-1) + w_j - w_(j+1))/2 arcs around corner j,
+        w_i the weight of its side i.  Points on side i count from corner
+        i: point p turns to side i-1, at point w_(i-1)-1-p, while p is below
+        corner i's count, else to side i+1, at point w_i-1-p; a gluing sends
+        point p to point w-1-p.  The walk enters the triangle of start =
+        (side, point), by default point 0 of the least crossed side.
+        CurveError for weights of no connected normal curve.
+        """
+        for e, m in weights.items():
+            if e not in T.edges or m < 0 or (m and e in T.boundary_edges):
+                raise CurveError("no normal curve has weight %s on edge %s" % (m, e))
+        if not any(weights.values()):
+            raise CurveError("all weights are zero")
+        w = {s: weights.get(e, 0) for s, e in T.side_edge.items()}
+        twice = {(t, j): w[tri[j - 1]] + w[tri[j]] - w[tri[(j + 1) % 3]]
+                 for t, tri in enumerate(T.triangles) for j in range(3)}
+        if any(c < 0 or c % 2 for c in twice.values()):
+            raise CurveError("the weights break a triangle inequality or parity")
+        start = start or (min(s for s in T.sides if w[s]), 0)
+        steps, (s, p) = [], start
+        for _ in range(sum(weights.values())):
+            t, i = T.side_pos(s)
+            tri = T.triangles[t]
+            o, q = ((i - 1) % 3, w[tri[i - 1]] - 1 - p) if 2 * p < twice[t, i] else \
+                ((i + 1) % 3, w[s] - 1 - p)
+            steps.append((t, i, o))
+            s = T.other_side(tri[o])
+            p = w[s] - 1 - q
+            if (s, p) == start:
+                break
+        if (s, p) != start or len(steps) != sum(weights.values()):
+            raise CurveError("the weights are those of a multicurve")
+        return NormalCurve(T, steps)
+
     def _validate(self):
         T = self.T
         n = len(self.steps)
@@ -140,6 +179,15 @@ class NormalCurve:
 
     def __repr__(self):
         return "NormalCurve(%d steps over %s)" % (len(self.steps), self.crossed_edges())
+
+
+def _entry(alpha, j):
+    """The start (step j's in-side, its point nearest the corner the step
+    cuts) from which from_weights walks step j of alpha first.  It runs in
+    alpha's direction when alpha crosses that edge one way only, as torus curves do."""
+    T, (t, i, o) = alpha.T, alpha.steps[j]
+    side = T.triangles[t][i]
+    return side, 0 if o == (i - 1) % 3 else alpha.multiplicities()[T.side_edge[side]] - 1
 
 
 def _turn(i, o):
@@ -374,50 +422,21 @@ def state_sum(alpha, T, spec, base_edge=None):
 # transport of a curve through a flip
 
 
+def _flip_weights(weights, fd, back=False):
+    """Edge weights across the flip recorded in fd by the tropical Ptolemy
+    rule w(a) + w(a*) = max(w(b) + w(d), w(c) + w(e)); back runs a* -> a."""
+    old, new = (fd.a_star, fd.a) if back else (fd.a, fd.a_star)
+    w = {e: m for e, m in weights.items() if e != old}
+    get = weights.get
+    w[new] = max(get(fd.b, 0) + get(fd.d, 0), get(fd.c, 0) + get(fd.e, 0)) - get(old, 0)
+    return w
+
+
 def transport_curve(alpha, T, flip_data, T_new):
-    """Rewrite a Delta-normal curve through the flip recorded in flip_data.
-
-    The curve is cut at every crossing of an edge other than the flipped
-    one; each resulting run lies either in an untouched triangle (copied
-    verbatim) or inside the flip quadrilateral, where it is re-routed
-    through the two new triangles.
-    """
-    t_quad = {flip_data.t1, flip_data.t2}
-    n1, n2 = flip_data.new_sides
-    quad_pos = {s: T_new.side_pos(s) for s in flip_data.quad_sides}
-    pos_n1, pos_n2 = T_new.side_pos(n1), T_new.side_pos(n2)
-
-    def emit(side_in, side_out):
-        ti, ii = quad_pos[side_in]
-        to, oo = quad_pos[side_out]
-        if ti == to:
-            return [(ti, ii, oo)]
-        mid_out, mid_in = (pos_n1, pos_n2) if pos_n1[0] == ti else (pos_n2, pos_n1)
-        return [(ti, ii, mid_out[1]), (to, mid_in[1], oo)]
-
-    n = len(alpha.steps)
-    ce = alpha.crossing_edges()
-    cuts = [i for i in range(n) if ce[i] != flip_data.a]
-    if not cuts:
-        raise CurveError("curve crosses only the flipped edge")
-    out_steps = []
-    for ci, cut in enumerate(cuts):
-        nxt = cuts[(ci + 1) % len(cuts)]
-        run = []
-        j = (cut + 1) % n
-        while True:
-            run.append(alpha.steps[j])
-            if j == nxt:
-                break
-            j = (j + 1) % n
-        if run[0][0] not in t_quad:
-            if len(run) != 1:
-                raise CurveError("unexpected multi-step run outside the square")
-            out_steps.append(run[0])
-            continue
-        first_t, first_in, _ = run[0]
-        last_t, _, last_out = run[-1]
-        out_steps.extend(
-            emit(T.triangles[first_t][first_in], T.triangles[last_t][last_out])
-        )
-    return NormalCurve(T_new, out_steps)
+    """alpha carried through the flip recorded in flip_data: its weights by
+    _flip_weights, the curve by NormalCurve.from_weights, started (_entry)
+    at alpha's first crossing of another edge, whose sides the flip keeps;
+    one exists, as the flipped edge has one side in each triangle."""
+    j = next(j for j, e in enumerate(alpha.crossing_edges(), 1) if e != flip_data.a)
+    weights = _flip_weights(alpha.multiplicities(), flip_data)
+    return NormalCurve.from_weights(T_new, weights, _entry(alpha, j % len(alpha.steps)))

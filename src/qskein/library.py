@@ -7,8 +7,8 @@ from .puncture import lift
 from .surface import annulus, polygon, sphere_three_marked, torus_one_marked
 
 
-def annulus_core(A=None):
-    A = A or annulus()
+def annulus_core():
+    A = annulus()
     return A, NormalCurve.from_sides(A, [("T0.d1", "T0.d2"), ("T1.d2", "T1.d1")])
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qtorus import TorusElement, canonical_projection, mlh_apply, mlh_check
-from .curves import NormalCurve, state_sum
+from .curves import NormalCurve, _entry, state_sum
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError, Triangulation
 from .trace import trace_once_edge
@@ -188,35 +188,15 @@ class BarBundle:
 
 
 def curve_lift(ld, lam_curve):
-    """Lift a normal curve of Lambda to a Delta-normal curve."""
-    delta = ld.delta
-    inv_tri = {lt: dt for dt, (lt, _) in ld.tri_map.items()}
-    cps = ld.cp_labels()
-    steps = []
-    n = len(lam_curve.steps)
-    core = []
-    for (lt, i, o) in lam_curve.steps:
-        dt = inv_tri[lt]
-        _, rot = ld.tri_map[dt]
-        core.append((dt, (i - rot) % 3, (o - rot) % 3))
-    fake_set = set(ld.fake_tris.values())
-    for j, (dt, i, o) in enumerate(core):
-        steps.append((dt, i, o))
-        out_side = delta.triangles[dt][o]
-        cur = delta.other_side(out_side)
-        while delta.side_triangle(cur) in fake_set:
-            ft = delta.side_triangle(cur)
-            slots = [s for s in range(3)
-                     if delta.side_edge[delta.triangles[ft][s]] not in cps]
-            entry = delta.triangles[ft].index(cur)
-            exit_slot = [s for s in slots if s != entry][0]
-            steps.append((ft, entry, exit_slot))
-            cur = delta.other_side(delta.triangles[ft][exit_slot])
-        nxt = core[(j + 1) % n]
-        want = delta.triangles[nxt[0]][nxt[1]]
-        if cur != want:
-            raise SurfaceError("lifted curve does not close through the strip")
-    return NormalCurve(delta, steps)
+    """The Delta-normal curve over a normal curve of Lambda: weight
+    w(omega(e)) on each edge e of Delta and 0 on each loop c_p, started at
+    the image of lam_curve's first step and run in its direction."""
+    w = lam_curve.multiplicities()
+    weights = {e: w.get(lam_e, 0) for e, lam_e in ld.omega.items()}
+    lt, i, _ = lam_curve.steps[0]
+    dt, rot = next((dt, rot) for dt, (t, rot) in ld.tri_map.items() if t == lt)
+    start = (ld.delta.triangles[dt][(i - rot) % 3], _entry(lam_curve, 0)[1])
+    return NormalCurve.from_weights(ld.delta, weights, start)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +211,11 @@ class BarTraceResult:
     cross_checked: bool
 
 
-def bar_trace(ld, lam_curve, bundle=None, base_edge=None):
+def bar_trace(ld, lam_curve):
     """Punctured trace via Lambda-states, cross-checked against the
     projected Delta pipeline."""
-    bundle = bundle or BarBundle(ld)
-    shear, count = state_sum(lam_curve, ld.lam, bundle.ylam, base_edge)
+    bundle = BarBundle(ld)
+    shear, count = state_sum(lam_curve, ld.lam, bundle.ylam)
     skein = bundle.bar_psi(shear)
 
     alpha_d = curve_lift(ld, lam_curve)

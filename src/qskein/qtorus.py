@@ -194,6 +194,8 @@ class TorusElement:
     def __add__(self, other):
         if isinstance(other, int):
             other = TorusElement.one(self.spec) * Laurent.integer(other)
+        elif not isinstance(other, TorusElement):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():

@@ -44,17 +44,18 @@ class ShearSkein:
         return self.psi(TorusElement.monomial(self.y, tuple(k)))
 
     def psi_preimage(self, elem):
-        """Preimage under psi on the monomial basis, exact: the duality
-        P H^T = -4 id makes (kH P) on the inner-edge columns equal 4k."""
-        inner = self.x.A[:, [self.x.index[e] for e in self.T.inner_edges]]
-        out = {}
-        for k, c in elem.terms.items():
-            four_k = np.asarray(k, dtype=np.int64) @ inner
-            pre = tuple(int(v) // 4 for v in four_k)
-            if np.any(four_k % 4) or set(self.psi_vec(pre).terms) != {k}:
-                raise ValueError("monomial x^%s is not in the image of psi" % (k,))
-            out[pre] = c
-        return TorusElement(self.y, out)
+        """Preimage under psi on the monomial basis, exact over Python ints:
+        the duality P H^T = -4 id makes (kH P) on the inner-edge columns 4k,
+        and one product back through H checks that each term is an image."""
+        inner = self.x.A[:, [self.x.index[e] for e in self.T.inner_edges]].astype(object)
+        keys = np.array(list(elem.terms), dtype=object).reshape(-1, len(self.x.labels))
+        four_k = keys @ inner
+        pre = four_k // 4
+        bad = (four_k % 4 != 0).any(1) | (pre @ self.H.astype(object) != keys).any(1)
+        if bad.any():
+            raise ValueError("monomial x^%s is not in the image of psi"
+                             % (tuple(keys[bad.argmax()]),))
+        return TorusElement(self.y, dict(zip(map(tuple, pre.tolist()), elem.terms.values())))
 
 
 def is_balanced(k, T):
@@ -70,8 +71,7 @@ def is_balanced(k, T):
 def even_image_check(k, T, bundle=None):
     """Report on the biconditional: kH has even entries <=> k balanced."""
     bundle = bundle or ShearSkein(T)
-    kk = np.asarray(k, dtype=np.int64)
-    img = kk @ bundle.H
-    even = bool(np.all(img % 2 == 0))
+    img = np.asarray(k, dtype=object) @ bundle.H.astype(object)
+    even = not np.any(img % 2)
     bal = is_balanced(k, T)
     return {"kH_even": even, "balanced": bal, "agree": even == bal}

@@ -99,7 +99,7 @@ def suite_trace():
     return rows
 
 
-def suite_balanced(samples=1000, seed=7):
+def suite_balanced(samples=1000, seed=0):
     rows = []
     rng = np.random.default_rng(seed)
     for name in MARKED_LIBRARY:

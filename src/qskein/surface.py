@@ -181,9 +181,6 @@ class Triangulation:
     def side_pos(self, s):
         return self._side_pos[s]
 
-    def side_triangle(self, s):
-        return self._side_pos[s][0]
-
     def edge_of_side(self, s):
         return self.side_edge[s]
 
@@ -395,12 +392,8 @@ class Triangulation:
             hints[n1] = (pb[1], pe[0])
             hints[n2] = (pe[0], pb[1])
         new_tri = Triangulation(triangles, gluing, side_edge, hints)
-        data = FlipData(
-            a=a, a_star=a_star, b=b, c=c, d=d, e=e,
-            coincidence=coincidence, t1=t1, t2=t2,
-            quad_sides=(sb, sc, sd, se), new_sides=(n1, n2),
-        )
-        return new_tri, data
+        return new_tri, FlipData(a=a, a_star=a_star, b=b, c=c, d=d, e=e,
+                                 coincidence=coincidence)
 
     def _collect_vertex_hints(self):
         hints = {}
@@ -488,10 +481,6 @@ class FlipData:
     d: str
     e: str
     coincidence: str
-    t1: int
-    t2: int
-    quad_sides: tuple
-    new_sides: tuple
 
 
 # ---------------------------------------------------------------------------

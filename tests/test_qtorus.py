@@ -491,3 +491,16 @@ def test_json_roundtrip():
         s, {(1, -2): Laurent.q_power(4) + Laurent.q_power(-4), (0, 0): Laurent.one()}
     )
     assert element_from_json(s, el.to_json()) == el
+
+
+def test_add_refuses_what_is_not_a_torus_element():
+    spec = spec2()
+    el = TorusElement.generator(spec, "a")
+    for other in (Laurent.q_power(1), 1.5):
+        with pytest.raises(TypeError):
+            el + other
+    with pytest.raises(TypeError):
+        el - 1.5
+    one = TorusElement.one(spec)
+    assert el + 1 == 1 + el == el + one
+    assert sum([el, el, one]) == el * 2 + one

@@ -129,3 +129,18 @@ def test_psi_preimage_roundtrip():
     for exponent in (1, 4):      # 4 does not divide kP; the round trip fails
         with pytest.raises(ValueError):
             bundle.psi_preimage(TorusElement.generator(bundle.x, "e0_1", exponent))
+
+
+def test_psi_preimage_and_even_image_past_int64():
+    A = annulus()
+    bundle = ShearSkein(A)
+    for b in (2**61, 3 * 2**61, 2**64 + 2):
+        el = bundle.psi_vec((b, b))
+        assert bundle.psi_preimage(el) == TorusElement.monomial(bundle.y, (b, b))
+    with pytest.raises(ValueError):
+        bundle.psi_preimage(TorusElement.generator(bundle.x, "d1", 2**64))
+    for b in (2**63, 3 * 2**63):
+        assert even_image_check((b, b), A, bundle) == \
+            {"kH_even": True, "balanced": True, "agree": True}
+        assert even_image_check((b + 1, b), A, bundle) == \
+            {"kH_even": False, "balanced": False, "agree": True}
