@@ -15,7 +15,9 @@ and the other blocks are central.  Each z_j also carries a central
 character g^(n_j), n_j uniform, so z^c carries g^(c . n).  This is the
 irreducible representation on (F_p^L)^(tensor r), r = rank_L A / 2, that
 Bonahon-Liu build over any field with a primitive L-th root of unity, and
-rep(x^k) rep(x^m) = u^((1/2)<k,m>) rep(x^(k+m)) holds exactly.
+rep(x^k) rep(x^m) = u^((1/2)<k,m>) rep(x^(k+m)) holds exactly.  The basis
+e_n is indexed flat in C order, m = sum_i n_i L^(r-1-i) < dim = L^r, so a
+monomial, a weighted permutation of it, acts on vectors as one gather.
 
 verify_identity represents the sub-torus on the labels its expressions
 use, which keeps L^r small, and acts on the caller's expressions as they
@@ -202,13 +204,11 @@ class RootRep:
         if self.dim > DENSE_DIM:
             raise Inconclusive("order %d skipped (dimension %d > %d)"
                                % (L, self.dim, DENSE_DIM))
-        self.shape = (L,) * self.r
-        self._axes = tuple(range(-self.r, 0))
-        # zeta^j lookup and the per-axis coordinate grids
+        # zeta^j lookup, the coordinates n of each flat index and the strides
         self._zpow = np.array([self.root.zeta_pow(j) for j in range(L)],
                               dtype=np.int64)
-        self._coords = [np.arange(L, dtype=np.int64).reshape(
-            [L if i == ax else 1 for i in range(self.r)]) for ax in range(self.r)]
+        self._grid = np.indices((L,) * self.r, dtype=np.int64).reshape(self.r, self.dim)
+        self._strides = L ** np.arange(self.r - 1, -1, -1, dtype=np.int64)
         # z_j carries the character g^(n_j), so z^c carries g^(c . n mod (p - 1))
         self._rng = np.random.default_rng((seed, L))
         self._character = self._rng.integers(0, self.p - 1, len(spec.labels))
@@ -217,10 +217,9 @@ class RootRep:
 
     def random_vectors(self, n):
         """The next n vectors uniform in F_p^dim from this representation's
-        generator, shape (n, L, ..., L).  Each row is drawn whole before
-        the next, so the first t rows do not depend on n."""
-        v = self._rng.integers(0, self.p, (n, self.dim), dtype=np.int64)
-        return v.reshape((n,) + self.shape)
+        generator, shape (n, dim).  Each row is drawn whole before the
+        next, so the first t rows do not depend on n."""
+        return self._rng.integers(0, self.p, (n, self.dim), dtype=np.int64)
 
     def _z_map(self, source):
         """(to_z, outside) for a source torus: to_z takes its exponent rows
@@ -240,9 +239,9 @@ class RootRep:
         return zmap
 
     def act_element(self, el, v):
-        """Apply a torus element to v of shape (..., L, ..., L), residues
-        mod p: the last r axes carry the representation, leading axes are
-        a batch."""
+        """Apply a torus element to v of shape (..., dim), residues mod p,
+        leading axes a batch.  Term z^(a,b) is one gather: it adds to entry
+        m the entry m - b times zeta^(2 h d a (m - b)) and the term's weight."""
         out = np.zeros_like(v)
         if not el.terms:
             return out
@@ -252,19 +251,17 @@ class RootRep:
             raise ValueError("element not supported on the sublabels")
         c = k @ to_z
         a, b = c[:, self._a], c[:, self._b]
-        p, root = self.p, self.root
+        p, root, L = self.p, self.root, self.L
         turns = (c @ self._character) % (p - 1)
-        clock = np.mod((self._hd * a * b).sum(axis=1), self.L)
-        grads = np.mod(2 * self._hd * a, self.L)
+        clock = np.mod((self._hd * a * b).sum(axis=1), L)
+        # per term: the coordinates of each source m - b, its index and phase
+        source = np.mod(self._grid - b[:, :, None], L)
+        index = self._strides @ source
+        phase = self._zpow[(np.mod(2 * self._hd * a, L)[:, :, None] * source).sum(axis=1) % L]
         for t, coeff in enumerate(el.terms.values()):
-            phase = sum(int(g) * x for g, x in zip(grads[t], self._coords) if g)
             weight = (pow(root.g, int(turns[t]), p) * root.zeta_pow(int(clock[t]))
                       * coeff.evaluate(root)) % p
-            w = v * (weight * self._zpow % p)[np.mod(phase, self.L)] % p
-            shifts = tuple(int(s) % self.L for s in b[t])
-            if any(shifts):
-                w = np.roll(w, shifts, axis=self._axes)
-            out += w
+            out += v[..., index[t]] * (weight * phase[t] % p) % p
         return out % p
 
     def act_expr(self, expr, v):
@@ -279,21 +276,19 @@ class RootRep:
         return out % self.p
 
     def _solve(self, expr, v):
-        """w with expr . w = v, through expr's matrix inverted once mod p
-        and cached by the payload object; a matrix singular mod p raises
-        Inconclusive so the caller can retry at another order."""
+        """w with expr . w = v for v of shape (dim,) or (n, dim), through
+        expr's matrix inverted once mod p and cached by the payload object;
+        a matrix singular mod p raises Inconclusive (retry at another order)."""
         key = id(expr)
         if key not in self._inverses:
-            basis = np.eye(self.dim, dtype=np.int64).reshape((self.dim,) + self.shape)
-            mat = self.act_expr(expr, basis).reshape(self.dim, self.dim).T
+            mat = self.act_expr(expr, np.eye(self.dim, dtype=np.int64)).T
             try:
                 inverse = lu_factor(mat, self.p)
             except ValueError as exc:
                 raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
             self._inverses[key] = (expr, inverse)
         _, inverse = self._inverses[key]
-        sol = lu_solve(inverse, v.reshape(-1, self.dim).T, self.p)
-        return sol.T.reshape(v.shape)
+        return lu_solve(inverse, v.T, self.p).T
 
 
 @dataclass
@@ -321,12 +316,6 @@ class Verdict:
         return s
 
 
-def _as_expr_list(side):
-    if isinstance(side, Expr):
-        return [side]
-    return list(side)
-
-
 def _support_spec(exprs, spec):
     """The sub-torus of spec on the labels the expressions use."""
     labels = set()
@@ -352,8 +341,8 @@ def verify_identity(lhs, rhs, spec, trials=DEFAULT_TRIALS, seed=0, *, _reps=None
     the same trials and seed may share; the verdict is the same with or
     without it.
     """
-    lhs_list = _as_expr_list(lhs)
-    rhs_list = _as_expr_list(rhs)
+    lhs_list = [lhs] if isinstance(lhs, Expr) else list(lhs)
+    rhs_list = [rhs] if isinstance(rhs, Expr) else list(rhs)
     sub = _support_spec(lhs_list + rhs_list, spec)
     reps = {} if _reps is None else _reps
 
@@ -372,7 +361,7 @@ def verify_identity(lhs, rhs, spec, trials=DEFAULT_TRIALS, seed=0, *, _reps=None
         except Inconclusive as exc:
             notes.append(str(exc))
             continue
-        failing = np.flatnonzero(((av - bv) % rep.p).reshape(trials, -1).any(axis=1))
+        failing = np.flatnonzero(((av - bv) % rep.p).any(axis=1))
         if failing.size:
             return Verdict("FAIL", tuple(done + [L]), trials,
                            witness={"order": L, "trial": int(failing[0])}, notes=notes)

@@ -15,7 +15,6 @@ its class has two sides, boundary when it has one.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,7 +290,8 @@ class Triangulation:
 
     def duality_check(self):
         """Verify PH^T = -4 id, HPH^T = -4 Qring and rank H = #inner edges:
-        a copy of the report, derived on the first call and kept."""
+        a copy of the report (offending entries as tuples), derived on the
+        first call and kept."""
         if self._duality is None:
             _, Qring, H = self.face_submatrices()
             P = self.vertex_matrix()
@@ -313,19 +313,17 @@ class Triangulation:
             }
             if not ok1:
                 bad = np.argwhere(PHt != want)
-                report["PHt_offending"] = [
+                report["PHt_offending"] = tuple(
                     (self.edges[i], self.inner_edges[j], int(PHt[i, j]))
-                    for i, j in bad[:5]
-                ]
+                    for i, j in bad[:5])
             if not ok2:
                 bad = np.argwhere(HPHt != -4 * Qring)
-                report["HPHt_offending"] = [
+                report["HPHt_offending"] = tuple(
                     (self.inner_edges[i], self.inner_edges[j], int(HPHt[i, j]))
-                    for i, j in bad[:5]
-                ]
+                    for i, j in bad[:5])
             report["ok"] = bool(ok1 and ok2 and ok3)
             self._duality = report
-        return copy.deepcopy(self._duality)
+        return dict(self._duality)
 
     # -- flips ---------------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -283,10 +285,81 @@ def test_trial_vectors_do_not_depend_on_trials():
             rep = RootRep(s, L, seed=4)
             few = rep.random_vectors(3)
             many = RootRep(s, L, seed=4).random_vectors(20)
-            assert few.shape == (3,) + rep.shape and few.dtype == np.int64
+            assert few.shape == (3, rep.dim) and few.dtype == np.int64
             assert np.array_equal(few, many[:3])
             assert many.min() >= 0 and many.max() < rep.p
             assert not np.array_equal(many[0], RootRep(s, L, seed=5).random_vectors(1)[0])
+
+
+def normal_form_tori():
+    """Tori whose matrix is already in symplectic normal form, 0, J and
+    J (+) J, so z = x and r = 0, 1, 2 at every order."""
+    J = [[0, 1], [-1, 0]]
+    return (TorusSpec(("a", "b"), np.zeros((2, 2), dtype=int), 2),
+            TorusSpec(("a", "b"), J, 2),
+            TorusSpec(tuple("abcd"), np.kron(np.eye(2, dtype=int), J), 2))
+
+
+def reference_matrix(rep, el):
+    """The matrix of el on the basis tuples n, in C order, built term by
+    term from z^(a,b) . e_n = zeta^(h d (2 a . n + a . b)) e_(n + b) with
+    d = 1, times the central character g^(k . chi) and the coefficient."""
+    root, p, L = rep.root, rep.p, rep.L
+    h = rep.spec.u_eighth // 2
+    basis = list(itertools.product(range(L), repeat=rep.r))
+    index = {n: j for j, n in enumerate(basis)}
+    mat = np.zeros((rep.dim, rep.dim), dtype=np.int64)
+    for k, coeff in el.terms.items():
+        a, b = k[0:2 * rep.r:2], k[1:2 * rep.r:2]
+        turns = sum(int(x) * int(chi) for x, chi in zip(k, rep._character))
+        scale = pow(root.g, turns % (p - 1), p) * coeff.evaluate(root) % p
+        for j, n in enumerate(basis):
+            e = h * sum(2 * ai * ni + ai * bi for ai, ni, bi in zip(a, n, b))
+            i = index[tuple((ni + bi) % L for ni, bi in zip(n, b))]
+            mat[i, j] = (mat[i, j] + scale * pow(root.zeta, e % L, p)) % p
+    return mat
+
+
+def random_element(spec, rng, terms):
+    n = len(spec.labels)
+    return TorusElement(spec, {
+        tuple(int(x) for x in rng.integers(-3, 4, n)):
+            Laurent({int(e): int(c) for e, c in zip(rng.integers(-8, 9, 2),
+                                                     rng.integers(1, 5, 2))})
+        for _ in range(terms)})
+
+
+def test_flat_action_matches_reference_matrix():
+    rng = np.random.default_rng(31)
+    for s, r in zip(normal_form_tori(), (0, 1, 2)):
+        P, _, _ = symplectic_normal_form(s)
+        assert np.array_equal(P, np.eye(len(s.labels), dtype=np.int64))
+        for L in (5, 7):
+            rep = RootRep(s, L, seed=1)
+            assert rep.r == r and rep.dim == L ** r
+            batch = rep.random_vectors(4)
+            for terms in (1, 3, 5):
+                el = random_element(s, rng, terms)
+                mat = reference_matrix(rep, el)
+                assert np.array_equal(rep.act_element(el, batch[0]), mat @ batch[0] % rep.p)
+                assert np.array_equal(rep.act_element(el, batch), batch @ mat.T % rep.p)
+
+
+def test_solve_matches_reference_inverse():
+    rng = np.random.default_rng(37)
+    for s in normal_form_tori():
+        for L in (5, 7):
+            rep = RootRep(s, L, seed=2)
+            batch = rep.random_vectors(3)
+            binomial = random_element(s, rng, 2)
+            mat = reference_matrix(rep, binomial)
+            expr = Expr.from_element(binomial)
+            assert len(binomial.terms) == 2
+            one = rep._solve(expr, batch[0])
+            many = rep._solve(expr, batch)
+            assert np.array_equal(mat @ one % rep.p, batch[0])
+            assert np.array_equal(many @ mat.T % rep.p, batch)
+            assert np.array_equal(many[0], one)
 
 
 def test_prime_field_per_order():
