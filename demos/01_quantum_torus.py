@@ -8,7 +8,20 @@ eighths of q, so no floating point or rational arithmetic ever enters a
 product.
 """
 
-from qskein import Laurent, TorusElement, TorusSpec, weyl_normalize
+from qskein import Laurent, TorusElement, TorusSpec
+
+
+def weyl_normalize(spec, factors):
+    """Normalized monomial of a list of exponent vectors.
+
+    Equal to the ordinary product x^(k_1) ... x^(k_m) with the Weyl
+    q-power prefactor stripped; independent of the order of the factors.
+    """
+    total = spec.zero_vec()
+    for k in factors:
+        total = tuple(a + b for a, b in zip(total, k))
+    return TorusElement.monomial(spec, total)
+
 
 # q itself is exponent 8; q^(1/2) is exponent 4
 q = Laurent.q_power(8)

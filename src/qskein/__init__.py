@@ -24,7 +24,6 @@ from .qtorus import (
     canonical_projection,
     mlh_apply,
     mlh_check,
-    weyl_normalize,
 )
 from .surface import (
     FlipData,
@@ -64,8 +63,8 @@ from .coordinate_change import (
     compose_flips,
     knot_monomial_transfer,
     phi_flip,
+    theta_element,
     theta_flip,
-    theta_on_balanced,
 )
 from .repcheck import RootRep, Verdict, verify_generator_map_identity, verify_identity
 from .puncture import BarBundle, LiftData, bar_trace, curve_lift, lift

@@ -12,10 +12,12 @@ certified by repcheck's root-of-unity representations over F_p.
 
 The flip at an inner edge a replaces it by the opposite diagonal a* of
 its quadrilateral with boundary edges b, c, d, e in cyclic order, the two
-old triangles being (a, b, c) and (a, d, e).  The skein-side change maps
-X_(a*) to [X_c X_e X_a^(-1)] + [X_b X_d X_a^(-1)]; the shear-side change
-acts on the squared generators by the case table (all four boundary edges
-distinct, b = d, or c = e).
+old triangles being (a, b, c) and (a, d, e).  The skein-side change Phi
+maps X_(a*) to [X_c X_e X_a^(-1)] + [X_b X_d X_a^(-1)].  The shear-side
+change is Theta = psi^(-1) o Phi o psi' on every balanced monomial, by
+one near-side rule: of y^k and y^(-k), the one whose skein image has no
+negative power of X_(a*) maps to a polynomial, the other to its inverse.
+The flip maps on the Y_v and the images of traces both use this rule.
 
 Composites along a flip sequence are DAGs, not trees: each flip's images
 refer to the previous composite's expressions by reference, so every
@@ -67,14 +69,16 @@ class Expr:
         return Expr(spec, [])
 
     def __add__(self, other):
-        assert self.spec == other.spec
+        if self.spec != other.spec:
+            raise ValueError("torus spec mismatch")
         return Expr(self.spec, self.words + other.words)
 
     def __mul__(self, other):
         if isinstance(other, (int, Laurent)):
             c = other if isinstance(other, Laurent) else Laurent.integer(other)
             return Expr(self.spec, [(w * c, fs) for w, fs in self.words])
-        assert self.spec == other.spec
+        if self.spec != other.spec:
+            raise ValueError("torus spec mismatch")
         words = []
         for c1, f1 in self.words:
             for c2, f2 in other.words:
@@ -241,11 +245,11 @@ def theta_flip(T, a, new_label=None):
     """Shear-side coordinate change for the flip at a, on the squared
     generators Y_v.
 
-    Rather than hard-coding the quadrilateral case table, each image is
-    computed canonically as psi^(-1) o Phi o psi': whichever of Y_v,
-    Y_v^(-1) has a nonnegative power of the new diagonal in its skein
-    image expands to a polynomial, whose psi-preimage is the image; the
-    other side is its formal inverse.  On squares with four distinct
+    Rather than hard-coding the quadrilateral case table, each image comes
+    from the near-side rule for balanced monomials (_theta_pair): whichever
+    of Y_v, Y_v^(-1) has a nonnegative power of the new diagonal in its
+    skein image expands to a polynomial, whose psi-preimage is the image;
+    the other side is its formal inverse.  On squares with four distinct
     boundary edges this reproduces the familiar table
 
         Y_(a*)          -> Y_a^(-1)
@@ -264,25 +268,42 @@ def theta_flip_from_data(T, T2, fd, bundles=None):
     """theta_flip for an already performed flip."""
     bundle, bundle2 = bundles or (ShearSkein(T), ShearSkein(T2))
     _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
-    y, y2 = bundle.y, bundle2.y
-
-    # psi'(Y_v^s) = X^(2s H'_v): expand the near side s, whose skein image
-    # has no negative power of X_(a*); the far side is its inverse.  Y_v with
-    # v != a* and H'[v, a*] = 0 maps to itself, which a missing entry means
+    y2 = bundle2.y
+    # Y_v with v != a* and H'[v, a*] = 0 maps to itself: it gets no entry
     a_star_col = bundle2.H[:, bundle2.x.index[fd.a_star]]
-    images = {}
-    for v in y2.labels:
-        if v != fd.a_star and not a_star_col[y2.index[v]]:
-            continue
-        sign = 1 if a_star_col[y2.index[v]] >= 0 else -1
-        el = phi.apply_element(bundle2.psi_vec(y2.unit_vec(v, 2 * sign))).as_element()
-        near_el = bundle.psi_preimage(el)
-        near = Expr.from_element(near_el)
-        far = near.inv() if len(el.terms) > 1 else Expr.from_element(
-            near_el.inverse_monomial()
-        )
-        images[v] = (near, far) if sign > 0 else (far, near)
-    return T2, fd, GeneratorImageMap(source=y2, target=y, images=images)
+    images = {
+        v: _theta_pair(bundle, bundle2, phi, fd.a_star, y2.unit_vec(v, 2))
+        for v in y2.labels if v == fd.a_star or a_star_col[y2.index[v]]
+    }
+    return T2, fd, GeneratorImageMap(source=y2, target=bundle.y, images=images)
+
+
+def theta_element(T, T2, fd, elem, bundles=None):
+    """Theta on an element of Y(Delta') whose exponents are balanced: one
+    Expr c * Theta(y^k) per term, the list that verify_identity sums.  An
+    unbalanced exponent raises ValueError."""
+    bundle, bundle2 = bundles or (ShearSkein(T), ShearSkein(T2))
+    if elem.spec != bundle2.y:
+        raise ValueError("element is not over the flipped shear torus")
+    _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
+    return [_theta_pair(bundle, bundle2, phi, fd.a_star, k)[0] * c
+            for k, c in elem.terms.items()]
+
+
+def _theta_pair(bundle, bundle2, phi, a_star, k):
+    """(Theta(y^k), Theta(y^(-k))) for a balanced k over Y(Delta').
+
+    psi'(y^(sk)) = x^(s kH'), with kH' even.  The near side s, the sign of
+    the a* entry of kH', has no negative power of X_(a*), so
+    psi^(-1)(Phi(psi'(y^(sk)))) is a polynomial; the far side is its
+    inverse."""
+    sign = 1 if bundle2.H[:, bundle2.x.index[a_star]].dot(k) >= 0 else -1
+    el = phi.apply_element(bundle2.psi_vec([sign * v for v in k])).as_element()
+    near_el = bundle.psi_preimage(el)
+    near = Expr.from_element(near_el)
+    far = (near.inv() if len(el.terms) > 1
+           else Expr.from_element(near_el.inverse_monomial()))
+    return (near, far) if sign > 0 else (far, near)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +346,8 @@ class TransferRecord:
 
     lhs is psi_{T2}(y^(sign * k')) over the flipped skein torus; rhs is
     psi_T of the transfer image, a polynomial; phi_lhs is the skein-side
-    change applied to lhs, which must equal rhs exactly.  theta_pos is
-    the image of y^(k') itself, a formal inverse in the left-right case.
+    change applied to lhs, which must equal rhs exactly.  flip is the
+    (T, T2, fd) the identity crosses.
     """
 
     case: str                 # 'unchanged' | 'right-left' | 'left-right'
@@ -334,8 +355,7 @@ class TransferRecord:
     lhs: TorusElement
     rhs: TorusElement
     phi_lhs: TorusElement
-    theta_pos: Expr
-    kprime: tuple             # k_(alpha, Delta') over the flipped inner edges
+    flip: tuple
 
     @property
     def exact_ok(self):
@@ -362,51 +382,24 @@ def knot_monomial_transfer(alpha2, T, a, T2, fd):
 
     # the curve's weights on T, by the tropical rule run back from a* to a
     mult = {e: sign * m for e, m in _flip_weights(mult2, fd, back=True).items()}
-    k1 = y.vec(mult)
-
-    if case == "unchanged":
-        el = TorusElement.monomial(y, k1)
-        theta_pos = Expr.from_element(el)
-    else:
+    el = TorusElement.monomial(y, y.vec(mult))
+    if case != "unchanged":
         # y^(sk) + [Y_a^(-s) y^(sk)] with s = sign
-        el = TorusElement.monomial(y, k1) + TorusElement.monomial(
+        el = el + TorusElement.monomial(
             y, y.vec({**mult, a: mult.get(a, 0) - 2 * sign})
-        )
-        theta_pos = (
-            Expr.from_element(el) if sign == 1 else Expr.from_element(el).inv()
         )
 
     lhs = bundle2.psi_vec(tuple(sign * v for v in k2))
     rhs = bundle.psi(el)
     _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
     phi_lhs = phi.apply_element(lhs).as_element()
-    return TransferRecord(case, sign, lhs, rhs, phi_lhs, theta_pos, k2)
+    return TransferRecord(case, sign, lhs, rhs, phi_lhs, (T, T2, fd))
 
 
 def theta_on_balanced(gmap, transfer, elem):
-    """Image of a balanced shear element under the flip coordinate change.
-
-    Every exponent vector of elem must have odd part equal to the curve
-    monomial exponent k' recorded in the transfer; such elements split as
-    y^k = phase * y^(k') * Y^m with m integral, so the image is
-    phase * Theta(y^(k')) * Theta(Y^m).  This covers exactly the shear
-    images of traces of curves simple in the flipped triangulation.
-    """
-    y2 = gmap.source
-    kprime = transfer.kprime
-    exprs = []
-    for k, coeff in elem.terms.items():
-        m2 = tuple(a - b for a, b in zip(k, kprime))
-        if any(v % 2 for v in m2):
-            raise ValueError(
-                "term y^%s does not decompose over the curve monomial" % (k,)
-            )
-        pairing = y2.pairing(kprime, m2)
-        phase = y2.half_phase(-pairing) * coeff
-        even_part = TorusElement.monomial(y2, m2)
-        word = transfer.theta_pos * gmap.apply_element(even_part) * phase
-        exprs.append(word)
-    return exprs
+    """theta_element across the flip of transfer; gmap is not read.  The
+    certify workload of perfbench calls it by this name."""
+    return theta_element(*transfer.flip, elem)
 
 
 def phi_flip_from_data(T, T2, fd, bundles=None):

@@ -440,18 +440,6 @@ def element_from_json(spec, data):
 # Weyl normalization helpers
 
 
-def weyl_normalize(spec, factors):
-    """Normalized monomial of a list of exponent vectors.
-
-    Equal to the ordinary product x^(k_1) ... x^(k_m) with the Weyl
-    q-power prefactor stripped; independent of the order of the factors.
-    """
-    total = spec.zero_vec()
-    for k in factors:
-        total = tuple(a + b for a, b in zip(total, k))
-    return TorusElement.monomial(spec, total)
-
-
 def ordered_product_phase(spec, factors):
     """The scalar P with x^(k_1) ... x^(k_m) = P * x^(k_1 + ... + k_m).
 
@@ -460,8 +448,7 @@ def ordered_product_phase(spec, factors):
     """
     total = 0
     for i, k in enumerate(factors[:-1]):
-        row = spec.pairing_row(k)
-        total += sum(sum(map(mul, row, n)) for n in factors[i + 1:])
+        total += sum(spec.pairing(k, n) for n in factors[i + 1:])
     return spec.half_phase(total)
 
 

@@ -174,8 +174,9 @@ def symplectic_normal_form(spec):
     for i, di in enumerate(d):
         D[2 * i, 2 * i + 1], D[2 * i + 1, 2 * i] = di, -di
     P, Q = P.astype(np.int64), Q.astype(np.int64)
-    assert np.array_equal(P @ spec.A @ P.T, D)
-    assert np.array_equal(P @ Q, np.eye(n, dtype=np.int64))
+    if not (np.array_equal(P @ spec.A @ P.T, D)
+            and np.array_equal(P @ Q, np.eye(n, dtype=np.int64))):
+        raise AssertionError("symplectic normal form failed its self-check")
     return P, Q, tuple(d)
 
 

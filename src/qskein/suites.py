@@ -17,8 +17,8 @@ from .coordinate_change import (
     knot_monomial_transfer,
     phi_flip,
     phi_flip_from_data,
+    theta_element,
     theta_flip,
-    theta_on_balanced,
 )
 from .curves import classify, transport_curve
 from .library import MARKED_LIBRARY, annulus_core, surface_by_name, torus_curve, sphere_curve
@@ -199,7 +199,7 @@ def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
         if id(T) not in bundles:
             bundles[id(T)] = ShearSkein(T)
         b1 = bundles[id(T)]
-        T2, fd, theta = theta_flip(T, edge)
+        T2, fd = T.flip(edge)
         b2 = ShearSkein(T2)
         alpha2 = transport_curve(alpha, T, fd, T2)
         if classify(alpha) != "simple" or classify(alpha2) != "simple":
@@ -208,7 +208,7 @@ def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
         tr1 = trace_simple(alpha, T, b1)
         tr2 = trace_simple(alpha2, T2, b2)
         rec = knot_monomial_transfer(alpha2, T, edge, T2=T2, fd=fd)
-        lhs = theta_on_balanced(theta, rec, tr2.shear_side)
+        lhs = theta_element(T, T2, fd, tr2.shear_side, bundles=(b1, b2))
         v = verify_identity(
             lhs, [Expr.from_element(tr1.shear_side)], b1.y,
             trials=trials, seed=seed,

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +14,9 @@ from qskein.coordinate_change import (
     knot_monomial_transfer,
     phi_flip,
     phi_flip_from_data,
+    theta_element,
     theta_flip,
     theta_flip_from_data,
-    theta_on_balanced,
 )
 from qskein.curves import transport_curve
 from qskein.library import annulus_core, surface_by_name, torus_curve
@@ -19,9 +25,9 @@ from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
 from qskein.repcheck import verify_generator_map_identity, verify_identity
 from qskein.shear import ShearSkein
-from qskein.suites import FLIP_LIBRARY, PENTAGON_SEQUENCE
+from qskein.suites import FLIP_LIBRARY, PENTAGON_SEQUENCE, _phased_cases
 from qskein.surface import annulus, polygon, torus_one_marked
-from qskein.trace import trace_simple
+from qskein.trace import trace_once_edge, trace_simple
 
 
 def test_phi_images_square():
@@ -211,16 +217,87 @@ def test_trace_naturality_small():
     b1 = ShearSkein(A)
     tr1 = trace_simple(core, A, b1)
     for edge in ("d1", "d2"):
-        T2, fd, theta = theta_flip(A, edge)
+        T2, fd = A.flip(edge)
         b2 = ShearSkein(T2)
         moved = transport_curve(core, A, fd, T2)
         tr2 = trace_simple(moved, T2, b2)
-        rec = knot_monomial_transfer(moved, A, edge, T2=T2, fd=fd)
-        lhs = theta_on_balanced(theta, rec, tr2.shear_side)
+        lhs = theta_element(A, T2, fd, tr2.shear_side, bundles=(b1, b2))
         v = verify_identity(
             lhs, [Expr.from_element(tr1.shear_side)], b1.y, trials=4
         )
         assert v.passed, (edge, v)
+
+
+def test_theta_element_agrees_with_generator_images():
+    # on even exponents Theta is also the generator map: decompose y^k over
+    # the Y_v and multiply their images; the near-side rule, applied to each
+    # whole monomial, must give the same element of the skew field
+    ld = lift(torus_one_marked())
+    flips = [(surface_by_name(name), edge) for name, edge in FLIP_LIBRARY]
+    flips += [(ld.delta, edge) for edge in ld.delta.inner_edges]
+    rng = np.random.default_rng(21)
+    for T, edge in flips:
+        T2, fd = T.flip(edge)
+        bundles = (ShearSkein(T), ShearSkein(T2))
+        _, _, theta = theta_flip_from_data(T, T2, fd, bundles=bundles)
+        y2 = theta.source
+        terms = {tuple(2 * int(v) for v in rng.integers(-1, 2, len(y2.labels))):
+                 Laurent.q_power(int(rng.integers(-8, 9))) for _ in range(2)}
+        el = TorusElement(y2, terms)
+        lhs = theta_element(T, T2, fd, el, bundles=bundles)
+        assert len(lhs) == len(el.terms)
+        v = verify_identity(lhs, theta.apply_element(el), theta.target, trials=3)
+        assert v.status == "PASS" and v.orders == (5, 7, 11), (edge, terms, v)
+
+
+def test_theta_element_maps_phased_traces():
+    # the curve is almost-simple after the flip, so its trace there carries
+    # q-phases; Theta still carries it to the simple-side trace
+    for name, T, edge, alpha in _phased_cases():
+        T2, fd = T.flip(edge)
+        b1, b2 = ShearSkein(T), ShearSkein(T2)
+        alpha2 = transport_curve(alpha, T, fd, T2)
+        shear2, _, _ = trace_once_edge(alpha2, T2, bundle=b2)
+        lhs = theta_element(T, T2, fd, shear2, bundles=(b1, b2))
+        rhs = [Expr.from_element(trace_simple(alpha, T, b1).shear_side)]
+        v = verify_identity(lhs, rhs, b1.y, trials=6)
+        assert v.status == "PASS" and v.orders == (5, 7, 11), (name, v)
+        bad = [lhs[0] * Laurent.q_power(1)] + lhs[1:]
+        assert verify_identity(bad, rhs, b1.y, trials=6).status == "FAIL", name
+
+
+def test_theta_element_rejects_unbalanced_or_foreign():
+    T = polygon(4)
+    T2, fd = T.flip("e0_2")
+    y2 = ShearSkein(T2).y
+    with pytest.raises(ValueError):
+        theta_element(T, T2, fd, TorusElement.generator(y2, fd.a_star, 1))
+    # an element of Y(Delta), before the flip, has as many labels
+    with pytest.raises(ValueError):
+        theta_element(T, T2, fd, TorusElement.generator(ShearSkein(T).y, "e0_2", 2))
+    # its square Y_(a*) is balanced
+    assert len(theta_element(T, T2, fd, TorusElement.generator(y2, fd.a_star, 2))) == 1
+
+
+def test_expr_spec_mismatch_raises_under_optimize():
+    # the spec check is a raise, not an assert, so python -O keeps it
+    code = (
+        "from qskein.coordinate_change import Expr\n"
+        "from qskein.qtorus import TorusElement\n"
+        "from qskein.shear import ShearSkein\n"
+        "from qskein.surface import polygon\n"
+        "a, b = (Expr.from_element(TorusElement.one(ShearSkein(polygon(n)).y)) for n in (4, 5))\n"
+        "for op in (a.__add__, a.__mul__):\n"
+        "    try:\n"
+        "        op(b)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["torus spec mismatch"] * 2
 
 
 def test_expr_algebra():

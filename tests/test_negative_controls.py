@@ -82,12 +82,11 @@ def naturality_row():
     ld = lift(torus_one_marked())
     T, alpha = ld.delta, curve_lift(ld, torus_curve("1,0")[1])
     b1 = ShearSkein(T)
-    T2, fd, theta = cc.theta_flip(T, "c")
+    T2, fd = T.flip("c")
     alpha2 = transport_curve(alpha, T, fd, T2)
     tr1 = trace_simple(alpha, T, b1)
     tr2 = trace_simple(alpha2, T2, ShearSkein(T2))
-    rec = cc.knot_monomial_transfer(alpha2, T, "c", T2=T2, fd=fd)
-    parts = cc.theta_on_balanced(theta, rec, tr2.shear_side)
+    parts = cc.theta_element(T, T2, fd, tr2.shear_side)
     return sum(parts[1:], parts[0]), Expr.from_element(tr1.shear_side), b1.y
 
 

@@ -16,7 +16,6 @@ from qskein.qtorus import (
     mlh_apply,
     mlh_check,
     ordered_product_phase,
-    weyl_normalize,
 )
 from qskein.shear import ShearSkein
 from qskein.surface import SurfaceError, torus_one_marked
@@ -364,16 +363,11 @@ def test_associativity_random():
         assert (a * b) * c == a * (b * c)
 
 
-def test_weyl_normalize():
+def test_ordered_product_phase():
+    # the ordered product equals the phase times the monomial of the sum
     s = spec2()
     rng = np.random.default_rng(3)
     ks = [rng_vec(rng, s) for _ in range(4)]
-    ref = weyl_normalize(s, ks)
-    perm = [ks[2], ks[0], ks[3], ks[1]]
-    assert weyl_normalize(s, perm) == ref
-    assert weyl_normalize(s, [ks[0]]) == TorusElement.monomial(s, ks[0])
-    assert weyl_normalize(s, [ks[0], tuple(-v for v in ks[0])]).is_one()
-    # the ordered product equals the phase times the normalized monomial
     prod = TorusElement.one(s)
     for k in ks:
         prod = prod * TorusElement.monomial(s, k)

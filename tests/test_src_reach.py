@@ -1,5 +1,6 @@
 """Every function, class and method of src/qskein is named again in src
-(not in __init__.py), demos/ or perfbench/; test-only code lives in tests.
+(not in __init__.py) or perfbench/; code that only tests or demos use
+lives with them.
 
 A method is reached only by an attribute access .name or a string
 constant (the benchmark tracer names its hooks by string); a name of the
@@ -16,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_no_src_name_is_reached_only_from_tests():
     src = sorted((ROOT / "src" / "qskein").glob("*.py"))
     corpus = [p for p in src if p.name != "__init__.py"]
-    corpus += sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    corpus += sorted((ROOT / "perfbench").rglob("*.py"))
     by_attribute, by_name = set(), set()
     for p in corpus:
         for node in ast.walk(ast.parse(p.read_text())):
