@@ -18,20 +18,20 @@ from qskein import ShearSkein, enumerate_states, oracle_resolution, trace_simple
 from qskein.library import annulus_core
 
 A, core = annulus_core()
-bundle = ShearSkein(A)
+bundle = ShearSkein.of(A)
 
 print("curve:", core)
 print("colorings:")
 for s in enumerate_states(core):
     print("   ", dict(zip(core.crossing_edges(), s)))
 
-res = trace_simple(core, A, bundle)
+res = trace_simple(core, A)
 print("\nskein side:", res.skein_side)
 print("shear side:", res.shear_side)
 print("unit coefficients:", res.skein_side.has_unit_coefficients())
 print("psi(shear) == skein:", bundle.psi(res.shear_side) == res.skein_side)
 
-orc = oracle_resolution(core, A, bundle)
+orc = oracle_resolution(core, A)
 print("resolution oracle agrees:", orc == res.skein_side)
 
 # at q = 1 the skein side becomes the classical trace of the annulus

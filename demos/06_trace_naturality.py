@@ -16,7 +16,6 @@ comparison run on the skein side validates those phases.
 
 from qskein import (
     Expr,
-    ShearSkein,
     knot_monomial_transfer,
     theta_element,
     trace_simple,
@@ -26,15 +25,13 @@ from qskein import (
 from qskein.library import annulus_core
 
 A, core = annulus_core()
-b1 = ShearSkein(A)
-before = trace_simple(core, A, b1)
+before = trace_simple(core, A)
 print("trace in the original triangulation:")
 print("   ", before.shear_side)
 
 T2, fd = A.flip("d1")
-b2 = ShearSkein(T2)
 core2 = transport_curve(core, A, fd, T2)
-after = trace_simple(core2, T2, b2)
+after = trace_simple(core2, T2)
 print("\nafter flipping %s to %s the same curve gives:" % (fd.a, fd.a_star))
 print("   ", after.shear_side)
 
@@ -42,9 +39,9 @@ rec = knot_monomial_transfer(core2, A, "d1", T2=T2, fd=fd)
 print("\nthe curve crosses %s in the %s pattern;" % (fd.a_star, rec.case))
 print("exact transfer of the curve monomial:", rec.exact_ok)
 
-lhs = theta_element(A, T2, fd, after.shear_side, bundles=(b1, b2))
+lhs = theta_element(A, T2, fd, after.shear_side)
 verdict = verify_identity(lhs, [Expr.from_element(before.shear_side)],
-                          b1.y, trials=10)
+                          before.shear_side.spec, trials=10)
 print("coordinate change carries one trace to the other:", verdict)
 
 # the almost-simple situation, with honest q-phases, is exercised by the

@@ -168,7 +168,7 @@ def cmd_trace(args):
 
 def cmd_shear(args):
     T = _load_surface(args.surface)
-    bundle = ShearSkein(T)
+    bundle = ShearSkein.of(T)
     data = _load_json(args.element, "element.schema.json")
     try:
         elem = element_from_json(bundle.y, data)

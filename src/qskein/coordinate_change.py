@@ -25,8 +25,8 @@ flip adds a bounded number of nodes.  Every walk over an expression
 visits a shared node once (support_labels keys a memo by node id, the
 root-of-unity representations cache each inverse's matrix by node),
 so composing and certifying cost time linear in the number of flips.
-compose_flips builds each triangulation's ShearSkein bundle once and
-hands it to the flip out of it.
+Every map reads both triangulations' tori and H from ShearSkein.of,
+which builds a triangulation's bundle once and keeps it there.
 """
 
 from __future__ import annotations
@@ -264,10 +264,10 @@ def theta_flip(T, a, new_label=None):
     return theta_flip_from_data(T, T2, fd)
 
 
-def theta_flip_from_data(T, T2, fd, bundles=None):
+def theta_flip_from_data(T, T2, fd):
     """theta_flip for an already performed flip."""
-    bundle, bundle2 = bundles or (ShearSkein(T), ShearSkein(T2))
-    _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
+    bundle, bundle2 = ShearSkein.of(T), ShearSkein.of(T2)
+    _, _, phi = phi_flip_from_data(T, T2, fd)
     y2 = bundle2.y
     # Y_v with v != a* and H'[v, a*] = 0 maps to itself: it gets no entry
     a_star_col = bundle2.H[:, bundle2.x.index[fd.a_star]]
@@ -278,14 +278,14 @@ def theta_flip_from_data(T, T2, fd, bundles=None):
     return T2, fd, GeneratorImageMap(source=y2, target=bundle.y, images=images)
 
 
-def theta_element(T, T2, fd, elem, bundles=None):
+def theta_element(T, T2, fd, elem):
     """Theta on an element of Y(Delta') whose exponents are balanced: one
     Expr c * Theta(y^k) per term, the list that verify_identity sums.  An
     unbalanced exponent raises ValueError."""
-    bundle, bundle2 = bundles or (ShearSkein(T), ShearSkein(T2))
+    bundle, bundle2 = ShearSkein.of(T), ShearSkein.of(T2)
     if elem.spec != bundle2.y:
         raise ValueError("element is not over the flipped shear torus")
-    _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
+    _, _, phi = phi_flip_from_data(T, T2, fd)
     return [_theta_pair(bundle, bundle2, phi, fd.a_star, k)[0] * c
             for k, c in elem.terms.items()]
 
@@ -316,20 +316,22 @@ def compose_flips(T, edges, side="shear", new_labels=None):
     Returns (final triangulation, composite GeneratorImageMap from the
     final coordinates into the initial ones, list of FlipData).
     new_labels optionally names the created diagonals, one per flip.
-    Each triangulation's ShearSkein bundle is built once and serves the
-    flips into and out of it.
+    side is 'shear' (Theta) or 'skein' (Phi).  Each triangulation's bundle
+    (ShearSkein.of) serves the flips into and out of it, so k flips build
+    at most k + 1 bundles.
     """
-    from_data = theta_flip_from_data if side == "shear" else phi_flip_from_data
-    bundle = ShearSkein(T)
+    from_data = {"shear": theta_flip_from_data, "skein": phi_flip_from_data}.get(side)
+    if from_data is None:
+        raise ValueError("side must be 'shear' or 'skein', not %r" % (side,))
+    bundle = ShearSkein.of(T)          # checks T before the first flip
     cur, composite, datas = T, None, []
     for step, a in enumerate(edges):
         lab = new_labels[step] if new_labels else None
         nxt, fd = cur.flip(a, new_label=lab)
-        bundle2 = ShearSkein(nxt)
-        _, _, gmap = from_data(cur, nxt, fd, bundles=(bundle, bundle2))
+        _, _, gmap = from_data(cur, nxt, fd)
         composite = gmap if composite is None else composite.compose_after(gmap)
         datas.append(fd)
-        cur, bundle = nxt, bundle2
+        cur = nxt
     if composite is None:
         spec = bundle.y if side == "shear" else bundle.x
         composite = GeneratorImageMap(source=spec, target=spec, images={})
@@ -344,15 +346,13 @@ def compose_flips(T, edges, side="shear", new_labels=None):
 class TransferRecord:
     """The transfer identity in its polynomial orientation.
 
-    lhs is psi_{T2}(y^(sign * k')) over the flipped skein torus; rhs is
-    psi_T of the transfer image, a polynomial; phi_lhs is the skein-side
-    change applied to lhs, which must equal rhs exactly.  flip is the
-    (T, T2, fd) the identity crosses.
+    rhs is psi_T of the transfer image, a polynomial; phi_lhs is the
+    skein-side change applied to psi_{T2}(y^(sign * k')), with sign -1 in
+    the left-right case and +1 otherwise, and must equal rhs exactly.
+    flip is the (T, T2, fd) the identity crosses.
     """
 
     case: str                 # 'unchanged' | 'right-left' | 'left-right'
-    sign: int                 # +1, or -1 in the left-right case
-    lhs: TorusElement
     rhs: TorusElement
     phi_lhs: TorusElement
     flip: tuple
@@ -371,7 +371,7 @@ def knot_monomial_transfer(alpha2, T, a, T2, fd):
     """
     if classify(alpha2) != "simple":
         raise CurveError("transfer needs a curve simple after the flip")
-    bundle, bundle2 = ShearSkein(T), ShearSkein(T2)
+    bundle, bundle2 = ShearSkein.of(T), ShearSkein.of(T2)
     mult2 = alpha2.multiplicities()
     k2 = bundle2.y.vec(mult2)
     y = bundle.y
@@ -390,10 +390,8 @@ def knot_monomial_transfer(alpha2, T, a, T2, fd):
         )
 
     lhs = bundle2.psi_vec(tuple(sign * v for v in k2))
-    rhs = bundle.psi(el)
-    _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(bundle, bundle2))
-    phi_lhs = phi.apply_element(lhs).as_element()
-    return TransferRecord(case, sign, lhs, rhs, phi_lhs, (T, T2, fd))
+    phi_lhs = phi_flip_from_data(T, T2, fd)[2].apply_element(lhs).as_element()
+    return TransferRecord(case, bundle.psi(el), phi_lhs, (T, T2, fd))
 
 
 def theta_on_balanced(gmap, transfer, elem):
@@ -403,8 +401,8 @@ def theta_on_balanced(gmap, transfer, elem):
 
 
 def phi_flip_from_data(T, T2, fd, bundles=None):
-    """phi_flip for an already performed flip."""
-    bundle, bundle2 = bundles or (ShearSkein(T), ShearSkein(T2))
+    """phi_flip for an already performed flip; bundles defaults to ShearSkein.of."""
+    bundle, bundle2 = bundles or (ShearSkein.of(T), ShearSkein.of(T2))
     x, x2 = bundle.x, bundle2.x
     kbd = x.vec({fd.b: 2, fd.d: 2}) if fd.b != fd.d else x.vec({fd.b: 4})
     kce = x.vec({fd.c: 2, fd.e: 2}) if fd.c != fd.e else x.vec({fd.c: 4})

@@ -22,8 +22,8 @@ _TORUS_CURVES = {
 }
 
 
-def torus_curve(slope, lam=None):
-    lam = lam or torus_one_marked()
+def torus_curve(slope):
+    lam = torus_one_marked()
     return lam, NormalCurve(lam, _TORUS_CURVES[slope])
 
 
@@ -36,8 +36,8 @@ _SPHERE_CURVES = {
 }
 
 
-def sphere_curve(pair, lam=None):
-    lam = lam or sphere_three_marked()
+def sphere_curve(pair):
+    lam = sphere_three_marked()
     return lam, NormalCurve(lam, _SPHERE_CURVES[pair])
 
 

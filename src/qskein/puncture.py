@@ -61,6 +61,8 @@ def lift(lam, variant="after"):
     doubles the side entering the corner ('after', the default fan rule)
     or the side leaving it ('before').
     """
+    if variant not in ("after", "before"):
+        raise ValueError("variant must be 'after' or 'before', not %r" % (variant,))
     lam.validate()
     cur = lam
     omega = {}
@@ -145,7 +147,7 @@ class BarBundle:
 
     def __init__(self, ld):
         self.ld = ld
-        self.delta_bundle = ShearSkein(ld.delta)
+        self.delta_bundle = ShearSkein.of(ld.delta)
         self.ylam = shear_spec(ld.lam)
         self.Qbar = self.ylam.A
         self.Omega = ld.omega_matrix()
@@ -219,6 +221,6 @@ def bar_trace(ld, lam_curve):
     skein = bundle.bar_psi(shear)
 
     alpha_d = curve_lift(ld, lam_curve)
-    _, skein_d, _ = trace_once_edge(alpha_d, ld.delta, bundle=bundle.delta_bundle)
+    _, skein_d, _ = trace_once_edge(alpha_d, ld.delta)
     projected = bundle.bar_projection(skein_d)
     return BarTraceResult(shear, skein, count, projected == skein)

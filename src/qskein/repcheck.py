@@ -340,8 +340,10 @@ def verify_identity(lhs, rhs, spec, trials=DEFAULT_TRIALS, seed=0, *, _reps=None
 
     _reps is a table {(sub-torus, L): (RootRep, batch)} that calls with
     the same trials and seed may share; the verdict is the same with or
-    without it.
+    without it.  trials < 1 raises ValueError: nothing would be compared.
     """
+    if trials < 1:
+        raise ValueError("a verdict needs at least one trial, not %r" % (trials,))
     lhs_list = [lhs] if isinstance(lhs, Expr) else list(lhs)
     rhs_list = [rhs] if isinstance(rhs, Expr) else list(rhs)
     sub = _support_spec(lhs_list + rhs_list, spec)
@@ -436,6 +438,8 @@ def verify_generator_map_identity(gmap, trials=DEFAULT_TRIALS, seed=0):
     shared table of representations and trial batches.  When every row is
     decided exactly, the row with the most words goes to verify_identity
     as well, so no map rests on one certifier alone."""
+    if trials < 1:
+        raise ValueError("a verdict needs at least one trial, not %r" % (trials,))
     out, reps, exact = {}, {}, []
     for lab in sorted(gmap.source.labels):
         img = gmap.image_of_generator(lab, 1)

@@ -23,18 +23,27 @@ def shear_spec(T):
 
 
 class ShearSkein:
-    """Bundle of the two tori and the checked map psi for one surface."""
+    """Bundle of the two tori and the checked map psi for one surface.  It
+    holds no reference to the surface, so ShearSkein.of makes no cycle."""
 
     def __init__(self, T):
         T.validate(require_marked=True)
         rep = T.duality_check()
         if not rep["ok"]:
             raise SurfaceError("duality check failed: %s" % rep)
-        self.T = T
         self.H = T.face_submatrices()[2]
         self.y = shear_spec(T)
         # the square-root Muller torus T(P, q^(1/4), x) over all edges
         self.x = TorusSpec(T.edges, T.vertex_matrix(), 2)
+
+    @staticmethod
+    def of(T):
+        """T's bundle, built on the first call and kept on T like its face
+        and vertex matrices, so every later call returns the same object.
+        A flipped triangulation is a new object and gets its own bundle."""
+        if T._bundle is None:
+            T._bundle = ShearSkein(T)
+        return T._bundle
 
     def psi(self, elem):
         """The shear-to-skein map on an element of Y(Delta)."""
@@ -47,7 +56,7 @@ class ShearSkein:
         """Preimage under psi on the monomial basis, exact over Python ints:
         the duality P H^T = -4 id makes (kH P) on the inner-edge columns 4k,
         and one product back through H checks that each term is an image."""
-        inner = self.x.A[:, [self.x.index[e] for e in self.T.inner_edges]].astype(object)
+        inner = self.x.A[:, [self.x.index[e] for e in self.y.labels]].astype(object)
         keys = np.array(list(elem.terms), dtype=object).reshape(-1, len(self.x.labels))
         four_k = keys @ inner
         pre = four_k // 4
@@ -68,10 +77,9 @@ def is_balanced(k, T):
     return True
 
 
-def even_image_check(k, T, bundle=None):
+def even_image_check(k, T):
     """Report on the biconditional: kH has even entries <=> k balanced."""
-    bundle = bundle or ShearSkein(T)
-    img = np.asarray(k, dtype=object) @ bundle.H.astype(object)
+    img = np.asarray(k, dtype=object) @ ShearSkein.of(T).H.astype(object)
     even = not np.any(img % 2)
     bal = is_balanced(k, T)
     return {"kH_even": even, "balanced": bal, "agree": even == bal}

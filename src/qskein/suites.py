@@ -66,33 +66,29 @@ def suite_duality():
 
 
 def library_simple_curves():
-    """(name, surface, bundle, curve) for every simple library curve on a
-    marked surface."""
-    out = []
+    """(name, surface, curve) for every simple library curve on a marked
+    surface."""
     A, core = annulus_core()
-    bundle = ShearSkein(A)
-    out.append(("annulus core", A, bundle, core))
+    out = [("annulus core", A, core)]
     ld = lift(torus_one_marked())
-    bt = ShearSkein(ld.delta)
     for slope in ("1,0", "0,1", "1,1"):
         _, c = torus_curve(slope)
-        out.append(("torus-lift (%s)" % slope, ld.delta, bt, curve_lift(ld, c)))
+        out.append(("torus-lift (%s)" % slope, ld.delta, curve_lift(ld, c)))
     ld2 = lift(sphere_three_marked())
-    bs = ShearSkein(ld2.delta)
     for pair in ("12", "23", "13"):
         _, c = sphere_curve(pair)
-        out.append(("sphere-lift loop %s" % pair, ld2.delta, bs, curve_lift(ld2, c)))
+        out.append(("sphere-lift loop %s" % pair, ld2.delta, curve_lift(ld2, c)))
     return out
 
 
 def suite_trace():
     rows = []
-    for name, T, bundle, alpha in library_simple_curves():
+    for name, T, alpha in library_simple_curves():
         # trace_simple raises unless the coefficients are units, the
         # exponents even and every state a distinct term
-        res = trace_simple(alpha, T, bundle)
-        orc = oracle_resolution(alpha, T, bundle)
-        sh, sk, _ = trace_once_edge(alpha, T, bundle=bundle)
+        res = trace_simple(alpha, T)
+        orc = oracle_resolution(alpha, T)
+        sh, sk, _ = trace_once_edge(alpha, T)
         ok = orc == res.skein_side and sh == res.shear_side and sk == res.skein_side
         rows.append(_row("trace %s" % name, ok,
                          "%d states" % res.state_count))
@@ -104,11 +100,10 @@ def suite_balanced(samples=1000, seed=0):
     rng = np.random.default_rng(seed)
     for name in MARKED_LIBRARY:
         T = surface_by_name(name)
-        bundle = ShearSkein(T)
         bad = 0
         for _ in range(samples):
             k = tuple(int(v) for v in rng.integers(-4, 5, len(T.inner_edges)))
-            if not even_image_check(k, T, bundle)["agree"]:
+            if not even_image_check(k, T)["agree"]:
                 bad += 1
         rows.append(_row("balanced %s" % name, bad == 0,
                          "%d samples, %d exceptions" % (samples, bad)))
@@ -168,8 +163,8 @@ def suite_pentagon(trials=DEFAULT_TRIALS, seed=0):
 
 
 def _naturality_cases():
-    """(name, T, bundle, flip edge, curve) with the curve simple before
-    and after the flip."""
+    """(name, T, flip edge, curve) with the curve simple before and after
+    the flip."""
     cases = []
     A, core = annulus_core()
     for edge in ("d1", "d2"):
@@ -194,23 +189,18 @@ def _naturality_cases():
 
 def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
     rows = []
-    bundles = {}
     for name, T, edge, alpha in _naturality_cases():
-        if id(T) not in bundles:
-            bundles[id(T)] = ShearSkein(T)
-        b1 = bundles[id(T)]
         T2, fd = T.flip(edge)
-        b2 = ShearSkein(T2)
         alpha2 = transport_curve(alpha, T, fd, T2)
         if classify(alpha) != "simple" or classify(alpha2) != "simple":
             rows.append((name, "FAIL", "curve not simple on both sides"))
             continue
-        tr1 = trace_simple(alpha, T, b1)
-        tr2 = trace_simple(alpha2, T2, b2)
+        tr1 = trace_simple(alpha, T)
+        tr2 = trace_simple(alpha2, T2)
         rec = knot_monomial_transfer(alpha2, T, edge, T2=T2, fd=fd)
-        lhs = theta_element(T, T2, fd, tr2.shear_side, bundles=(b1, b2))
+        lhs = theta_element(T, T2, fd, tr2.shear_side)
         v = verify_identity(
-            lhs, [Expr.from_element(tr1.shear_side)], b1.y,
+            lhs, [Expr.from_element(tr1.shear_side)], tr1.shear_side.spec,
             trials=trials, seed=seed,
         )
         rows.append(_row("naturality %s [%s]" % (name, rec.case), v))
@@ -253,17 +243,16 @@ def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
         if classify(alpha2) != "almost-simple":
             rows.append((name, "FAIL", "expected an almost-simple transport"))
             continue
-        b2 = ShearSkein(T2)
-        _, lhs_skein, _ = trace_once_edge(alpha2, T2, bundle=b2)
+        _, lhs_skein, _ = trace_once_edge(alpha2, T2)
         T3, fd2, phi2 = phi_flip(T2, fd.a_star, new_label=edge)
         if not T3.same_as(T):
             rows.append((name, "FAIL", "flip-back does not close"))
             continue
         alpha3 = transport_curve(alpha2, T2, fd2, T3)
-        tr3 = trace_simple(alpha3, T3, ShearSkein(T3))
+        tr3 = trace_simple(alpha3, T3)
         rhs = phi2.apply_element(tr3.skein_side)
         v = verify_identity(
-            Expr.from_element(lhs_skein), rhs, b2.x, trials=trials, seed=seed
+            Expr.from_element(lhs_skein), rhs, lhs_skein.spec, trials=trials, seed=seed
         )
         rows.append(_row("phased naturality %s" % name, v))
     return rows
@@ -277,10 +266,9 @@ def suite_dia9(trials=DEFAULT_TRIALS, seed=0):
     rows = []
     for name, edge in FLIP_LIBRARY:
         T = surface_by_name(name)
-        b1 = ShearSkein(T)
         T2, fd, theta = theta_flip(T, edge)
-        b2 = ShearSkein(T2)
-        _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(b1, b2))
+        b1, b2 = ShearSkein.of(T), ShearSkein.of(T2)
+        _, _, phi = phi_flip_from_data(T, T2, fd)
         for v in sorted(theta.source.labels):
             pos = theta.image_of_generator(v, 1)
             sign = 1 if pos.is_polynomial() else -1
@@ -303,11 +291,10 @@ def suite_transfer():
     # an almost-simple instance on the torus lift
     lam, c = torus_curve("1,-1")
     ld = lift(lam, variant="before")
-    cases.append(("torus-lift (1,-1) almost-simple", ld.delta,
-                  ShearSkein(ld.delta), curve_lift(ld, c)))
-    for name, T, bundle, alpha in cases:
+    cases.append(("torus-lift (1,-1) almost-simple", ld.delta, curve_lift(ld, c)))
+    for name, T, alpha in cases:
         try:
-            psi_image_of_knot_monomial(alpha, T, bundle)
+            psi_image_of_knot_monomial(alpha, T)
             rows.append(_row("psi(y^k)=X^eps %s" % name, True))
         except AssertionError as exc:
             rows.append(_row("psi(y^k)=X^eps %s" % name, False, str(exc)))
@@ -354,10 +341,9 @@ def suite_punctured():
 def suite_negative(trials=DEFAULT_TRIALS, seed=0):
     """A corrupted coordinate change must FAIL at some root order."""
     A = annulus()
-    b1 = ShearSkein(A)
     T2, fd, theta = theta_flip(A, "d1")
-    b2 = ShearSkein(T2)
-    _, _, phi = phi_flip_from_data(A, T2, fd, bundles=(b1, b2))
+    b1, b2 = ShearSkein.of(A), ShearSkein.of(T2)
+    _, _, phi = phi_flip_from_data(A, T2, fd)
     v = fd.b  # the doubled inner edge
     el = theta.image_of_generator(v, 1).as_element()
     # multiply one coefficient by q^(1/8)

@@ -87,7 +87,7 @@ class Triangulation:
                 )
 
         self._vertex_hints = dict(vertex_hints)
-        self._face = self._P = self._duality = None
+        self._face = self._P = self._duality = self._bundle = None
         self._derive()
 
     # -- derived structure ---------------------------------------------

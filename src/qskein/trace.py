@@ -52,7 +52,7 @@ def trace_simple(alpha, T, bundle=None):
     if classify(alpha) != "simple":
         raise CurveError("trace_simple needs a simple curve")
     _require_normal(alpha, T)
-    bundle = bundle or ShearSkein(T)
+    bundle = bundle or ShearSkein.of(T)
     shear, count = state_sum(alpha, T, bundle.y)
     skein = bundle.psi(shear)
     if not (shear.has_unit_coefficients() and skein.has_unit_coefficients()):
@@ -97,7 +97,7 @@ def oracle_resolution(alpha, T, bundle=None):
     if classify(alpha) != "simple":
         raise CurveError("the resolution oracle needs a simple curve")
     _require_normal(alpha, T)
-    bundle = bundle or ShearSkein(T)
+    bundle = bundle or ShearSkein.of(T)
     spec = bundle.x
     n = len(alpha.steps)
     edges = alpha.crossing_edges()
@@ -150,19 +150,19 @@ def trace_once_edge(alpha, T, base_edge=None, bundle=None):
     Returns (shear element of Y(Delta), its skein image, state count).
     """
     _require_normal(alpha, T)
-    bundle = bundle or ShearSkein(T)
+    bundle = bundle or ShearSkein.of(T)
     shear, count = state_sum(alpha, T, bundle.y, base_edge)
     return shear, bundle.psi(shear), count
 
 
-def psi_image_of_knot_monomial(alpha, T, bundle=None):
+def psi_image_of_knot_monomial(alpha, T):
     """psi(y^(k_alpha)) for a simple or almost-simple curve, checked
     against the crossing-pattern monomial X^(eps_alpha)."""
     kind = classify(alpha)
     if kind not in ("simple", "almost-simple"):
         raise CurveError("needs a simple or almost-simple curve")
     _require_normal(alpha, T)
-    bundle = bundle or ShearSkein(T)
+    bundle = ShearSkein.of(T)
     mult = alpha.multiplicities()
     k = bundle.y.vec(mult)
     img = bundle.psi_vec(k)

@@ -1,0 +1,40 @@
+"""The benchmark's reduced job lists, run inside the test suite.
+
+perfbench/workloads.py calls qskein by name and with set signatures (the
+bundle arguments of the trace functions and of phi_flip_from_data among
+them).  Running every tiny job here makes a change that breaks one of
+those calls, or changes one of their exact outputs, fail the test suite,
+not only a benchmark run.  Nothing under perfbench/ is written."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench's run, checks and workloads modules, imported from the
+    checkout and dropped from sys.modules afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = ("run", "checks", "workloads")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield tuple(importlib.import_module(name) for name in names)
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", ["certify", "flipwalk", "traces"])
+def test_tiny_jobs_pass_their_checks_and_golden_digests(bench, name):
+    run, checks, workloads = bench
+    golden = run.load_golden(name)
+    jobs = workloads.build(name, 0, tiny=True)
+    assert jobs
+    for job in jobs:
+        out = job.run()
+        assert job.check(out) == [], job.key
+        assert checks.digest(job.digest(out)) == golden[job.key], job.key

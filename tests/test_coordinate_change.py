@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +223,7 @@ def test_trace_naturality_small():
         b2 = ShearSkein(T2)
         moved = transport_curve(core, A, fd, T2)
         tr2 = trace_simple(moved, T2, b2)
-        lhs = theta_element(A, T2, fd, tr2.shear_side, bundles=(b1, b2))
+        lhs = theta_element(A, T2, fd, tr2.shear_side)
         v = verify_identity(
             lhs, [Expr.from_element(tr1.shear_side)], b1.y, trials=4
         )
@@ -238,13 +240,12 @@ def test_theta_element_agrees_with_generator_images():
     rng = np.random.default_rng(21)
     for T, edge in flips:
         T2, fd = T.flip(edge)
-        bundles = (ShearSkein(T), ShearSkein(T2))
-        _, _, theta = theta_flip_from_data(T, T2, fd, bundles=bundles)
+        _, _, theta = theta_flip_from_data(T, T2, fd)
         y2 = theta.source
         terms = {tuple(2 * int(v) for v in rng.integers(-1, 2, len(y2.labels))):
                  Laurent.q_power(int(rng.integers(-8, 9))) for _ in range(2)}
         el = TorusElement(y2, terms)
-        lhs = theta_element(T, T2, fd, el, bundles=bundles)
+        lhs = theta_element(T, T2, fd, el)
         assert len(lhs) == len(el.terms)
         v = verify_identity(lhs, theta.apply_element(el), theta.target, trials=3)
         assert v.status == "PASS" and v.orders == (5, 7, 11), (edge, terms, v)
@@ -258,7 +259,7 @@ def test_theta_element_maps_phased_traces():
         b1, b2 = ShearSkein(T), ShearSkein(T2)
         alpha2 = transport_curve(alpha, T, fd, T2)
         shear2, _, _ = trace_once_edge(alpha2, T2, bundle=b2)
-        lhs = theta_element(T, T2, fd, shear2, bundles=(b1, b2))
+        lhs = theta_element(T, T2, fd, shear2)
         rhs = [Expr.from_element(trace_simple(alpha, T, b1).shear_side)]
         v = verify_identity(lhs, rhs, b1.y, trials=6)
         assert v.status == "PASS" and v.orders == (5, 7, 11), (name, v)
@@ -350,7 +351,7 @@ def test_theta_leaves_out_only_fixed_generators():
         T2, fd = T.flip(edge, new_label=label)
         b1, b2 = ShearSkein(T), ShearSkein(T2)
         _, _, phi = phi_flip_from_data(T, T2, fd, bundles=(b1, b2))
-        _, _, theta = theta_flip_from_data(T, T2, fd, bundles=(b1, b2))
+        _, _, theta = theta_flip_from_data(T, T2, fd)
         assert fd.a_star in theta.images
         for v in set(b2.y.labels) - set(theta.images):
             skipped += 1
@@ -359,3 +360,42 @@ def test_theta_leaves_out_only_fixed_generators():
             assert theta.image_of_generator(v, 1).as_element() == \
                 TorusElement.generator(b1.y, v, 2)
     assert skipped > 0
+
+
+def test_compose_flips_rejects_unknown_side():
+    for T in (polygon(5), lift(torus_one_marked()).delta):
+        for side in ("Shear", "bogus", None):
+            with pytest.raises(ValueError, match="side"):
+                compose_flips(T, [T.inner_edges[0]], side=side)
+
+
+def test_each_triangulation_builds_its_bundle_once(monkeypatch):
+    T = polygon(5)
+    bundle = ShearSkein.of(T)
+    assert ShearSkein.of(T) is bundle
+    T2, _ = T.flip("e0_2")
+    assert ShearSkein.of(T2) is not bundle
+    assert ShearSkein.of(T2).y.labels == T2.inner_edges
+    # the bundle does not refer back to its triangulation, so dropping the
+    # last reference frees both without the cycle collector
+    ref, collecting = weakref.ref(T2), gc.isenabled()
+    gc.disable()
+    try:
+        del T2
+        assert ref() is None
+    finally:
+        if collecting:
+            gc.enable()
+    built = []
+    init = ShearSkein.__init__
+
+    def counted(self, T):
+        built.append(T)
+        init(self, T)
+
+    monkeypatch.setattr(ShearSkein, "__init__", counted)
+    for side in ("shear", "skein"):
+        for k in range(len(PENTAGON_SEQUENCE) + 1):
+            built.clear()
+            compose_flips(polygon(5), list(PENTAGON_SEQUENCE[:k]), side=side)
+            assert len(built) == len({id(T) for T in built}) <= k + 1, (side, k)

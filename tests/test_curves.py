@@ -336,5 +336,5 @@ def test_lift_is_the_strip_lift():
                                   (sphere_three_marked(), sphere_curve, ("12", "23", "13"))):
             ld = lift(lam, variant=variant)
             for name in names:
-                c = curve(name, lam)[1]
+                c = curve(name)[1]
                 assert curve_lift(ld, c).steps == strip_lift(ld, c).steps, (variant, name)

@@ -61,6 +61,14 @@ def test_lift_sphere():
     assert chi == -1                        # sphere minus three open disks
 
 
+def test_lift_rejects_unknown_variant():
+    # a marked surface has nothing to lift, so the variant must be checked
+    # before the surgery loop, not only at its first corner
+    for lam in (polygon(5), torus_one_marked()):
+        with pytest.raises(ValueError, match="variant"):
+            lift(lam, variant="bogus")
+
+
 def test_lift_identity_on_marked():
     ld = lift(polygon(5))
     assert ld.delta.same_as(polygon(5))

@@ -150,6 +150,22 @@ def test_verify_identity_pass_and_fail():
     assert verdict.status == "FAIL" and verdict.witness is not None
 
 
+def test_no_trials_is_refused():
+    # x y = y x is false on this torus; with no trials nothing would be
+    # compared, so both certifiers refuse rather than PASS it
+    s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
+    x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
+    y = Expr.from_element(TorusElement.monomial(s, (0, 1)))
+    assert verify_identity(x * y, y * x, s, trials=2).status == "FAIL"
+    _, comp, _ = cc.compose_flips(surface_by_name("polygon4"), ["e0_2", "tmp"],
+                                  new_labels=["tmp", "e0_2"])
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trial"):
+            verify_identity(x * y, y * x, s, trials=trials)
+        with pytest.raises(ValueError, match="trial"):
+            verify_generator_map_identity(comp, trials=trials)
+
+
 def test_sum_sides():
     s = spec2()
     a = Expr.from_element(TorusElement.monomial(s, (1, 0)))

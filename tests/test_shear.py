@@ -25,16 +25,15 @@ def test_is_balanced_examples():
 
 def test_even_image_biconditional():
     P = polygon(5)
-    bundle = ShearSkein(P)
     rng = np.random.default_rng(11)
     for _ in range(300):
         k = tuple(int(v) for v in rng.integers(-4, 5, 2))
-        rep = even_image_check(k, P, bundle)
+        rep = even_image_check(k, P)
         assert rep["agree"], (k, rep)
     # a constructed counterexample vector: one odd entry
-    rep = even_image_check((1, 0), P, bundle)
+    rep = even_image_check((1, 0), P)
     assert not rep["balanced"] and not rep["kH_even"]
-    rep = even_image_check((2, 0), P, bundle)
+    rep = even_image_check((2, 0), P)
     assert rep["balanced"] and rep["kH_even"]
 
 
@@ -140,7 +139,7 @@ def test_psi_preimage_and_even_image_past_int64():
     with pytest.raises(ValueError):
         bundle.psi_preimage(TorusElement.generator(bundle.x, "d1", 2**64))
     for b in (2**63, 3 * 2**63):
-        assert even_image_check((b, b), A, bundle) == \
+        assert even_image_check((b, b), A) == \
             {"kH_even": True, "balanced": True, "agree": True}
-        assert even_image_check((b + 1, b), A, bundle) == \
+        assert even_image_check((b + 1, b), A) == \
             {"kH_even": False, "balanced": False, "agree": True}

@@ -141,7 +141,7 @@ def oracle_curves():
         for variant in ("after", "before"):
             ld = lift(surface(), variant=variant)
             for name in names:
-                lifted = curve_lift(ld, curve(name, ld.lam)[1])
+                lifted = curve_lift(ld, curve(name)[1])
                 curves += greedy_walk(ld.delta, lifted)
     return curves
 
@@ -203,7 +203,7 @@ def test_state_sum_equals_per_state_sum():
 def test_state_sum_past_brute_force():
     # a greedy-walk curve of 24 crossings has 34,723 states
     ld = lift(torus_one_marked())
-    alpha = greedy_walk(ld.delta, curve_lift(ld, torus_curve("1,0", ld.lam)[1]),
+    alpha = greedy_walk(ld.delta, curve_lift(ld, torus_curve("1,0")[1]),
                         top=24, once=True)[-1]
     assert len(alpha.steps) == 24
     bundle = ShearSkein(alpha.T)

@@ -7,6 +7,7 @@ import pytest
 from qskein import suites
 from qskein.cli import main
 from qskein.repcheck import Verdict
+from qskein.shear import ShearSkein
 
 
 def stub_verdicts(*pairs):
@@ -40,7 +41,7 @@ def test_flipback_row_reports_the_worst_generator(monkeypatch, capsys, pairs, st
 def test_transfer_row_names_do_not_depend_on_the_outcome(monkeypatch):
     passing = suites.suite_transfer()
 
-    def broken(alpha, T, bundle):
+    def broken(alpha, T):
         raise AssertionError("forced")
 
     monkeypatch.setattr(suites, "psi_image_of_knot_monomial", broken)
@@ -53,14 +54,16 @@ def test_transfer_row_names_do_not_depend_on_the_outcome(monkeypatch):
 
 
 def test_naturality_builds_one_bundle_per_surface(monkeypatch):
+    # every bundle built during the suite counts, those the transfer
+    # identity, the traces and Theta would build for themselves included
     built = []
-    shear_skein = suites.ShearSkein
+    init = ShearSkein.__init__
 
-    def counted(T):
+    def counted(self, T):
         built.append(T)             # held, so no id is reused
-        return shear_skein(T)
+        init(self, T)
 
-    monkeypatch.setattr(suites, "ShearSkein", counted)
+    monkeypatch.setattr(ShearSkein, "__init__", counted)
     rows = suites.suite_naturality(trials=2)
     assert len(rows) == 2 * len(suites._naturality_cases())
     assert all(s == "PASS" for _, s, _ in rows)

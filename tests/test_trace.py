@@ -112,15 +112,14 @@ def test_trace_rejects_bad_input():
 
 def test_psi_image_knot_monomial():
     for T, alpha in lifted_library():
-        bundle = ShearSkein(T)
-        img, eps = psi_image_of_knot_monomial(alpha, T, bundle)
+        img, eps = psi_image_of_knot_monomial(alpha, T)
         assert img.has_unit_coefficients()
     # almost-simple: the doubly crossed edge drops out
     lam, c = torus_curve("1,-1")
     ld = lift(lam, variant="before")
     cd = curve_lift(ld, c)
     bundle = ShearSkein(ld.delta)
-    img, eps = psi_image_of_knot_monomial(cd, ld.delta, bundle)
+    img, eps = psi_image_of_knot_monomial(cd, ld.delta)
     [k] = list(img.terms)
     assert k[bundle.x.index["c"]] == 0
     assert eps[bundle.x.index["c"]] == 0
@@ -134,7 +133,7 @@ def test_unchanged_pattern_gives_trivial_monomial():
     ld = lift(lam)
     cd = curve_lift(ld, c10)
     bundle = ShearSkein(ld.delta)
-    img, eps = psi_image_of_knot_monomial(cd, ld.delta, bundle)
+    img, eps = psi_image_of_knot_monomial(cd, ld.delta)
     nz = [e for e, v in zip(bundle.x.labels, eps) if v]
     assert set(nz) <= set(cd.crossed_edges())
 
