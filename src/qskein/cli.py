@@ -63,7 +63,7 @@ def _load_surface(path):
         try:
             return surface_by_name(path[len("builtin:"):])
         except (KeyError, ValueError) as exc:
-            raise InputError(str(exc))
+            raise InputError(exc.args[0])       # str() of a KeyError quotes it
     data = _load_json(path, "surface.schema.json")
     try:
         T = Triangulation.from_json(data)

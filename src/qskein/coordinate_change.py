@@ -18,6 +18,9 @@ change is Theta = psi^(-1) o Phi o psi' on every balanced monomial, by
 one near-side rule: of y^k and y^(-k), the one whose skein image has no
 negative power of X_(a*) maps to a polynomial, the other to its inverse.
 The flip maps on the Y_v and the images of traces both use this rule.
+That polynomial is Phi on one monomial in exponent space (phi_monomial),
+with no Expr; composites apply Phi to Exprs generator by generator
+(GeneratorImageMap.apply_element), and the two routes agree exactly.
 
 Composites along a flip sequence are DAGs, not trees: each flip's images
 refer to the previous composite's expressions by reference, so every
@@ -32,6 +35,7 @@ which builds a triangulation's bundle once and keeps it there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import ClassVar
 
 from .qscalar import Laurent, ONE
@@ -267,12 +271,11 @@ def theta_flip(T, a, new_label=None):
 def theta_flip_from_data(T, T2, fd):
     """theta_flip for an already performed flip."""
     bundle, bundle2 = ShearSkein.of(T), ShearSkein.of(T2)
-    _, _, phi = phi_flip_from_data(T, T2, fd)
     y2 = bundle2.y
     # Y_v with v != a* and H'[v, a*] = 0 maps to itself: it gets no entry
     a_star_col = bundle2.H[:, bundle2.x.index[fd.a_star]]
     images = {
-        v: _theta_pair(bundle, bundle2, phi, fd.a_star, y2.unit_vec(v, 2))
+        v: _theta_pair(bundle, bundle2, fd, y2.unit_vec(v, 2))
         for v in y2.labels if v == fd.a_star or a_star_col[y2.index[v]]
     }
     return T2, fd, GeneratorImageMap(source=y2, target=bundle.y, images=images)
@@ -285,25 +288,41 @@ def theta_element(T, T2, fd, elem):
     bundle, bundle2 = ShearSkein.of(T), ShearSkein.of(T2)
     if elem.spec != bundle2.y:
         raise ValueError("element is not over the flipped shear torus")
-    _, _, phi = phi_flip_from_data(T, T2, fd)
-    return [_theta_pair(bundle, bundle2, phi, fd.a_star, k)[0] * c
-            for k, c in elem.terms.items()]
+    return [_theta_pair(bundle, bundle2, fd, k)[0] * c for k, c in elem.terms.items()]
 
 
-def _theta_pair(bundle, bundle2, phi, a_star, k):
+def _theta_pair(bundle, bundle2, fd, k):
     """(Theta(y^k), Theta(y^(-k))) for a balanced k over Y(Delta').
 
     psi'(y^(sk)) = x^(s kH'), with kH' even.  The near side s, the sign of
     the a* entry of kH', has no negative power of X_(a*), so
-    psi^(-1)(Phi(psi'(y^(sk)))) is a polynomial; the far side is its
-    inverse."""
-    sign = 1 if bundle2.H[:, bundle2.x.index[a_star]].dot(k) >= 0 else -1
-    el = phi.apply_element(bundle2.psi_vec([sign * v for v in k])).as_element()
+    psi^(-1)(Phi(psi'(y^(sk)))) is a polynomial (phi_monomial); the far
+    side is its inverse."""
+    m = [sum(map(mul, k, col)) for col in bundle2.H.T.tolist()]
+    sign = 1 if m[bundle2.x.index[fd.a_star]] >= 0 else -1
+    el = phi_monomial(bundle.x, bundle2.x, fd, [sign * v for v in m])
     near_el = bundle.psi_preimage(el)
     near = Expr.from_element(near_el)
     far = (near.inv() if len(el.terms) > 1
            else Expr.from_element(near_el.inverse_monomial()))
     return (near, far) if sign > 0 else (far, near)
+
+
+def phi_monomial(x, x2, fd, m):
+    """Phi(x^m) over T, for an even m over T' whose a* entry 2s is not
+    negative, in exponent space: x^m = u^(-<m', 2s e_(a*)>/2) x^(m') X_(a*)^s
+    with m' = m off a*, so Phi(x^m) is that phase times x^(m') relabelled
+    onto T times (t_1 + t_2)^s, multiplied out by torus products.  An odd
+    entry or s < 0 raises ValueError."""
+    j = x2.index[fd.a_star]
+    if any(v % 2 for v in m) or m[j] < 0:
+        raise ValueError("Phi(x^%s) is not a polynomial in the X_v" % (tuple(m),))
+    rest = x.vec({lab: e for lab, e in zip(x2.labels, m) if lab != fd.a_star})
+    phase = x2.half_phase(m[j] * x2.pairing(x2.unit_vec(fd.a_star), m))   # u^(-<m', 2s e_(a*)>/2)
+    el = TorusElement.monomial(x, rest, phase)
+    for _ in range(m[j] // 2):
+        el = el * _exchange(x, fd)
+    return el
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +409,8 @@ def knot_monomial_transfer(alpha2, T, a, T2, fd):
         )
 
     lhs = bundle2.psi_vec(tuple(sign * v for v in k2))
-    phi_lhs = phi_flip_from_data(T, T2, fd)[2].apply_element(lhs).as_element()
+    (m, _), = lhs.terms.items()
+    phi_lhs = phi_monomial(bundle.x, bundle2.x, fd, m)
     return TransferRecord(case, bundle.psi(el), phi_lhs, (T, T2, fd))
 
 
@@ -403,14 +423,17 @@ def theta_on_balanced(gmap, transfer, elem):
 def phi_flip_from_data(T, T2, fd, bundles=None):
     """phi_flip for an already performed flip; bundles defaults to ShearSkein.of."""
     bundle, bundle2 = bundles or (ShearSkein.of(T), ShearSkein.of(T2))
-    x, x2 = bundle.x, bundle2.x
-    kbd = x.vec({fd.b: 2, fd.d: 2}) if fd.b != fd.d else x.vec({fd.b: 4})
-    kce = x.vec({fd.c: 2, fd.e: 2}) if fd.c != fd.e else x.vec({fd.c: 4})
-    ka = x.vec({fd.a: -2})
-    term1 = TorusElement.monomial(x, tuple(p + q for p, q in zip(kce, ka)))
-    term2 = TorusElement.monomial(x, tuple(p + q for p, q in zip(kbd, ka)))
-    image = Expr.from_element(term1 + term2)
-    gmap = GeneratorImageMap(
-        source=x2, target=x, images={fd.a_star: (image, image.inv())}
-    )
+    image = Expr.from_element(_exchange(bundle.x, fd))
+    gmap = GeneratorImageMap(source=bundle2.x, target=bundle.x,
+                             images={fd.a_star: (image, image.inv())})
     return T2, fd, gmap
+
+
+def _exchange(x, fd):
+    """Phi(X_(a*)) over T by Muller's exchange relation:
+    [X_c X_e X_a^(-1)] + [X_b X_d X_a^(-1)]."""
+    kce = x.vec({fd.c: 2, fd.e: 2}) if fd.c != fd.e else x.vec({fd.c: 4})
+    kbd = x.vec({fd.b: 2, fd.d: 2}) if fd.b != fd.d else x.vec({fd.b: 4})
+    ka = x.vec({fd.a: -2})
+    return (TorusElement.monomial(x, tuple(map(add, kce, ka)))
+            + TorusElement.monomial(x, tuple(map(add, kbd, ka))))

@@ -22,15 +22,20 @@ monomial, a weighted permutation of it, acts on vectors as one gather.
 verify_identity represents the sub-torus on the labels its expressions
 use, which keeps L^r small, and acts on the caller's expressions as they
 are, mapping each element's exponents to the sub-torus by label.  Every
-inverse acts through its matrix inverted once mod p (lu_factor), cached
-by the inverse's payload object, so an inverse that several words share
-is inverted once per order.  An order is INCONCLUSIVE only when such a
-matrix is singular mod p or L^r > DENSE_DIM.  The trials at one order
-are one batch of vectors uniform in F_p^(L^r), drawn trial by trial from
-the generator seeded by (seed, L) after the characters, so trial t's
-vector does not depend on the number of trials and a fresh
-RootRep(spec, L, seed) draws a witness again.  A trial passes only when
-both sides agree exactly.
+inverse acts through its matrix inverted once mod p, cached by the
+inverse's payload object, so an inverse that several words share is
+inverted once per order.  A payload that collapses to a binomial c_0
+x^(k_0) + c_1 x^(k_1) acts as R_0 (I - N), each R_t a term's weighted
+permutation and N = -R_0^-1 R_1 one along a translation of (Z/L)^r, so
+N^l is diagonal for its cycle length l and the inverse is
+(I - N^l)^-1 sum_(j<l) N^j R_0^-1 (cycle_inverse); any other payload
+takes Gauss-Jordan on its matrix (lu_factor).  An order is INCONCLUSIVE
+only when such a matrix is singular mod p, which both routes detect alike,
+or L^r > DENSE_DIM.  The trials at one order are one batch of vectors
+uniform in F_p^(L^r), drawn trial by trial from the generator seeded by
+(seed, L) after the characters, so trial t's vector does not depend on
+the number of trials and a fresh RootRep(spec, L, seed) draws a witness
+again.  A trial passes only when both sides agree exactly.
 
 A false PASS at one order is unlikely (Schwartz, J. ACM 1980; Zippel
 1979): if the sides differ, an entry of their difference, denominators
@@ -112,9 +117,45 @@ def lu_factor(mat, p):
     return m[:, n:] % p
 
 
+def _inverse_mod(x, p):
+    """Elementwise inverses mod p of nonzero residues, one pow per distinct value."""
+    values = x.tolist()
+    inverse = {v: pow(v, -1, p) for v in set(values)}
+    return np.array([inverse[v] for v in values], dtype=np.int64)
+
+
+def cycle_inverse(gathers, p):
+    """The inverse mod p of R_0 + R_1 for two weighted permutations along
+    translations, as gathers (index, weight) of shape (2, n) with
+    (R_t v)[m] = weight[t, m] v[index[t, m]]; ValueError when it is
+    singular mod p, as lu_factor.  A term whose coefficient vanishes mod p
+    is not the base R_0.  Each cycle of N = -R_0^-1 R_1 has the same length
+    l, and N^l is pi I on it, pi the product of N's weights around it; so
+    the sum is singular iff some pi = 1, and its inverse has l entries a row."""
+    index, weight = gathers if gathers[1][0].any() else (gathers[0][::-1], gathers[1][::-1])
+    if not weight[0].any():
+        raise ValueError("matrix is singular mod %d" % p)
+    rows = np.arange(index.shape[1])
+    back = np.argsort(index[0])             # R_0^-1 takes entry j from back[j] ...
+    over = _inverse_mod(weight[0][back], p)     # ... times over[j]
+    step, nu = index[1][back], (p - weight[1][back]) * over % p     # and N, from step[j]
+    at, prod, cols, vals = rows, np.ones_like(rows), [], []
+    while not cols or (at != rows).any():   # N^j has entry prod at (m, at[m])
+        cols.append(at)
+        vals.append(prod)
+        prod, at = prod * nu[at] % p, step[at]
+    gap = (1 - prod) % p
+    if not gap.all():
+        raise ValueError("matrix is singular mod %d" % p)
+    cols = np.array(cols)
+    out = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    out[rows, back[cols]] = np.array(vals) * _inverse_mod(gap, p) % p * over[cols] % p
+    return out
+
+
 def lu_solve(inverse, rhs, p):
     """x with mat x = rhs mod p, one system per column of rhs, for the
-    inverse that lu_factor(mat, p) returned."""
+    inverse of mat mod p (lu_factor or cycle_inverse)."""
     return inverse @ rhs % p
 
 
@@ -239,13 +280,10 @@ class RootRep:
             zmap = self._z_maps[source] = (to_z, outside)
         return zmap
 
-    def act_element(self, el, v):
-        """Apply a torus element to v of shape (..., dim), residues mod p,
-        leading axes a batch.  Term z^(a,b) is one gather: it adds to entry
-        m the entry m - b times zeta^(2 h d a (m - b)) and the term's weight."""
-        out = np.zeros_like(v)
-        if not el.terms:
-            return out
+    def _gathers(self, el):
+        """(index, weight) of shape (terms, dim): term z^(a,b) of el sends v
+        to weight * v[..., index], entry m from m - b times zeta^(2 h d a
+        (m - b)) and the term's scalar."""
         to_z, outside = self._z_map(el.spec)
         k = np.array(list(el.terms), dtype=np.int64)
         if k[:, outside].any():
@@ -259,11 +297,20 @@ class RootRep:
         source = np.mod(self._grid - b[:, :, None], L)
         index = self._strides @ source
         phase = self._zpow[(np.mod(2 * self._hd * a, L)[:, :, None] * source).sum(axis=1) % L]
-        for t, coeff in enumerate(el.terms.values()):
-            weight = (pow(root.g, int(turns[t]), p) * root.zeta_pow(int(clock[t]))
-                      * coeff.evaluate(root)) % p
-            out += v[..., index[t]] * (weight * phase[t] % p) % p
-        return out % p
+        scalar = np.array([pow(root.g, int(turns[t]), p) * root.zeta_pow(int(clock[t]))
+                           * coeff.evaluate(root) % p
+                           for t, coeff in enumerate(el.terms.values())], dtype=np.int64)
+        return index, scalar[:, None] * phase % p
+
+    def act_element(self, el, v):
+        """Apply a torus element to v of shape (..., dim), residues mod p,
+        leading axes a batch: one gather per term."""
+        out = np.zeros_like(v)
+        if not el.terms:
+            return out
+        for index, weight in zip(*self._gathers(el)):
+            out += v[..., index] * weight % self.p
+        return out % self.p
 
     def act_expr(self, expr, v):
         """Apply a formal expression: sum over words, factors applied
@@ -278,13 +325,18 @@ class RootRep:
 
     def _solve(self, expr, v):
         """w with expr . w = v for v of shape (dim,) or (n, dim), through
-        expr's matrix inverted once mod p and cached by the payload object;
-        a matrix singular mod p raises Inconclusive (retry at another order)."""
+        expr's matrix inverted once mod p, along its cycles for a binomial,
+        and cached by the payload object; a matrix singular mod p raises
+        Inconclusive (retry at another order)."""
         key = id(expr)
         if key not in self._inverses:
-            mat = self.act_expr(expr, np.eye(self.dim, dtype=np.int64)).T
+            el = expr.as_element() if expr.is_polynomial() else None
+            if el is not None and len(el.terms) == 2:
+                invert, arg = cycle_inverse, self._gathers(el)
+            else:
+                invert, arg = lu_factor, self.act_expr(expr, np.eye(self.dim, dtype=np.int64)).T
             try:
-                inverse = lu_factor(mat, self.p)
+                inverse = invert(arg, self.p)
             except ValueError as exc:
                 raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
             self._inverses[key] = (expr, inverse)

@@ -10,6 +10,8 @@ y^k -> x^(kH), legitimate because H P H^T = -4 Qring.
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from .qtorus import TorusSpec, TorusElement, mlh_apply
@@ -56,15 +58,15 @@ class ShearSkein:
         """Preimage under psi on the monomial basis, exact over Python ints:
         the duality P H^T = -4 id makes (kH P) on the inner-edge columns 4k,
         and one product back through H checks that each term is an image."""
-        inner = self.x.A[:, [self.x.index[e] for e in self.y.labels]].astype(object)
-        keys = np.array(list(elem.terms), dtype=object).reshape(-1, len(self.x.labels))
-        four_k = keys @ inner
-        pre = four_k // 4
-        bad = (four_k % 4 != 0).any(1) | (pre @ self.H.astype(object) != keys).any(1)
-        if bad.any():
-            raise ValueError("monomial x^%s is not in the image of psi"
-                             % (tuple(keys[bad.argmax()]),))
-        return TorusElement(self.y, dict(zip(map(tuple, pre.tolist()), elem.terms.values())))
+        inner = [self.x.index[e] for e in self.y.labels]
+        cols, terms = self.H.T.tolist(), {}
+        for key, c in elem.terms.items():
+            row = self.x.pairing_row(key)
+            pre = [row[i] // 4 for i in inner]
+            if [sum(map(mul, pre, col)) for col in cols] != list(key):
+                raise ValueError("monomial x^%s is not in the image of psi" % (key,))
+            terms[tuple(pre)] = c
+        return TorusElement(self.y, terms)
 
 
 def is_balanced(k, T):

@@ -24,7 +24,8 @@ def load_tracing():
 def test_tracer_installs_and_restores():
     tracing = load_tracing()
     s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
-    el = TorusElement.one(s) + TorusElement.monomial(s, (1, 0))
+    # three terms: a binomial is inverted along its cycles, not by lu_factor
+    el = TorusElement.one(s) + TorusElement.monomial(s, (1, 0)) + TorusElement.monomial(s, (0, 1))
     e = Expr.from_element(el)
     before = (repcheck.RootRep.act_expr, repcheck.verify_identity, repcheck.lu_solve)
     tracer = tracing.Tracer()
@@ -42,7 +43,8 @@ def test_tracer_counts_one_factorization_per_shared_inverse():
     # one inverse payload shared by six words is factorized once per order
     tracing = load_tracing()
     s = TorusSpec(("c", "a", "b"), [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], 2)
-    inv = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (0, 1, 0))).inv()
+    inv = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (0, 1, 0))
+                            + TorusElement.monomial(s, (1, 0, 0))).inv()
     x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
     tracer = tracing.Tracer()
     with tracer.installed():

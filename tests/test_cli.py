@@ -228,6 +228,11 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     assert code == 2 and "boundary" in err
     code, _, err = run(capsys, "surf", "matrices", "builtin:nope")
     assert code == 2
+    # the message of the library's KeyError, printed bare, not quoted
+    for argv in (("flipseq", "builtin:nosuch", "e0_2"), ("surf", "matrices", "builtin:nosuch")):
+        assert run(capsys, *argv)[::2] == (2, "input error: unknown surface 'nosuch'\n"), argv
+    code, _, err = run(capsys, "surf", "matrices", "builtin:polygonx")
+    assert code == 2 and err.startswith("input error: invalid literal for int()"), err
     # values that would raise a ValueError deep inside are rejected where
     # they are read
     elem = tmp_path / "elem.json"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qskein import coordinate_change as cc
 from qskein import repcheck
 from qskein.coordinate_change import (
     Expr,
@@ -16,6 +17,7 @@ from qskein.coordinate_change import (
     knot_monomial_transfer,
     phi_flip,
     phi_flip_from_data,
+    phi_monomial,
     theta_element,
     theta_flip,
     theta_flip_from_data,
@@ -26,9 +28,10 @@ from qskein.puncture import curve_lift, lift
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
 from qskein.repcheck import verify_generator_map_identity, verify_identity
+from qskein import suites
 from qskein.shear import ShearSkein
 from qskein.suites import FLIP_LIBRARY, PENTAGON_SEQUENCE, _phased_cases
-from qskein.surface import annulus, polygon, torus_one_marked
+from qskein.surface import SurfaceError, annulus, polygon, torus_one_marked
 from qskein.trace import trace_once_edge, trace_simple
 
 
@@ -130,18 +133,19 @@ def _counting(monkeypatch, owner, name):
 
 def test_pentagon_composite_identity(monkeypatch):
     # the pentagon repeated 1, 2 and 3 times: both generators share one
-    # representation per order, so each distinct inverse node is factorized
-    # once per order (4, 9 and 14 nodes x 3 orders) and every 5 flips add
-    # 15 dense factorizations, linear in the number of flips
+    # representation per order, so each distinct inverse node is inverted
+    # once per order (4, 9 and 14 nodes x 3 orders), along its cycles or by
+    # lu_factor, and every 5 flips add 15 inversions, linear in the flips
     factorizations = _counting(monkeypatch, repcheck, "lu_factor")
+    cycles = _counting(monkeypatch, repcheck, "cycle_inverse")
     P = polygon(5)
     for reps, want in ((1, 12), (2, 27), (3, 42)):
-        factorizations[0] = 0
+        factorizations[0] = cycles[0] = 0
         final, comp, _ = compose_flips(P, list(PENTAGON_SEQUENCE) * reps, side="shear")
         assert final.same_as(P)
         for lab, v in verify_generator_map_identity(comp, trials=4).items():
             assert v.passed and v.orders == (5, 7, 11), (reps, lab, v)
-        assert factorizations[0] == want, reps
+        assert factorizations[0] + cycles[0] == want and cycles[0], reps
 
 
 def test_support_labels_walks_shared_nodes_once(monkeypatch):
@@ -399,3 +403,79 @@ def test_each_triangulation_builds_its_bundle_once(monkeypatch):
             built.clear()
             compose_flips(polygon(5), list(PENTAGON_SEQUENCE[:k]), side=side)
             assert len(built) == len({id(T) for T in built}) <= k + 1, (side, k)
+
+
+def _theta_cases():
+    """(T, T2, fd, exponents k over Y(Delta')): Y_v and Y_v^(-1) for every
+    v at every flippable inner edge of polygon4-7, the annulus and the
+    torus-lift Delta, then each term k, and 2k, of the traces in the
+    trace-naturality cases, phased ones included."""
+    surfaces = [polygon(n) for n in (4, 5, 6, 7)] + [annulus(), lift(torus_one_marked()).delta]
+    for T in surfaces:
+        for edge in T.inner_edges:
+            try:
+                T2, fd = T.flip(edge)
+            except SurfaceError:
+                continue
+            y2 = ShearSkein.of(T2).y
+            yield T, T2, fd, [y2.unit_vec(v, sign) for v in y2.labels for sign in (2, -2)]
+    for name, T, edge, alpha in suites._naturality_cases() + _phased_cases():
+        T2, fd = T.flip(edge)
+        alpha2 = transport_curve(alpha, T, fd, T2)
+        shear2 = trace_once_edge(alpha2, T2)[0]
+        yield T, T2, fd, [tuple(f * v for v in k) for k in shear2.terms for f in (1, 2)]
+
+
+def _reference_theta_pair(T, T2, fd, k):
+    """The near-side rule through the generator map: Phi applied to
+    psi'(y^(sk)) as Expr words, multiplied out, then pulled back by psi."""
+    b1, b2 = ShearSkein.of(T), ShearSkein.of(T2)
+    phi = phi_flip_from_data(T, T2, fd)[2]
+    sign = 1 if b2.H[:, b2.x.index[fd.a_star]].dot(k) >= 0 else -1
+    el = phi.apply_element(b2.psi_vec([sign * v for v in k])).as_element()
+    near = b1.psi_preimage(el)
+    far = ("inv", near) if len(el.terms) > 1 else ("el", near.inverse_monomial())
+    return (("el", near), far) if sign > 0 else (far, ("el", near))
+
+
+def _shape(expr):
+    """('el', element) for an inverse-free Expr, ('inv', payload element)
+    for the formal inverse of one."""
+    if expr.is_polynomial():
+        return "el", expr.as_element()
+    (_, ((_, payload),)), = expr.words
+    return "inv", payload.as_element()
+
+
+def test_phi_monomial_matches_the_expr_route():
+    seen = set()
+    for T, T2, fd, ks in _theta_cases():
+        b1, b2 = ShearSkein.of(T), ShearSkein.of(T2)
+        phi = phi_flip_from_data(T, T2, fd)[2]
+        for k in ks:
+            (m, _), = b2.psi_vec(k).terms.items()
+            pair = tuple(map(_shape, cc._theta_pair(b1, b2, fd, k)))
+            assert pair == _reference_theta_pair(T, T2, fd, k), (fd, k)
+            s = m[b2.x.index[fd.a_star]] // 2
+            if s < 0:
+                # a negative power of X_(a*) has no polynomial image; the
+                # near side is y^(-k)
+                with pytest.raises(ValueError):
+                    phi_monomial(b1.x, b2.x, fd, m)
+                with pytest.raises(ValueError):
+                    phi.apply_element(TorusElement.monomial(b2.x, m)).as_element()
+                s, m = -s, tuple(-v for v in m)
+            seen.add(s)
+            el = phi_monomial(b1.x, b2.x, fd, m)
+            reference = phi.apply_element(TorusElement.monomial(b2.x, m)).as_element()
+            assert el == reference, (fd, k)
+            # one coefficient times q^(1/8) no longer matches
+            (k0, c0), *rest = el.terms.items()
+            bad = TorusElement(el.spec, {k0: c0 * Laurent.q_power(1), **dict(rest)})
+            assert bad != reference, (fd, k)
+    assert {0, 1, 2, 4} <= seen          # s >= 2 from the traces and their doubles
+    # an odd exponent is not a polynomial in the X_v
+    T2, fd = polygon(4).flip("e0_2")
+    x2 = ShearSkein.of(T2).x
+    with pytest.raises(ValueError):
+        phi_monomial(ShearSkein.of(polygon(4)).x, x2, fd, x2.unit_vec("e0_1", 1))

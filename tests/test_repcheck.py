@@ -205,15 +205,15 @@ def test_rep_acts_on_ambient_elements_by_label():
 
 def test_shared_inverse_factorized_once_per_order(monkeypatch):
     # one inverse payload in six words: the solve cache sees the caller's
-    # expressions, so each completed order factorizes it once
+    # expressions, so each completed order inverts it once (a binomial,
+    # along its cycles)
     calls = []
-    lu_factor = repcheck.lu_factor
+    for name in ("lu_factor", "cycle_inverse"):
+        def counted(arg, p, invert=getattr(repcheck, name)):
+            calls.append(invert)
+            return invert(arg, p)
 
-    def counted(mat, p):
-        calls.append(mat.shape)
-        return lu_factor(mat, p)
-
-    monkeypatch.setattr(repcheck, "lu_factor", counted)
+        monkeypatch.setattr(repcheck, name, counted)
     s = spec_ambient()
     inv = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (0, 1, 0))).inv()
     x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
@@ -623,3 +623,82 @@ def test_perturbed_20_flip_composite_fails():
         for perturb in (scale_coefficient, shift_exponent):
             v = verify_identity(perturb(img), want, comp.target, trials=20)
             assert v.status == "FAIL", (lab, perturb.__name__, v)
+
+
+def test_cycle_inverse_equals_gauss_jordan(monkeypatch):
+    # binomials at L = 5 and 7 on r = 1 and r = 2 are inverted along their
+    # cycles, bit for bit as Gauss-Jordan on their reference matrix, also
+    # when one coefficient vanishes mod p (1 - q^(L/8) -> 1 - zeta^L = 0);
+    # when both vanish the order is inconclusive, and lu_factor agrees
+    gauss_jordan = repcheck.lu_factor
+
+    def refuse(mat, p):
+        raise AssertionError("a binomial reached lu_factor")
+
+    monkeypatch.setattr(repcheck, "lu_factor", refuse)
+    rng = np.random.default_rng(43)
+    for s in normal_form_tori()[1:]:
+        n = len(s.labels)
+        for L in (5, 7):
+            rep = RootRep(s, L, seed=5)
+            batch = rep.random_vectors(2)
+            vanish, unit = Laurent({0: 1, L: -1}), Laurent.q_power(3)
+            k0, k1 = (0,) * n, tuple(int(x) for x in rng.integers(1, 4, n))
+            binomials = [el for el in (random_element(s, rng, 2) for _ in range(8))
+                         if len(el.terms) == 2]
+            binomials += [TorusElement(s, {k0: vanish, k1: unit}),
+                          TorusElement(s, {k0: unit, k1: vanish})]
+            for el in binomials:
+                expr = Expr.from_element(el)
+                mat = reference_matrix(rep, el)
+                assert np.array_equal(rep._solve(expr, batch) @ mat.T % rep.p, batch)
+                assert np.array_equal(rep._inverses[id(expr)][1], gauss_jordan(mat, rep.p))
+            zero = TorusElement(s, {k0: vanish, k1: vanish * unit})
+            with pytest.raises(Inconclusive, match="singular action at L=%d" % L):
+                rep._solve(Expr.from_element(zero), batch)
+            with pytest.raises(ValueError, match="singular"):
+                gauss_jordan(reference_matrix(rep, zero), rep.p)
+
+
+def test_singular_binomial_is_inconclusive_at_its_order():
+    # D = x^(0,1) + c x^(1,1), with c chosen so that N = -c rep(x^(0,1))^-1
+    # rep(x^(1,1)), which is diagonal, has an entry 1 at L = 5: D is
+    # singular there, so that order is inconclusive, as Gauss-Jordan finds,
+    # and the verdict rests on 7, 11 and 13
+    s = normal_form_tori()[1]
+    rep = RootRep(s, 5)
+    p = rep.p
+    index, weight = rep._gathers(TorusElement(s, {(0, 1): Laurent.one(), (1, 1): Laurent.one()}))
+    assert np.array_equal(index[0], index[1])
+    c = -pow(int(weight[1, 0]), -1, p) * int(weight[0, 0]) % p
+    D = TorusElement(s, {(0, 1): Laurent.one(), (1, 1): Laurent.integer(c)})
+    with pytest.raises(ValueError, match="singular"):
+        repcheck.lu_factor(reference_matrix(rep, D), p)
+    with pytest.raises(Inconclusive):
+        rep._solve(Expr.from_element(D), rep.random_vectors(1))
+    inv = Expr.from_element(D).inv()
+    verdict = verify_identity(inv * Expr.from_element(D), Expr.one(s), s, trials=3)
+    assert verdict.status == "PASS" and verdict.orders == (7, 11, 13)
+    assert verdict.notes == ["singular action at L=5: matrix is singular mod %d" % p]
+
+
+def test_skein_flip_back_takes_no_gauss_jordan(monkeypatch):
+    # guard: the polygon4 skein flip-back at e0_2 inverts its one binomial
+    # payload along its cycles at dimensions 25, 49 and 121, never by lu_factor
+    def refuse(mat, p):
+        raise AssertionError("lu_factor on a %s matrix" % (mat.shape,))
+
+    dims, cycle_inverse = [], repcheck.cycle_inverse
+
+    def counted(gathers, p):
+        dims.append(gathers[0].shape[1])
+        return cycle_inverse(gathers, p)
+
+    monkeypatch.setattr(repcheck, "lu_factor", refuse)
+    monkeypatch.setattr(repcheck, "cycle_inverse", counted)
+    P4 = surface_by_name("polygon4")
+    final, comp, _ = cc.compose_flips(P4, ["e0_2", "tmp"], side="skein",
+                                      new_labels=["tmp", "e0_2"])
+    verdicts = verify_generator_map_identity(comp)
+    assert final.same_as(P4) and all(v.passed for v in verdicts.values())
+    assert dims == [25, 49, 121]
