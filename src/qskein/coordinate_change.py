@@ -24,10 +24,11 @@ with no Expr; composites apply Phi to Exprs generator by generator
 
 Composites along a flip sequence are DAGs, not trees: each flip's images
 refer to the previous composite's expressions by reference, so every
-flip adds a bounded number of nodes.  Every walk over an expression
-visits a shared node once (support_labels keys a memo by node id, the
-root-of-unity representations cache each inverse's matrix by node),
-so composing and certifying cost time linear in the number of flips.
+flip adds a bounded number of nodes.  support_labels walks a shared node
+once (a memo keyed by node id) and each order inverts an inverse payload
+once, so certifying costs time linear in the number of flips.  map_elements
+walks one flip's images, a node again per reference to it (a far side holds
+its near side): a memo keyed by id() would have to keep its keys alive.
 Every map reads both triangulations' tori and H from ShearSkein.of,
 which builds a triangulation's bundle once and keeps it there.
 """
@@ -39,7 +40,7 @@ from operator import add, mul
 from typing import ClassVar
 
 from .qscalar import Laurent, ONE
-from .qtorus import TorusElement, TorusSpec, decompose_monomial
+from .qtorus import TorusElement, TorusSpec
 from .curves import CurveError, _flip_weights, classify, crossing_pattern
 from .shear import ShearSkein
 
@@ -67,10 +68,6 @@ class Expr:
     @staticmethod
     def one(spec):
         return Expr(spec, [(ONE, ())])
-
-    @staticmethod
-    def zero(spec):
-        return Expr(spec, [])
 
     def __add__(self, other):
         if self.spec != other.spec:
@@ -143,7 +140,7 @@ class Expr:
                 spec_out = word_expr.spec
         if spec_out is None:
             raise ValueError("cannot infer target torus of an empty map")
-        out = Expr.zero(spec_out)
+        out = Expr(spec_out)
         for c, piece in words_out:
             if piece is None:
                 piece = Expr.one(spec_out)
@@ -203,19 +200,24 @@ class GeneratorImageMap:
 
     def apply_element(self, el):
         """Map a torus element whose exponents are multiples of
-        gen_exponent, generator by generator."""
-        if el.spec != self.source:
+        gen_exponent, generator by generator: x^k is u^(-s/2) times the
+        product of its generator powers in label order, with
+        s = sum_(i<j) k_i k_j A_ij over the source form."""
+        src = self.source
+        if el.spec != src:
             raise ValueError("element is not over the source torus")
-        out = Expr.zero(self.target)
+        out = Expr(self.target)
         for k, c in el.terms.items():
             if any(v % self.gen_exponent for v in k):
                 raise ValueError(
                     "exponent %s is not a multiple of %d" % (k, self.gen_exponent)
                 )
-            phase, factors = decompose_monomial(self.source, k, c)
-            word = Expr.one(self.target) * phase
-            for lab, e in factors:
-                word = word * self.image_of_generator(lab, e // self.gen_exponent)
+            nz = [(i, e) for i, e in enumerate(k) if e]
+            s = sum(e * f * src._rows[i][j]
+                    for n, (i, e) in enumerate(nz) for j, f in nz[n + 1:])
+            word = Expr.one(self.target) * (c * src.half_phase(-s))
+            for i, e in nz:
+                word = word * self.image_of_generator(src.labels[i], e // self.gen_exponent)
             out = out + word
         return out
 

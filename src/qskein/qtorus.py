@@ -7,9 +7,10 @@ exact Laurent coefficients.  The product rule is
 
     x^k * x^n = u^((1/2) <k,n>_A) x^(k+n),
 
-where <k,n>_A = k A n^T, and the general commutation
-x^k x^n = u^(<k,n>_A) x^n x^k follows.  Since u is a power of q^(1/4),
-u^(1/2) lives in the coefficient ring and every product is exact.
+where <k,n>_A = k A n^T, so x^k x^n = u^(<k,n>_A) x^n x^k and an ordered
+product is x^(k_1) ... x^(k_m) = u^((1/2) sum_(i<j) <k_i,k_j>_A) x^(sum k_i).
+Since u is a power of q^(1/4), u^(1/2) lives in the coefficient ring and
+every product is exact.
 
 A product a * b is a pair loop: each term pair multiplies its two
 coefficients (qscalar._times, the product Laurent.__mul__ uses) and adds
@@ -434,36 +435,6 @@ def element_from_json(spec, data):
         co = Laurent({int(n): int(c) for n, c in t.get("coeff", {"0": 1}).items()})
         terms[k] = terms.get(k, Laurent.zero()) + co
     return TorusElement(spec, terms)
-
-
-# ---------------------------------------------------------------------------
-# Weyl normalization helpers
-
-
-def ordered_product_phase(spec, factors):
-    """The scalar P with x^(k_1) ... x^(k_m) = P * x^(k_1 + ... + k_m).
-
-    P = u^((1/2) sum_{i<j} <k_i, k_j>_A).  Decomposing a monomial into an
-    ordered product of generators therefore costs the inverse phase.
-    """
-    total = 0
-    for i, k in enumerate(factors[:-1]):
-        total += sum(spec.pairing(k, n) for n in factors[i + 1:])
-    return spec.half_phase(total)
-
-
-def decompose_monomial(spec, k, coeff=ONE):
-    """Write coeff*x^k as (scalar, [(label, exponent), ...]) with the ordered
-    generator product running through spec.labels in order."""
-    factors = []
-    vecs = []
-    for lab, e in zip(spec.labels, k):
-        if e:
-            factors.append((lab, int(e)))
-            vecs.append(spec.unit_vec(lab, e))
-    phase = ordered_product_phase(spec, vecs)
-    # x^k = phase^(-1) * prod_i x^(k_i)
-    return coeff * phase.inverse(), factors
 
 
 # ---------------------------------------------------------------------------

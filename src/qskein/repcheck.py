@@ -99,8 +99,10 @@ class Inconclusive(Exception):
 
 def lu_factor(mat, p):
     """The inverse of mat mod p by Gauss-Jordan elimination on [mat | 1];
-    ValueError when mat is singular mod p.  (The benchmark's tracer
-    counts calls to this name as factorizations.)"""
+    ValueError when mat is singular mod p.  Each step updates only the rows
+    with a nonzero entry in the pivot column, so on a matrix that is block
+    diagonal up to a permutation a step costs the pivot's block of rows.
+    (The benchmark's tracer counts calls to this name as factorizations.)"""
     n = len(mat)
     m = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
     for k in range(n):
@@ -112,7 +114,9 @@ def lu_factor(mat, p):
             m[[k, j]], col[[k, j]] = m[[j, k]], col[[j, k]]
         row = m[k, k:] % p * pow(int(col[k]), -1, p) % p
         col[k] = 0
-        m[:, k:] -= col[:, None] * row
+        rows = np.flatnonzero(col)
+        if rows.size:           # most steps on small payloads have no other row
+            m[rows, k:] -= col[rows, None] * row
         m[k, k:] = row
     return m[:, n:] % p
 

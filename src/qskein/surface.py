@@ -189,13 +189,6 @@ class Triangulation:
     def triangle_edges(self, t):
         return tuple(self.side_edge[s] for s in self.triangles[t])
 
-    def side_endpoint_names(self, s):
-        """(start_name, end_name) of a side, from the derived vertex names."""
-        t, i = self._side_pos[s]
-        v0 = self.vertex_of[(t, i)]
-        v1 = self.vertex_of[(t, (i + 1) % 3)]
-        return self.vertex_names.get(v0), self.vertex_names.get(v1)
-
     # -- validation --------------------------------------------------------
 
     def validate(self, require_marked=False):
@@ -381,24 +374,22 @@ class Triangulation:
         side_edge[n1] = a_star
         side_edge[n2] = a_star
 
+        # a's sides are gone; the kept sides b, c, d, e name both ends of a*
         hints.pop(s1, None)
         hints.pop(s2, None)
-        # endpoints of the new diagonal: corner between b and c, corner
-        # between d and e (opposite corners of the quadrilateral)
-        if pb and pe:
-            # n1 runs from end of sb to start of se in triangle (sb, n1, se)
-            hints[n1] = (pb[1], pe[0])
-            hints[n2] = (pe[0], pb[1])
         new_tri = Triangulation(triangles, gluing, side_edge, hints)
         return new_tri, FlipData(a=a, a_star=a_star, b=b, c=c, d=d, e=e,
                                  coincidence=coincidence)
 
     def _collect_vertex_hints(self):
+        """{side: (start_name, end_name)} from the derived vertex names, for
+        every side with a named end, in side order."""
         hints = {}
-        for s in self.sides:
-            n0, n1 = self.side_endpoint_names(s)
-            if n0 is not None or n1 is not None:
-                hints[s] = (n0, n1)
+        for s, (t, i) in self._side_pos.items():
+            ends = (self.vertex_names.get(self.vertex_of[(t, i)]),
+                    self.vertex_names.get(self.vertex_of[(t, (i + 1) % 3)]))
+            if ends != (None, None):
+                hints[s] = ends
         return hints
 
     # -- structural equality ---------------------------------------------
@@ -427,11 +418,7 @@ class Triangulation:
             "triangles": [{"sides": list(tri)} for tri in self.triangles],
             "gluing": sorted([x, y] for x, y in self.glue.items() if x < y),
             "edge_labels": dict(sorted(self.side_edge.items())),
-            "vertex_hints": {
-                s: list(self.side_endpoint_names(s))
-                for s in self.sides
-                if any(n is not None for n in self.side_endpoint_names(s))
-            },
+            "vertex_hints": {s: list(v) for s, v in self._collect_vertex_hints().items()},
         }
 
     @staticmethod

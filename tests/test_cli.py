@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -210,6 +211,30 @@ def test_verify_seeded_output_is_byte_identical(capsys):
     assert code1 == code2 == 0 and out1 == out2
     data = json.loads(out1)
     assert data["seed"] == 3 and data["trials"] == 20
+
+
+# SHA-256 of `qskein --json verify <suite>` at the default trials and seed:
+# a change to any row's status or detail, or to a count, changes the digest
+VERIFY_DIGESTS = {
+    "balanced": "0205970facf2d6639b155513ea0b2d34221b63a72bf5c471820f7eb0ea07e83d",
+    "dia9": "d4ef0e595687e19e5d157c9dc8bf556cad97d07c1fd2936bfdc2a21673783368",
+    "duality": "e3d3f6be42b6d9fd459ac51624d7c21cf054c35a228bdcf1073570d36878cce9",
+    "flipback": "6e5131436fb6e977b563821fd6f68d4a2912d9b957a13e3f67f8ac78a9f2f920",
+    "naturality": "9631ac7ad18470fbf6476d091b36c2a33bd5039ecfd699b76c39bc014e7da137",
+    "negative": "7ba0642ce27f43e4a683ce6f586d08795b7c6d2979a7fa051850ba43d3f679ea",
+    "pentagon": "269c8165cb044e2d66452dcf316a7be383722457695169eeef1fed1c6c475d77",
+    "phased": "1e1f5cdf31d9a8f5a20d7da29c6ff026f5a96c7701d01a4511b45bbf09df25c1",
+    "punctured": "1a6f9e4d27cba7e0a9bf5c8453b910b207d94188c759c94eb7612c1293d62913",
+    "trace": "09da457df9aff6318058961665543a03b7856d9bacca7ebac7563daad249ae35",
+    "transfer": "4088a86dd2e5ccace8865b9c319b674d2ff8a5fce1180c3de3a93f1defcd15fb",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_verify_json_output_is_pinned(capsys, suite):
+    code, out, _ = run(capsys, "--json", "verify", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite], suite
 
 
 def test_input_errors(capsys, tmp_path, annulus_files):

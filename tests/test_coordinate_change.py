@@ -22,10 +22,10 @@ from qskein.coordinate_change import (
     theta_flip,
     theta_flip_from_data,
 )
-from qskein.curves import transport_curve
+from qskein.curves import CurveError, transport_curve
 from qskein.library import annulus_core, surface_by_name, torus_curve
 from qskein.puncture import curve_lift, lift
-from qskein.qscalar import Laurent
+from qskein.qscalar import Laurent, ONE
 from qskein.qtorus import TorusElement
 from qskein.repcheck import verify_generator_map_identity, verify_identity
 from qskein import suites
@@ -320,6 +320,44 @@ def test_expr_algebra():
     assert (e * Laurent.q_power(8)).as_element() == el * Laurent.q_power(8)
     assert e.power(-2).words[0][1][0][0] == "inv"
     assert e.support_labels() == {"e0_2"}
+
+
+def test_expr_edge_cases_in_process():
+    # spec mismatches, the zeroth power and words with no factors, in process
+    y4, y5 = (ShearSkein(polygon(n)).y for n in (4, 5))
+    a, b = (Expr.from_element(TorusElement.one(y)) for y in (y4, y5))
+    for op in (a.__add__, a.__mul__):
+        with pytest.raises(ValueError, match="torus spec mismatch"):
+            op(b)
+    x = Expr.from_element(TorusElement.generator(y4, "e0_2", 2))
+    assert x.power(0).words == Expr.one(y4).words == ((ONE, ()),)
+    # a sum with a bare scalar word maps it to that scalar over the target
+    _, fd, theta = theta_flip(polygon(4), "e0_2")
+    el = TorusElement.generator(theta.source, fd.a_star, 2)
+    mapped = (Expr.from_element(el) + Expr.one(theta.source) * 3).map_elements(
+        theta.apply_element)
+    assert mapped.spec == theta.target
+    assert mapped.words[-1] == (Laurent.integer(3), ())
+    assert mapped.words[:-1] == theta.apply_element(el).words
+    # with no element at all there is no target torus to infer
+    with pytest.raises(ValueError, match="cannot infer target torus"):
+        Expr.one(theta.source).map_elements(theta.apply_element)
+
+
+def test_apply_element_rejects_foreign_or_odd_exponents():
+    _, fd, theta = theta_flip(polygon(4), "e0_2")
+    with pytest.raises(ValueError, match="not over the source torus"):
+        theta.apply_element(TorusElement.one(theta.target))
+    with pytest.raises(ValueError, match="not a multiple of 2"):
+        theta.apply_element(TorusElement.generator(theta.source, fd.a_star, 1))
+
+
+def test_transfer_needs_a_curve_simple_after_the_flip():
+    for _, T, edge, alpha in _phased_cases():
+        T2, fd = T.flip(edge)
+        alpha2 = transport_curve(alpha, T, fd, T2)
+        with pytest.raises(CurveError, match="simple after the flip"):
+            knot_monomial_transfer(alpha2, T, edge, T2, fd)
 
 
 def walk_flips():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qskein.coordinate_change import GeneratorImageMap
 from qskein.curves import CurveError, transport_curve
 from qskein.library import surface_by_name, torus_curve
 from qskein.puncture import curve_lift, lift
@@ -12,10 +13,8 @@ from qskein.qtorus import (
     TorusElement,
     TorusSpec,
     canonical_projection,
-    decompose_monomial,
     mlh_apply,
     mlh_check,
-    ordered_product_phase,
 )
 from qskein.shear import ShearSkein
 from qskein.surface import SurfaceError, torus_one_marked
@@ -364,7 +363,7 @@ def test_associativity_random():
 
 
 def test_ordered_product_phase():
-    # the ordered product equals the phase times the monomial of the sum
+    # x^(k_1) ... x^(k_m) = u^((1/2) sum_(i<j) <k_i,k_j>) x^(k_1 + ... + k_m)
     s = spec2()
     rng = np.random.default_rng(3)
     ks = [rng_vec(rng, s) for _ in range(4)]
@@ -372,20 +371,26 @@ def test_ordered_product_phase():
     for k in ks:
         prod = prod * TorusElement.monomial(s, k)
     total = tuple(sum(v) for v in zip(*ks))
-    assert prod == TorusElement.monomial(s, total, ordered_product_phase(s, ks))
+    pairs = sum(s.pairing(k, n) for i, k in enumerate(ks) for n in ks[i + 1:])
+    assert prod == TorusElement.monomial(s, total, s.half_phase(pairs))
 
 
 def test_decompose_monomial_roundtrip():
+    # the identity substitution writes c x^k as its phase times the product
+    # of its generator powers in label order, which multiplies back to c x^k
     s = TorusSpec(("a", "b", "c"), [[0, 2, -1], [-2, 0, 3], [1, -3, 0]], 2)
+    identity = GeneratorImageMap(s, s, {})
     rng = np.random.default_rng(4)
     for _ in range(20):
-        k = rng_vec(rng, s)
+        k = tuple(2 * v for v in rng_vec(rng, s))
         coeff = Laurent.q_power(int(rng.integers(-5, 6)))
-        phase, factors = decompose_monomial(s, k, coeff)
+        el = TorusElement.monomial(s, k, coeff)
+        (phase, factors), = identity.apply_element(el).words
         prod = TorusElement.one(s) * phase
-        for lab, e in factors:
-            prod = prod * TorusElement.generator(s, lab, e)
-        assert prod == TorusElement.monomial(s, k, coeff)
+        for _, g in factors:
+            prod = prod * g
+        assert len(factors) == sum(1 for v in k if v)
+        assert prod == el
 
 
 def test_reflect_antihomomorphism():

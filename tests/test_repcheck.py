@@ -405,6 +405,58 @@ def test_lu_factor_inverts_mod_p():
         repcheck.lu_factor(np.array([[1, 2], [3, 6]]), p)
 
 
+def _whole_column_inverse(mat, p):
+    """lu_factor's Gauss-Jordan elimination, updating every row at every step."""
+    n = len(mat)
+    m = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
+    for k in range(n):
+        col = m[:, k] % p
+        if not col[k]:
+            j = k + int(np.argmax(col[k:] != 0))
+            if not col[j]:
+                raise ValueError("matrix is singular mod %d" % p)
+            m[[k, j]], col[[k, j]] = m[[j, k]], col[[j, k]]
+        row = m[k, k:] % p * pow(int(col[k]), -1, p) % p
+        col[k] = 0
+        m[:, k:] -= col[:, None] * row
+        m[k, k:] = row
+    return m[:, n:] % p
+
+
+def _permuted_blocks(rng, p, blocks, size, singular=False):
+    """A random block-diagonal matrix with its rows and columns permuted; a
+    singular one has a block whose last row is the sum of two others."""
+    mat = np.zeros((blocks * size, blocks * size), dtype=np.int64)
+    for b in range(blocks):
+        block = rng.integers(0, p, (size, size))
+        if singular and b == blocks // 2:
+            block[-1] = (block[0] + block[1]) % p
+        mat[b * size:(b + 1) * size, b * size:(b + 1) * size] = block
+    return mat[rng.permutation(len(mat))][:, rng.permutation(len(mat))]
+
+
+@pytest.mark.parametrize("L", [5, 7])
+def test_lu_factor_restricted_elimination_matches_whole_column(L):
+    # updating only the rows with a nonzero pivot-column entry gives the
+    # whole-column elimination's inverse bit for bit, and the same failures
+    p = RootOfUnity(L).p
+    rng = np.random.default_rng(L)
+    sparse = rng.integers(0, p, (17, 17)) * (rng.random((17, 17)) < 0.25)
+    sparse[np.arange(17), rng.permutation(17)] = rng.integers(1, p, 17)
+    for mat in [rng.integers(0, p, (n, n)) for n in (1, 6, 17)] + [
+            sparse, _permuted_blocks(rng, p, 4, 7), _permuted_blocks(rng, p, 11, 11)]:
+        inverse = repcheck.lu_factor(mat, p)
+        assert np.array_equal(inverse, _whole_column_inverse(mat, p))
+        assert np.array_equal(mat @ inverse % p, np.eye(len(mat), dtype=np.int64))
+    dense = rng.integers(0, p, (9, 9))
+    dense[4] = 3 * dense[2] % p
+    for mat in (dense, _permuted_blocks(rng, p, 4, 7, singular=True),
+                _permuted_blocks(rng, p, 11, 11, singular=True)):
+        for invert in (repcheck.lu_factor, _whole_column_inverse):
+            with pytest.raises(ValueError, match="singular"):
+                invert(mat, p)
+
+
 def test_one_generator_per_order(monkeypatch):
     # the characters and the whole trial batch of an order come from one
     # generator seeded by (seed, L)
