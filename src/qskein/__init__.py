@@ -23,7 +23,6 @@ from .qtorus import (
     TorusElement,
     canonical_projection,
     mlh_apply,
-    mlh_check,
 )
 from .surface import (
     FlipData,

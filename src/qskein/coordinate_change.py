@@ -19,12 +19,15 @@ one near-side rule: of y^k and y^(-k), the one whose skein image has no
 negative power of X_(a*) maps to a polynomial, the other to its inverse.
 The flip maps on the Y_v and the images of traces both use this rule.
 That polynomial is Phi on one monomial in exponent space (phi_monomial),
-with no Expr; composites apply Phi to Exprs generator by generator
-(GeneratorImageMap.apply_element), and the two routes agree exactly.
+with no Expr, and Phi's own flip map is phi_monomial at X_(a*); composites
+apply Phi to Exprs generator by generator (GeneratorImageMap.apply_element),
+and the two routes agree exactly.
 
 Composites along a flip sequence are DAGs, not trees: each flip's images
-refer to the previous composite's expressions by reference, so every
-flip adds a bounded number of nodes.  support_labels walks a shared node
+refer to the previous composite's expressions by reference, and a label
+the flip leaves alone keeps the previous composite's image pair, so a
+composite holds only the generators that some flip moved and every flip
+adds a bounded number of nodes.  support_labels walks a shared node
 once (a memo keyed by node id) and each order inverts an inverse payload
 once, so certifying costs time linear in the number of flips.  map_elements
 walks one flip's images, a node again per reference to it (a far side holds
@@ -36,7 +39,7 @@ which builds a triangulation's bundle once and keeps it there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 from typing import ClassVar
 
 from .qscalar import Laurent, ONE
@@ -70,6 +73,8 @@ class Expr:
         return Expr(spec, [(ONE, ())])
 
     def __add__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
         if self.spec != other.spec:
             raise ValueError("torus spec mismatch")
         return Expr(self.spec, self.words + other.words)
@@ -78,6 +83,8 @@ class Expr:
         if isinstance(other, (int, Laurent)):
             c = other if isinstance(other, Laurent) else Laurent.integer(other)
             return Expr(self.spec, [(w * c, fs) for w, fs in self.words])
+        if not isinstance(other, Expr):
+            return NotImplemented
         if self.spec != other.spec:
             raise ValueError("torus spec mismatch")
         words = []
@@ -123,29 +130,18 @@ class Expr:
 
     def map_elements(self, fn):
         """Rebuild the expression with fn applied to each torus element;
-        fn returns an Expr."""
-        words_out = []
-        spec_out = None
+        fn returns an Expr.  Each word is multiplied out in one pass."""
+        words, spec = [], None
         for c, fs in self.words:
-            word_expr = None
+            acc = [(ONE, ())]
             for kind, payload in fs:
-                piece = fn(payload) if kind == "el" else (
-                    payload.map_elements(fn).inv()
-                )
-                word_expr = piece if word_expr is None else word_expr * piece
-            if word_expr is None:
-                words_out.append((c, None))
-            else:
-                words_out.append((c, word_expr))
-                spec_out = word_expr.spec
-        if spec_out is None:
+                piece = fn(payload) if kind == "el" else payload.map_elements(fn).inv()
+                spec = piece.spec
+                acc = [(c1 * c2, f1 + f2) for c1, f1 in acc for c2, f2 in piece.words]
+            words += [(w * c, f) for w, f in acc]
+        if spec is None:
             raise ValueError("cannot infer target torus of an empty map")
-        out = Expr(spec_out)
-        for c, piece in words_out:
-            if piece is None:
-                piece = Expr.one(spec_out)
-            out = out + piece * c
-        return out
+        return Expr(spec, words)
 
     def as_element(self):
         """Collapse to a TorusElement when no formal inverses occur."""
@@ -222,15 +218,13 @@ class GeneratorImageMap:
         return out
 
     def compose_after(self, earlier):
-        """The map (self o earlier): apply earlier, then push its output
-        elements through self."""
-        images = {
-            lab: tuple(
-                earlier.image_of_generator(lab, power).map_elements(self.apply_element)
-                for power in (1, -1)
-            )
-            for lab in earlier.source.labels
-        }
+        """The map (self o earlier): earlier's images pushed through self.
+        A label that earlier leaves alone keeps self's own image pair, so
+        the composite holds only the generators that some flip moved."""
+        images = {lab: pair for lab, pair in self.images.items()
+                  if lab in earlier.source.index}
+        for lab, pair in earlier.images.items():
+            images[lab] = tuple(e.map_elements(self.apply_element) for e in pair)
         return GeneratorImageMap(source=earlier.source, target=self.target, images=images)
 
 
@@ -314,16 +308,20 @@ def phi_monomial(x, x2, fd, m):
     """Phi(x^m) over T, for an even m over T' whose a* entry 2s is not
     negative, in exponent space: x^m = u^(-<m', 2s e_(a*)>/2) x^(m') X_(a*)^s
     with m' = m off a*, so Phi(x^m) is that phase times x^(m') relabelled
-    onto T times (t_1 + t_2)^s, multiplied out by torus products.  An odd
-    entry or s < 0 raises ValueError."""
+    onto T times Phi(X_(a*))^s, multiplied out by torus products, where
+    Phi(X_(a*)) = [X_c X_e X_a^(-1)] + [X_b X_d X_a^(-1)] is Muller's
+    exchange relation.  An odd entry or s < 0 raises ValueError."""
     j = x2.index[fd.a_star]
     if any(v % 2 for v in m) or m[j] < 0:
         raise ValueError("Phi(x^%s) is not a polynomial in the X_v" % (tuple(m),))
     rest = x.vec({lab: e for lab, e in zip(x2.labels, m) if lab != fd.a_star})
     phase = x2.half_phase(m[j] * x2.pairing(x2.unit_vec(fd.a_star), m))   # u^(-<m', 2s e_(a*)>/2)
     el = TorusElement.monomial(x, rest, phase)
+    ka, exchange = x.unit_vec(fd.a, -2), TorusElement(x)
+    for p, r in ((fd.c, fd.e), (fd.b, fd.d)):
+        exchange += TorusElement.monomial(x, map(sum, zip(x.unit_vec(p, 2), x.unit_vec(r, 2), ka)))
     for _ in range(m[j] // 2):
-        el = el * _exchange(x, fd)
+        el = el * exchange
     return el
 
 
@@ -425,17 +423,8 @@ def theta_on_balanced(gmap, transfer, elem):
 def phi_flip_from_data(T, T2, fd, bundles=None):
     """phi_flip for an already performed flip; bundles defaults to ShearSkein.of."""
     bundle, bundle2 = bundles or (ShearSkein.of(T), ShearSkein.of(T2))
-    image = Expr.from_element(_exchange(bundle.x, fd))
-    gmap = GeneratorImageMap(source=bundle2.x, target=bundle.x,
+    x2 = bundle2.x
+    image = Expr.from_element(phi_monomial(bundle.x, x2, fd, x2.unit_vec(fd.a_star, 2)))
+    gmap = GeneratorImageMap(source=x2, target=bundle.x,
                              images={fd.a_star: (image, image.inv())})
     return T2, fd, gmap
-
-
-def _exchange(x, fd):
-    """Phi(X_(a*)) over T by Muller's exchange relation:
-    [X_c X_e X_a^(-1)] + [X_b X_d X_a^(-1)]."""
-    kce = x.vec({fd.c: 2, fd.e: 2}) if fd.c != fd.e else x.vec({fd.c: 4})
-    kbd = x.vec({fd.b: 2, fd.d: 2}) if fd.b != fd.d else x.vec({fd.b: 4})
-    ka = x.vec({fd.a: -2})
-    return (TorusElement.monomial(x, tuple(map(add, kce, ka)))
-            + TorusElement.monomial(x, tuple(map(add, kbd, ka))))

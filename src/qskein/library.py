@@ -43,7 +43,7 @@ def sphere_curve(pair):
 
 def surface_by_name(name):
     """Builder lookup: polygonN, annulus, torus1, sphere3, or their lifts."""
-    if name.startswith("polygon"):
+    if name.startswith("polygon") and name[len("polygon"):].isdecimal():
         return polygon(int(name[len("polygon"):]))
     if name == "annulus":
         return annulus()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qtorus import TorusElement, canonical_projection, mlh_apply, mlh_check
+from .qtorus import TorusElement, canonical_projection, mlh_apply
 from .curves import NormalCurve, _entry, state_sum
 from .shear import ShearSkein, shear_spec
 from .surface import SurfaceError, Triangulation
@@ -161,7 +161,7 @@ class BarBundle:
         Qring = self.delta_bundle.y.A
         P = self.x.A
         ok_q = np.array_equal(self.Qbar, self.Omega @ Qring @ self.Omega.T)
-        ok_dual = mlh_check(self.Hbar, P, self.Qbar, -4)
+        ok_dual = np.array_equal(self.Hbar @ P @ self.Hbar.T, -4 * self.Qbar)
         rank = (
             int(np.linalg.matrix_rank(self.Hbar.astype(np.float64)))
             if self.Hbar.size

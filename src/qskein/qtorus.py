@@ -49,7 +49,6 @@ of TorusElement() and Laurent().
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import islice
 from operator import add, mul
 
@@ -122,19 +121,6 @@ class TorusSpec:
     def half_phase(self, pair_value):
         """u^(pair_value/2) as a Laurent scalar (pair_value an integer)."""
         return Laurent.q_power((self.u_eighth // 2) * pair_value)
-
-
-def _distinct(coeffs):
-    """The distinct values of ``coeffs`` in the order met, and the index of
-    each coefficient among them."""
-    index, distinct, group = {}, [], []
-    for c in coeffs:
-        g = index.get(c)
-        if g is None:
-            g = index[c] = len(distinct)
-            distinct.append(c)
-        group.append(g)
-    return distinct, group
 
 
 def _element(spec, terms):
@@ -219,6 +205,8 @@ class TorusElement:
         if isinstance(other, (int, Laurent)):
             c = other if isinstance(other, Laurent) else Laurent.integer(other)
             return TorusElement(self.spec, {k: v * c for k, v in self.terms.items()})
+        if not isinstance(other, TorusElement):
+            return NotImplemented
         self._check(other)
         if other is self and (square := self._square()) is not None:
             return square
@@ -249,7 +237,9 @@ class TorusElement:
         if not terms:
             return TorusElement(spec)
         keys, half = list(terms), spec.u_eighth // 2
-        coeffs, group = _distinct(terms.values())
+        index = {}          # each distinct coefficient, numbered in the order met
+        group = [index.setdefault(c, len(index)) for c in terms.values()]
+        coeffs = list(index)
         ns = [n for c in coeffs for n in c.terms]
         n0 = min(ns)
         cols = list(zip(*keys))
@@ -441,26 +431,9 @@ def element_from_json(spec, data):
 # Multiplicatively linear homomorphisms x^k -> y^(kH)
 
 
-def mlh_check(H, B, A, r):
-    """Exact test of H B H^T == r A (r an integer or Fraction)."""
-    H = np.asarray(H, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    A = np.asarray(A, dtype=np.int64)
-    if H.shape != (A.shape[0], B.shape[0]):
-        raise ValueError("dimension mismatch in mlh_check")
-    if A.size == 0:
-        return True
-    lhs = H @ B @ H.T
-    r = Fraction(r)
-    scaled = r.numerator * A
-    if np.any(scaled % r.denominator):
-        return False
-    return bool(np.array_equal(lhs, scaled // r.denominator))
-
-
 def mlh_apply(H, src_spec, dst_spec, elem):
     """Linear extension of x^k -> y^(kH); an algebra map when HBH^T = rA,
-    which the caller checks once with mlh_check."""
+    which the caller checks once."""
     if elem.spec != src_spec:
         raise ValueError("element does not live in the source torus")
     if not elem.terms:

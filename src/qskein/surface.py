@@ -24,10 +24,6 @@ class SurfaceError(ValueError):
     pass
 
 
-def _norm_side(s):
-    return str(s)
-
-
 class Triangulation:
     def __init__(self, triangles, gluing, side_edge=None, vertex_hints=None):
         """triangles: list of 3-tuples of side ids (strings, globally unique).
@@ -39,7 +35,7 @@ class Triangulation:
         optional {side_id: (start_name, end_name)} used to propagate
         human-readable marked point names through flips.
         """
-        self.triangles = tuple(tuple(_norm_side(s) for s in tri) for tri in triangles)
+        self.triangles = tuple(tuple(map(str, tri)) for tri in triangles)
         for tri in self.triangles:
             if len(tri) != 3:
                 raise SurfaceError("each triangle needs exactly 3 sides")
@@ -54,7 +50,7 @@ class Triangulation:
 
         glue = {}
         for pair in gluing:
-            a, b = _norm_side(pair[0]), _norm_side(pair[1])
+            a, b = str(pair[0]), str(pair[1])
             if a == b:
                 raise SurfaceError("side %s glued to itself" % a)
             for s in (a, b):
@@ -69,7 +65,7 @@ class Triangulation:
         side_edge = side_edge or {}
         vertex_hints = vertex_hints or {}
         for what, keys in (("edge_labels", side_edge), ("vertex_hints", vertex_hints)):
-            unknown = sorted(set(map(_norm_side, keys)) - set(self._side_pos))
+            unknown = sorted(set(map(str, keys)) - set(self._side_pos))
             if unknown:
                 raise SurfaceError("%s name unknown sides %s" % (what, ", ".join(unknown)))
         self.side_edge = {}
@@ -163,7 +159,7 @@ class Triangulation:
         # vertex names from hints, propagated through side classes
         names = {}
         for s, (n0, n1) in self._vertex_hints.items():
-            t, i = self._side_pos[_norm_side(s)]
+            t, i = self._side_pos[str(s)]
             for corner, name in (((t, i), n0), ((t, (i + 1) % 3), n1)):
                 if name is None:
                     continue

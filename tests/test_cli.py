@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from qskein import suites
+from qskein import cli, suites
 from qskein.cli import main
+from qskein.coordinate_change import Expr, compose_flips
 from qskein.library import annulus_core, torus_curve
+from qskein.puncture import lift
+from qskein.qscalar import Laurent
 
 
 @pytest.fixture
@@ -63,6 +66,15 @@ def test_curve_commands(capsys, annulus_files):
     assert code == 0 and "simple" in out
     code, out, _ = run(capsys, "curve", "states", surf, curve)
     assert code == 0 and "3 admissible states" in out
+    code, out, _ = run(capsys, "--json", "curve", "classify", surf, curve)
+    assert code == 0
+    assert json.loads(out) == {"class": "simple", "multiplicities": {"d1": 1, "d2": 1}}
+    code, out, _ = run(capsys, "--json", "curve", "states", surf, curve)
+    assert code == 0
+    assert json.loads(out) == {"count": 3, "states": [
+        {"k": {"d1": 1, "d2": 1}, "values": [1, 1]},
+        {"k": {"d1": -1, "d2": 1}, "values": [1, -1]},
+        {"k": {"d1": -1, "d2": -1}, "values": [-1, -1]}]}
 
 
 def test_shear_psi(capsys, annulus_files, tmp_path):
@@ -119,6 +131,41 @@ def test_flipseq_verify(capsys, annulus_files):
     assert "PASS" in out
 
 
+def test_flipseq_renames_a_derived_label_that_exists(capsys):
+    # the second flip's derived label names the edge eu_v, so it becomes d2*
+    code, out, _ = run(capsys, "flipseq", "builtin:annulus", "d1", "d2")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "flip d1 -> eu_v  quad (d2,b1,d2,b2)  b=d",
+        "flip d2 -> d2*  quad (eu_v,b2,eu_v,b1)  b=d",
+    ]
+    assert "final inner edges: ('d2*', 'eu_v')" in out
+
+
+def test_flipseq_verify_exits_1_on_a_failing_generator(capsys, monkeypatch, annulus_files):
+    # one coefficient of the closed walk's composite times q^(1/8)
+    def corrupted(*args, **kwargs):
+        final, comp, datas = compose_flips(*args, **kwargs)
+        pos, neg = comp.images["d2"]
+        (c0, factors), *rest = pos.words
+        comp.images["d2"] = (Expr(pos.spec, [(c0 * Laurent.q_power(1), factors), *rest]), neg)
+        return final, comp, datas
+
+    monkeypatch.setattr(cli, "compose_flips", corrupted)
+    surf, _ = annulus_files
+    code, out, _ = run(capsys, "flipseq", surf, "d1", "t", "--labels", "t,d1",
+                       "--verify", "--trials", "2")
+    assert code == 1
+    assert "identity on generator d1: PASS" in out
+    assert "identity on generator d2: FAIL" in out
+
+
+def test_surf_matrices_of_a_generalized_surface(capsys):
+    code, out, _ = run(capsys, "surf", "matrices", "builtin:torus1")
+    assert code == 0 and "face matrix Q (3 x 3)" in out
+    assert out.endswith("generalized surface: vertex matrix undefined\n")
+
+
 def test_puncture_commands(capsys, tmp_path):
     lam, c10 = torus_curve("1,0")
     surf = tmp_path / "torus.json"
@@ -129,6 +176,15 @@ def test_puncture_commands(capsys, tmp_path):
     assert code == 0 and "boundary loops" in out
     code, out, _ = run(capsys, "puncture", "trace", str(surf), str(curve))
     assert code == 0 and "cross-checked: True" in out
+    code, out, _ = run(capsys, "--json", "puncture", "lift", str(surf))
+    data = json.loads(out)
+    assert code == 0 and data["points"] == ["p0"] and data["cp_edges"] == {"p0": "cp0"}
+    assert data["omega"] == {"a": "a", "b": "b", "c": "c", "g0": "c"}
+    assert data["delta"] == json.loads(json.dumps(lift(lam).delta.to_json()))
+    code, out, _ = run(capsys, "--json", "puncture", "trace", str(surf), str(curve))
+    data = json.loads(out)
+    assert code == 0 and data["states"] == 3 and data["cross_checked"] is True
+    assert len(data["shear"]["terms"]) == len(data["skein"]["terms"]) == 3
 
 
 def test_verify_suite(capsys):
@@ -254,10 +310,11 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     code, _, err = run(capsys, "surf", "matrices", "builtin:nope")
     assert code == 2
     # the message of the library's KeyError, printed bare, not quoted
-    for argv in (("flipseq", "builtin:nosuch", "e0_2"), ("surf", "matrices", "builtin:nosuch")):
-        assert run(capsys, *argv)[::2] == (2, "input error: unknown surface 'nosuch'\n"), argv
-    code, _, err = run(capsys, "surf", "matrices", "builtin:polygonx")
-    assert code == 2 and err.startswith("input error: invalid literal for int()"), err
+    for argv, name in ((("flipseq", "builtin:nosuch", "e0_2"), "nosuch"),
+                       (("surf", "matrices", "builtin:nosuch"), "nosuch"),
+                       (("surf", "matrices", "builtin:polygonx"), "polygonx"),
+                       (("surf", "matrices", "builtin:polygon"), "polygon")):
+        assert run(capsys, *argv)[::2] == (2, "input error: unknown surface %r\n" % name), argv
     # values that would raise a ValueError deep inside are rejected where
     # they are read
     elem = tmp_path / "elem.json"

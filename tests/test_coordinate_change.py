@@ -344,6 +344,17 @@ def test_expr_edge_cases_in_process():
         Expr.one(theta.source).map_elements(theta.apply_element)
 
 
+def test_operands_of_another_kind_raise_type_error():
+    # an Expr and a TorusElement do not mix, and neither takes a float
+    el = TorusElement.generator(ShearSkein(polygon(4)).y, "e0_2", 2)
+    x = Expr.from_element(el)
+    for a, b in ((x, el), (el, x), (x, 1.5), (1.5, x), (el, 1.5)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a * b
+
+
 def test_apply_element_rejects_foreign_or_odd_exponents():
     _, fd, theta = theta_flip(polygon(4), "e0_2")
     with pytest.raises(ValueError, match="not over the source torus"):
