@@ -25,7 +25,7 @@ from .library import surface_by_name
 from .puncture import BarBundle, bar_trace, lift
 from .qtorus import element_from_json
 from .repcheck import DEFAULT_TRIALS, verify_generator_map_identity
-from .shear import ShearSkein, shear_spec
+from .shear import ShearSkein
 from .surface import SurfaceError, Triangulation
 from . import suites
 from .trace import trace_once_edge
@@ -130,7 +130,7 @@ def cmd_curve(args):
             print("multiplicities: %s" % json.dumps(mult, sort_keys=True))
         return 0
     states = enumerate_states(alpha)
-    labels = shear_spec(T).labels
+    labels = T.inner_edges
     rows = []
     for s in states:
         k = state_exponents(alpha, s, labels)
@@ -260,7 +260,7 @@ def cmd_verify(args):
     # a suite gets, and the report names, only the trials and seed it takes
     params = inspect.signature(suites.SUITES[args.suite]).parameters
     kw = {k: getattr(args, k) for k in ("trials", "seed") if k in params}
-    rows = suites.run_suite(args.suite, **kw)
+    rows = suites.SUITES[args.suite](**kw)
     failed = sum(1 for _, status, _ in rows if status == "FAIL")
     if args.json:
         print(json.dumps({

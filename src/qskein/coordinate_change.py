@@ -80,9 +80,8 @@ class Expr:
         return Expr(self.spec, self.words + other.words)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Laurent)):
-            c = other if isinstance(other, Laurent) else Laurent.integer(other)
-            return Expr(self.spec, [(w * c, fs) for w, fs in self.words])
+        if isinstance(other, Laurent):
+            return Expr(self.spec, [(w * other, fs) for w, fs in self.words])
         if not isinstance(other, Expr):
             return NotImplemented
         if self.spec != other.spec:
@@ -92,11 +91,6 @@ class Expr:
             for c2, f2 in other.words:
                 words.append((c1 * c2, f1 + f2))
         return Expr(self.spec, words)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Laurent)):
-            return self * other
-        return NotImplemented
 
     def inv(self):
         return Expr(self.spec, [(ONE, (("inv", self),))])

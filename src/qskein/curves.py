@@ -106,7 +106,7 @@ class NormalCurve:
             o, q = ((i - 1) % 3, w[tri[i - 1]] - 1 - p) if 2 * p < twice[t, i] else \
                 ((i + 1) % 3, w[s] - 1 - p)
             steps.append((t, i, o))
-            s = T.other_side(tri[o])
+            s = T.glue.get(tri[o])
             p = w[s] - 1 - q
             if (s, p) == start:
                 break
@@ -120,10 +120,10 @@ class NormalCurve:
         for idx in range(n):
             t, i, o = self.steps[idx]
             out_side = T.triangles[t][o]
-            mate = T.other_side(out_side)
+            mate = T.glue.get(out_side)
             if mate is None:
                 raise CurveError("curve crosses boundary edge %s"
-                                 % T.edge_of_side(out_side))
+                                 % T.side_edge[out_side])
             t2, i2, _ = self.steps[(idx + 1) % n]
             in_side = T.triangles[t2][i2]
             if mate != in_side:
@@ -140,14 +140,11 @@ class NormalCurve:
 
     # -- crossings -------------------------------------------------------
 
-    def __len__(self):
-        return len(self.steps)
-
     def crossing_edges(self):
         """Edge label crossed between step i and step i+1, for each i."""
         T = self.T
         return tuple(
-            T.edge_of_side(T.triangles[t][o]) for t, i, o in self.steps
+            T.side_edge[T.triangles[t][o]] for t, i, o in self.steps
         )
 
     def multiplicities(self):

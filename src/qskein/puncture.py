@@ -70,7 +70,6 @@ def lift(lam, variant="after"):
     fake_tris = {}
     cp_edge = {}
     points = []
-    fake_set = set()
 
     while True:
         interior = sorted(
@@ -82,7 +81,7 @@ def lift(lam, variant="after"):
         vi = interior[0]
         pname = "p%d" % len(points)
         corner = min(
-            c for c in cur.vertices[vi] if c[0] not in fake_set
+            c for c in cur.vertices[vi] if c[0] not in fake_tris.values()
         )
         t, ci = corner
         tri = cur.triangles[t]
@@ -119,7 +118,6 @@ def lift(lam, variant="after"):
 
         omega[g_lab] = omega.get(doubled, doubled)
         fake_tris[pname] = len(triangles) - 1
-        fake_set.add(len(triangles) - 1)
         cp_edge[pname] = cp
         points.append(pname)
         if t in tri_map:

@@ -179,9 +179,7 @@ class TorusElement:
             raise ValueError("torus spec mismatch")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = TorusElement.one(self.spec) * Laurent.integer(other)
-        elif not isinstance(other, TorusElement):
+        if not isinstance(other, TorusElement):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
@@ -190,21 +188,9 @@ class TorusElement:
             out[k] = c if s is None else s + c
         return TorusElement(self.spec, out)
 
-    def __radd__(self, other):
-        if isinstance(other, int):
-            return self + other
-        return NotImplemented
-
-    def __neg__(self):
-        return TorusElement(self.spec, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Laurent)):
-            c = other if isinstance(other, Laurent) else Laurent.integer(other)
-            return TorusElement(self.spec, {k: v * c for k, v in self.terms.items()})
+        if isinstance(other, Laurent):
+            return TorusElement(self.spec, {k: v * other for k, v in self.terms.items()})
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check(other)
@@ -321,24 +307,6 @@ class TorusElement:
         return _element(spec, ((k, dict(islice(entries, n)))
                                for k, n in zip(out_keys, counts) if n))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Laurent)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse_monomial() ** (-n)
-        out = TorusElement.one(self.spec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def inverse_monomial(self):
         """Inverse of a one-term element with unit coefficient times q-power."""
         if len(self.terms) != 1:
@@ -351,15 +319,6 @@ class TorusElement:
         if not isinstance(other, TorusElement):
             return NotImplemented
         return self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_one(self):
-        return self.terms == {self.spec.zero_vec(): ONE}
 
     # -- reflection ----------------------------------------------------
 

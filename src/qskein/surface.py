@@ -176,12 +176,6 @@ class Triangulation:
     def side_pos(self, s):
         return self._side_pos[s]
 
-    def edge_of_side(self, s):
-        return self.side_edge[s]
-
-    def other_side(self, s):
-        return self.glue.get(s)
-
     def triangle_edges(self, t):
         return tuple(self.side_edge[s] for s in self.triangles[t])
 
@@ -522,26 +516,22 @@ def annulus():
     return Triangulation([t0, t1], gluing, side_edge, hints)
 
 
+def _two_triangles(upper):
+    """Triangles T0 = (a, b, c) and T1 with its edges in the order upper,
+    each side of T0 glued to the side of T1 on the same edge."""
+    tris = [tuple("T%d.%s" % (t, e) for e in order)
+            for t, order in enumerate(("abc", upper))]
+    side_edge = {s: s[-1] for tri in tris for s in tri}
+    return Triangulation(tris, [("T0." + e, "T1." + e) for e in "abc"], side_edge)
+
+
 def torus_one_marked():
     """The closed torus with one (interior) marked point: 2 triangles,
-    3 edges a, b, c.  A generalized marked surface."""
-    t0 = ("T0.a", "T0.b", "T0.c")   # lower triangle: a bottom, b right, c anti-diagonal
-    t1 = ("T1.c", "T1.a", "T1.b")   # upper triangle
-    side_edge = {
-        "T0.a": "a", "T0.b": "b", "T0.c": "c",
-        "T1.a": "a", "T1.b": "b", "T1.c": "c",
-    }
-    gluing = [("T0.a", "T1.a"), ("T0.b", "T1.b"), ("T0.c", "T1.c")]
-    return Triangulation([t0, t1], gluing, side_edge)
+    3 edges a, b, c.  A generalized marked surface.  T0 is the lower
+    triangle (a bottom, b right, c anti-diagonal), T1 the upper."""
+    return _two_triangles("cab")
 
 
 def sphere_three_marked():
     """The sphere with three marked points: double of a triangle."""
-    t0 = ("T0.a", "T0.b", "T0.c")
-    t1 = ("T1.a", "T1.c", "T1.b")
-    side_edge = {
-        "T0.a": "a", "T0.b": "b", "T0.c": "c",
-        "T1.a": "a", "T1.b": "b", "T1.c": "c",
-    }
-    gluing = [("T0.a", "T1.a"), ("T0.b", "T1.b"), ("T0.c", "T1.c")]
-    return Triangulation([t0, t1], gluing, side_edge)
+    return _two_triangles("acb")

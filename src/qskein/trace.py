@@ -1,6 +1,9 @@
 """Quantum traces of normal curves.
 
-Three routes into the quantum torus are implemented and cross-checked:
+Three routes into the quantum torus are implemented.  The trace suite
+checks trace_simple against oracle_resolution, the one route independent
+of the state sum; trace_once_edge makes the same state_sum call and maps
+it through the same psi, so it cannot disagree with trace_simple:
 
 * trace_simple: curves.state_sum on a simple curve, where every phase
   u(s) vanishes, plus the simple-curve checks: the shear image sum_s y^s
@@ -16,7 +19,7 @@ Three routes into the quantum torus are implemented and cross-checked:
 
 * trace_once_edge: the once-crossing formula sum_s q^(u(s)) y^(k_s) for
   curves with an edge of multiplicity one, with the phase u(s) computed
-  on the split surface.  For simple curves it reproduces trace_simple.
+  on the split surface.
 
 curves.state_sum is behind every trace, the punctured trace too.  It is
 a frontier walk over the curve's steps with per-side partial sums, so it
@@ -78,13 +81,13 @@ def _resolved_arc(T, step, vfirst, vsecond):
     if (vfirst, vsecond) == FORBIDDEN:
         return None
     if (vfirst, vsecond) == (-FORBIDDEN[0], -FORBIDDEN[1]):
-        return T.edge_of_side(T.triangles[t][third])
+        return T.side_edge[T.triangles[t][third]]
     plus_slot, minus_slot = (
         (first, second) if FORBIDDEN[0] == 1 else (second, first)
     )
     if vfirst == vsecond == 1:
-        return T.edge_of_side(T.triangles[t][minus_slot])
-    return T.edge_of_side(T.triangles[t][plus_slot])
+        return T.side_edge[T.triangles[t][minus_slot]]
+    return T.side_edge[T.triangles[t][plus_slot]]
 
 
 def oracle_resolution(alpha, T, bundle=None):

@@ -293,6 +293,70 @@ def test_verify_json_output_is_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite], suite
 
 
+# SHA-256 of the stdout of the other subcommands.  {surf}, {curve} and {elem}
+# stand for the annulus, its core curve and the element x[d1] x[d2];
+# {torus} and {c10} for the one-marked torus and its (1,0) curve
+COMMAND_DIGESTS = {
+    "--json surf matrices builtin:polygon3":
+        "a4cbc68f96e2be4e3147a08717637cc5b57b0f18c736e938fa8dca051708f633",
+    "--json surf matrices builtin:polygon4":
+        "8ab3476f98c90f63744503417d2e181b28078c16251bb92fede4c4ee9596fdf1",
+    "--json surf matrices builtin:polygon5":
+        "3b6cca706e167e79041277fd3caab8c27de22d4280cbbe71ffda31171701d7a0",
+    "--json surf matrices builtin:polygon6":
+        "7e3091dbc721a1c8033b528b14a35383b5b487348c22ad95b87d64c0f1f5609a",
+    "--json surf matrices builtin:polygon7":
+        "7f84e43821e11e7ef77c2d7dbc144749a20e18a501044df4192540bdd5dd33f5",
+    "--json surf matrices builtin:polygon8":
+        "1dc41292ed6834b4217b07ea26e074736623f19ac799c21a3ed689ddf0bba915",
+    "--json surf matrices builtin:annulus":
+        "dbd50a1a63459b44682c06b2b40c54e0b855ed449c0822ffe7abe4810b20d61d",
+    "--json surf matrices builtin:torus1-lift":
+        "8a7cb5eda5bbee0d2948bf527a7701cb88898a8afc4bc307797e5a929d403d7c",
+    "--json surf matrices builtin:sphere3-lift":
+        "b367609c574b0c38b673d9021358c60ad4c8d3172447923e270380e5fb615223",
+    "--json surf matrices builtin:torus1":
+        "2c1b4053b9fc482310de453cdce2baf7a79bd0fd0a54ca64f4e88f31a9af39bf",
+    "--json surf matrices builtin:sphere3":
+        "ed467f7ced76a27a0860c2924e0e695edc355bb218f27b5754c76f3fd4c5bf6a",
+    "--json puncture lift builtin:torus1":
+        "1a4254529a8104bf55c5aaf24ed89c16e821c9ecca0d708a4596ace8208887fd",
+    "--json puncture lift builtin:torus1 --variant before":
+        "952e75285fbe8d98e4614bdad8dbbb56e91d3087d66df5efb9359d7a33083f63",
+    "--json puncture lift builtin:sphere3":
+        "3cb9b5f4166e48bbf293fe3ccfe5b40d4d64ccb465ed297c8f6e3c6c0d82a268",
+    "--json puncture lift builtin:sphere3 --variant before":
+        "dc5c04b7e8ae7a96a334e4d84833562d8ca756675ac87defebbb7dde8addd2f3",
+    "--json curve states {surf} {curve}":
+        "efd481c31bd0a962da1f7472f91ad51be946c0bbdec1574667a0c0fabc4039e2",
+    "--json trace {surf} {curve}":
+        "f9cd3262354c4ca7e77346938f3a7e3bac5d4c6b34c84804d543220820c8eb81",
+    "--json shear psi {surf} {elem}":
+        "99371eb846c4c81b02418c32ae85b254f810e0c8e755a91acd2162a82f9db2a6",
+    "--json puncture trace {torus} {c10}":
+        "829bbf2543b390ac6a41008253106ccb06511f43de4b09f89945727f93a3bc8e",
+    "--json puncture trace {torus} {c10} --variant before":
+        "1c4eaa59e22c6916d6468ce84b77ffecc7a3656f2642a182c23eae01761a04f5",
+    "flipseq builtin:polygon5 e0_2 e0_3 e1_3 e1_4 e2_4 --verify":
+        "5d2662121b41f8f036a79fa47cc883ef0b8ee12a1c3d6c48c791c0196b8f1b16",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
+def test_command_output_is_pinned(capsys, annulus_files, tmp_path, command):
+    surf, curve = annulus_files
+    elem = tmp_path / "elem.json"
+    elem.write_text(json.dumps({"terms": [{"exp": {"d1": 1, "d2": 1}, "coeff": {"0": 1}}]}))
+    lam, c10 = torus_curve("1,0")
+    files = {"surf": surf, "curve": curve, "elem": str(elem)}
+    for name, obj in (("torus", lam), ("c10", c10)):
+        files[name] = str(tmp_path / (name + ".json"))
+        (tmp_path / (name + ".json")).write_text(json.dumps(obj.to_json()))
+    code, out, err = run(capsys, *(word.format(**files) for word in command.split()))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[command], command
+
+
 def test_input_errors(capsys, tmp_path, annulus_files):
     surf, curve = annulus_files
     code, _, err = run(capsys, "surf", "matrices", str(tmp_path / "no.json"))
@@ -354,6 +418,34 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err, argv
+
+
+def test_surface_and_curve_file_faults_are_named(capsys, tmp_path, annulus_files):
+    # each fault of a surface or curve file exits 2 with the exact message
+    surf, curve = annulus_files
+    data = json.loads((tmp_path / "annulus.json").read_text())
+    glued, labels = data["gluing"], data["edge_labels"]
+    surfaces = [
+        ({"gluing": glued + [["T0.b1", "zz"]]}, "unknown side zz in gluing"),
+        ({"gluing": glued + [["T0.d1", "T0.b1"]]}, "side T0.d1 glued twice"),
+        ({"edge_labels": {**labels, "T0.d1": "x"}},
+         "glued sides T0.d1,T1.d1 carry different edge labels"),
+        ({"edge_labels": {**labels, "T0.b1": "d1"}}, "edge label d1 used by 3 sides"),
+        ({"edge_labels": {**labels, "T0.b1": "b2"}}, "edge label b2 shared by unglued sides"),
+    ]
+    for i, (change, message) in enumerate(surfaces):
+        path = tmp_path / ("surface_%d.json" % i)
+        path.write_text(json.dumps({**data, **change}))
+        assert run(capsys, "surf", "matrices", str(path))[::2] == (
+            2, "input error: %s: %s\n" % (path, message)), message
+    steps = json.loads((tmp_path / "core.json").read_text())["steps"]
+    path = tmp_path / "split_step.json"
+    path.write_text(json.dumps({"steps": [{"in": "T0.d1", "out": "T1.d2"}] + steps[1:]}))
+    assert run(capsys, "curve", "classify", surf, str(path))[::2] == (
+        2, "input error: %s: in and out sides of a step must share a triangle\n" % path)
+    # flips need a marked surface, and the torus has an interior marked point
+    assert run(capsys, "flipseq", "builtin:torus1", "a")[::2] == (
+        2, "input error: interior marked points: not a marked surface\n")
 
 
 NO_SCIPY = """

@@ -334,8 +334,8 @@ def test_expr_edge_cases_in_process():
     # a sum with a bare scalar word maps it to that scalar over the target
     _, fd, theta = theta_flip(polygon(4), "e0_2")
     el = TorusElement.generator(theta.source, fd.a_star, 2)
-    mapped = (Expr.from_element(el) + Expr.one(theta.source) * 3).map_elements(
-        theta.apply_element)
+    three = Expr.one(theta.source) * Laurent.integer(3)
+    mapped = (Expr.from_element(el) + three).map_elements(theta.apply_element)
     assert mapped.spec == theta.target
     assert mapped.words[-1] == (Laurent.integer(3), ())
     assert mapped.words[:-1] == theta.apply_element(el).words

@@ -29,6 +29,8 @@ def test_step_validation():
         NormalCurve(A, [(0, 1, 1)])          # bounce
     with pytest.raises(CurveError):
         NormalCurve(A, [(0, 1, 2)])          # does not close
+    with pytest.raises(CurveError, match="^bad triangle index 2$"):
+        NormalCurve(A, [(2, 0, 1)])          # a curve file names sides, not triangles
     with pytest.raises(CurveError):
         NormalCurve(A, [])
     with pytest.raises(CurveError):

@@ -118,16 +118,11 @@ def test_printing():
 
 
 def test_scalar_on_the_left():
-    from qskein.coordinate_change import Expr
     from qskein.qtorus import TorusElement, TorusSpec
 
     spec = TorusSpec(("a", "b"), [[0, 1], [-1, 0]], 2)
     el = TorusElement.generator(spec, "a") + TorusElement.generator(spec, "b", -1)
-    e = Expr.from_element(el) * Expr.from_element(el).inv()
     c = q(1)
-    assert c * el == el * c
-    assert (c * e).words == (e * c).words
-    assert 1 + el == el + 1 and sum([el, el]) == el * 2
     with pytest.raises(TypeError):
         c + el
     with pytest.raises(TypeError):

@@ -123,7 +123,7 @@ def test_product_matches_per_pair_reference():
                 prod = a * b
                 assert prod == reference_product(a, b)
                 assert_canonical(prod)
-                assert (zero * b).is_zero() and (a * zero).is_zero()
+                assert zero * b == zero and a * zero == zero
         for _ in range(10):
             k, n = rng_vec(rng, spec), rng_vec(rng, spec)
             assert spec.pairing(k, n) == pairing(k, n, spec.A)
@@ -259,19 +259,6 @@ def test_repeated_coefficients_match_per_pair_reference():
                 assert a * b == reference_product(a, b)
 
 
-def test_powers_match_repeated_reference_products():
-    rng = np.random.default_rng(13)
-    for spec in product_specs():
-        if not spec.labels:
-            continue
-        x = repeating_element(rng, spec, 3)
-        assert len(x.terms) > 1
-        expected = x
-        for n in range(2, 6):
-            expected = reference_product(expected, x)
-            assert x ** n == expected
-
-
 SPECS = list(product_specs())
 
 
@@ -294,11 +281,11 @@ def test_product_cancellation_and_exact_coefficients():
         if not spec.labels:
             continue
         k = (1,) + (0,) * (len(spec.labels) - 1)
-        one = TorusElement.one(spec)
+        one, minus = TorusElement.one(spec), Laurent.integer(-1)
         xk = TorusElement.monomial(spec, k)
         # <k,k>_A = 0: the cross terms cancel and leave no zero coefficient
-        prod = (one + xk) * (one - xk)
-        assert prod == one - TorusElement.monomial(spec, tuple(2 * e for e in k))
+        prod = (one + xk) * (one + xk * minus)
+        assert prod == one + TorusElement.monomial(spec, tuple(2 * e for e in k), minus)
         assert len(prod.terms) == 2
         # the q^0 part of (q + q^-1)(q - q^-1) cancels inside one coefficient
         a = TorusElement.monomial(spec, k, Laurent({8: 1, -8: 1}))
@@ -317,12 +304,9 @@ def test_product_cancellation_and_exact_coefficients():
 
 def test_monomial_identity_and_powers():
     s = spec2()
-    one = TorusElement.monomial(s, (0, 0))
-    assert one.is_one()
+    assert TorusElement.monomial(s, (0, 0)) == TorusElement.one(s)
     x = TorusElement.monomial(s, (2, -1))
     assert x.reflect() == x
-    for n in range(-3, 4):
-        assert x ** n == TorusElement.monomial(s, (2 * n, -n))
 
 
 def test_mul_example():
@@ -331,7 +315,7 @@ def test_mul_example():
     a = TorusElement.monomial(s, (1, 0))
     b = TorusElement.monomial(s, (0, 1))
     assert a * b == TorusElement.monomial(s, (1, 1), Laurent.q_power(4))
-    assert (a * a.inverse_monomial()).is_one()
+    assert a * a.inverse_monomial() == TorusElement.one(s)
 
 
 def test_commutation_relation():
@@ -426,7 +410,7 @@ def test_mlh_apply_is_algebra_map():
     assert np.array_equal(H @ dst.A @ H.T, -4 * src.A)
     rng = np.random.default_rng(6)
     one = TorusElement.one(src)
-    assert mlh_apply(H, src, dst, one).is_one()
+    assert mlh_apply(H, src, dst, one) == TorusElement.one(dst)
     for _ in range(15):
         a = TorusElement(src, {rng_vec(rng, src): Laurent.one() for _ in range(2)})
         b = TorusElement(src, {rng_vec(rng, src): Laurent.one() for _ in range(2)})
@@ -487,11 +471,12 @@ def test_json_roundtrip():
 def test_add_refuses_what_is_not_a_torus_element():
     spec = spec2()
     el = TorusElement.generator(spec, "a")
-    for other in (Laurent.q_power(1), 1.5):
+    for other in (Laurent.q_power(1), 1.5, 1):
         with pytest.raises(TypeError):
             el + other
+        with pytest.raises(TypeError):
+            other + el
     with pytest.raises(TypeError):
         el - 1.5
     one = TorusElement.one(spec)
-    assert el + 1 == 1 + el == el + one
-    assert sum([el, el, one]) == el * 2 + one
+    assert el + el + one == el * Laurent.integer(2) + one

@@ -129,7 +129,8 @@ def test_singular_action_inconclusive():
 def test_orders_skipped_for_dimension():
     # four unit blocks: dimension L^4 fits under DENSE_DIM at L = 5 and 7 only
     s = TorusSpec(tuple("abcdefgh"), np.kron(np.eye(4, dtype=int), [[0, 1], [-1, 0]]), 2)
-    x = Expr.from_element(sum(TorusElement.generator(s, lab) for lab in s.labels))
+    x = Expr.from_element(sum((TorusElement.generator(s, lab) for lab in s.labels),
+                              TorusElement.zero(s)))
     verdict = verify_identity(x, x, s)
     assert verdict.status == "INCONCLUSIVE" and verdict.orders == (5, 7)
     assert verdict.notes == ["order %d skipped (dimension %d > %d)"
@@ -638,7 +639,7 @@ def test_zero_and_nested_denominators_take_representations():
     a = TorusElement.monomial(s, (2, 0))
     x = Expr.from_element(a)
     zero = Expr.from_element(TorusElement.zero(s))
-    cancelling = x + x * -1                 # two words whose sum is 0
+    cancelling = x + x * Laurent.integer(-1)    # two words whose sum is 0
     nested = (x + x.inv()).inv() * x
     for den in (zero, cancelling):
         v = row_verdict(den.inv() * x, "a", s)

@@ -6,7 +6,14 @@ A method is reached only by an attribute access .name or a string
 constant (the benchmark tracer names its hooks by string); a name of the
 same spelling, such as a builtin or a local function, does not reach it.
 Any other function or class is reached by a name, an import, an attribute
-or a string."""
+or a string.
+
+A static scan cannot see what the program runs, so two kinds of dead code
+pass it.  Operator methods (__add__, __pow__, __hash__, ...) are entered
+by syntax or by the runtime, not by name, and are never checked.  A method
+whose name another class also defines is reached by any access of that
+name, as NormalCurve.to_json is by the uses of Triangulation.to_json.  A
+line tracer over the whole program finds both."""
 
 import ast
 from pathlib import Path

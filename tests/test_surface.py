@@ -156,6 +156,17 @@ def test_validation_errors():
         ).validate()
 
 
+def test_raises_no_surface_file_reaches():
+    # a surface file has at least one triangle, and flipseq refuses both
+    # surfaces below before it flips
+    with pytest.raises(SurfaceError, match="^empty triangulation$"):
+        Triangulation([], []).validate()
+    with pytest.raises(SurfaceError, match="^edge a bounds a single triangle; not flippable$"):
+        Triangulation([("a", "b", "c")], [("a", "b")]).flip("a")
+    with pytest.raises(SurfaceError, match="^degenerate flip square at a$"):
+        torus_one_marked().flip("a")
+
+
 def test_flip_square_involution():
     T = polygon(4)
     T1, fd = T.flip("e0_2")
