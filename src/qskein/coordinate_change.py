@@ -21,7 +21,8 @@ The flip maps on the Y_v and the images of traces both use this rule.
 That polynomial is Phi on one monomial in exponent space (phi_monomial),
 with no Expr, and Phi's own flip map is phi_monomial at X_(a*); composites
 apply Phi to Exprs generator by generator (GeneratorImageMap.apply_element),
-and the two routes agree exactly.
+and the two routes agree exactly.  One word product, _word_product,
+multiplies out every Expr product: *, power, map_elements, apply_element.
 
 Composites along a flip sequence are DAGs, not trees: each flip's images
 refer to the previous composite's expressions by reference, and a label
@@ -86,23 +87,14 @@ class Expr:
             return NotImplemented
         if self.spec != other.spec:
             raise ValueError("torus spec mismatch")
-        words = []
-        for c1, f1 in self.words:
-            for c2, f2 in other.words:
-                words.append((c1 * c2, f1 + f2))
-        return Expr(self.spec, words)
+        return Expr(self.spec, _word_product(ONE, (self, other)))
 
     def inv(self):
         return Expr(self.spec, [(ONE, (("inv", self),))])
 
     def power(self, n):
-        if n == 0:
-            return Expr.one(self.spec)
-        base = self if n > 0 else self.inv()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inv()
+        return Expr(self.spec, _word_product(ONE, [base] * abs(n)))
 
     def support_labels(self):
         """Labels of every torus element in the expression; each node of
@@ -127,12 +119,9 @@ class Expr:
         fn returns an Expr.  Each word is multiplied out in one pass."""
         words, spec = [], None
         for c, fs in self.words:
-            acc = [(ONE, ())]
-            for kind, payload in fs:
-                piece = fn(payload) if kind == "el" else payload.map_elements(fn).inv()
-                spec = piece.spec
-                acc = [(c1 * c2, f1 + f2) for c1, f1 in acc for c2, f2 in piece.words]
-            words += [(w * c, f) for w, f in acc]
+            pieces = [fn(p) if kind == "el" else p.map_elements(fn).inv() for kind, p in fs]
+            spec = pieces[-1].spec if pieces else spec
+            words += _word_product(c, pieces)
         if spec is None:
             raise ValueError("cannot infer target torus of an empty map")
         return Expr(spec, words)
@@ -156,6 +145,15 @@ class Expr:
 
     def __repr__(self):
         return "Expr(%d words over %r)" % (len(self.words), self.spec)
+
+
+def _word_product(c, exprs):
+    """The words of c times the product of exprs, multiplied out left to
+    right; the empty product is the unit word."""
+    words = [(c, ())]
+    for e in exprs:
+        words = [(c1 * c2, f1 + f2) for c1, f1 in words for c2, f2 in e.words]
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +194,7 @@ class GeneratorImageMap:
         src = self.source
         if el.spec != src:
             raise ValueError("element is not over the source torus")
-        out = Expr(self.target)
+        words = []
         for k, c in el.terms.items():
             if any(v % self.gen_exponent for v in k):
                 raise ValueError(
@@ -205,11 +203,10 @@ class GeneratorImageMap:
             nz = [(i, e) for i, e in enumerate(k) if e]
             s = sum(e * f * src._rows[i][j]
                     for n, (i, e) in enumerate(nz) for j, f in nz[n + 1:])
-            word = Expr.one(self.target) * (c * src.half_phase(-s))
-            for i, e in nz:
-                word = word * self.image_of_generator(src.labels[i], e // self.gen_exponent)
-            out = out + word
-        return out
+            words += _word_product(c * src.half_phase(-s), [
+                self.image_of_generator(src.labels[i], e // self.gen_exponent)
+                for i, e in nz])
+        return Expr(self.target, words)
 
     def compose_after(self, earlier):
         """The map (self o earlier): earlier's images pushed through self.
@@ -291,11 +288,16 @@ def _theta_pair(bundle, bundle2, fd, k):
     m = [sum(map(mul, k, col)) for col in bundle2.H.T.tolist()]
     sign = 1 if m[bundle2.x.index[fd.a_star]] >= 0 else -1
     el = phi_monomial(bundle.x, bundle2.x, fd, [sign * v for v in m])
-    near_el = bundle.psi_preimage(el)
-    near = Expr.from_element(near_el)
-    far = (near.inv() if len(el.terms) > 1
-           else Expr.from_element(near_el.inverse_monomial()))
+    near, far = _image_pair(bundle.psi_preimage(el))
     return (near, far) if sign > 0 else (far, near)
+
+
+def _image_pair(el):
+    """(el, el^(-1)) as Exprs for a polynomial image el: the monomial
+    inverse when el has one term, else the formal inverse."""
+    near = Expr.from_element(el)
+    return near, (near.inv() if len(el.terms) > 1
+                  else Expr.from_element(el.inverse_monomial()))
 
 
 def phi_monomial(x, x2, fd, m):
@@ -418,7 +420,7 @@ def phi_flip_from_data(T, T2, fd, bundles=None):
     """phi_flip for an already performed flip; bundles defaults to ShearSkein.of."""
     bundle, bundle2 = bundles or (ShearSkein.of(T), ShearSkein.of(T2))
     x2 = bundle2.x
-    image = Expr.from_element(phi_monomial(bundle.x, x2, fd, x2.unit_vec(fd.a_star, 2)))
+    image = phi_monomial(bundle.x, x2, fd, x2.unit_vec(fd.a_star, 2))
     gmap = GeneratorImageMap(source=x2, target=bundle.x,
-                             images={fd.a_star: (image, image.inv())})
+                             images={fd.a_star: _image_pair(image)})
     return T2, fd, gmap

@@ -156,18 +156,6 @@ class NormalCurve:
     def crossed_edges(self):
         return tuple(sorted(self.multiplicities()))
 
-    def to_json(self):
-        return {
-            "steps": [
-                {
-                    "tri": t,
-                    "in": self.T.triangles[t][i],
-                    "out": self.T.triangles[t][o],
-                }
-                for t, i, o in self.steps
-            ]
-        }
-
     @staticmethod
     def from_json(T, data):
         return NormalCurve.from_sides(

@@ -68,8 +68,8 @@ class Laurent:
         return Laurent({n: coeff})
 
     # -- ring structure ----------------------------------------------
-    # any other operand gets NotImplemented, so that a torus element or an
-    # expression takes its own reflected product with a scalar
+    # any other operand gets NotImplemented, so Python raises TypeError:
+    # neither torus elements nor Exprs have a reflected sum or product
 
     def __add__(self, other):
         other = _as_laurent(other)

@@ -145,7 +145,7 @@ class TorusElement:
             width = len(spec.labels)
             for k, c in terms.items():
                 if not isinstance(c, Laurent):
-                    c = Laurent.integer(c)
+                    raise TypeError("coefficient %r is not a Laurent scalar" % (c,))
                 if len(k) != width:
                     raise ValueError("exponent vector of wrong length")
                 if c.is_zero():

@@ -4,7 +4,10 @@ Each suite returns a list of result rows (name, status, detail) where
 status is one of PASS / FAIL / INCONCLUSIVE, plus exact checks reported
 as PASS/FAIL.  The flip library covers the three quadrilateral cases:
 square and pentagon flips (four distinct boundary edges) and the two
-annulus flips (the b=d and c=e self-glued squares).
+annulus flips (the b=d and c=e self-glued squares).  The naturality and
+phased cases are one rule over (inner edge, curve) on the annulus core and
+the lifted torus slopes: a pair whose transport through that flip is simple
+is a naturality case, an almost-simple one a phased case.
 """
 
 from __future__ import annotations
@@ -65,15 +68,19 @@ def suite_duality():
     return rows
 
 
+def _flip_curves():
+    """(surface, [(name, curve)]): the annulus core, the torus-lift slopes."""
+    A, core = annulus_core()
+    ld = lift(torus_one_marked())
+    return [(A, [("annulus core", core)]),
+            (ld.delta, [("torus-lift (%s)" % slope, curve_lift(ld, torus_curve(slope)[1]))
+                        for slope in ("1,0", "0,1", "1,1")])]
+
+
 def library_simple_curves():
     """(name, surface, curve) for every simple library curve on a marked
     surface."""
-    A, core = annulus_core()
-    out = [("annulus core", A, core)]
-    ld = lift(torus_one_marked())
-    for slope in ("1,0", "0,1", "1,1"):
-        _, c = torus_curve(slope)
-        out.append(("torus-lift (%s)" % slope, ld.delta, curve_lift(ld, c)))
+    out = [(name, T, c) for T, curves in _flip_curves() for name, c in curves]
     ld2 = lift(sphere_three_marked())
     for pair in ("12", "23", "13"):
         _, c = sphere_curve(pair)
@@ -160,42 +167,37 @@ def suite_pentagon(trials=DEFAULT_TRIALS, seed=0):
     return rows
 
 
+def _flip_cases(kind, form):
+    """(form % (curve name, edge), T, edge, curve) for each inner edge of
+    each _flip_curves surface, in T.inner_edges order, and each of its
+    curves whose transport through the flip at that edge is of class kind."""
+    for T, curves in _flip_curves():
+        for edge in T.inner_edges:
+            T2, fd = T.flip(edge)
+            yield from ((form % (name, edge), T, edge, alpha) for name, alpha in curves
+                        if classify(transport_curve(alpha, T, fd, T2)) == kind)
+
+
 def _naturality_cases():
     """(name, T, flip edge, curve) with the curve simple before and after
     the flip."""
-    cases = []
-    A, core = annulus_core()
-    for edge in ("d1", "d2"):
-        cases.append(("annulus core / flip %s" % edge, A, edge, core))
-    ld = lift(torus_one_marked())
-    D = ld.delta
-    combos = {
-        "a": ("0,1", "1,1"),
-        "b": ("1,0", "1,1"),
-        "c": ("1,0", "0,1", "1,1"),
-        "g0": ("1,0", "0,1", "1,1"),
-    }
-    for edge, slopes in combos.items():
-        for slope in slopes:
-            _, c = torus_curve(slope)
-            cases.append(
-                ("torus-lift (%s) / flip %s" % (slope, edge), D, edge,
-                 curve_lift(ld, c))
-            )
-    return cases
+    return list(_flip_cases("simple", "%s / flip %s"))
+
+
+def _naturality_walk():
+    """(name, T, T2, fd, alpha, alpha2, transfer record) of each naturality
+    case, with alpha2 the curve transported through the flip."""
+    for name, T, edge, alpha in _naturality_cases():
+        T2, fd = T.flip(edge)
+        alpha2 = transport_curve(alpha, T, fd, T2)
+        yield name, T, T2, fd, alpha, alpha2, knot_monomial_transfer(alpha2, T, edge, T2, fd)
 
 
 def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
     rows = []
-    for name, T, edge, alpha in _naturality_cases():
-        T2, fd = T.flip(edge)
-        alpha2 = transport_curve(alpha, T, fd, T2)
-        if classify(alpha) != "simple" or classify(alpha2) != "simple":
-            rows.append((name, "FAIL", "curve not simple on both sides"))
-            continue
+    for name, T, T2, fd, alpha, alpha2, rec in _naturality_walk():
         tr1 = trace_simple(alpha, T)
         tr2 = trace_simple(alpha2, T2)
-        rec = knot_monomial_transfer(alpha2, T, edge, T2=T2, fd=fd)
         lhs = theta_element(T, T2, fd, tr2.shear_side)
         v = verify_identity(
             lhs, [Expr.from_element(tr1.shear_side)], tr1.shear_side.spec,
@@ -209,13 +211,7 @@ def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
 def _phased_cases():
     """(name, surface, flip edge, simple curve whose transport is
     almost-simple), exercising the phase exponents u(s)."""
-    ld = lift(torus_one_marked())
-    D = ld.delta
-    out = []
-    for edge, slope in (("a", "1,0"), ("b", "0,1")):
-        _, c = torus_curve(slope)
-        out.append(("torus-lift (%s) across flip %s" % (slope, edge),
-                    D, edge, curve_lift(ld, c)))
+    out = list(_flip_cases("almost-simple", "%s across flip %s"))
     # the (1,-1) curve is almost-simple on the before-variant lift and
     # becomes simple after flipping the doubly crossed edge; running the
     # flip in reverse exercises a doubly phased state sum
@@ -238,9 +234,6 @@ def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
     for name, T, edge, alpha in _phased_cases():
         T2, fd = T.flip(edge)
         alpha2 = transport_curve(alpha, T, fd, T2)
-        if classify(alpha2) != "almost-simple":
-            rows.append((name, "FAIL", "expected an almost-simple transport"))
-            continue
         _, lhs_skein, _ = trace_once_edge(alpha2, T2)
         T3, fd2, phi2 = phi_flip(T2, fd.a_star, new_label=edge)
         if not T3.same_as(T):
@@ -256,30 +249,31 @@ def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
     return rows
 
 
+def _dia9_rows(T, edge):
+    """(flip data, label v, sign, Theta(Y_v^sign), psi o Theta(Y_v^sign),
+    Phi o psi(Y_v^sign)) for each label v of the flip at edge, sorted, with
+    sign the side on which the Theta image is polynomial."""
+    T2, fd, theta = theta_flip(T, edge)
+    b1, b2 = ShearSkein.of(T), ShearSkein.of(T2)
+    _, _, phi = phi_flip_from_data(T, T2, fd)
+    for v in sorted(theta.source.labels):
+        pos = theta.image_of_generator(v, 1)
+        sign = 1 if pos.is_polynomial() else -1
+        th = pos if sign == 1 else theta.image_of_generator(v, -1)
+        lhs = th.map_elements(lambda el: Expr.from_element(b1.psi(el)))
+        rhs = phi.apply_element(b2.psi(TorusElement.generator(b2.y, v, 2 * sign)))
+        yield fd, v, sign, th, lhs, rhs
+
+
 def suite_dia9(trials=DEFAULT_TRIALS, seed=0):
     """psi o Theta = Phi o psi on the squared shear generators.
 
     Verified on the side where the Theta image is polynomial, so the
     check uses only forward actions."""
-    rows = []
-    for name, edge in FLIP_LIBRARY:
-        T = surface_by_name(name)
-        T2, fd, theta = theta_flip(T, edge)
-        b1, b2 = ShearSkein.of(T), ShearSkein.of(T2)
-        _, _, phi = phi_flip_from_data(T, T2, fd)
-        for v in sorted(theta.source.labels):
-            pos = theta.image_of_generator(v, 1)
-            sign = 1 if pos.is_polynomial() else -1
-            th = pos if sign == 1 else theta.image_of_generator(v, -1)
-            lhs = th.map_elements(lambda el: Expr.from_element(b1.psi(el)))
-            img = b2.psi(TorusElement.generator(b2.y, v, 2 * sign))
-            rhs = phi.apply_element(img)
-            verdict = verify_identity(lhs, rhs, b1.x, trials=trials, seed=seed)
-            rows.append(
-                _row("dia9 %s at %s on Y[%s]^%+d" % (name, edge, v, sign),
-                     verdict)
-            )
-    return rows
+    return [_row("dia9 %s at %s on Y[%s]^%+d" % (name, edge, v, sign),
+                 verify_identity(lhs, rhs, lhs.spec, trials=trials, seed=seed))
+            for name, edge in FLIP_LIBRARY
+            for _, v, sign, _, lhs, rhs in _dia9_rows(surface_by_name(name), edge)]
 
 
 def suite_transfer():
@@ -296,12 +290,7 @@ def suite_transfer():
             rows.append(_row("psi(y^k)=X^eps %s" % name, True))
         except AssertionError as exc:
             rows.append(_row("psi(y^k)=X^eps %s" % name, False, str(exc)))
-    for name, T, edge, alpha in _naturality_cases():
-        T2, fd = T.flip(edge)
-        alpha2 = transport_curve(alpha, T, fd, T2)
-        if classify(alpha2) != "simple":
-            continue
-        rec = knot_monomial_transfer(alpha2, T, edge, T2=T2, fd=fd)
+    for name, *_, rec in _naturality_walk():
         rows.append(_row("transfer %s [%s]" % (name, rec.case), rec.exact_ok))
     return rows
 
@@ -339,23 +328,17 @@ def suite_punctured():
 def suite_negative(trials=DEFAULT_TRIALS, seed=0):
     """A corrupted coordinate change must FAIL at some root order."""
     A = annulus()
-    T2, fd, theta = theta_flip(A, "d1")
-    b1, b2 = ShearSkein.of(A), ShearSkein.of(T2)
-    _, _, phi = phi_flip_from_data(A, T2, fd)
-    v = fd.b  # the doubled inner edge
-    el = theta.image_of_generator(v, 1).as_element()
+    b1 = ShearSkein.of(A)
+    # the row of the doubled inner edge fd.b, whose sign is +1
+    _, _, _, th, _, rhs = next(row for row in _dia9_rows(A, "d1") if row[1] == row[0].b)
+    el = th.as_element()
     # multiply one coefficient by q^(1/8)
     (k0, c0) = sorted(el.terms.items())[0]
-    bad_terms = dict(el.terms)
-    bad_terms[k0] = c0 * Laurent.q_power(1)
-    bad = TorusElement(b1.y, bad_terms)
+    bad = TorusElement(b1.y, {**el.terms, k0: c0 * Laurent.q_power(1)})
     lhs = Expr.from_element(b1.psi(bad))
-    rhs = phi.apply_element(b2.psi(TorusElement.generator(b2.y, v, 2)))
     verdict = verify_identity(lhs, rhs, b1.x, trials=trials, seed=seed)
-    ok = verdict.status == "FAIL"
-    return [("negative control (corrupted Theta image)",
-             "PASS" if ok else "FAIL",
-             "verdict on corrupted identity: %s" % verdict.status)]
+    return [_row("negative control (corrupted Theta image)", verdict.status == "FAIL",
+                 "verdict on corrupted identity: %s" % verdict.status)]
 
 
 SUITES = {

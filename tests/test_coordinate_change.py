@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -528,3 +529,52 @@ def test_phi_monomial_matches_the_expr_route():
     x2 = ShearSkein.of(T2).x
     with pytest.raises(ValueError):
         phi_monomial(ShearSkein.of(polygon(4)).x, x2, fd, x2.unit_vec("e0_1", 1))
+
+
+def _reference_words(gmap, el):
+    """apply_element's words, built by explicit loops: for each term, its
+    coefficient times the ordered-product phase u^(-s/2), then one word for
+    each choice of a word from every generator power's image, in label
+    order, the power Y^p taking |p| copies of the image of Y^sign(p)."""
+    src = gmap.source
+    A = src.A.tolist()
+    words = []
+    for k, c in el.terms.items():
+        nz = [(i, e) for i, e in enumerate(k) if e]
+        s = sum(e * f * A[i][j] for n, (i, e) in enumerate(nz) for j, f in nz[n + 1:])
+        images = []
+        for i, e in nz:
+            lab, p = src.labels[i], e // 2
+            if lab in gmap.images:
+                images += [gmap.images[lab][0 if p > 0 else 1].words] * abs(p)
+            else:
+                gen = TorusElement.generator(gmap.target, lab, 2 * p)
+                images.append([(ONE, (("el", gen),))])
+        for choice in itertools.product(*images):
+            coeff, factors = c * Laurent.q_power(-(src.u_eighth // 2) * s), ()
+            for c2, f2 in choice:
+                coeff, factors = coeff * c2, factors + f2
+            words.append((coeff, factors))
+    return words
+
+
+def test_apply_element_words_match_explicit_loops():
+    maps = []
+    for name, edge in FLIP_LIBRARY:
+        T = surface_by_name(name)
+        maps += [theta_flip(T, edge)[2], phi_flip(T, edge)[2]]
+    maps.append(compose_flips(polygon(5), list(PENTAGON_SEQUENCE))[1])
+    kinds = set()
+    for gmap in maps:
+        src = gmap.source
+        gens = [TorusElement.generator(src, v, 2 * e) for v in src.labels for e in (-2, -1, 1, 2)]
+        for el in gens + [a * b for a in gens for b in gens]:
+            got, want = gmap.apply_element(el).words, _reference_words(gmap, el)
+            assert len(got) == len(want)
+            for (c1, f1), (c2, f2) in zip(got, want):
+                assert c1 == c2
+                assert [kind for kind, _ in f1] == [kind for kind, _ in f2]
+                for (kind, p1), (_, p2) in zip(f1, f2):
+                    assert p1 == p2 if kind == "el" else p1 is p2
+                    kinds.add(kind)
+    assert kinds == {"el", "inv"}

@@ -20,6 +20,7 @@ from qskein.puncture import curve_lift, lift
 from qskein.shear import shear_spec
 from qskein.surface import annulus, sphere_three_marked, torus_one_marked
 from qskein.trace import oracle_resolution, trace_simple
+from test_cli import curve_json
 from test_state_oracle import u_split_parts
 
 
@@ -175,7 +176,7 @@ def test_transport_preserves_surviving_crossings():
 
 def test_json_roundtrip():
     A, core = annulus_core()
-    again = NormalCurve.from_json(A, core.to_json())
+    again = NormalCurve.from_json(A, curve_json(core))
     assert again.steps == core.steps
 
 

@@ -480,3 +480,11 @@ def test_add_refuses_what_is_not_a_torus_element():
         el - 1.5
     one = TorusElement.one(spec)
     assert el + el + one == el * Laurent.integer(2) + one
+
+
+def test_coefficient_must_be_a_laurent_scalar():
+    spec = spec2()
+    for c in (3, 1.5, "q"):
+        with pytest.raises(TypeError):
+            TorusElement(spec, {(1, 0): c})
+    assert TorusElement(spec, {(1, 0): Laurent.integer(3)}).terms == {(1, 0): Laurent.integer(3)}

@@ -12,7 +12,7 @@ A static scan cannot see what the program runs, so two kinds of dead code
 pass it.  Operator methods (__add__, __pow__, __hash__, ...) are entered
 by syntax or by the runtime, not by name, and are never checked.  A method
 whose name another class also defines is reached by any access of that
-name, as NormalCurve.to_json is by the uses of Triangulation.to_json.  A
+name, as NormalCurve.to_json was by the uses of Triangulation.to_json.  A
 line tracer over the whole program finds both."""
 
 import ast

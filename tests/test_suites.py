@@ -6,8 +6,12 @@ import pytest
 
 from qskein import suites
 from qskein.cli import main
+from qskein.curves import classify, transport_curve
+from qskein.library import annulus_core, torus_curve
+from qskein.puncture import curve_lift, lift
 from qskein.repcheck import Verdict
 from qskein.shear import ShearSkein
+from qskein.surface import torus_one_marked
 
 
 def stub_verdicts(*pairs):
@@ -69,3 +73,30 @@ def test_naturality_builds_one_bundle_per_surface(monkeypatch):
     assert all(s == "PASS" for _, s, _ in rows)
     # two surfaces before the flips, one flipped surface per case
     assert len(built) == len({id(T) for T in built}) == 2 + len(suites._naturality_cases())
+
+
+def test_every_flip_of_every_curve_is_a_case_or_general():
+    # each (inner edge, curve) pair of the annulus core and the three lifted
+    # torus slopes is in exactly one list, or its transport is general
+    A, core = annulus_core()
+    ld = lift(torus_one_marked())
+    curves = [(A, core)] + [(ld.delta, curve_lift(ld, torus_curve(s)[1]))
+                            for s in ("1,0", "0,1", "1,1")]
+
+    def key(T, edge, alpha):
+        return T.inner_edges, edge, alpha.steps
+
+    natural = [key(T, e, a) for _, T, e, a in suites._naturality_cases()]
+    # the last phased case, the (1,-1) curve on the before-variant lift, is hand-built
+    phased = [key(T, e, a) for _, T, e, a in suites._phased_cases()[:-1]]
+    hits = 0
+    for T, alpha in curves:
+        for edge in T.inner_edges:
+            T2, fd = T.flip(edge)
+            found = natural.count(key(T, edge, alpha)) + phased.count(key(T, edge, alpha))
+            if found == 0:
+                assert classify(transport_curve(alpha, T, fd, T2)) == "general", (edge, alpha)
+            assert found <= 1, (edge, alpha)
+            hits += found
+    assert hits == len(natural) + len(phased) == 14
+    assert (len(natural), len(phased)) == (12, 2)
