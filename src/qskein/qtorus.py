@@ -76,7 +76,7 @@ class TorusSpec:
         self.A = A
         self.u_eighth = int(u_eighth)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self._rows = tuple(tuple(int(v) for v in row) for row in A)
+        self._rows = tuple(map(tuple, A.tolist()))
         self._key = (self.labels, self.A.tobytes(), self.u_eighth)
 
     def __eq__(self, other):

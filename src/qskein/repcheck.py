@@ -16,26 +16,44 @@ character g^(n_j), n_j uniform, so z^c carries g^(c . n).  This is the
 irreducible representation on (F_p^L)^(tensor r), r = rank_L A / 2, that
 Bonahon-Liu build over any field with a primitive L-th root of unity, and
 rep(x^k) rep(x^m) = u^((1/2)<k,m>) rep(x^(k+m)) holds exactly.  The basis
-e_n is indexed flat in C order, m = sum_i n_i L^(r-1-i) < dim = L^r, so a
+e_n is indexed flat in C order, m = sum_i n_i L^(r-1-i) < L^r, so a
 monomial, a weighted permutation of it, acts on vectors as one gather.
 
+RootRep is the direct sum of these representations over several orders:
+one flat index space with one block per order, each block reduced mod its
+own p.  Block L gives index m a coordinate mod L for each pair with L not
+dividing h d_j, and mod 1 (always 0) for the others, which then add no
+shift and no phase, and nothing to the clock either, since h d_j = 0 (mod
+L).  So one computation over (terms, pairs, indices) gives every block's
+source index and phase, and a term acts on all blocks with one gather; only
+its scalar g^(c . n) zeta^clock c(zeta) is computed per block.  The index
+arrays depend only on (d, h, orders) and are derived once per key
+(_layout), as the normal form is once per torus.  An order whose block
+would exceed DENSE_DIM gets no block and is noted as skipped.
+
 verify_identity represents the sub-torus on the labels its expressions
-use, which keeps L^r small, and acts on the caller's expressions as they
-are, mapping each element's exponents to the sub-torus by label.  Every
-inverse acts through its matrix inverted once mod p, cached by the
-inverse's payload object, so an inverse that several words share is
-inverted once per order.  A payload that collapses to a binomial c_0
-x^(k_0) + c_1 x^(k_1) acts as R_0 (I - N), each R_t a term's weighted
-permutation and N = -R_0^-1 R_1 one along a translation of (Z/L)^r, so
-N^l is diagonal for its cycle length l and the inverse is
-(I - N^l)^-1 sum_(j<l) N^j R_0^-1 (cycle_inverse); any other payload
-takes Gauss-Jordan on its matrix (lu_factor).  An order is INCONCLUSIVE
-only when such a matrix is singular mod p, which both routes detect alike,
-or L^r > DENSE_DIM.  The trials at one order are one batch of vectors
-uniform in F_p^(L^r), drawn trial by trial from the generator seeded by
-(seed, L) after the characters, so trial t's vector does not depend on
-the number of trials and a fresh RootRep(spec, L, seed) draws a witness
-again.  A trial passes only when both sides agree exactly.
+use, which keeps each L^r small, and acts on the caller's expressions as
+they are, mapping each element's exponents to the sub-torus by label.  It
+builds one RootRep over DEFAULT_ORDERS per row, draws one trial batch and
+walks each side once.  Each block draws its characters and then its trials
+from the generator seeded by (seed, L), trial by trial, so its vectors are
+those of a RootRep on that order alone, trial t's vector does not depend on
+the number of trials, and a fresh RootRep(spec, (L,), seed) draws a witness
+again.  Every inverse acts through its matrix inverted once mod p per
+block, cached by the inverse's payload object, so an inverse that several
+words share is inverted once per order.  A payload that collapses to a
+binomial c_0 x^(k_0) + c_1 x^(k_1) acts as R_0 (I - N), each R_t a term's
+weighted permutation and N = -R_0^-1 R_1 one along a translation of
+(Z/L)^r, so N^l is diagonal for its cycle length l and the inverse is
+(I - N^l)^-1 sum_(j<l) N^j R_0^-1 (cycle_inverse); any other payload takes
+Gauss-Jordan on its block's matrix (lu_factor).  A block singular mod its
+p, which both routes detect alike, is left zero and its order noted
+INCONCLUSIVE; the other blocks go on.  The verdict reads the blocks in
+order: the first that differs gives FAIL at that order, an inconclusive
+one is noted, and as many EXTRA_ORDERS as orders are missing are then
+tried as one more sum.  A trial passes only when both sides agree exactly.
+A FAIL row thus pays for all its orders, where an order-by-order loop
+would stop at the first failing one.
 
 A false PASS at one order is unlikely (Schwartz, J. ACM 1980; Zippel
 1979): if the sides differ, an entry of their difference, denominators
@@ -67,9 +85,9 @@ Noncommutative Noetherian Rings, ch. 6); multiplying by D on the left (or
 right) gives D^-1 A = C <=> A = D C and A D^-1 = C <=> A = C D.  Such a
 verdict has method "exact" and no orders.  A zero or nested denominator,
 or any other shape, goes to verify_identity, with one (RootRep, trial
-batch) per (sub-torus, order) shared by all generators of the map: a
-RootRep(sub, L, seed) draws the same characters and batch every time, so
-sharing changes no verdict and inverts a shared inverse once per order.
+batch) per (sub-torus, orders) shared by all generators of the map: a
+RootRep(sub, orders, seed) draws the same characters and batch every time,
+so sharing changes no verdict and inverts a shared inverse once per order.
 A map whose rows are all decided exactly also sends its row with the most
 words to verify_identity, and that row reports the failing verdict if
 either method fails.
@@ -77,6 +95,7 @@ either method fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -94,7 +113,7 @@ DEFAULT_TRIALS = 20
 
 
 class Inconclusive(Exception):
-    """This root order cannot decide: a matrix is singular mod p, or L^r > DENSE_DIM."""
+    """This root order cannot decide: a matrix is singular mod p."""
 
 
 def lu_factor(mat, p):
@@ -102,9 +121,18 @@ def lu_factor(mat, p):
     ValueError when mat is singular mod p.  Each step updates only the rows
     with a nonzero entry in the pivot column, so on a matrix that is block
     diagonal up to a permutation a step costs the pivot's block of rows.
-    (The benchmark's tracer counts calls to this name as factorizations.)"""
+    A weighted permutation, one nonzero entry in each row and column, is
+    inverted directly: its inverse has the transposed pattern, each entry
+    inverted.  (The benchmark's tracer counts calls to this name as
+    factorizations.)"""
     n = len(mat)
-    m = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
+    mat = mat % p
+    rows, cols = np.nonzero(mat)
+    if len(rows) == n and len(set(rows.tolist())) == len(set(cols.tolist())) == n:
+        out = np.zeros((n, n), dtype=np.int64)
+        out[cols, rows] = _inverse_mod(mat[rows, cols], p)
+        return out
+    m = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
     for k in range(n):
         col = m[:, k] % p
         if not col[k]:
@@ -225,47 +253,112 @@ def symplectic_normal_form(spec):
     return P, Q, tuple(d)
 
 
+class _Layout:
+    """The flat index space of the direct sum over orders, which depends only
+    on the normal form's d, on h (u^(1/2) = zeta^h) and on the orders.
+
+    An order whose block would exceed DENSE_DIM gets no block and a note.
+    Every array holds one entry per index m (and per pair j): its block,
+    the block's start, order, prime and offset into the concatenated zeta
+    tables, and m's coordinate n_j with its modulus and stride.  At block L
+    the modulus is L when L does not divide h d_j, and 1 (n_j = 0) when the
+    pair is central there; coordinates run in C order within each block."""
+
+    def __init__(self, d, h, orders):
+        self.skipped, live = {}, []
+        for L in orders:
+            r = sum(1 for dj in d if h * dj % L)
+            if L ** r > DENSE_DIM:
+                self.skipped[L] = "order %d skipped (dimension %d > %d)" % (L, L ** r, DENSE_DIM)
+            else:
+                live.append((L, r))
+        self.pairs = len(d)
+        self.hd = np.array([h * dj for dj in d], dtype=np.int64)
+        self.lcm = math.lcm(*(L for L, _ in live))
+        self.roots = [RootOfUnity(L) for L, _ in live]
+        self.ranks = [r for _, r in live]
+        dims = [L ** r for L, r in live]
+        starts = np.cumsum([0] + dims)
+        self.dim = int(starts[-1])
+        self.spans = [slice(int(a), int(b)) for a, b in zip(starts, starts[1:])]
+
+        def per_index(values):
+            return np.repeat(np.array(values, dtype=np.int64), dims)
+
+        self.block = per_index(range(len(live)))
+        self.start = per_index(starts[:-1])
+        self.order = per_index([L for L, _ in live])
+        self.prime = per_index([root.p for root in self.roots])
+        self.zoff = per_index(np.cumsum([0] + [L for L, _ in live])[:-1])
+        self.zpow = np.array([root.zeta_pow(j) for root in self.roots for j in range(root.L)],
+                             dtype=np.int64)
+        self.modulus = np.where(self.hd[:, None] % self.order, self.order, 1)
+        self.stride = np.cumprod(self.modulus[::-1], axis=0)[::-1] // self.modulus
+        self.grid = (np.arange(self.dim) - self.start) // self.stride % self.modulus
+
+
+@lru_cache(maxsize=None)
+def _layout(d, h, orders):
+    return _Layout(d, h, orders)
+
+
+@dataclass
+class Block:
+    """One order's block of a RootRep: the indices span, the clock-shift
+    representation on (F_p^L)^(tensor r), and the generator seeded by
+    (seed, L) that drew the characters and draws the trial vectors."""
+    L: int
+    root: RootOfUnity
+    r: int
+    span: slice
+    rng: np.random.Generator
+    character: np.ndarray
+
+    @property
+    def p(self):
+        return self.root.p
+
+    @property
+    def dim(self):
+        return self.span.stop - self.span.start
+
+
 class RootRep:
-    """The clock-shift representation of one torus at order L over F_p,
-    with central characters and then random vectors drawn from one
-    generator seeded by seed and L.
+    """The direct sum over orders of the clock-shift representations of one
+    torus, each block over F_p at its order with central characters and then
+    random vectors drawn from one generator seeded by seed and its order.
 
     It acts on elements of spec and of any torus that contains spec as the
     sub-torus on spec.labels (same u, same submatrix), mapping exponents by
-    label; an exponent on a label outside spec.labels raises ValueError."""
+    label; an exponent on a label outside spec.labels raises ValueError.
+    blocks lists the orders' blocks in order; skipped notes each order left
+    out for its dimension; prime holds the prime of each flat index."""
 
-    def __init__(self, spec, L, seed=0):
+    def __init__(self, spec, orders, seed=0):
         self.spec = spec
-        self.root = RootOfUnity(L)
-        self.L = L
-        self.p = self.root.p
+        self.orders = tuple(orders)
         _, self._to_z, d = symplectic_normal_form(spec)
-        h = spec.u_eighth // 2
-        blocks = [i for i, di in enumerate(d) if (h * di) % L]
-        self._a = [2 * i for i in blocks]
-        self._b = [2 * i + 1 for i in blocks]
-        self._hd = np.array([h * d[i] for i in blocks], dtype=np.int64)
-        self.r = len(blocks)
-        self.dim = L ** self.r
-        if self.dim > DENSE_DIM:
-            raise Inconclusive("order %d skipped (dimension %d > %d)"
-                               % (L, self.dim, DENSE_DIM))
-        # zeta^j lookup, the coordinates n of each flat index and the strides
-        self._zpow = np.array([self.root.zeta_pow(j) for j in range(L)],
-                              dtype=np.int64)
-        self._grid = np.indices((L,) * self.r, dtype=np.int64).reshape(self.r, self.dim)
-        self._strides = L ** np.arange(self.r - 1, -1, -1, dtype=np.int64)
-        # z_j carries the character g^(n_j), so z^c carries g^(c . n mod (p - 1))
-        self._rng = np.random.default_rng((seed, L))
-        self._character = self._rng.integers(0, self.p - 1, len(spec.labels))
+        lay = self._layout = _layout(d, spec.u_eighth // 2, self.orders)
+        self.skipped, self.dim, self.prime = lay.skipped, lay.dim, lay.prime
+        self.blocks = []
+        for root, r, span in zip(lay.roots, lay.ranks, lay.spans):
+            # z_j carries the character g^(n_j), so z^c carries g^(c . n mod (p - 1))
+            rng = np.random.default_rng((seed, root.L))
+            character = rng.integers(0, root.p - 1, len(spec.labels))
+            self.blocks.append(Block(root.L, root, r, span, rng, character))
+        self._characters = np.array([b.character for b in self.blocks],
+                                    dtype=np.int64).reshape(len(self.blocks), len(spec.labels))
         self._z_maps = {}
         self._inverses = {}
 
     def random_vectors(self, n):
-        """The next n vectors uniform in F_p^dim from this representation's
-        generator, shape (n, dim).  Each row is drawn whole before the
-        next, so the first t rows do not depend on n."""
-        return self._rng.integers(0, self.p, (n, self.dim), dtype=np.int64)
+        """The next n vectors uniform in F_p^dim, shape (n, dim), each
+        block's columns from its own generator.  Each row of a block is
+        drawn whole before the next, so the first t rows do not depend on n."""
+        out = np.empty((n, self.dim), dtype=np.int64)
+        for b in self.blocks:
+            out[:, b.span] = b.rng.integers(0, b.p, (n, b.dim), dtype=np.int64)
+        return out
 
     def _z_map(self, source):
         """(to_z, outside) for a source torus: to_z takes its exponent rows
@@ -287,65 +380,104 @@ class RootRep:
     def _gathers(self, el):
         """(index, weight) of shape (terms, dim): term z^(a,b) of el sends v
         to weight * v[..., index], entry m from m - b times zeta^(2 h d a
-        (m - b)) and the term's scalar."""
+        (m - b)) and the term's scalar, all at m's block."""
         to_z, outside = self._z_map(el.spec)
         k = np.array(list(el.terms), dtype=np.int64)
         if k[:, outside].any():
             raise ValueError("element not supported on the sublabels")
         c = k @ to_z
-        a, b = c[:, self._a], c[:, self._b]
-        p, root, L = self.p, self.root, self.L
-        turns = (c @ self._character) % (p - 1)
-        clock = np.mod((self._hd * a * b).sum(axis=1), L)
+        lay = self._layout
+        a, b = c[:, 0:2 * lay.pairs:2], c[:, 1:2 * lay.pairs:2]
+        turns = c @ self._characters.T
+        clock = (a * b) @ lay.hd
         # per term: the coordinates of each source m - b, its index and phase
-        source = np.mod(self._grid - b[:, :, None], L)
-        index = self._strides @ source
-        phase = self._zpow[(np.mod(2 * self._hd * a, L)[:, :, None] * source).sum(axis=1) % L]
-        scalar = np.array([pow(root.g, int(turns[t]), p) * root.zeta_pow(int(clock[t]))
-                           * coeff.evaluate(root) % p
+        source = np.mod(lay.grid - b[:, :, None], lay.modulus)
+        index = lay.start + (lay.stride * source).sum(axis=1)
+        tilt = np.mod(2 * lay.hd * a, lay.lcm)[:, :, None]
+        phase = lay.zpow[lay.zoff + (tilt * source).sum(axis=1) % lay.order]
+        scalar = np.array([[pow(root.g, int(turns[t, i]) % (root.p - 1), root.p)
+                            * root.zeta_pow(int(clock[t])) * coeff.evaluate(root) % root.p
+                            for i, root in enumerate(lay.roots)]
                            for t, coeff in enumerate(el.terms.values())], dtype=np.int64)
-        return index, scalar[:, None] * phase % p
+        return index, scalar[:, lay.block] * phase % lay.prime
 
     def act_element(self, el, v):
-        """Apply a torus element to v of shape (..., dim), residues mod p,
-        leading axes a batch: one gather per term."""
+        """Apply a torus element to v of shape (..., dim), residues mod each
+        index's prime, leading axes a batch: one gather per term."""
         out = np.zeros_like(v)
         if not el.terms:
             return out
         for index, weight in zip(*self._gathers(el)):
-            out += v[..., index] * weight % self.p
-        return out % self.p
+            out += v[..., index] * weight % self.prime
+        return out % self.prime
 
-    def act_expr(self, expr, v):
+    def act_expr(self, expr, v, dead=None):
         """Apply a formal expression: sum over words, factors applied
-        right to left, inverses through linear solves."""
+        right to left, inverses through linear solves.  A block in which an
+        inverse is singular is left zero and its order noted in dead
+        {L: note}, the first note kept; with no dead, it raises Inconclusive."""
+        lay = self._layout
         out = np.zeros_like(v)
         for coeff, factors in expr.words:
             w = v
             for kind, payload in reversed(factors):
-                w = self.act_element(payload, w) if kind == "el" else self._solve(payload, w)
-            out += coeff.evaluate(self.root) * w % self.p
-        return out % self.p
+                w = self.act_element(payload, w) if kind == "el" else self._solve(payload, w, dead)
+            scalar = np.array([coeff.evaluate(root) for root in lay.roots], dtype=np.int64)
+            out += scalar[lay.block] * w % self.prime
+        return out % self.prime
 
-    def _solve(self, expr, v):
-        """w with expr . w = v for v of shape (dim,) or (n, dim), through
-        expr's matrix inverted once mod p, along its cycles for a binomial,
-        and cached by the payload object; a matrix singular mod p raises
-        Inconclusive (retry at another order)."""
+    def _solve(self, expr, v, dead=None):
+        """w with expr . w = v for v of shape (dim,) or (n, dim), block by
+        block through the block's inverse (see _invert), cached by the payload
+        object.  A block with no inverse is handled as act_expr says.  A row
+        that is zero in a block solves to zero there, so only the others are
+        solved: in _invert's batch, block B is zero past its first dim rows."""
         key = id(expr)
         if key not in self._inverses:
-            el = expr.as_element() if expr.is_polynomial() else None
-            if el is not None and len(el.terms) == 2:
-                invert, arg = cycle_inverse, self._gathers(el)
+            self._inverses[key] = (expr, self._invert(expr))
+        _, inverses = self._inverses[key]
+        rows = np.atleast_2d(v)
+        out = np.zeros_like(rows)
+        for b, inverse in zip(self.blocks, inverses):
+            if isinstance(inverse, str):
+                if dead is None:
+                    raise Inconclusive(inverse)
+                dead.setdefault(b.L, inverse)
             else:
-                invert, arg = lu_factor, self.act_expr(expr, np.eye(self.dim, dtype=np.int64)).T
-            try:
-                inverse = invert(arg, self.p)
-            except ValueError as exc:
-                raise Inconclusive("singular action at L=%d: %s" % (self.L, exc))
-            self._inverses[key] = (expr, inverse)
-        _, inverse = self._inverses[key]
-        return lu_solve(inverse, v.T, self.p).T
+                part = rows[:, b.span]
+                live = part.any(axis=1)
+                out[live, b.span] = lu_solve(inverse, part[live].T, b.p).T
+        return out.reshape(v.shape)
+
+    def _invert(self, expr):
+        """Per block, the inverse mod p of expr's action, along its cycles
+        for a binomial and by Gauss-Jordan on the block's matrix otherwise,
+        or the note saying why the block has none."""
+        el = expr.as_element() if expr.is_polynomial() else None
+        notes = {}
+        if el is not None and len(el.terms) == 2:
+            index, weight = self._gathers(el)
+            invert = cycle_inverse
+            args = [(index[:, b.span] - b.span.start, weight[:, b.span]) for b in self.blocks]
+        else:
+            # row i holds e_i of every block at once; blocks do not mix
+            eye = np.zeros((max((b.dim for b in self.blocks), default=0), self.dim),
+                           dtype=np.int64)
+            for b in self.blocks:
+                eye[np.arange(b.dim), np.arange(b.span.start, b.span.stop)] = 1
+            image = self.act_expr(expr, eye, notes)
+            invert, args = lu_factor, [image[:b.dim, b.span].T for b in self.blocks]
+        out = []
+        for b, arg in zip(self.blocks, args):
+            note = notes.get(b.L)
+            if note is None:
+                try:
+                    out.append(invert(arg, b.p))
+                    continue
+                except ValueError as exc:
+                    note = "singular action at L=%d: %s" % (b.L, exc)
+            out.append(note)
+        return out
 
 
 @dataclass
@@ -388,13 +520,15 @@ def _support_spec(exprs, spec):
 def verify_identity(lhs, rhs, spec, trials=DEFAULT_TRIALS, seed=0, *, _reps=None):
     """Compare two formal expressions (or lists summed termwise).
 
-    Applies each side once to the batch RootRep.random_vectors(trials) at
-    each order of DEFAULT_ORDERS, and of EXTRA_ORDERS in turn for each
-    inconclusive one; FAIL with the first trial on which the two sides
-    differ mod p as witness.  PASS needs at least MIN_ORDERS completed
-    orders, all at least 5; anything less is INCONCLUSIVE.
+    Applies each side once to the batch RootRep.random_vectors(trials) of
+    the direct sum over DEFAULT_ORDERS, then reads its blocks in order: FAIL
+    at the first order whose block differs mod p, with the first differing
+    trial as witness.  Each inconclusive order (singular or too large) is
+    noted, and the next EXTRA_ORDERS, as many as orders are missing, are
+    tried as one more sum.  PASS needs at least MIN_ORDERS completed orders,
+    all at least 5; anything less is INCONCLUSIVE.
 
-    _reps is a table {(sub-torus, L): (RootRep, batch)} that calls with
+    _reps is a table {(sub-torus, orders): (RootRep, batch)} that calls with
     the same trials and seed may share; the verdict is the same with or
     without it.  trials < 1 raises ValueError: nothing would be compared.
     """
@@ -405,26 +539,29 @@ def verify_identity(lhs, rhs, spec, trials=DEFAULT_TRIALS, seed=0, *, _reps=None
     sub = _support_spec(lhs_list + rhs_list, spec)
     reps = {} if _reps is None else _reps
 
-    done, notes = [], []
-    for L in DEFAULT_ORDERS + EXTRA_ORDERS:
-        if len(done) == len(DEFAULT_ORDERS):
-            break
-        try:
-            entry = reps.get((sub, L))
-            if entry is None:
-                rep = RootRep(sub, L, seed)
-                entry = reps[sub, L] = (rep, rep.random_vectors(trials))
-            rep, batch = entry
-            av = sum((rep.act_expr(e, batch) for e in lhs_list), np.zeros_like(batch))
-            bv = sum((rep.act_expr(e, batch) for e in rhs_list), np.zeros_like(batch))
-        except Inconclusive as exc:
-            notes.append(str(exc))
-            continue
-        failing = np.flatnonzero(((av - bv) % rep.p).any(axis=1))
-        if failing.size:
-            return Verdict("FAIL", tuple(done + [L]), trials,
-                           witness={"order": L, "trial": int(failing[0])}, notes=notes)
-        done.append(L)
+    done, notes, orders, extra = [], [], DEFAULT_ORDERS, EXTRA_ORDERS
+    while orders:
+        entry = reps.get((sub, orders))
+        if entry is None:
+            rep = RootRep(sub, orders, seed)
+            entry = reps[sub, orders] = (rep, rep.random_vectors(trials))
+        rep, batch = entry
+        dead = dict(rep.skipped)
+        av = sum((rep.act_expr(e, batch, dead) for e in lhs_list), np.zeros_like(batch))
+        bv = sum((rep.act_expr(e, batch, dead) for e in rhs_list), np.zeros_like(batch))
+        differ = (av - bv) % rep.prime != 0
+        spans = {b.L: b.span for b in rep.blocks}
+        for L in orders:
+            if L in dead:
+                notes.append(dead[L])
+                continue
+            failing = np.flatnonzero(differ[:, spans[L]].any(axis=1))
+            if failing.size:
+                return Verdict("FAIL", tuple(done + [L]), trials,
+                               witness={"order": L, "trial": int(failing[0])}, notes=notes)
+            done.append(L)
+        missing = len(DEFAULT_ORDERS) - len(done)
+        orders, extra = extra[:missing], extra[missing:]
     status = "PASS" if len(done) >= MIN_ORDERS and min(done) >= 5 else "INCONCLUSIVE"
     return Verdict(status, tuple(done), trials, notes=notes)
 

@@ -168,28 +168,31 @@ def suite_pentagon(trials=DEFAULT_TRIALS, seed=0):
 
 
 def _flip_cases(kind, form):
-    """(form % (curve name, edge), T, edge, curve) for each inner edge of
-    each _flip_curves surface, in T.inner_edges order, and each of its
-    curves whose transport through the flip at that edge is of class kind."""
+    """((form % (curve name, edge), T, edge, curve), (T2, fd, curve2)) for
+    each inner edge of each _flip_curves surface, in T.inner_edges order,
+    flipped once to T2 with flip data fd, and each of its curves whose
+    transport curve2 through that flip is of class kind."""
     for T, curves in _flip_curves():
         for edge in T.inner_edges:
             T2, fd = T.flip(edge)
-            yield from ((form % (name, edge), T, edge, alpha) for name, alpha in curves
-                        if classify(transport_curve(alpha, T, fd, T2)) == kind)
+            for name, alpha in curves:
+                alpha2 = transport_curve(alpha, T, fd, T2)
+                if classify(alpha2) == kind:
+                    yield (form % (name, edge), T, edge, alpha), (T2, fd, alpha2)
 
 
-def _naturality_cases():
+def _naturality_cases(flips=False):
     """(name, T, flip edge, curve) with the curve simple before and after
-    the flip."""
-    return list(_flip_cases("simple", "%s / flip %s"))
+    the flip; with flips, each paired with its (T2, fd, curve2) as
+    _flip_cases gives it."""
+    cases = list(_flip_cases("simple", "%s / flip %s"))
+    return cases if flips else [case for case, _ in cases]
 
 
 def _naturality_walk():
     """(name, T, T2, fd, alpha, alpha2, transfer record) of each naturality
     case, with alpha2 the curve transported through the flip."""
-    for name, T, edge, alpha in _naturality_cases():
-        T2, fd = T.flip(edge)
-        alpha2 = transport_curve(alpha, T, fd, T2)
+    for (name, T, edge, alpha), (T2, fd, alpha2) in _naturality_cases(flips=True):
         yield name, T, T2, fd, alpha, alpha2, knot_monomial_transfer(alpha2, T, edge, T2, fd)
 
 
@@ -208,10 +211,11 @@ def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
     return rows
 
 
-def _phased_cases():
+def _phased_cases(flips=False):
     """(name, surface, flip edge, simple curve whose transport is
-    almost-simple), exercising the phase exponents u(s)."""
-    out = list(_flip_cases("almost-simple", "%s across flip %s"))
+    almost-simple), exercising the phase exponents u(s); with flips, each
+    paired with its (T2, fd, curve2) as _flip_cases gives it."""
+    cases = list(_flip_cases("almost-simple", "%s across flip %s"))
     # the (1,-1) curve is almost-simple on the before-variant lift and
     # becomes simple after flipping the doubly crossed edge; running the
     # flip in reverse exercises a doubly phased state sum
@@ -220,9 +224,10 @@ def _phased_cases():
     cd = curve_lift(ldb, c)
     T2, fd = ldb.delta.flip("c")
     moved = transport_curve(cd, ldb.delta, fd, T2)
-    out.append(("torus-lift (1,-1) across flip %s" % fd.a_star,
-                T2, fd.a_star, moved))
-    return out
+    T3, fd2 = T2.flip(fd.a_star)
+    cases.append((("torus-lift (1,-1) across flip %s" % fd.a_star, T2, fd.a_star, moved),
+                  (T3, fd2, transport_curve(moved, T2, fd2, T3))))
+    return cases if flips else [case for case, _ in cases]
 
 
 def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
@@ -231,9 +236,7 @@ def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
     image of the simple-side state sum under the skein coordinate change.
     """
     rows = []
-    for name, T, edge, alpha in _phased_cases():
-        T2, fd = T.flip(edge)
-        alpha2 = transport_curve(alpha, T, fd, T2)
+    for (name, T, edge, alpha), (T2, fd, alpha2) in _phased_cases(flips=True):
         _, lhs_skein, _ = trace_once_edge(alpha2, T2)
         T3, fd2, phi2 = phi_flip(T2, fd.a_star, new_label=edge)
         if not T3.same_as(T):

@@ -285,7 +285,12 @@ class Triangulation:
             ok1 = np.array_equal(PHt, want)
             HPHt = H @ P @ H.T
             ok2 = np.array_equal(HPHt, -4 * Qring)
-            rank = np.linalg.matrix_rank(H.astype(np.float64)) if H.size else 0
+            # P H^T = -4 id on the inner columns has full rank, so then H has
+            # full row rank; an SVD ranks H only when that check fails
+            if ok1:
+                rank = len(self.inner_edges)
+            else:
+                rank = np.linalg.matrix_rank(H.astype(np.float64)) if H.size else 0
             ok3 = int(rank) == len(self.inner_edges)
             report = {
                 "PHt_ok": bool(ok1),

@@ -1,8 +1,9 @@
-"""The benchmark's reduced job lists, run inside the test suite.
+"""The benchmark's job lists, run inside the test suite: the reduced lists
+of every workload and the full lists of flipwalk and traces.
 
 perfbench/workloads.py calls qskein by name and with set signatures (the
 bundle arguments of the trace functions and of phi_flip_from_data among
-them).  Running every tiny job here makes a change that breaks one of
+them).  Running these jobs here makes a change that breaks one of
 those calls, or changes one of their exact outputs, fail the test suite,
 not only a benchmark run.  Nothing under perfbench/ is written."""
 
@@ -34,6 +35,21 @@ def test_tiny_jobs_pass_their_checks_and_golden_digests(bench, name):
     golden = run.load_golden(name)
     jobs = workloads.build(name, 0, tiny=True)
     assert jobs
+    for job in jobs:
+        out = job.run()
+        assert job.check(out) == [], job.key
+        assert checks.digest(job.digest(out)) == golden[job.key], job.key
+
+
+@pytest.mark.parametrize("name", ["flipwalk", "traces"])
+def test_full_jobs_pass_their_checks_and_golden_digests(bench, name):
+    # the full-size lists add the pentagon, both two-flip walks, the polygon4
+    # skein flip-back and the traces rungs above 12 crossings; certify's
+    # full list (about 10 s) is left to the benchmark
+    run, checks, workloads = bench
+    golden = run.load_golden(name)
+    jobs = workloads.build(name, 0)
+    assert len(jobs) > len(workloads.build(name, 0, tiny=True))
     for job in jobs:
         out = job.run()
         assert job.check(out) == [], job.key

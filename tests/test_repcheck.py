@@ -47,9 +47,9 @@ def test_symplectic_normal_form():
         assert blocks == d
         assert round(abs(np.linalg.det(P))) == 1
         assert np.array_equal(P @ Pinv, np.eye(len(s.labels), dtype=np.int64))
-    assert RootRep(spec_rank_deficient(), 7).dim == 7
-    assert RootRep(spec_divisible(), 5).dim == 1
-    assert RootRep(spec_divisible(), 7).dim == 7
+    assert RootRep(spec_rank_deficient(), (7,)).dim == 7
+    assert RootRep(spec_divisible(), (5,)).dim == 1
+    assert RootRep(spec_divisible(), (7,)).dim == 7
 
 
 def test_representation_law():
@@ -57,7 +57,7 @@ def test_representation_law():
     for s in SPECS:
         n = len(s.labels)
         for L in DEFAULT_ORDERS:
-            rep = RootRep(s, L)
+            rep = RootRep(s, (L,))
             for v in rep.random_vectors(10):
                 k = tuple(int(x) for x in rng.integers(-3, 4, n))
                 m = tuple(int(x) for x in rng.integers(-3, 4, n))
@@ -70,7 +70,7 @@ def test_representation_law():
 
 def test_act_identity_and_inverse():
     s = spec2()
-    rep = RootRep(s, 7)
+    rep = RootRep(s, (7,))
     v = rep.random_vectors(1)[0]
     one = TorusElement.one(s)
     assert np.array_equal(rep.act_element(one, v), v)
@@ -84,7 +84,7 @@ def test_act_identity_and_inverse():
 def test_act_products_random_elements():
     rng = np.random.default_rng(23)
     for s in SPECS:
-        rep = RootRep(s, 5)
+        rep = RootRep(s, (5,))
         n = len(s.labels)
         for v in rep.random_vectors(10):
             a = TorusElement(
@@ -102,7 +102,7 @@ def test_act_products_random_elements():
 
 def test_solve_monomial_and_binomial():
     s = spec2()
-    rep = RootRep(s, 7)
+    rep = RootRep(s, (7,))
     v = rep.random_vectors(1)[0]
     mono = Expr.from_element(TorusElement.monomial(s, (1, 2), Laurent.q_power(3)))
     w = rep.act_expr(mono.inv(), v)
@@ -118,7 +118,7 @@ def test_singular_action_inconclusive():
     # the zero element is singular in every representation
     s = TorusSpec(("a",), [[0]], 2)
     bad = Expr.from_element(TorusElement.zero(s))
-    rep = RootRep(s, 5)
+    rep = RootRep(s, (5,))
     v = rep.random_vectors(1)[0]
     with pytest.raises(Inconclusive):
         rep.act_expr(bad.inv(), v)
@@ -195,7 +195,7 @@ def test_rep_acts_on_ambient_elements_by_label():
     on_big = TorusElement(big, {(0,) + k: c for k, c in coeffs.items()})
     on_sub = TorusElement(sub, coeffs)
     for L in DEFAULT_ORDERS:
-        rep = RootRep(sub, L)
+        rep = RootRep(sub, (L,))
         v = rep.random_vectors(1)[0]
         assert np.array_equal(rep.act_element(on_big, v), rep.act_element(on_sub, v))
         with pytest.raises(ValueError):
@@ -227,10 +227,11 @@ def test_pass_needs_three_orders(monkeypatch):
     # four inconclusive orders leave only 17 and 19, which is not enough
     act_expr = RootRep.act_expr
 
-    def flaky(rep, expr, v):
-        if rep.L in (5, 7, 11, 13):
-            raise Inconclusive("forced at L=%d" % rep.L)
-        return act_expr(rep, expr, v)
+    def flaky(rep, expr, v, dead=None):
+        for b in rep.blocks:
+            if b.L in (5, 7, 11, 13):
+                dead.setdefault(b.L, "forced at L=%d" % b.L)
+        return act_expr(rep, expr, v, dead)
 
     monkeypatch.setattr(RootRep, "act_expr", flaky)
     s = spec2()
@@ -253,7 +254,7 @@ def test_dia9_runs_at_full_orders():
     idx = [b1.x.index[lab] for lab in labels]
     sub = TorusSpec(labels, b1.x.A[np.ix_(idx, idx)], b1.x.u_eighth)
     assert len(labels) == 7
-    assert RootRep(sub, 11).dim == 1331
+    assert RootRep(sub, (11,)).dim == 1331
     rows = suites.suite_dia9(trials=2)
     assert len(rows) == 12
     for name, status, detail in rows:
@@ -261,13 +262,13 @@ def test_dia9_runs_at_full_orders():
 
 
 def test_one_action_per_side_per_order(monkeypatch):
-    # all trials of an order run as one batch through each side expression
+    # all trials of all orders run as one batch through each side expression
     calls = []
     act_expr = RootRep.act_expr
 
-    def counted(rep, expr, v):
-        calls.append(rep.L)
-        return act_expr(rep, expr, v)
+    def counted(rep, expr, v, dead=None):
+        calls.append(rep.orders)
+        return act_expr(rep, expr, v, dead)
 
     monkeypatch.setattr(RootRep, "act_expr", counted)
     s = spec2()
@@ -278,7 +279,8 @@ def test_one_action_per_side_per_order(monkeypatch):
     )
     verdict = verify_identity([a, b], both, s, trials=4)
     assert verdict.passed
-    assert calls == [L for L in verdict.orders for _ in range(3)]
+    assert verdict.orders == DEFAULT_ORDERS
+    assert calls == [DEFAULT_ORDERS] * 3
 
 
 def test_fail_witness_is_first_failing_trial():
@@ -291,7 +293,7 @@ def test_fail_witness_is_first_failing_trial():
     assert verdict.witness == {"order": L, "trial": 0}
     # the witness trial's vector, drawn again from a fresh representation
     # and acted on alone, separates the two sides mod p
-    rep = RootRep(s, L, seed=0)
+    rep = RootRep(s, (L,), seed=0)
     v = rep.random_vectors(5)[verdict.witness["trial"]]
     assert not np.array_equal(rep.act_expr(x, v), rep.act_expr(wrong, v))
 
@@ -299,13 +301,13 @@ def test_fail_witness_is_first_failing_trial():
 def test_trial_vectors_do_not_depend_on_trials():
     for s in SPECS:
         for L in DEFAULT_ORDERS:
-            rep = RootRep(s, L, seed=4)
+            rep = RootRep(s, (L,), seed=4)
             few = rep.random_vectors(3)
-            many = RootRep(s, L, seed=4).random_vectors(20)
+            many = RootRep(s, (L,), seed=4).random_vectors(20)
             assert few.shape == (3, rep.dim) and few.dtype == np.int64
             assert np.array_equal(few, many[:3])
-            assert many.min() >= 0 and many.max() < rep.p
-            assert not np.array_equal(many[0], RootRep(s, L, seed=5).random_vectors(1)[0])
+            assert many.min() >= 0 and many.max() < rep.blocks[0].p
+            assert not np.array_equal(many[0], RootRep(s, (L,), seed=5).random_vectors(1)[0])
 
 
 def normal_form_tori():
@@ -317,21 +319,28 @@ def normal_form_tori():
             TorusSpec(tuple("abcd"), np.kron(np.eye(2, dtype=int), J), 2))
 
 
-def reference_matrix(rep, el):
-    """The matrix of el on the basis tuples n, in C order, built term by
-    term from z^(a,b) . e_n = zeta^(h d (2 a . n + a . b)) e_(n + b) with
-    d = 1, times the central character g^(k . chi) and the coefficient."""
-    root, p, L = rep.root, rep.p, rep.L
+def reference_matrix(rep, el, block=0):
+    """The matrix of el on one block of rep, on the basis tuples n of the
+    pairs that act at its order L, in C order, built term by term from
+    z^(a,b) . e_n = zeta^(h d (2 a . n + a . b)) e_(n + b), where x^k = z^c
+    for c = k P^-1 in the symplectic normal form, times the central
+    character g^(c . chi) and the coefficient."""
+    blk = rep.blocks[block]
+    root, p, L = blk.root, blk.p, blk.L
     h = rep.spec.u_eighth // 2
-    basis = list(itertools.product(range(L), repeat=rep.r))
+    _, Pinv, d = symplectic_normal_form(rep.spec)
+    pairs = [j for j, dj in enumerate(d) if h * dj % L]
+    basis = list(itertools.product(range(L), repeat=len(pairs)))
     index = {n: j for j, n in enumerate(basis)}
-    mat = np.zeros((rep.dim, rep.dim), dtype=np.int64)
+    mat = np.zeros((blk.dim, blk.dim), dtype=np.int64)
     for k, coeff in el.terms.items():
-        a, b = k[0:2 * rep.r:2], k[1:2 * rep.r:2]
-        turns = sum(int(x) * int(chi) for x, chi in zip(k, rep._character))
+        c = [int(x) for x in np.array(k, dtype=np.int64) @ Pinv]
+        a, b = [c[2 * j] for j in pairs], [c[2 * j + 1] for j in pairs]
+        hd = [h * d[j] for j in pairs]
+        turns = sum(x * int(chi) for x, chi in zip(c, blk.character))
         scale = pow(root.g, turns % (p - 1), p) * coeff.evaluate(root) % p
         for j, n in enumerate(basis):
-            e = h * sum(2 * ai * ni + ai * bi for ai, ni, bi in zip(a, n, b))
+            e = sum(w * (2 * ai * ni + ai * bi) for w, ai, ni, bi in zip(hd, a, n, b))
             i = index[tuple((ni + bi) % L for ni, bi in zip(n, b))]
             mat[i, j] = (mat[i, j] + scale * pow(root.zeta, e % L, p)) % p
     return mat
@@ -352,21 +361,22 @@ def test_flat_action_matches_reference_matrix():
         P, _, _ = symplectic_normal_form(s)
         assert np.array_equal(P, np.eye(len(s.labels), dtype=np.int64))
         for L in (5, 7):
-            rep = RootRep(s, L, seed=1)
-            assert rep.r == r and rep.dim == L ** r
+            rep = RootRep(s, (L,), seed=1)
+            assert rep.blocks[0].r == r and rep.dim == L ** r
             batch = rep.random_vectors(4)
             for terms in (1, 3, 5):
                 el = random_element(s, rng, terms)
                 mat = reference_matrix(rep, el)
-                assert np.array_equal(rep.act_element(el, batch[0]), mat @ batch[0] % rep.p)
-                assert np.array_equal(rep.act_element(el, batch), batch @ mat.T % rep.p)
+                p = rep.blocks[0].p
+                assert np.array_equal(rep.act_element(el, batch[0]), mat @ batch[0] % p)
+                assert np.array_equal(rep.act_element(el, batch), batch @ mat.T % p)
 
 
 def test_solve_matches_reference_inverse():
     rng = np.random.default_rng(37)
     for s in normal_form_tori():
         for L in (5, 7):
-            rep = RootRep(s, L, seed=2)
+            rep = RootRep(s, (L,), seed=2)
             batch = rep.random_vectors(3)
             binomial = random_element(s, rng, 2)
             mat = reference_matrix(rep, binomial)
@@ -374,8 +384,9 @@ def test_solve_matches_reference_inverse():
             assert len(binomial.terms) == 2
             one = rep._solve(expr, batch[0])
             many = rep._solve(expr, batch)
-            assert np.array_equal(mat @ one % rep.p, batch[0])
-            assert np.array_equal(many @ mat.T % rep.p, batch)
+            p = rep.blocks[0].p
+            assert np.array_equal(mat @ one % p, batch[0])
+            assert np.array_equal(many @ mat.T % p, batch)
             assert np.array_equal(many[0], one)
 
 
@@ -388,7 +399,7 @@ def test_prime_field_per_order():
         assert all(p % f for f in range(2, int(p ** 0.5) + 1))
         powers = [pow(root.zeta, k, p) for k in range(1, L + 1)]
         assert powers[-1] == 1 and 1 not in powers[:-1]
-        assert RootRep(spec2(), L).p == p
+        assert RootRep(spec2(), (L,)).blocks[0].p == p
 
 
 def test_lu_factor_inverts_mod_p():
@@ -436,23 +447,38 @@ def _permuted_blocks(rng, p, blocks, size, singular=False):
     return mat[rng.permutation(len(mat))][:, rng.permutation(len(mat))]
 
 
+def _weighted_permutation(rng, p, n, weights=None):
+    """A matrix with one entry in each row and column: weights (nonzero by
+    default) at a random permutation's places, entries that p divides included."""
+    mat = np.zeros((n, n), dtype=np.int64)
+    mat[np.arange(n), rng.permutation(n)] = rng.integers(1, p, n) if weights is None else weights
+    return mat
+
+
 @pytest.mark.parametrize("L", [5, 7])
 def test_lu_factor_restricted_elimination_matches_whole_column(L):
-    # updating only the rows with a nonzero pivot-column entry gives the
-    # whole-column elimination's inverse bit for bit, and the same failures
+    # updating only the rows with a nonzero pivot-column entry, and inverting
+    # a weighted permutation directly, give the whole-column elimination's
+    # inverse bit for bit, and the same failures
     p = RootOfUnity(L).p
     rng = np.random.default_rng(L)
     sparse = rng.integers(0, p, (17, 17)) * (rng.random((17, 17)) < 0.25)
     sparse[np.arange(17), rng.permutation(17)] = rng.integers(1, p, 17)
     for mat in [rng.integers(0, p, (n, n)) for n in (1, 6, 17)] + [
-            sparse, _permuted_blocks(rng, p, 4, 7), _permuted_blocks(rng, p, 11, 11)]:
+            sparse, _permuted_blocks(rng, p, 4, 7), _permuted_blocks(rng, p, 11, 11)] + [
+            _weighted_permutation(rng, p, n) for n in (1, 5, 11, 121)] + [
+            _weighted_permutation(rng, p, 7, rng.integers(1, 4, 7) * p + rng.integers(1, p, 7))]:
         inverse = repcheck.lu_factor(mat, p)
         assert np.array_equal(inverse, _whole_column_inverse(mat, p))
         assert np.array_equal(mat @ inverse % p, np.eye(len(mat), dtype=np.int64))
     dense = rng.integers(0, p, (9, 9))
     dense[4] = 3 * dense[2] % p
+    repeated = _weighted_permutation(rng, p, 7)     # one entry a row, then two in one column
+    (_, c0), (r1, c1) = np.argwhere(repeated)[:2]
+    repeated[r1, c0], repeated[r1, c1] = repeated[r1, c1], 0
     for mat in (dense, _permuted_blocks(rng, p, 4, 7, singular=True),
-                _permuted_blocks(rng, p, 11, 11, singular=True)):
+                _permuted_blocks(rng, p, 11, 11, singular=True), repeated,
+                _weighted_permutation(rng, p, 6, [1, 2, p, 3, 4, 5])):
         for invert in (repcheck.lu_factor, _whole_column_inverse):
             with pytest.raises(ValueError, match="singular"):
                 invert(mat, p)
@@ -693,7 +719,7 @@ def test_cycle_inverse_equals_gauss_jordan(monkeypatch):
     for s in normal_form_tori()[1:]:
         n = len(s.labels)
         for L in (5, 7):
-            rep = RootRep(s, L, seed=5)
+            rep = RootRep(s, (L,), seed=5)
             batch = rep.random_vectors(2)
             vanish, unit = Laurent({0: 1, L: -1}), Laurent.q_power(3)
             k0, k1 = (0,) * n, tuple(int(x) for x in rng.integers(1, 4, n))
@@ -704,13 +730,14 @@ def test_cycle_inverse_equals_gauss_jordan(monkeypatch):
             for el in binomials:
                 expr = Expr.from_element(el)
                 mat = reference_matrix(rep, el)
-                assert np.array_equal(rep._solve(expr, batch) @ mat.T % rep.p, batch)
-                assert np.array_equal(rep._inverses[id(expr)][1], gauss_jordan(mat, rep.p))
+                p = rep.blocks[0].p
+                assert np.array_equal(rep._solve(expr, batch) @ mat.T % p, batch)
+                assert np.array_equal(rep._inverses[id(expr)][1][0], gauss_jordan(mat, p))
             zero = TorusElement(s, {k0: vanish, k1: vanish * unit})
             with pytest.raises(Inconclusive, match="singular action at L=%d" % L):
                 rep._solve(Expr.from_element(zero), batch)
             with pytest.raises(ValueError, match="singular"):
-                gauss_jordan(reference_matrix(rep, zero), rep.p)
+                gauss_jordan(reference_matrix(rep, zero), rep.blocks[0].p)
 
 
 def test_singular_binomial_is_inconclusive_at_its_order():
@@ -719,8 +746,8 @@ def test_singular_binomial_is_inconclusive_at_its_order():
     # singular there, so that order is inconclusive, as Gauss-Jordan finds,
     # and the verdict rests on 7, 11 and 13
     s = normal_form_tori()[1]
-    rep = RootRep(s, 5)
-    p = rep.p
+    rep = RootRep(s, (5,))
+    p = rep.blocks[0].p
     index, weight = rep._gathers(TorusElement(s, {(0, 1): Laurent.one(), (1, 1): Laurent.one()}))
     assert np.array_equal(index[0], index[1])
     c = -pow(int(weight[1, 0]), -1, p) * int(weight[0, 0]) % p
@@ -755,3 +782,142 @@ def test_skein_flip_back_takes_no_gauss_jordan(monkeypatch):
     verdicts = verify_generator_map_identity(comp)
     assert final.same_as(P4) and all(v.passed for v in verdicts.values())
     assert dims == [25, 49, 121]
+
+
+# ---------------------------------------------------------------------------
+# the direct sum over orders against one representation per order
+
+
+def test_direct_sum_blocks_act_and_solve_as_their_orders():
+    # each block of RootRep(s, (5, 7, 11)) draws, acts and solves as the
+    # dense clock-shift reference at its order; an inverse singular in one
+    # block leaves that block to the note in dead and the others solved
+    rng = np.random.default_rng(47)
+    for s in SPECS + normal_form_tori():
+        rep = RootRep(s, DEFAULT_ORDERS, seed=3)
+        assert [b.L for b in rep.blocks] == list(DEFAULT_ORDERS) and not rep.skipped
+        assert rep.dim == sum(b.dim for b in rep.blocks)
+        batch = rep.random_vectors(3)
+        for b in rep.blocks:
+            alone = RootRep(s, (b.L,), seed=3)
+            assert np.array_equal(alone.blocks[0].character, b.character)
+            assert np.array_equal(alone.random_vectors(3), batch[:, b.span])
+        for terms in (1, 2, 3):
+            el, el2 = random_element(s, rng, terms), random_element(s, rng, 2)
+            acted = rep.act_element(el, batch)
+            nested = Expr.from_element(el) + Expr.from_element(el2).inv()
+            for payload in (Expr.from_element(el), nested):
+                dead = {}
+                solved = rep._solve(payload, batch, dead)
+                for i, b in enumerate(rep.blocks):
+                    mat, part = reference_matrix(rep, el, i), batch[:, b.span]
+                    assert np.array_equal(acted[:, b.span], part @ mat.T % b.p)
+                    if payload is nested:
+                        try:
+                            inner = repcheck.lu_factor(reference_matrix(rep, el2, i), b.p)
+                        except ValueError:
+                            assert b.L in dead
+                            continue
+                        mat = (mat + inner) % b.p
+                    if b.L in dead:
+                        with pytest.raises(ValueError, match="singular"):
+                            repcheck.lu_factor(mat, b.p)
+                    else:
+                        assert np.array_equal(solved[:, b.span] @ mat.T % b.p, part)
+
+
+def sequential_verdict(lhs, rhs, spec, trials, seed=0):
+    """verify_identity's verdict order by order: one one-order RootRep per
+    order, each side walked alone and stopped by its first singular inverse."""
+    lhs_list = [lhs] if isinstance(lhs, Expr) else list(lhs)
+    rhs_list = [rhs] if isinstance(rhs, Expr) else list(rhs)
+    sub = repcheck._support_spec(lhs_list + rhs_list, spec)
+    done, notes = [], []
+    for L in DEFAULT_ORDERS + EXTRA_ORDERS:
+        if len(done) == len(DEFAULT_ORDERS):
+            break
+        rep = RootRep(sub, (L,), seed)
+        if L in rep.skipped:
+            notes.append(rep.skipped[L])
+            continue
+        batch = rep.random_vectors(trials)
+        try:
+            av = sum((rep.act_expr(e, batch) for e in lhs_list), np.zeros_like(batch))
+            bv = sum((rep.act_expr(e, batch) for e in rhs_list), np.zeros_like(batch))
+        except Inconclusive as exc:
+            notes.append(str(exc))
+            continue
+        failing = np.flatnonzero(((av - bv) % rep.blocks[0].p).any(axis=1))
+        if failing.size:
+            return repcheck.Verdict("FAIL", tuple(done + [L]), trials,
+                                    witness={"order": L, "trial": int(failing[0])}, notes=notes)
+        done.append(L)
+    status = "PASS" if len(done) >= repcheck.MIN_ORDERS and min(done) >= 5 else "INCONCLUSIVE"
+    return repcheck.Verdict(status, tuple(done), trials, notes=notes)
+
+
+def singular_at_5():
+    """The binomial D of test_singular_binomial_is_inconclusive_at_its_order,
+    singular at order 5 only, on the torus J."""
+    s = normal_form_tori()[1]
+    rep = RootRep(s, (5,))
+    p = rep.blocks[0].p
+    _, weight = rep._gathers(TorusElement(s, {(0, 1): Laurent.one(), (1, 1): Laurent.one()}))
+    c = -pow(int(weight[1, 0]), -1, p) * int(weight[0, 0]) % p
+    return s, Expr.from_element(TorusElement(s, {(0, 1): Laurent.one(), (1, 1): Laurent.integer(c)}))
+
+
+def direct_sum_rows():
+    """(name, lhs, rhs, torus) of true rows: random products with a binomial,
+    a trinomial and a nested inverse, rows of the closed walks' composites,
+    rows singular at order 5 (directly and inside a nested payload), and
+    rows whose order-11 block exceeds DENSE_DIM."""
+    rng = np.random.default_rng(53)
+    rows = []
+    for s in (normal_form_tori()[2], spec_ambient(), spec_rank_deficient()):
+        for terms in (2, 3):
+            a, b, c = (random_element(s, rng, t) for t in (terms, 2, 1))
+            A, B, C = (Expr.from_element(x) for x in (a, b, c))
+            rows.append(("A^-1 (A B) = B", A.inv() * Expr.from_element(a * b), B, s))
+            rows.append(("(A B) B^-1 = A", Expr.from_element(a * b) * B.inv(), A, s))
+            nested = A + B.inv()
+            rows.append(("N^-1 N C = C", nested.inv() * nested * C, C, s))
+    for name, comp in closed_walk_composites()[-3:]:
+        for lab in sorted(comp.source.labels):
+            img, want = generator_row(comp, lab)
+            rows.append((name, img, want, comp.target))
+    s, D = singular_at_5()
+    x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
+    rows.append(("D^-1 D = 1", D.inv() * D, Expr.one(s), s))
+    nested = D.inv() + x
+    rows.append(("(D^-1 + x)^-1 (D^-1 + x) = 1", nested.inv() * nested, Expr.one(s), s))
+    big = TorusSpec(tuple("abcdefgh"), np.kron(np.eye(4, dtype=int), [[0, 1], [-1, 0]]), 2)
+    y = Expr.from_element(sum((TorusElement.generator(big, lab) for lab in big.labels),
+                              TorusElement.zero(big)))
+    rows.append(("dimension 11^4", y, y, big))
+    # every pair is central at 5 and 7, so those blocks have dimension 1,
+    # and 11, 13, 17 and 19 get no block: a sum of no blocks still walks
+    # the inverse
+    central = TorusSpec(big.labels, 35 * big.A, 2)
+    z = Expr.from_element(sum((TorusElement.generator(central, lab) for lab in big.labels),
+                              TorusElement.zero(central)))
+    rows.append(("dimension 11^4, z^-1 z = 1", z.inv() * z, Expr.one(central), central))
+    return rows
+
+
+def test_direct_sum_verdicts_equal_the_sequential_loop():
+    # PASS, FAIL (one coefficient times q^(1/8), or times q^(5/8), which is
+    # 1 at order 5), singular-at-5 and too-large rows: status, orders,
+    # trials, witness, notes and method all agree
+    def invisible_at_5(expr):
+        (c0, factors), rest = expr.words[0], expr.words[1:]
+        return Expr(expr.spec, ((c0 * Laurent.q_power(5), factors),) + rest)
+
+    statuses = set()
+    for name, lhs, rhs, s in direct_sum_rows():
+        for side in (lhs, scale_coefficient(lhs), invisible_at_5(lhs)):
+            want = sequential_verdict(side, rhs, s, trials=4)
+            assert verify_identity(side, rhs, s, trials=4) == want, name
+            statuses.add((want.status, want.orders, len(want.notes)))
+    assert {("PASS", DEFAULT_ORDERS, 0), ("PASS", (7, 11, 13), 1), ("FAIL", (5,), 0),
+            ("FAIL", (5, 7), 0), ("FAIL", (7,), 1), ("INCONCLUSIVE", (5, 7), 4)} <= statuses

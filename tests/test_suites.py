@@ -71,8 +71,11 @@ def test_naturality_builds_one_bundle_per_surface(monkeypatch):
     rows = suites.suite_naturality(trials=2)
     assert len(rows) == 2 * len(suites._naturality_cases())
     assert all(s == "PASS" for _, s, _ in rows)
-    # two surfaces before the flips, one flipped surface per case
-    assert len(built) == len({id(T) for T in built}) == 2 + len(suites._naturality_cases())
+    # two surfaces before the flips, one flipped surface per flipped edge:
+    # the 12 cases span 6 flips
+    flipped = {(id(T), edge) for _, T, edge, _ in suites._naturality_cases()}
+    assert (len(suites._naturality_cases()), len(flipped)) == (12, 6)
+    assert len(built) == len({id(T) for T in built}) == 2 + 6
 
 
 def test_every_flip_of_every_curve_is_a_case_or_general():

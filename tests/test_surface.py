@@ -99,6 +99,43 @@ def test_duality_report_is_derived_once(monkeypatch):
     assert T.duality_check() == report
 
 
+def test_duality_takes_no_svd_when_PHt_holds(monkeypatch):
+    # P H^T = -4 id on the inner columns already gives H full row rank, so a
+    # report on any library surface or one-flip neighbour ranks H without SVD
+    def refuse(*args, **kw):
+        raise AssertionError("matrix_rank called")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    checked = 0
+    for name in MARKED_LIBRARY:
+        T = surface_by_name(name)
+        for S in [T] + [T.flip(e)[0] for e in T.inner_edges]:
+            rep = S.duality_check()
+            assert rep["ok"] and rep["rank"] == rep["inner"] == len(S.inner_edges), (name, rep)
+            checked += 1
+    assert checked > len(MARKED_LIBRARY)
+
+
+def test_duality_ranks_H_by_svd_when_PHt_fails(monkeypatch):
+    # a wrong P fails the first check, and the report then carries the rank
+    # that the SVD finds
+    T = polygon(6)
+    _, _, H = T.face_submatrices()
+    P = T.vertex_matrix()
+    monkeypatch.setattr(Triangulation, "vertex_matrix", lambda self: 2 * P)
+    ranks = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counted(m, *args, **kw):
+        ranks.append(matrix_rank(m, *args, **kw))
+        return ranks[-1]
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    rep = T.duality_check()
+    assert not rep["PHt_ok"] and "PHt_offending" in rep and not rep["ok"]
+    assert ranks == [matrix_rank(H.astype(np.float64))] == [rep["rank"]] == [len(T.inner_edges)]
+
+
 def test_vertex_matrix_basics():
     T = polygon(5)
     P = T.vertex_matrix()
