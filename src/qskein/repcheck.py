@@ -40,14 +40,17 @@ from the generator seeded by (seed, L), trial by trial, so its vectors are
 those of a RootRep on that order alone, trial t's vector does not depend on
 the number of trials, and a fresh RootRep(spec, (L,), seed) draws a witness
 again.  Every inverse acts through its matrix inverted once mod p per
-block, cached by the inverse's payload object, so an inverse that several
-words share is inverted once per order.  A payload that collapses to a
-binomial c_0 x^(k_0) + c_1 x^(k_1) acts as R_0 (I - N), each R_t a term's
-weighted permutation and N = -R_0^-1 R_1 one along a translation of
-(Z/L)^r, so N^l is diagonal for its cycle length l and the inverse is
-(I - N^l)^-1 sum_(j<l) N^j R_0^-1 (cycle_inverse); any other payload takes
-Gauss-Jordan on its block's matrix (lu_factor).  A block singular mod its
-p, which both routes detect alike, is left zero and its order noted
+block, cached in the block by the inverse's payload object, so an inverse
+that several words share is inverted once per order.  A payload that
+collapses to a binomial c_0 x^(k_0) + c_1 x^(k_1) acts as R_0 (I - N),
+each R_t a term's weighted permutation and N = -R_0^-1 R_1 one along a
+translation of (Z/L)^r, so N^l is diagonal for its cycle length l and the
+inverse is (I - N^l)^-1 sum_(j<l) N^j R_0^-1 (cycle_inverse); any other
+payload takes Gauss-Jordan on its block's matrix (lu_factor).  The
+matrices are built on the identity rows of all blocks in one batch, but a
+block larger than all the others together is built alone, on its own index
+space, so it costs what it costs at its order alone.  A block singular mod
+its p, which both routes detect alike, is left zero and its order noted
 INCONCLUSIVE; the other blocks go on.  The verdict reads the blocks in
 order: the first that differs gives FAIL at that order, an inconclusive
 one is noted, and as many EXTRA_ORDERS as orders are missing are then
@@ -95,8 +98,9 @@ either method fails.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -267,17 +271,16 @@ class _Layout:
     def __init__(self, d, h, orders):
         self.skipped, live = {}, []
         for L in orders:
-            r = sum(1 for dj in d if h * dj % L)
-            if L ** r > DENSE_DIM:
-                self.skipped[L] = "order %d skipped (dimension %d > %d)" % (L, L ** r, DENSE_DIM)
+            dim = L ** sum(1 for dj in d if h * dj % L)
+            if dim > DENSE_DIM:
+                self.skipped[L] = "order %d skipped (dimension %d > %d)" % (L, dim, DENSE_DIM)
             else:
-                live.append((L, r))
+                live.append((L, dim))
         self.pairs = len(d)
         self.hd = np.array([h * dj for dj in d], dtype=np.int64)
         self.lcm = math.lcm(*(L for L, _ in live))
         self.roots = [RootOfUnity(L) for L, _ in live]
-        self.ranks = [r for _, r in live]
-        dims = [L ** r for L, r in live]
+        dims = [dim for _, dim in live]
         starts = np.cumsum([0] + dims)
         self.dim = int(starts[-1])
         self.spans = [slice(int(a), int(b)) for a, b in zip(starts, starts[1:])]
@@ -304,15 +307,19 @@ def _layout(d, h, orders):
 
 @dataclass
 class Block:
-    """One order's block of a RootRep: the indices span, the clock-shift
-    representation on (F_p^L)^(tensor r), and the generator seeded by
-    (seed, L) that drew the characters and draws the trial vectors."""
-    L: int
+    """One order's block of a RootRep: its indices span, the order's root
+    of unity, the generator seeded by (seed, L) that drew the characters
+    and draws the trial vectors, and {id(payload): (payload, inverse or
+    note)} of the payloads inverted at this order."""
     root: RootOfUnity
-    r: int
     span: slice
     rng: np.random.Generator
     character: np.ndarray
+    inverses: dict
+
+    @property
+    def L(self):
+        return self.root.L
 
     @property
     def p(self):
@@ -335,21 +342,44 @@ class RootRep:
     out for its dimension; prime holds the prime of each flat index."""
 
     def __init__(self, spec, orders, seed=0):
-        self.spec = spec
-        self.orders = tuple(orders)
-        _, self._to_z, d = symplectic_normal_form(spec)
-        lay = self._layout = _layout(d, spec.u_eighth // 2, self.orders)
-        self.skipped, self.dim, self.prime = lay.skipped, lay.dim, lay.prime
+        self.spec, self.orders = spec, tuple(orders)
+        _, self._to_z, self._d = symplectic_normal_form(spec)
+        lay = self._layout = _layout(self._d, spec.u_eighth // 2, self.orders)
         self.blocks = []
-        for root, r, span in zip(lay.roots, lay.ranks, lay.spans):
+        for root, span in zip(lay.roots, lay.spans):
             # z_j carries the character g^(n_j), so z^c carries g^(c . n mod (p - 1))
             rng = np.random.default_rng((seed, root.L))
             character = rng.integers(0, root.p - 1, len(spec.labels))
-            self.blocks.append(Block(root.L, root, r, span, rng, character))
-        self._characters = np.array([b.character for b in self.blocks],
-                                    dtype=np.int64).reshape(len(self.blocks), len(spec.labels))
-        self._z_maps = {}
-        self._inverses = {}
+            self.blocks.append(Block(root, span, rng, character, {}))
+        self._z_maps, self._parts = {}, {}
+
+    @property
+    def skipped(self):
+        return self._layout.skipped
+
+    @property
+    def dim(self):
+        return self._layout.dim
+
+    @property
+    def prime(self):
+        return self._layout.prime
+
+    def _part(self, blocks):
+        """The direct sum of some of self's blocks (self for all of them)
+        on its own index space, sharing their characters, generators and
+        inverses."""
+        if len(blocks) == len(self.blocks):
+            return self
+        orders = tuple(b.L for b in blocks)
+        part = self._parts.get(orders)
+        if part is None:
+            part = self._parts[orders] = copy.copy(self)
+            part.orders = orders
+            part._layout = _layout(self._d, self.spec.u_eighth // 2, orders)
+            part.blocks = [replace(b, span=span) for b, span in zip(blocks, part._layout.spans)]
+            part._parts = {}
+        return part
 
     def random_vectors(self, n):
         """The next n vectors uniform in F_p^dim, shape (n, dim), each
@@ -388,7 +418,8 @@ class RootRep:
         c = k @ to_z
         lay = self._layout
         a, b = c[:, 0:2 * lay.pairs:2], c[:, 1:2 * lay.pairs:2]
-        turns = c @ self._characters.T
+        turns = c @ np.array([b.character for b in self.blocks],
+                             dtype=np.int64).reshape(len(self.blocks), c.shape[1]).T
         clock = (a * b) @ lay.hd
         # per term: the coordinates of each source m - b, its index and phase
         source = np.mod(lay.grid - b[:, :, None], lay.modulus)
@@ -416,29 +447,30 @@ class RootRep:
         right to left, inverses through linear solves.  A block in which an
         inverse is singular is left zero and its order noted in dead
         {L: note}, the first note kept; with no dead, it raises Inconclusive."""
-        lay = self._layout
+        block = self._layout.block
         out = np.zeros_like(v)
         for coeff, factors in expr.words:
             w = v
             for kind, payload in reversed(factors):
                 w = self.act_element(payload, w) if kind == "el" else self._solve(payload, w, dead)
-            scalar = np.array([coeff.evaluate(root) for root in lay.roots], dtype=np.int64)
-            out += scalar[lay.block] * w % self.prime
+            scalar = np.array([coeff.evaluate(b.root) for b in self.blocks], dtype=np.int64)
+            out += scalar[block] * w % self.prime
         return out % self.prime
 
     def _solve(self, expr, v, dead=None):
         """w with expr . w = v for v of shape (dim,) or (n, dim), block by
-        block through the block's inverse (see _invert), cached by the payload
-        object.  A block with no inverse is handled as act_expr says.  A row
-        that is zero in a block solves to zero there, so only the others are
-        solved: in _invert's batch, block B is zero past its first dim rows."""
+        block through the block's inverse (see _invert), cached in the block
+        by the payload object.  A block with no inverse is handled as
+        act_expr says.  A row that is zero in a block solves to zero there,
+        so only the others are solved."""
         key = id(expr)
-        if key not in self._inverses:
-            self._inverses[key] = (expr, self._invert(expr))
-        _, inverses = self._inverses[key]
+        missing = [b for b in self.blocks if key not in b.inverses]
+        for b, inverse in zip(missing, self._invert(expr, missing) if missing else ()):
+            b.inverses[key] = (expr, inverse)
         rows = np.atleast_2d(v)
         out = np.zeros_like(rows)
-        for b, inverse in zip(self.blocks, inverses):
+        for b in self.blocks:
+            inverse = b.inverses[key][1]
             if isinstance(inverse, str):
                 if dead is None:
                     raise Inconclusive(inverse)
@@ -449,35 +481,42 @@ class RootRep:
                 out[live, b.span] = lu_solve(inverse, part[live].T, b.p).T
         return out.reshape(v.shape)
 
-    def _invert(self, expr):
-        """Per block, the inverse mod p of expr's action, along its cycles
-        for a binomial and by Gauss-Jordan on the block's matrix otherwise,
-        or the note saying why the block has none."""
+    def _invert(self, expr, blocks):
+        """For each of blocks, the inverse mod p of expr's action, along its
+        cycles for a binomial and by Gauss-Jordan on the block's matrix
+        otherwise, or the note saying why the block has none.  The matrices
+        are built by acting on identity rows, those of all blocks in one
+        batch, except that a block larger than all the others together is
+        built alone on its own index space (_part), as at its order alone."""
         el = expr.as_element() if expr.is_polynomial() else None
-        notes = {}
         if el is not None and len(el.terms) == 2:
             index, weight = self._gathers(el)
-            invert = cycle_inverse
-            args = [(index[:, b.span] - b.span.start, weight[:, b.span]) for b in self.blocks]
-        else:
+            return [_inverse_or_note(cycle_inverse, b, (index[:, b.span] - b.span.start,
+                                                        weight[:, b.span]))
+                    for b in blocks]
+        big = max(blocks, key=lambda b: b.dim)
+        rest = [b for b in blocks if b is not big]
+        groups = [[big], rest] if rest and big.dim > sum(b.dim for b in rest) else [blocks]
+        out = {}
+        for group in groups:
+            part = self._part(group)
             # row i holds e_i of every block at once; blocks do not mix
-            eye = np.zeros((max((b.dim for b in self.blocks), default=0), self.dim),
-                           dtype=np.int64)
-            for b in self.blocks:
+            eye = np.zeros((max(b.dim for b in part.blocks), part.dim), dtype=np.int64)
+            for b in part.blocks:
                 eye[np.arange(b.dim), np.arange(b.span.start, b.span.stop)] = 1
-            image = self.act_expr(expr, eye, notes)
-            invert, args = lu_factor, [image[:b.dim, b.span].T for b in self.blocks]
-        out = []
-        for b, arg in zip(self.blocks, args):
-            note = notes.get(b.L)
-            if note is None:
-                try:
-                    out.append(invert(arg, b.p))
-                    continue
-                except ValueError as exc:
-                    note = "singular action at L=%d: %s" % (b.L, exc)
-            out.append(note)
-        return out
+            notes = {}
+            image = part.act_expr(expr, eye, notes)
+            for b in part.blocks:
+                out[b.L] = notes.get(b.L) or _inverse_or_note(lu_factor, b, image[:b.dim, b.span].T)
+        return [out[b.L] for b in blocks]
+
+
+def _inverse_or_note(invert, block, arg):
+    """invert(arg, p) at the block's prime, or the note saying it is singular."""
+    try:
+        return invert(arg, block.p)
+    except ValueError as exc:
+        return "singular action at L=%d: %s" % (block.L, exc)
 
 
 @dataclass

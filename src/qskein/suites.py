@@ -181,18 +181,16 @@ def _flip_cases(kind, form):
                     yield (form % (name, edge), T, edge, alpha), (T2, fd, alpha2)
 
 
-def _naturality_cases(flips=False):
-    """(name, T, flip edge, curve) with the curve simple before and after
-    the flip; with flips, each paired with its (T2, fd, curve2) as
-    _flip_cases gives it."""
-    cases = list(_flip_cases("simple", "%s / flip %s"))
-    return cases if flips else [case for case, _ in cases]
+def _naturality_cases():
+    """((name, T, flip edge, curve), (T2, fd, curve2)) as _flip_cases gives
+    them, with the curve simple before and after the flip."""
+    return list(_flip_cases("simple", "%s / flip %s"))
 
 
 def _naturality_walk():
     """(name, T, T2, fd, alpha, alpha2, transfer record) of each naturality
     case, with alpha2 the curve transported through the flip."""
-    for (name, T, edge, alpha), (T2, fd, alpha2) in _naturality_cases(flips=True):
+    for (name, T, edge, alpha), (T2, fd, alpha2) in _naturality_cases():
         yield name, T, T2, fd, alpha, alpha2, knot_monomial_transfer(alpha2, T, edge, T2, fd)
 
 
@@ -211,10 +209,10 @@ def suite_naturality(trials=DEFAULT_TRIALS, seed=0):
     return rows
 
 
-def _phased_cases(flips=False):
-    """(name, surface, flip edge, simple curve whose transport is
-    almost-simple), exercising the phase exponents u(s); with flips, each
-    paired with its (T2, fd, curve2) as _flip_cases gives it."""
+def _phased_cases():
+    """((name, surface, flip edge, simple curve whose transport is
+    almost-simple), (T2, fd, curve2)) as _flip_cases gives them,
+    exercising the phase exponents u(s)."""
     cases = list(_flip_cases("almost-simple", "%s across flip %s"))
     # the (1,-1) curve is almost-simple on the before-variant lift and
     # becomes simple after flipping the doubly crossed edge; running the
@@ -227,7 +225,7 @@ def _phased_cases(flips=False):
     T3, fd2 = T2.flip(fd.a_star)
     cases.append((("torus-lift (1,-1) across flip %s" % fd.a_star, T2, fd.a_star, moved),
                   (T3, fd2, transport_curve(moved, T2, fd2, T3))))
-    return cases if flips else [case for case, _ in cases]
+    return cases
 
 
 def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
@@ -236,7 +234,7 @@ def suite_phased_naturality(trials=DEFAULT_TRIALS, seed=0):
     image of the simple-side state sum under the skein coordinate change.
     """
     rows = []
-    for (name, T, edge, alpha), (T2, fd, alpha2) in _phased_cases(flips=True):
+    for (name, T, edge, alpha), (T2, fd, alpha2) in _phased_cases():
         _, lhs_skein, _ = trace_once_edge(alpha2, T2)
         T3, fd2, phi2 = phi_flip(T2, fd.a_star, new_label=edge)
         if not T3.same_as(T):

@@ -34,6 +34,7 @@ from qskein.shear import ShearSkein
 from qskein.suites import FLIP_LIBRARY, PENTAGON_SEQUENCE, _phased_cases
 from qskein.surface import SurfaceError, annulus, polygon, torus_one_marked
 from qskein.trace import trace_once_edge, trace_simple
+from test_suites import case_rows
 
 
 def test_phi_images_square():
@@ -259,7 +260,7 @@ def test_theta_element_agrees_with_generator_images():
 def test_theta_element_maps_phased_traces():
     # the curve is almost-simple after the flip, so its trace there carries
     # q-phases; Theta still carries it to the simple-side trace
-    for name, T, edge, alpha in _phased_cases():
+    for name, T, edge, alpha in case_rows(_phased_cases()):
         T2, fd = T.flip(edge)
         b1, b2 = ShearSkein(T), ShearSkein(T2)
         alpha2 = transport_curve(alpha, T, fd, T2)
@@ -365,7 +366,7 @@ def test_apply_element_rejects_foreign_or_odd_exponents():
 
 
 def test_transfer_needs_a_curve_simple_after_the_flip():
-    for _, T, edge, alpha in _phased_cases():
+    for _, T, edge, alpha in case_rows(_phased_cases()):
         T2, fd = T.flip(edge)
         alpha2 = transport_curve(alpha, T, fd, T2)
         with pytest.raises(CurveError, match="simple after the flip"):
@@ -469,7 +470,7 @@ def _theta_cases():
                 continue
             y2 = ShearSkein.of(T2).y
             yield T, T2, fd, [y2.unit_vec(v, sign) for v in y2.labels for sign in (2, -2)]
-    for name, T, edge, alpha in suites._naturality_cases() + _phased_cases():
+    for name, T, edge, alpha in case_rows(suites._naturality_cases() + _phased_cases()):
         T2, fd = T.flip(edge)
         alpha2 = transport_curve(alpha, T, fd, T2)
         shear2 = trace_once_edge(alpha2, T2)[0]

@@ -362,7 +362,7 @@ def test_flat_action_matches_reference_matrix():
         assert np.array_equal(P, np.eye(len(s.labels), dtype=np.int64))
         for L in (5, 7):
             rep = RootRep(s, (L,), seed=1)
-            assert rep.blocks[0].r == r and rep.dim == L ** r
+            assert rep.dim == L ** r
             batch = rep.random_vectors(4)
             for terms in (1, 3, 5):
                 el = random_element(s, rng, terms)
@@ -732,7 +732,7 @@ def test_cycle_inverse_equals_gauss_jordan(monkeypatch):
                 mat = reference_matrix(rep, el)
                 p = rep.blocks[0].p
                 assert np.array_equal(rep._solve(expr, batch) @ mat.T % p, batch)
-                assert np.array_equal(rep._inverses[id(expr)][1][0], gauss_jordan(mat, p))
+                assert np.array_equal(rep.blocks[0].inverses[id(expr)][1], gauss_jordan(mat, p))
             zero = TorusElement(s, {k0: vanish, k1: vanish * unit})
             with pytest.raises(Inconclusive, match="singular action at L=%d" % L):
                 rep._solve(Expr.from_element(zero), batch)
@@ -824,6 +824,42 @@ def test_direct_sum_blocks_act_and_solve_as_their_orders():
                             repcheck.lu_factor(mat, b.p)
                     else:
                         assert np.array_equal(solved[:, b.span] @ mat.T % b.p, part)
+
+
+def test_largest_block_builds_its_matrix_alone(monkeypatch):
+    # on J (+) J the blocks have dimension 25, 49 and 121; a block larger
+    # than the others together builds its payload matrix alone, on identity
+    # rows as wide as itself, and the inner inverse that the order-11 part
+    # meets first is factorized there and never again: one factorization
+    # per payload per order
+    factorized, batches = [], []
+    lu, act_expr = repcheck.lu_factor, RootRep.act_expr
+
+    def counted(mat, p):
+        factorized.append(p)
+        return lu(mat, p)
+
+    def recorded(rep, expr, v, dead=None):
+        batches.append(([b.L for b in rep.blocks], v.shape))
+        return act_expr(rep, expr, v, dead)
+
+    monkeypatch.setattr(repcheck, "lu_factor", counted)
+    monkeypatch.setattr(RootRep, "act_expr", recorded)
+    s, rng = normal_form_tori()[2], np.random.default_rng(59)
+    outer, inner = (random_element(s, rng, 3) for _ in range(2))
+    assert len(outer.terms) == len(inner.terms) == 3
+    inner = Expr.from_element(inner)
+    payload = Expr.from_element(outer) + inner.inv()
+    rep = RootRep(s, DEFAULT_ORDERS, seed=4)
+    batch = rep.random_vectors(2)
+    rep._solve(payload, batch, {})
+    solved = rep._solve(inner, batch, {})
+    for i, b in enumerate(rep.blocks):
+        mat = reference_matrix(rep, inner.as_element(), i)
+        assert np.array_equal(solved[:, b.span] @ mat.T % b.p, batch[:, b.span])
+    assert batches == [([11], (121, 121)), ([11], (121, 121)), ([5, 7], (49, 74)),
+                       ([7], (49, 49)), ([5], (25, 25))]
+    assert sorted(factorized) == sorted(2 * [b.p for b in rep.blocks])
 
 
 def sequential_verdict(lhs, rhs, spec, trials, seed=0):

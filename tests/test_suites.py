@@ -14,6 +14,11 @@ from qskein.shear import ShearSkein
 from qskein.surface import torus_one_marked
 
 
+def case_rows(cases):
+    """The (name, T, flip edge, curve) rows of a case rule's pairs."""
+    return [case for case, _ in cases]
+
+
 def stub_verdicts(*pairs):
     """A generator-map check that returns the given (status, orders)
     verdicts, in order, for every composite."""
@@ -69,12 +74,13 @@ def test_naturality_builds_one_bundle_per_surface(monkeypatch):
 
     monkeypatch.setattr(ShearSkein, "__init__", counted)
     rows = suites.suite_naturality(trials=2)
-    assert len(rows) == 2 * len(suites._naturality_cases())
+    cases = case_rows(suites._naturality_cases())
+    assert len(rows) == 2 * len(cases)
     assert all(s == "PASS" for _, s, _ in rows)
     # two surfaces before the flips, one flipped surface per flipped edge:
     # the 12 cases span 6 flips
-    flipped = {(id(T), edge) for _, T, edge, _ in suites._naturality_cases()}
-    assert (len(suites._naturality_cases()), len(flipped)) == (12, 6)
+    flipped = {(id(T), edge) for _, T, edge, _ in cases}
+    assert (len(cases), len(flipped)) == (12, 6)
     assert len(built) == len({id(T) for T in built}) == 2 + 6
 
 
@@ -89,9 +95,9 @@ def test_every_flip_of_every_curve_is_a_case_or_general():
     def key(T, edge, alpha):
         return T.inner_edges, edge, alpha.steps
 
-    natural = [key(T, e, a) for _, T, e, a in suites._naturality_cases()]
+    natural = [key(T, e, a) for _, T, e, a in case_rows(suites._naturality_cases())]
     # the last phased case, the (1,-1) curve on the before-variant lift, is hand-built
-    phased = [key(T, e, a) for _, T, e, a in suites._phased_cases()[:-1]]
+    phased = [key(T, e, a) for _, T, e, a in case_rows(suites._phased_cases())[:-1]]
     hits = 0
     for T, alpha in curves:
         for edge in T.inner_edges:
