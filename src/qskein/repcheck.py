@@ -461,8 +461,7 @@ class RootRep:
         """w with expr . w = v for v of shape (dim,) or (n, dim), block by
         block through the block's inverse (see _invert), cached in the block
         by the payload object.  A block with no inverse is handled as
-        act_expr says.  A row that is zero in a block solves to zero there,
-        so only the others are solved."""
+        act_expr says."""
         key = id(expr)
         missing = [b for b in self.blocks if key not in b.inverses]
         for b, inverse in zip(missing, self._invert(expr, missing) if missing else ()):
@@ -476,9 +475,7 @@ class RootRep:
                     raise Inconclusive(inverse)
                 dead.setdefault(b.L, inverse)
             else:
-                part = rows[:, b.span]
-                live = part.any(axis=1)
-                out[live, b.span] = lu_solve(inverse, part[live].T, b.p).T
+                out[:, b.span] = lu_solve(inverse, rows[:, b.span].T, b.p).T
         return out.reshape(v.shape)
 
     def _invert(self, expr, blocks):
