@@ -22,7 +22,7 @@ That polynomial is Phi on one monomial in exponent space (phi_monomial),
 with no Expr, and Phi's own flip map is phi_monomial at X_(a*); composites
 apply Phi to Exprs generator by generator (GeneratorImageMap.apply_element),
 and the two routes agree exactly.  One word product, _word_product,
-multiplies out every Expr product: *, power, map_elements, apply_element.
+multiplies out every Expr product: power, map_elements, apply_element.
 
 Composites along a flip sequence are DAGs, not trees: each flip's images
 refer to the previous composite's expressions by reference, and a label
@@ -69,10 +69,6 @@ class Expr:
     def from_element(el):
         return Expr(el.spec, [(ONE, (("el", el),))])
 
-    @staticmethod
-    def one(spec):
-        return Expr(spec, [(ONE, ())])
-
     def __add__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
@@ -81,13 +77,9 @@ class Expr:
         return Expr(self.spec, self.words + other.words)
 
     def __mul__(self, other):
-        if isinstance(other, Laurent):
-            return Expr(self.spec, [(w * other, fs) for w, fs in self.words])
-        if not isinstance(other, Expr):
+        if not isinstance(other, Laurent):
             return NotImplemented
-        if self.spec != other.spec:
-            raise ValueError("torus spec mismatch")
-        return Expr(self.spec, _word_product(ONE, (self, other)))
+        return Expr(self.spec, [(w * other, fs) for w, fs in self.words])
 
     def inv(self):
         return Expr(self.spec, [(ONE, (("inv", self),))])

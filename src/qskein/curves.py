@@ -33,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qscalar import Laurent
-from .qtorus import TorusElement
-from .shear import is_balanced
+from .qtorus import _element
+from .shear import odd_rows
 
 # forbidden (value at ccw-first edge, value at ccw-second edge)
 FORBIDDEN = (1, -1)
@@ -355,8 +355,10 @@ def state_sum(alpha, T, spec, base_edge=None):
     points, so the two ends of one curve interval are never paired.  The
     last step closes on the first value.  Every crossing of an edge lifts
     once to each side of it, so k_s is P at one side per crossed edge
-    (summing both would double it); every distinct k_s is checked once to
-    be balanced.  The state count is the sum of the counts.
+    (summing both would double it); one parity product against T's
+    triangle-inner-edge incidence checks every distinct k_s to be balanced
+    (shear.odd_rows), once per call.  The state count is the sum of the
+    counts.
     """
     n = len(alpha.steps)
     _, side, walk = _step_table(alpha, base_edge)
@@ -389,18 +391,15 @@ def state_sum(alpha, T, spec, base_edge=None):
         k = [0] * width
         for j, at in read.items():
             k[j] = P[at]
-        k = tuple(k)
-        coeffs = terms.get(k)
-        if coeffs is None:
-            if not is_balanced(k, T):
-                raise AssertionError("state exponent vector is not balanced")
-            coeffs = terms[k] = {}
+        coeffs = terms.setdefault(tuple(k), {})
         for x, c in counts.items():
             n8 = -4 * x                          # 8 u(s), in eighths of q
             coeffs[n8] = coeffs.get(n8, 0) + c
             states += c
-    shear = TorusElement(spec, {k: Laurent(c) for k, c in terms.items()})
-    return shear, states
+    if odd_rows(list(terms), T).any():
+        raise AssertionError("state exponent vector is not balanced")
+    # counts are positive, so every coefficient is canonical as it stands
+    return _element(spec, {k: Laurent._canonical(c) for k, c in terms.items()}), states
 
 
 # ---------------------------------------------------------------------------

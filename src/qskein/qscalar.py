@@ -43,8 +43,9 @@ class Laurent:
     @staticmethod
     def _canonical(terms):
         """A Laurent taking ``terms``, a dict of int exponents to nonzero
-        ints, as it is: the torus product kernels build exactly this, so the
-        clean-up of ``Laurent(terms)`` would only repeat their work."""
+        ints, as it is: the torus product kernels and the state sum build
+        exactly this, so the clean-up of ``Laurent(terms)`` would only
+        repeat their work."""
         out = object.__new__(Laurent)
         _set_terms(out, terms)
         _set_hash(out, None)

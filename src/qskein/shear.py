@@ -69,14 +69,16 @@ class ShearSkein:
         return TorusElement(self.y, terms)
 
 
+def odd_rows(K, T):
+    """For each row k of the integer matrix K, over T's inner edges, whether
+    k sums to an odd number over some triangle's inner edges: one parity
+    product against T.inner_incidence()."""
+    return ((np.asarray(K, dtype=np.int64) & 1) @ T.inner_incidence().T & 1).any(axis=1)
+
+
 def is_balanced(k, T):
     """True iff the sum of k over each triangle's inner edges is even."""
-    kmap = dict(zip(T.inner_edges, k))
-    for t in range(len(T.triangles)):
-        s = sum(kmap.get(e, 0) for e in T.triangle_edges(t))
-        if s % 2:
-            return False
-    return True
+    return not odd_rows([[v & 1 for v in k]], T)[0]
 
 
 def even_image_check(k, T):

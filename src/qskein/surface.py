@@ -83,7 +83,7 @@ class Triangulation:
                 )
 
         self._vertex_hints = dict(vertex_hints)
-        self._face = self._P = self._duality = self._bundle = None
+        self._face = self._incidence = self._P = self._duality = self._bundle = None
         self._derive()
 
     # -- derived structure ---------------------------------------------
@@ -233,6 +233,21 @@ class Triangulation:
                 _read_only(m) for m in (Q, Q[np.ix_(rows, rows)], Q[rows, :])
             )
         return self._face
+
+    def inner_incidence(self):
+        """Triangles by inner edges: the parity of the number of sides of
+        each triangle on each inner edge, derived on the first call and
+        read-only.  k over the inner edges is balanced iff every entry of
+        this matrix times k is even."""
+        if self._incidence is None:
+            col = {e: j for j, e in enumerate(self.inner_edges)}
+            M = np.zeros((len(self.triangles), len(col)), dtype=np.int64)
+            for t in range(len(self.triangles)):
+                for e in self.triangle_edges(t):
+                    if e in col:
+                        M[t, col[e]] ^= 1
+            self._incidence = _read_only(M)
+        return self._incidence
 
     # -- vertex fans and the vertex matrix ----------------------------------
 

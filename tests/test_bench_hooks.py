@@ -10,6 +10,7 @@ from qskein.coordinate_change import Expr, compose_flips
 from qskein.library import surface_by_name
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement, TorusSpec
+from test_coordinate_change import times, unit
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,7 +32,7 @@ def test_tracer_installs_and_restores():
     tracer = tracing.Tracer()
     with tracer.installed():
         assert repcheck.RootRep.act_expr is not before[0]
-        verdict = repcheck.verify_identity(e.inv() * e, Expr.one(s), s, trials=2)
+        verdict = repcheck.verify_identity(times(e.inv(), e), unit(s), s, trials=2)
     assert verdict.passed
     assert (repcheck.RootRep.act_expr, repcheck.verify_identity, repcheck.lu_solve) == before
     assert tracer.counts["repcheck.identities"] == 1
@@ -49,7 +50,8 @@ def test_tracer_counts_one_factorization_per_shared_inverse():
     x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
     tracer = tracing.Tracer()
     with tracer.installed():
-        verdict = repcheck.verify_identity(inv * x + x * inv + inv, inv + x * inv + inv * x,
+        verdict = repcheck.verify_identity(times(inv, x) + times(x, inv) + inv,
+                                           inv + times(x, inv) + times(inv, x),
                                            s, trials=2)
     assert verdict.passed and len(verdict.orders) == 3
     assert tracer.counts["repcheck.factorizations_dense"] == 3

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from qskein.qtorus import TorusElement
+from test_qtorus import assert_shared, reference_product
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -54,3 +57,26 @@ def test_full_jobs_pass_their_checks_and_golden_digests(bench, name):
         out = job.run()
         assert job.check(out) == [], job.key
         assert checks.digest(job.digest(out)) == golden[job.key], job.key
+
+
+def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
+    # every greedy-rung trace of the reduced traces list is squared on the
+    # grid; each square equals the per-pair reference and holds one object
+    # per distinct coefficient
+    _, _, workloads = bench
+    grid, square_on_grid = [], TorusElement._square
+
+    def recorded(el):
+        grid.append(square_on_grid(el))
+        return grid[-1]
+
+    monkeypatch.setattr(TorusElement, "_square", recorded)
+    jobs = workloads.build("traces", 0, tiny=True)
+    for job in jobs:
+        out = job.run()
+        for name in ("shear", "skein"):
+            el, square = out[name], out[name + "_sq"]
+            assert square is grid[-2 if name == "shear" else -1]
+            assert square == reference_product(el, el)
+            assert_shared(square)
+    assert len(grid) == 2 * len(jobs) > 20

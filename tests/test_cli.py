@@ -458,13 +458,14 @@ def test_surface_and_curve_file_faults_are_named(capsys, tmp_path, annulus_files
 NO_SCIPY = """
 import sys
 import qskein, qskein.cli
-from qskein.coordinate_change import Expr
+from qskein.coordinate_change import Expr, _word_product
+from qskein.qscalar import ONE
 from qskein.qtorus import TorusElement, TorusSpec
 from qskein.repcheck import verify_identity
 s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
 x = Expr.from_element(TorusElement.monomial(s, (1, 1)) + TorusElement.monomial(s, (0, 1)))
 one = Expr.from_element(TorusElement.monomial(s, (0, 0)))
-assert verify_identity(x.inv() * x, one, s, trials=2).passed
+assert verify_identity(Expr(s, _word_product(ONE, (x.inv(), x))), one, s, trials=2).passed
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

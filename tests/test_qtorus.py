@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qskein import qtorus
 from qskein.coordinate_change import GeneratorImageMap
 from qskein.curves import CurveError, transport_curve
 from qskein.library import surface_by_name, torus_curve
@@ -129,6 +130,12 @@ def test_product_matches_per_pair_reference():
             assert spec.pairing(k, n) == pairing(k, n, spec.A)
 
 
+def assert_shared(el):
+    """Equal coefficients of el are one object."""
+    coeffs = el.terms.values()
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
 def test_square_matches_per_pair_reference(monkeypatch):
     # a * a takes the grid-scatter path, or the pair loop for big or sparse
     # coefficients; u_eighth 0 makes +phase = -phase
@@ -152,7 +159,43 @@ def test_square_matches_per_pair_reference(monkeypatch):
     # 54 of the 112 nonempty squares take the grid; the others exceed int64
     # (big coefficients) or, in 2 cases, hold a row longer than their
     # coefficient term count squared
-    assert sum(n > 0 and out is not None for n, out in paths) >= 54
+    grid = [out for n, out in paths if n > 0 and out is not None]
+    assert len(grid) >= 54
+    for square in grid:
+        assert_shared(square)
+    # some grid square holds one coefficient object for several monomials
+    assert any(len({id(c) for c in sq.terms.values()}) < len(sq.terms) for sq in grid)
+
+
+def test_square_is_exact_when_every_run_collides(monkeypatch):
+    # zero multipliers hash every output run to one bucket, so each run is
+    # compared with the bucket's first run in full, and every run that
+    # differs from it keeps a Laurent of its own
+    monkeypatch.setattr(qtorus, "_MIX", (np.uint64(0),) * 5)
+    rng = np.random.default_rng(13)
+    squares, unshared = 0, 0
+    for spec in product_specs():
+        for n_terms in (2, 5, 9):
+            for a in (random_element(rng, spec, n_terms), repeating_element(rng, spec, n_terms)):
+                if a._square() is None:
+                    continue
+                square = a * a
+                assert square == reference_product(a, a)
+                assert_canonical(square)
+                squares += 1
+    # x^(0,2)'s coefficient 1 is the first entry of x^(2,0)'s 1 + 2q + q^2,
+    # the first run: equal entries, but not an equal run
+    a = TorusElement(spec2(0), {(1, 0): Laurent({0: 1, 8: 1}), (0, 1): ONE})
+    assert a._square() == reference_product(a, a)
+    T, alpha = greedy_rung(9)
+    for el in trace_once_edge(alpha, T, bundle=ShearSkein(T))[:2]:
+        square = el._square()
+        assert square == reference_product(el, el)
+        assert_canonical(square)
+        coeffs = square.terms.values()
+        unshared += len({id(c) for c in coeffs}) > len(set(coeffs))
+        squares += 1
+    assert squares >= 30 and unshared == 2
 
 
 def greedy_rung(crossings):
@@ -480,6 +523,21 @@ def test_add_refuses_what_is_not_a_torus_element():
         el - 1.5
     one = TorusElement.one(spec)
     assert el + el + one == el * Laurent.integer(2) + one
+
+
+def test_exponents_must_be_integers():
+    # a float exponent is refused, not truncated (1.5 -> 1) and merged with
+    # the term it then collides with; numpy integers become Python ints
+    s = spec2()
+    for terms in ({(1.5, 0): ONE}, {(1.5, 0): ONE, (1, 0): ONE}, {(1.0, 0): ONE}):
+        with pytest.raises(TypeError):
+            TorusElement(s, terms)
+    with pytest.raises(TypeError):
+        s.vec({"a": 2.7})
+    el = TorusElement(s, {(np.int64(1), np.int32(-2)): ONE})
+    assert el.terms == {(1, -2): ONE}
+    assert all(type(e) is int for e in next(iter(el.terms)))
+    assert s.vec({"a": np.int64(3)}) == (3, 0)
 
 
 def test_coefficient_must_be_a_laurent_scalar():

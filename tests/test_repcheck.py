@@ -20,6 +20,7 @@ from qskein.repcheck import (
     verify_identity,
 )
 from qskein.shear import ShearSkein
+from test_coordinate_change import times, unit
 from test_negative_controls import scale_coefficient, shift_exponent
 
 
@@ -142,11 +143,11 @@ def test_verify_identity_pass_and_fail():
     k, m = (1, 0), (0, 1)
     xk = Expr.from_element(TorusElement.monomial(s, k))
     xm = Expr.from_element(TorusElement.monomial(s, m))
-    lhs = xk * xm
+    lhs = times(xk, xm)
     phase = Laurent.q_power((s.u_eighth) * s.pairing(k, m))
-    rhs = (xm * xk) * phase
+    rhs = times(xm, xk) * phase
     assert verify_identity(lhs, rhs, s, trials=5).passed
-    wrong = (xm * xk) * (phase * Laurent.q_power(1))
+    wrong = times(xm, xk) * (phase * Laurent.q_power(1))
     verdict = verify_identity(lhs, wrong, s, trials=5)
     assert verdict.status == "FAIL" and verdict.witness is not None
 
@@ -157,12 +158,12 @@ def test_no_trials_is_refused():
     s = TorusSpec(("a", "b"), [[0, 3], [-3, 0]], 2)
     x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
     y = Expr.from_element(TorusElement.monomial(s, (0, 1)))
-    assert verify_identity(x * y, y * x, s, trials=2).status == "FAIL"
+    assert verify_identity(times(x, y), times(y, x), s, trials=2).status == "FAIL"
     _, comp, _ = cc.compose_flips(surface_by_name("polygon4"), ["e0_2", "tmp"],
                                   new_labels=["tmp", "e0_2"])
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trial"):
-            verify_identity(x * y, y * x, s, trials=trials)
+            verify_identity(times(x, y), times(y, x), s, trials=trials)
         with pytest.raises(ValueError, match="trial"):
             verify_generator_map_identity(comp, trials=trials)
 
@@ -218,7 +219,8 @@ def test_shared_inverse_factorized_once_per_order(monkeypatch):
     s = spec_ambient()
     inv = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (0, 1, 0))).inv()
     x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
-    verdict = verify_identity(inv * x + x * inv + inv, inv + x * inv + inv * x, s, trials=3)
+    verdict = verify_identity(times(inv, x) + times(x, inv) + inv,
+                              inv + times(x, inv) + times(inv, x), s, trials=3)
     assert verdict.passed and verdict.orders == DEFAULT_ORDERS
     assert len(calls) == len(verdict.orders)
 
@@ -666,14 +668,14 @@ def test_zero_and_nested_denominators_take_representations():
     x = Expr.from_element(a)
     zero = Expr.from_element(TorusElement.zero(s))
     cancelling = x + x * Laurent.integer(-1)    # two words whose sum is 0
-    nested = (x + x.inv()).inv() * x
+    nested = times((x + x.inv()).inv(), x)
     for den in (zero, cancelling):
-        v = row_verdict(den.inv() * x, "a", s)
+        v = row_verdict(times(den.inv(), x), "a", s)
         assert v.method == "representation" and v.status == "INCONCLUSIVE", v
     assert row_verdict(nested, "a", s).method == "representation"
     # an inverse inside a word's rest is not cleared either
-    assert row_verdict(x.inv() * x * x.inv() * x * x, "a", s).method == "representation"
-    assert row_verdict(x.inv() * x * x, "a", s).method == "exact"
+    assert row_verdict(times(x.inv(), x, x.inv(), x, x), "a", s).method == "representation"
+    assert row_verdict(times(x.inv(), x, x), "a", s).method == "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +759,7 @@ def test_singular_binomial_is_inconclusive_at_its_order():
     with pytest.raises(Inconclusive):
         rep._solve(Expr.from_element(D), rep.random_vectors(1))
     inv = Expr.from_element(D).inv()
-    verdict = verify_identity(inv * Expr.from_element(D), Expr.one(s), s, trials=3)
+    verdict = verify_identity(times(inv, Expr.from_element(D)), unit(s), s, trials=3)
     assert verdict.status == "PASS" and verdict.orders == (7, 11, 13)
     assert verdict.notes == ["singular action at L=5: matrix is singular mod %d" % p]
 
@@ -914,19 +916,19 @@ def direct_sum_rows():
         for terms in (2, 3):
             a, b, c = (random_element(s, rng, t) for t in (terms, 2, 1))
             A, B, C = (Expr.from_element(x) for x in (a, b, c))
-            rows.append(("A^-1 (A B) = B", A.inv() * Expr.from_element(a * b), B, s))
-            rows.append(("(A B) B^-1 = A", Expr.from_element(a * b) * B.inv(), A, s))
+            rows.append(("A^-1 (A B) = B", times(A.inv(), Expr.from_element(a * b)), B, s))
+            rows.append(("(A B) B^-1 = A", times(Expr.from_element(a * b), B.inv()), A, s))
             nested = A + B.inv()
-            rows.append(("N^-1 N C = C", nested.inv() * nested * C, C, s))
+            rows.append(("N^-1 N C = C", times(nested.inv(), nested, C), C, s))
     for name, comp in closed_walk_composites()[-3:]:
         for lab in sorted(comp.source.labels):
             img, want = generator_row(comp, lab)
             rows.append((name, img, want, comp.target))
     s, D = singular_at_5()
     x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
-    rows.append(("D^-1 D = 1", D.inv() * D, Expr.one(s), s))
+    rows.append(("D^-1 D = 1", times(D.inv(), D), unit(s), s))
     nested = D.inv() + x
-    rows.append(("(D^-1 + x)^-1 (D^-1 + x) = 1", nested.inv() * nested, Expr.one(s), s))
+    rows.append(("(D^-1 + x)^-1 (D^-1 + x) = 1", times(nested.inv(), nested), unit(s), s))
     big = TorusSpec(tuple("abcdefgh"), np.kron(np.eye(4, dtype=int), [[0, 1], [-1, 0]]), 2)
     y = Expr.from_element(sum((TorusElement.generator(big, lab) for lab in big.labels),
                               TorusElement.zero(big)))
@@ -937,7 +939,7 @@ def direct_sum_rows():
     central = TorusSpec(big.labels, 35 * big.A, 2)
     z = Expr.from_element(sum((TorusElement.generator(central, lab) for lab in big.labels),
                               TorusElement.zero(central)))
-    rows.append(("dimension 11^4, z^-1 z = 1", z.inv() * z, Expr.one(central), central))
+    rows.append(("dimension 11^4, z^-1 z = 1", times(z.inv(), z), unit(central), central))
     return rows
 
 

@@ -4,12 +4,14 @@ import pytest
 from qskein.library import MARKED_LIBRARY, annulus_core, surface_by_name
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
+from qskein.puncture import lift
 from qskein.shear import (
     ShearSkein,
     even_image_check,
     is_balanced,
+    odd_rows,
 )
-from qskein.surface import annulus, polygon
+from qskein.surface import annulus, polygon, torus_one_marked
 
 
 def test_is_balanced_examples():
@@ -21,6 +23,32 @@ def test_is_balanced_examples():
     _, core = annulus_core()
     k = tuple(core.multiplicities()[e] for e in A.inner_edges)
     assert is_balanced(k, A)
+
+
+def balanced_per_triangle(k, T):
+    """The reference: k sums to an even number over the inner edges of each
+    triangle, one triangle at a time."""
+    kmap = dict(zip(T.inner_edges, k))
+    return all(sum(kmap.get(e, 0) for e in T.triangle_edges(t)) % 2 == 0
+               for t in range(len(T.triangles)))
+
+
+def test_parity_product_matches_per_triangle_reference():
+    surfaces = [surface_by_name(name) for name in MARKED_LIBRARY]
+    surfaces += [lift(torus_one_marked(), variant).delta for variant in ("after", "before")]
+    rng = np.random.default_rng(17)
+    seen = set()
+    for T in surfaces:
+        K = rng.integers(-5, 6, (300, len(T.inner_edges)))
+        K[:100] *= 2                    # balanced rows with odd entries are rare
+        want = [balanced_per_triangle(k, T) for k in K.tolist()]
+        assert odd_rows(K, T).tolist() == [not w for w in want]
+        assert [is_balanced(k, T) for k in K.tolist()] == want
+        # parity is exact past int64
+        assert [is_balanced([v + 2 ** 70 for v in k], T) for k in K[:20].tolist()] == want[:20]
+        assert T.inner_incidence() is T.inner_incidence()
+        seen |= set(want[100:])
+    assert seen == {True, False}
 
 
 def test_even_image_biconditional():

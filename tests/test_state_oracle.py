@@ -15,6 +15,7 @@ from itertools import product
 
 import pytest
 
+from qskein import curves
 from qskein.curves import (
     CurveError,
     NormalCurve,
@@ -225,3 +226,18 @@ def test_state_sum_rejects_an_edge_outside_the_labels():
         state_sum(alpha, alpha.T, narrow)
     with pytest.raises(CurveError, match="outside the label set"):
         state_exponents(alpha, enumerate_states(alpha)[0], narrow.labels)
+
+
+def test_state_sum_raises_on_an_unbalanced_exponent(monkeypatch):
+    # both crossings of the annulus core read into one slot leave each k_s a
+    # single +-1, and each triangle holds both inner edges, so none is
+    # balanced; one parity product over all of them must find it
+    T, core = annulus_core()
+    spec = shear_spec(T)
+    element, _ = state_sum(core, T, spec)
+    assert all(is_balanced(k, T) for k in element.terms)
+    slots = curves._crossing_slots
+    monkeypatch.setattr(curves, "_crossing_slots",
+                        lambda alpha, index: slots(alpha, index)[-1:] * len(alpha.steps))
+    with pytest.raises(AssertionError, match="not balanced"):
+        state_sum(core, T, spec)
