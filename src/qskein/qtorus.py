@@ -343,7 +343,8 @@ class TorusElement:
         same = np.logical_and.reduceat((exp[mate] == exp) & (val[mate] == val), starts)
         owner = np.where(same & (lens[head] == lens), head, runs)
         own = owner == runs
-        entries = zip(exp[own[run]].tolist(), val[own[run]].tolist())
+        kept = own[run]
+        entries = zip(exp[kept].tolist(), val[kept].tolist())
         coeffs = [Laurent._canonical(dict(islice(entries, n))) for n in lens[own].tolist()]
         held = (np.cumsum(own) - 1)[owner].tolist()
         out_keys = map(tuple, (out_codes[mono[starts], None] // strides % radix

@@ -74,9 +74,8 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
     jobs = workloads.build("traces", 0, tiny=True)
     for job in jobs:
         out = job.run()
-        for name in ("shear", "skein"):
-            el, square = out[name], out[name + "_sq"]
-            assert square is grid[-2 if name == "shear" else -1]
-            assert square == reference_product(el, el)
+        for name, square in zip(("shear", "skein"), grid[-2:]):
+            assert square is out[name + "_sq"]
+            assert square == reference_product(out[name], out[name])
             assert_shared(square)
     assert len(grid) == 2 * len(jobs) > 20

@@ -462,6 +462,19 @@ def test_mlh_apply_is_algebra_map():
         assert mlh_apply(H, src, dst, a.reflect()) == fa.reflect()
 
 
+def test_mlh_apply_sums_colliding_images():
+    # H forgets b: images of terms that differ in b collide and are summed,
+    # a sum of zero leaves no term, and exponents past int64 stay exact
+    src, dst = spec2(8), TorusSpec(("a",), [[0]], 2)
+    H = np.array([[1], [0]])
+    big = 2 ** 70
+    el = TorusElement(src, {(big, 0): Laurent({0: 1, 8: 2}), (big, 1): Laurent({8: -2}),
+                            (1, 0): ONE, (1, 5): Laurent.integer(-1)})
+    image = mlh_apply(H, src, dst, el)
+    assert image.terms == {(big,): ONE}
+    assert_canonical(image)
+
+
 def test_mlh_injective_on_base():
     from qskein.library import MARKED_LIBRARY, surface_by_name
     from qskein.shear import ShearSkein
