@@ -21,16 +21,22 @@ and coefficients accumulate as Python ints.
 
 A square a * a is one int64 scatter on an exponent grid instead.  Every
 coefficient exponent lies in n0 + dZ, where d is the gcd of all exponent
-differences and all pair phases, so each distinct coefficient is a dense
-row on that grid, and each distinct unordered coefficient pair is
-convolved once.  Exponent vectors get mixed-radix codes with
+differences and all pair phases: the grid.  The exponents inside each
+coefficient step by a multiple of e, the gcd of the differences inside
+the coefficients (e = d when each has one term), and d divides e.  So
+each distinct coefficient is a dense row on step e from its lowest
+exponent, each distinct unordered coefficient pair is convolved once on
+that step, and product column t lands s = e/d grid steps after column
+t - 1.  On the traces squares e = 2d, which halves the rows, the
+convolutions and the scatter.  Exponent vectors get mixed-radix codes with
 code(k_i + k_j) = code_i + code_j, which key the output monomials.  Each
 unordered term pair i <= j places its product at +phase and, for i < j, at
--phase, since <k_j,k_i>_A = -<k_i,k_j>_A.  Sorted by the key (output
-monomial, start), the placements lose every gap that no earlier placement
-reaches across, so each monomial's placements form runs and the layout is
-never longer than the placements together.  One np.add.at per product
-column fills it, so temporaries stay at one entry per placement.
+-phase, since <k_j,k_i>_A = -<k_i,k_j>_A; a product of len columns covers
+s (len - 1) + 1 grid steps.  Sorted by the key (output monomial, start),
+the placements lose every gap that no earlier placement reaches across, so
+each monomial's placements form runs and the layout is never longer than
+the placements together.  One np.add.at per product column fills it, so
+temporaries stay at one entry per placement.
 
 The grid is used when every value it computes fits int64: codes below
 prod(radix), exponent vectors up to 2 max|k|, phases and output exponents
@@ -50,9 +56,15 @@ its length and every entry, with the first run of its bucket, and it takes
 that run's Laurent only if they are equal; a run that differs (a
 collision) keeps a Laurent of its own.  So the grouping is exact and no
 output depends on the hash.  Only the runs that become Laurents are
-converted to Python ints.  Laurent scalars are immutable and compare by
-value, so monomials that share one coefficient object give the same
-outputs as before, at about 40 % less memory on the traces squares.
+converted to Python ints.  Their exponents take one int object per grid
+point from a table over the grid points the kept entries occupy, built
+only when that range is shorter than the number of kept entries: the grid
+can span far more points than the square has entries (2^40 for phases
+of 2^42 on a grid of step 8), and a table over such a span would not fit
+in memory, so those exponents are converted one by one.  Laurent scalars
+and ints are immutable and compare by value, so monomials that share one
+coefficient object, and entries that share one exponent object, give the
+same outputs as before, at less memory.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -247,6 +259,7 @@ class TorusElement:
         index = {}          # each distinct coefficient, numbered in the order met
         group = [index.setdefault(c, len(index)) for c in terms.values()]
         coeffs = list(index)
+        mult = np.bincount(group).tolist()      # terms per distinct coefficient
         ns = [n for c in coeffs for n in c.terms]
         n0 = min(ns)
         cols = list(zip(*keys))
@@ -254,7 +267,7 @@ class TorusElement:
         radix = [2 * (max(col) - low) + 1 for col, low in zip(cols, lows)]
         kabs = max((max(map(abs, col)) for col in cols), default=0)
         form = kabs * kabs * int(np.abs(spec.A).sum())     # bounds |k_i A k_j|
-        norm = sum(abs(v) for c in terms.values() for v in c.terms.values())
+        norm = sum(m * sum(map(abs, c.terms.values())) for m, c in zip(mult, coeffs))
         reach = form * max(abs(half), 1) + 4 * max(map(abs, ns))    # bounds phases, exponents
         # codes, output exponent vectors, layout keys and partial sums
         if max(math.prod(radix), 2 * kabs, (len(keys) + 1) ** 2 * (reach + 1),
@@ -270,18 +283,22 @@ class TorusElement:
         out_codes, out_of = np.unique(code[iu] + code[ju], return_inverse=True)
         phase = ((K @ spec.A) @ K.T)[iu, ju] * half
         d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
-        # coefficient side: each distinct coefficient a dense row on the grid
-        # n0 + dZ from its first exponent, and one convolution per distinct
-        # unordered coefficient pair
-        offset = [(min(c.terms) - n0) // d for c in coeffs]
-        size = np.array([(max(c.terms) - n0) // d + 1 for c in coeffs]) - offset
+        # coefficient side: each distinct coefficient a dense row on step e
+        # from its lowest exponent, e the gcd of the exponent differences
+        # inside the coefficients (d when each has one term, and a multiple
+        # of d), and one convolution per distinct unordered coefficient pair
+        bottom = [min(c.terms) for c in coeffs]
+        e = math.gcd(*(n - b for c, b in zip(coeffs, bottom) for n in c.terms)) or d
+        s = e // d                  # grid steps from one product column to the next
+        offset = [(b - n0) // d for b in bottom]
+        size = np.array([(max(c.terms) - b) // e + 1 for c, b in zip(coeffs, bottom)])
         ell = int(size.max())
-        if ell > sum(len(c.terms) for c in terms.values()) ** 2:
+        if ell > sum(m * len(c.terms) for m, c in zip(mult, coeffs)) ** 2:
             return None             # one row outgrows the whole pair loop's products
         rows = np.zeros((len(coeffs), ell), dtype=np.int64)
-        for g, c in enumerate(coeffs):
+        for g, (c, b) in enumerate(zip(coeffs, bottom)):
             for n, v in c.terms.items():
-                rows[g, (n - n0) // d - offset[g]] = v
+                rows[g, (n - b) // e] = v
         group, offset = np.array(group), np.array(offset)
         g1, g2 = group[iu], group[ju]
         pairs, via = np.unique(np.minimum(g1, g2) * len(coeffs) + np.maximum(g1, g2),
@@ -289,40 +306,43 @@ class TorusElement:
         left, right = divmod(pairs, len(coeffs))
         conv = np.zeros((2 * ell - 1, len(pairs)), dtype=np.int64)    # a pair per column
         right_rows = rows[right].T
-        for s in range(ell):
-            conv[s:s + ell] += right_rows * rows[left, s]
+        for j in range(ell):
+            conv[j:j + ell] += right_rows * rows[left, j]
         # a term pair's product starts at its grid position plus its phase
-        # and, for i < j, also minus its phase, since <k_j,k_i> = -<k_i,k_j>
+        # and, for i < j, also minus its phase, since <k_j,k_i> = -<k_i,k_j>;
+        # its column t lies s * t grid steps further on
         shift = phase // d
         base = offset[g1] + offset[g2]
         cross = iu != ju
         at = np.concatenate((base + shift, (base - shift)[cross]))
         via = np.concatenate((via, via[cross]))
-        length = (size[left] + size[right] - 1)[via]
+        length = (size[left] + size[right] - 1)[via]       # product columns
+        extent = s * (length - 1) + 1                       # grid steps they cover
         # positions, first by the key (monomial, start), then in the layout,
         # which cuts out each gap that no earlier placement reaches across
         low = int(at.min())
-        span = int((at + length).max()) - low
+        span = int((at + extent).max()) - low
         pos = np.concatenate((out_of, out_of[cross])) * span + (at - low)
         order = np.argsort(pos)
-        pos, via, length = pos[order], via[order], length[order]
+        pos, via, length, extent = pos[order], via[order], length[order], extent[order]
         # cut[i] sums the gaps up to placement i, where the farthest end so
         # far falls short of the next start
-        cut = np.maximum.accumulate(pos + length)
+        cut = np.maximum.accumulate(pos + extent)
         cut = np.cumsum(np.maximum(pos - np.concatenate(([0], cut[:-1])), 0))
         pos -= cut
-        flat = np.zeros(int((pos + length).max()), dtype=np.int64)
+        flat = np.zeros(int((pos + extent).max()), dtype=np.int64)
         # product column t adds to the term pairs whose product is longer
         order = np.argsort(length)
         at, via, length = pos[order], via[order], length[order]
         skip = np.searchsorted(length, np.arange(2 * ell - 1), side="right")
         for t, k in enumerate(skip.tolist()):
-            np.add.at(flat, at[k:] + t, conv[t, via[k:]])
+            np.add.at(flat, at[k:] + s * t, conv[t, via[k:]])
         # a nonzero entry's key is its layout index plus the cut before it;
         # each output monomial's entries form one run, in exponent order
         nz = np.flatnonzero(flat)
         key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
-        mono, exp, val = key // span, (key % span + low) * d + 2 * n0, flat[nz]
+        mono, slot, val = key // span, key % span, flat[nz]
+        exp = (slot + low) * d + 2 * n0
         starts = np.flatnonzero(np.diff(mono, prepend=-1))
         lens = np.diff(starts, append=len(nz))
         runs = np.arange(len(starts))
@@ -344,7 +364,16 @@ class TorusElement:
         owner = np.where(same & (lens[head] == lens), head, runs)
         own = owner == runs
         kept = own[run]
-        entries = zip(exp[kept].tolist(), val[kept].tolist())
+        # the kept exponents as one int object per grid point, from a table
+        # over the slots they occupy, unless that range outnumbers them
+        slot = slot[kept]
+        lo, hi = int(slot.min()), int(slot.max())
+        if hi - lo < len(slot):
+            table = ((np.arange(lo, hi + 1) + low) * d + 2 * n0).tolist()
+            exps = map(table.__getitem__, (slot - lo).tolist())
+        else:
+            exps = exp[kept].tolist()
+        entries = zip(exps, val[kept].tolist())
         coeffs = [Laurent._canonical(dict(islice(entries, n))) for n in lens[own].tolist()]
         held = (np.cumsum(own) - 1)[owner].tolist()
         out_keys = map(tuple, (out_codes[mono[starts], None] // strides % radix

@@ -62,7 +62,7 @@ def test_full_jobs_pass_their_checks_and_golden_digests(bench, name):
 def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
     # every greedy-rung trace of the reduced traces list is squared on the
     # grid; each square equals the per-pair reference and holds one object
-    # per distinct coefficient
+    # per distinct coefficient and one int object per distinct exponent
     _, _, workloads = bench
     grid, square_on_grid = [], TorusElement._square
 
@@ -78,4 +78,7 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
             assert square is out[name + "_sq"]
             assert square == reference_product(out[name], out[name])
             assert_shared(square)
+            exps = [n for c in {id(c): c for c in square.terms.values()}.values()
+                    for n in c.terms]
+            assert len({id(n) for n in exps}) == len(set(exps))
     assert len(grid) == 2 * len(jobs) > 20

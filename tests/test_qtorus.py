@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -240,6 +241,52 @@ def test_square_of_greedy_rung_trace_matches_reference(monkeypatch):
     assert len(grid) == 2
 
 
+def stepped_element(rng, spec, n_terms, steps):
+    """Terms whose coefficients each start at an odd multiple of 4 and step
+    by 4 times one of `steps`, with gaps; a step of 0 gives a one-term
+    coefficient."""
+    terms = {}
+    for _ in range(n_terms):
+        step = int(rng.choice(steps))
+        start = 4 * (2 * int(rng.integers(-3, 4)) + 1)
+        places = {0} if step == 0 else {0, int(rng.integers(1, 4)), int(rng.integers(0, 4))}
+        terms[rng_vec(rng, spec, -2, 3)] = Laurent(
+            {start + 4 * step * j: int(rng.choice((-1, 1))) * int(rng.integers(1, 6))
+             for j in places})
+    return TorusElement(spec, terms)
+
+
+def grid_steps(a):
+    """(d, e) of a's square: d the gcd of every pair phase and coefficient
+    exponent difference, e that of the differences inside each coefficient."""
+    coeffs = set(a.terms.values())
+    ns = [n for c in coeffs for n in c.terms]
+    half = a.spec.u_eighth // 2
+    phases = [half * a.spec.pairing(k1, k2) for k1 in a.terms for k2 in a.terms]
+    d = math.gcd(*phases, *(n - min(ns) for n in ns)) or 1
+    return d, math.gcd(*(n - min(c.terms) for c in coeffs for n in c.terms)) or d
+
+
+def test_square_rows_on_each_coefficients_step():
+    # coefficients that all step by 2 or 3 times 4 lay their rows on that
+    # step e and their product columns e/d grid steps apart; mixed steps give
+    # e = 4, and one-term coefficients add no step (all one-term: e = d)
+    rng = np.random.default_rng(19)
+    ratios = set()
+    for spec in product_specs():
+        for steps in ((2,), (3,), (2, 3), (1, 2, 3), (0,), (0, 2), (0, 3)):
+            for n_terms in (1, 3, 6):
+                a = stepped_element(rng, spec, n_terms, steps)
+                square = a._square()
+                assert square is not None
+                assert square == reference_product(a, a) == a * a
+                assert_canonical(square)
+                assert_shared(square)
+                d, e = grid_steps(a)
+                ratios.add(e // d)
+    assert {1, 2, 3} <= ratios
+
+
 def test_square_int64_and_object_coefficients():
     # ||a||_1^2 just below 2^63 takes the int64 grid, just above the pair loop;
     # phases of 8 make the grid step 8, so each coefficient is a dense row
@@ -261,7 +308,7 @@ def test_square_int64_and_object_coefficients():
         assert_canonical(mono * mono)
 
 
-def test_square_edge_cases():
+def test_square_edge_cases(monkeypatch):
     for spec in product_specs():        # zero width and u_eighth 0 among them
         one_term = TorusElement.monomial(spec, spec.zero_vec(), Laurent({3: -2, 5: 1}))
         assert (one_term * one_term).terms == {spec.zero_vec(): Laurent({6: 4, 8: -4, 10: 1})}
@@ -277,11 +324,29 @@ def test_square_edge_cases():
         assert square == reference_product(a, a)
         assert_canonical(square)
     # phases of 2^42 on a grid of step 8 fit int64; the placements of x^(2^20, 2^20)
-    # lie 2^40 grid steps apart, and the layout holds only the placements
+    # lie 2^40 grid steps apart, and the layout holds only the placements;
+    # the exponents are converted one by one, since a table over the grid
+    # points they span would hold about 2^40 ints
     a = TorusElement(spec2(8), {(2 ** 20, 0): Laurent({0: 1, 8: 1}), (0, 2 ** 20): ONE})
-    square = a * a
-    assert a._square() == square == reference_product(a, a) and len(square.terms) == 3
+    sizes = []
+
+    class Recorded:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def arange(*bounds):
+            sizes.append(len(range(*map(int, bounds))))
+            assert sizes[-1] < 1000, "a table over the exponent grid's span"
+            return np.arange(*bounds)
+
+    with monkeypatch.context() as m:
+        m.setattr(qtorus, "np", Recorded())
+        square = a._square()
+    assert square == a * a == reference_product(a, a) and len(square.terms) == 3
     assert_canonical(square)
+    kept = {id(c): c for c in square.terms.values()}
+    assert max(sizes) <= sum(len(c.terms) for c in kept.values())
     # a coefficient of three terms spanning 2^40 grid steps would need a dense
     # row of 2^40 entries, so its square takes the pair loop, as a * b does
     a = TorusElement(spec2(8), {(1, 0): Laurent({0: 1, 1: 1, 2 ** 40: 1}), (0, 1): ONE})
