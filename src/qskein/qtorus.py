@@ -41,10 +41,14 @@ temporaries stay at one entry per placement.
 The grid is used when every value it computes fits int64: codes below
 prod(radix), exponent vectors up to 2 max|k|, phases and output exponents
 up to a bound r, layout keys below (len(a.terms) + 1)^2 (r + 1), and
-partial sums up to ||a||_1^2, and when no distinct coefficient's dense row
-is longer than the square of a's coefficient term count, which is the
+partial sums up to ||a||_1^2, and when no distinct coefficient spans more
+grid steps than the square of a's coefficient term count, which is the
 number of coefficient-term products the pair loop makes, so that one
-sparse coefficient with a wide span cannot ask for rows of mostly zeros.
+sparse coefficient with a wide span cannot ask for rows or a layout of
+mostly zeros.  The bound is on grid steps, s (ell - 1) + 1 for a row of
+ell slots, not on ell: a two-term coefficient whose terms lie 2^40 apart,
+next to a one-term coefficient at an odd exponent, has ell = 2 but
+d = 1, and its placements would cover about 2^41 grid steps.
 Any other square takes the pair loop, which is exact on Python ints.
 
 After the scatter, each output monomial's nonzero entries form one run of
@@ -250,7 +254,7 @@ class TorusElement:
     def _square(self):
         """self * self as one int64 scatter on the exponent grid (module
         docstring), or None when some value of it would not fit int64 or a
-        distinct coefficient's dense row would be longer than the square of
+        distinct coefficient would span more grid steps than the square of
         self's coefficient term count."""
         spec, terms = self.spec, self.terms
         if not terms:
@@ -293,7 +297,8 @@ class TorusElement:
         offset = [(b - n0) // d for b in bottom]
         size = np.array([(max(c.terms) - b) // e + 1 for c, b in zip(coeffs, bottom)])
         ell = int(size.max())
-        if ell > sum(m * len(c.terms) for m, c in zip(mult, coeffs)) ** 2:
+        # the grid steps a row covers bound the layout, not its slots ell
+        if s * (ell - 1) + 1 > sum(m * len(c.terms) for m, c in zip(mult, coeffs)) ** 2:
             return None             # one row outgrows the whole pair loop's products
         rows = np.zeros((len(coeffs), ell), dtype=np.int64)
         for g, (c, b) in enumerate(zip(coeffs, bottom)):

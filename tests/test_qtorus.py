@@ -270,21 +270,29 @@ def grid_steps(a):
 def test_square_rows_on_each_coefficients_step():
     # coefficients that all step by 2 or 3 times 4 lay their rows on that
     # step e and their product columns e/d grid steps apart; mixed steps give
-    # e = 4, and one-term coefficients add no step (all one-term: e = d)
+    # e = 4, and one-term coefficients add no step (all one-term: e = d);
+    # a square whose row would span more grid steps than the pair loop's
+    # products takes the pair loop, whatever its rows' own step
     rng = np.random.default_rng(19)
-    ratios = set()
+    ratios, looped = set(), 0
     for spec in product_specs():
         for steps in ((2,), (3,), (2, 3), (1, 2, 3), (0,), (0, 2), (0, 3)):
             for n_terms in (1, 3, 6):
                 a = stepped_element(rng, spec, n_terms, steps)
                 square = a._square()
-                assert square is not None
-                assert square == reference_product(a, a) == a * a
+                assert a * a == reference_product(a, a)
+                d, e = grid_steps(a)
+                terms = sum(len(c.terms) for c in a.terms.values())
+                rows = max((max(c.terms) - min(c.terms)) // d + 1 for c in a.terms.values())
+                assert (square is None) == (rows > terms ** 2)
+                if square is None:
+                    looped += 1
+                    continue
+                assert square == reference_product(a, a)
                 assert_canonical(square)
                 assert_shared(square)
-                d, e = grid_steps(a)
                 ratios.add(e // d)
-    assert {1, 2, 3} <= ratios
+    assert {1, 2, 3} <= ratios and looped < 10
 
 
 def test_square_int64_and_object_coefficients():
@@ -354,6 +362,15 @@ def test_square_edge_cases(monkeypatch):
     assert a._square() is None
     assert square == a * TorusElement(a.spec, dict(a.terms)) == reference_product(a, a)
     assert len(square.terms) == 3
+    assert_canonical(square)
+    # a two-term coefficient whose terms lie 2^40 apart is a row of 2 slots
+    # on its own step, but next to a one-term coefficient at an odd exponent
+    # the grid step is 1, so its placements would cover about 2^41 grid
+    # steps: the square takes the pair loop
+    a = TorusElement(spec2(8), {(1, 0): Laurent({0: 1, 2 ** 40: 1}), (0, 1): Laurent({1: 1})})
+    square = a * a
+    assert a._square() is None
+    assert square == reference_product(a, a) and len(square.terms) == 3
     assert_canonical(square)
 
 
