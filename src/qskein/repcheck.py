@@ -45,18 +45,12 @@ that several words share is inverted once per order.  A payload that
 collapses to a binomial c_0 x^(k_0) + c_1 x^(k_1) acts as R_0 (I - N),
 each R_t a term's weighted permutation and N = -R_0^-1 R_1 one along a
 translation of (Z/L)^r, so N^l is diagonal for its cycle length l and the
-inverse is (I - N^l)^-1 sum_(j<l) N^j R_0^-1 (cycle_inverse).  A nested
-payload D^-1 A or A D^-1 (the shapes the exact decisions below read)
-whose A is exactly D c x^k or c x^k D, c a unit +-q^(n/8), is the monomial
-c x^k in the skew field (_monomial_value): its inverse c^-1 x^-k acts as
-one weighted permutation per block, built from one gather, with no matrix
-walked and no inverse of D, so such a payload is never singular, not even
-at an order where D is.  Any other payload takes Gauss-Jordan on its
-block's matrix (lu_factor).  The matrices are built on the identity rows
-of all blocks in one batch, but a block larger than all the others
-together is built alone, on its own index space, so it costs what it costs
-at its order alone.  A block singular mod its p, which the binomial and
-Gauss-Jordan routes detect alike, is left zero and its order noted
+inverse is (I - N^l)^-1 sum_(j<l) N^j R_0^-1 (cycle_inverse); any other
+payload takes Gauss-Jordan on its block's matrix (lu_factor).  The
+matrices are built on the identity rows of all blocks in one batch, but a
+block larger than all the others together is built alone, on its own index
+space, so it costs what it costs at its order alone.  A block singular mod
+its p, which both routes detect alike, is left zero and its order noted
 INCONCLUSIVE; the other blocks go on.  The verdict reads the blocks in
 order: the first that differs gives FAIL at that order, an inconclusive
 one is noted, and as many EXTRA_ORDERS as orders are missing are then
@@ -111,7 +105,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qscalar import ZERO, Laurent, RootOfUnity
+from .qscalar import ZERO, RootOfUnity
 from .qtorus import TorusElement, TorusSpec
 from .coordinate_change import Expr
 
@@ -486,8 +480,7 @@ class RootRep:
 
     def _invert(self, expr, blocks):
         """For each of blocks, the inverse mod p of expr's action, along its
-        cycles for a binomial, as c^-1 x^-k for a nested payload equal to
-        c x^k (_monomial_value), and by Gauss-Jordan on the block's matrix
+        cycles for a binomial and by Gauss-Jordan on the block's matrix
         otherwise, or the note saying why the block has none.  The matrices
         are built by acting on identity rows, those of all blocks in one
         batch, except that a block larger than all the others together is
@@ -498,16 +491,6 @@ class RootRep:
             return [_inverse_or_note(cycle_inverse, b, (index[:, b.span] - b.span.start,
                                                         weight[:, b.span]))
                     for b in blocks]
-        mono = _monomial_value(expr)
-        if mono is not None:
-            # (c x^k)^-1 = c^-1 x^-k acts as one weighted permutation per block
-            (index,), (weight,) = self._gathers(mono.inverse_monomial())
-            out = []
-            for b in blocks:
-                inverse = np.zeros((b.dim, b.dim), dtype=np.int64)
-                inverse[np.arange(b.dim), index[b.span] - b.span.start] = weight[b.span]
-                out.append(inverse)
-            return out
         big = max(blocks, key=lambda b: b.dim)
         rest = [b for b in blocks if b is not big]
         groups = [[big], rest] if rest and big.dim > sum(b.dim for b in rest) else [blocks]
@@ -636,32 +619,6 @@ def _split_denominator(expr):
                         for _, fs in words)):
             return side, D, Expr(expr.spec, [(c, fs[rest]) for c, fs in words])
     return None
-
-
-def _monomial_value(expr):
-    """c x^k when expr is D^-1 A or A D^-1 (_split_denominator) with
-    A = D c x^k or A = c x^k D exactly and c a unit +-q^(n/8), so that expr
-    is c x^k in the skew field; None otherwise.  k is lead(A) - lead(D)
-    under the max-key order, c is read off the leading coefficients, and
-    one torus product compared with A decides."""
-    shape = _split_denominator(expr)
-    if shape is None or shape[0] is None:
-        return None
-    side, D, A = shape
-    den, num = D.as_element(), A.as_element()
-    if not den.terms or not num.terms:
-        return None
-    spec, top, lead = den.spec, max(den.terms), max(num.terms)
-    k = tuple(b - a for a, b in zip(top, lead))
-    # A's leading coefficient is c times D's times u^(<lead(D), k>/2) (left)
-    have = den.terms[top] * spec.half_phase(
-        spec.pairing(top, k) if side == "left" else spec.pairing(k, top))
-    want = num.terms[lead]
-    low, base = min(want.terms), min(have.terms)
-    if want.terms[low] not in (have.terms[base], -have.terms[base]):
-        return None
-    mono = TorusElement.monomial(spec, k, Laurent({low - base: want.terms[low] // have.terms[base]}))
-    return mono if (den * mono if side == "left" else mono * den) == num else None
 
 
 def _exact_verdict(expr, want):

@@ -764,78 +764,6 @@ def test_singular_binomial_is_inconclusive_at_its_order():
     assert verdict.notes == ["singular action at L=5: matrix is singular mod %d" % p]
 
 
-def refuse_inversions(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a payload proved monomial was inverted as a matrix")
-
-    monkeypatch.setattr(repcheck, "lu_factor", refuse)
-    monkeypatch.setattr(repcheck, "cycle_inverse", refuse)
-
-
-def test_monomial_payload_of_a_one_flip_walk_takes_no_matrix(monkeypatch):
-    # the closed walk e0_3, e2_4 on polygon5 certifies its row e0_2 by
-    # representation; every payload it inverts is a nested D^-1 (D c x^k),
-    # inverted as the monomial c^-1 x^-k with no matrix built
-    refuse_inversions(monkeypatch)
-    P5 = surface_by_name("polygon5")
-    final, comp, _ = cc.compose_flips(P5, ["e0_3", "e2_4"], side="shear",
-                                      new_labels=["e2_4", "e0_3"])
-    verdicts = verify_generator_map_identity(comp, trials=5)
-    assert final.same_as(P5) and all(v.passed for v in verdicts.values())
-    assert verdicts["e0_2"].method == "representation"
-    assert verdicts["e0_2"].orders == DEFAULT_ORDERS
-
-
-def test_monomial_payload_is_never_singular(monkeypatch):
-    # P = D^-1 (D q^(3/8) x^(1,0)) is q^(3/8) x^(1,0) in the skew field, so it
-    # is inverted at every order, L = 5 included, where D itself is singular:
-    # the row passes at (5, 7, 11) with no note, where it used to rest on
-    # (7, 11, 13) with L = 5 noted singular
-    s, den = singular_at_5()
-    D = den.as_element()
-    mono = TorusElement.monomial(s, (1, 0), Laurent.q_power(3))
-    payload = times(den.inv(), Expr.from_element(D * mono))
-    assert repcheck._monomial_value(payload) == mono
-    with pytest.raises(Inconclusive):
-        RootRep(s, (5,))._solve(den, np.ones(5, dtype=np.int64))
-    row = times(payload.inv(), Expr.from_element(mono))
-    refuse_inversions(monkeypatch)
-    verdict = verify_identity(row, unit(s), s, trials=3)
-    assert verdict.status == "PASS" and verdict.orders == DEFAULT_ORDERS
-    assert verdict.notes == []
-    # on the right, A = c x^k D
-    payload = times(Expr.from_element(mono * D), den.inv())
-    assert repcheck._monomial_value(payload) == mono
-    verdict = verify_identity(times(Expr.from_element(mono), payload.inv()), unit(s), s, trials=3)
-    assert verdict.status == "PASS" and verdict.orders == DEFAULT_ORDERS
-
-
-def test_payload_of_that_shape_but_not_monomial_keeps_its_matrix(monkeypatch):
-    # D^-1 A with A not D c x^k for a unit c (another term, or c = 2) is
-    # inverted from its matrix, as before
-    s = spec2()
-    D = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (1, 0)))
-    mono = TorusElement.monomial(s, (0, 1), Laurent.q_power(-2))
-    Del = D.as_element()
-    calls, gauss_jordan = [], repcheck.lu_factor
-
-    def counted(mat, p):
-        calls.append(p)
-        return gauss_jordan(mat, p)
-
-    monkeypatch.setattr(repcheck, "lu_factor", counted)
-    for num in (Del * mono + TorusElement.monomial(s, (2, 2)),
-                Del * mono * Laurent.integer(2), mono):
-        payload = times(D.inv(), Expr.from_element(num))
-        assert repcheck._monomial_value(payload) is None
-        calls.clear()
-        rep = RootRep(s, DEFAULT_ORDERS)
-        v = rep.random_vectors(2)
-        w = rep._solve(payload, v)
-        assert np.array_equal(rep.act_expr(payload, w), v)
-        assert len(calls) == len(DEFAULT_ORDERS)
-
-
 def test_skein_flip_back_takes_no_gauss_jordan(monkeypatch):
     # guard: the polygon4 skein flip-back at e0_2 inverts its one binomial
     # payload along its cycles at dimensions 25, 49 and 121, never by lu_factor
