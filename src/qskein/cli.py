@@ -186,9 +186,13 @@ def cmd_shear(args):
 
 def cmd_flipseq(args):
     T = _load_surface(args.surface)
-    labels = args.labels.split(",") if args.labels else None
-    if labels and len(labels) != len(args.edges):
-        raise InputError("--labels needs one name per flip")
+    labels = None
+    if args.labels is not None:
+        labels = args.labels.split(",")
+        if len(labels) != len(args.edges):
+            raise InputError("--labels needs one name per flip")
+        if "" in labels:
+            raise InputError("--labels has an empty name")
     try:
         final, comp, datas = compose_flips(
             T, args.edges, side=args.side, new_labels=labels

@@ -53,22 +53,17 @@ Any other square takes the pair loop, which is exact on Python ints.
 
 After the scatter, each output monomial's nonzero entries form one run of
 (exponent, value) pairs, and the square holds one Laurent per distinct
-run.  A hash only buckets the runs: each entry's exponent, value and
-position in its run are mixed in wrapping uint64 arithmetic and summed per
-run, with the run's length folded in.  Each run is then compared in full,
-its length and every entry, with the first run of its bucket, and it takes
-that run's Laurent only if they are equal; a run that differs (a
-collision) keeps a Laurent of its own.  So the grouping is exact and no
-output depends on the hash.  Only the runs that become Laurents are
-converted to Python ints.  Their exponents take one int object per grid
-point from a table over the grid points the kept entries occupy, built
-only when that range is shorter than the number of kept entries: the grid
-can span far more points than the square has entries (2^40 for phases
-of 2^42 on a grid of step 8), and a table over such a span would not fit
-in memory, so those exponents are converted one by one.  Laurent scalars
-and ints are immutable and compare by value, so monomials that share one
-coefficient object, and entries that share one exponent object, give the
-same outputs as before, at less memory.
+run.  Runs are grouped by their exact bytes, so two monomials share a
+Laurent exactly when their coefficients are equal.  Only the runs that
+become Laurents are converted to Python ints.  Their exponents take one
+int object per grid point from a table over the grid points the kept
+entries occupy, built only when that range is shorter than the number of
+kept entries: the grid can span far more points than the square has
+entries (2^40 for phases of 2^42 on a grid of step 8), and a table over
+such a span would not fit in memory, so those exponents are converted one
+by one.  Laurent scalars and ints are immutable and compare by value, so
+monomials that share one coefficient object, and entries that share one
+exponent object, give the same outputs as before, at less memory.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -152,13 +147,6 @@ class TorusSpec:
     def half_phase(self, pair_value):
         """u^(pair_value/2) as a Laurent scalar (pair_value an integer)."""
         return Laurent.q_power((self.u_eighth // 2) * pair_value)
-
-
-# odd multipliers of the hash that buckets _square's output runs; only the
-# bucketing depends on them, never an output
-_MIX = tuple(np.uint64(m) for m in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
-                                    0x165667B19E3779F9, 0xBF58476D1CE4E5B9,
-                                    0x94D049BB133111EB))
 
 
 def _element(spec, terms):
@@ -350,25 +338,15 @@ class TorusElement:
         exp = (slot + low) * d + 2 * n0
         starts = np.flatnonzero(np.diff(mono, prepend=-1))
         lens = np.diff(starts, append=len(nz))
-        runs = np.arange(len(starts))
-        run = np.repeat(runs, lens)
-        step = np.arange(len(nz)) - starts[run]
-        # one Laurent per distinct run: a hash of its entries and length
-        # buckets each run, and a run takes the Laurent of its bucket's first
-        # run only if it has that run's length and entries
-        m1, m2, m3, m4, m5 = _MIX
-        h = exp.astype(np.uint64) * m1 + val.astype(np.uint64) * m2 + step.astype(np.uint64) * m3
-        h ^= h >> np.uint64(29)
-        h *= m4
-        h ^= h >> np.uint64(32)
-        h = np.add.reduceat(h, starts) + lens.astype(np.uint64) * m5
-        _, first, bucket = np.unique(h, return_index=True, return_inverse=True)
-        head = first[bucket]
-        mate = np.minimum(starts[head][run] + step, len(nz) - 1)
-        same = np.logical_and.reduceat((exp[mate] == exp) & (val[mate] == val), starts)
-        owner = np.where(same & (lens[head] == lens), head, runs)
-        own = owner == runs
-        kept = own[run]
+        # one Laurent per distinct run: runs are grouped by their exact bytes,
+        # 16 per (exponent, value) entry, and each takes its group's first run
+        raw = np.stack((exp, val), axis=1).tobytes()
+        bounds = (16 * np.append(starts, len(nz))).tolist()
+        first = {}
+        owner = np.array([first.setdefault(raw[i:j], r)
+                          for r, (i, j) in enumerate(zip(bounds, bounds[1:]))])
+        own = owner == np.arange(len(starts))
+        kept = np.repeat(own, lens)
         # the kept exponents as one int object per grid point, from a table
         # over the slots they occupy, unless that range outnumbers them
         slot = slot[kept]
@@ -427,9 +405,8 @@ class TorusElement:
         parts = []
         for k in sorted(self.terms):
             c = self.terms[k]
-            letter = getattr(self.spec, "letter", "x")
             mono = " ".join(
-                "%s[%s]^%d" % (letter, lab, e)
+                "%s[%s]^%d" % (self.spec.letter, lab, e)
                 for lab, e in zip(self.spec.labels, k)
                 if e
             )

@@ -8,6 +8,7 @@ those calls, or changes one of their exact outputs, fail the test suite,
 not only a benchmark run.  Nothing under perfbench/ is written."""
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -82,3 +83,32 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
                     for n in c.terms]
             assert len({id(n) for n in exps}) == len(set(exps))
     assert len(grid) == 2 * len(jobs) > 20
+
+
+def layout(el):
+    """Keys in order, each coefficient's terms in order, and the number of
+    coefficient objects."""
+    return ([(k, list(c.terms.items())) for k, c in el.terms.items()],
+            len({id(c) for c in el.terms.values()}))
+
+
+def test_trace_squares_do_not_depend_on_term_order(bench):
+    # each traces rung's shear and skein trace, squared with its terms in
+    # the original, sorted, reversed and shuffled orders: every order gives
+    # the same keys in the same order, the same term order in each
+    # coefficient and the same sharing of coefficient objects
+    _, _, workloads = bench
+    rng = random.Random(0)
+    orders = 0
+    for job in workloads.build("traces", 0):
+        out = job.run()
+        for name in ("shear", "skein"):
+            items = list(out[name].terms.items())
+            shuffled = rng.sample(items, len(items))
+            expected = layout(out[name]._square())
+            for order in (sorted(items), items[::-1], shuffled):
+                el = TorusElement(out[name].spec, dict(order))
+                assert list(el.terms) == [k for k, _ in order]
+                assert layout(el._square()) == expected, (job.key, name)
+                orders += 1
+    assert orders == 222

@@ -401,6 +401,10 @@ def test_input_errors(capsys, tmp_path, annulus_files):
         (("flipseq", "builtin:polygon5", "e0_2", "--verify"),
          "--verify needs a flip sequence that returns to the start"),
         (("flipseq", surf, "d1", "--labels", "a,b"), "--labels needs one name per flip"),
+        # an empty name would otherwise fall back to the default one
+        (("flipseq", "builtin:polygon5", "e0_2", "e0_3", "--labels", ",x"),
+         "--labels has an empty name"),
+        (("flipseq", "builtin:polygon5", "e0_2", "--labels", ""), "--labels has an empty name"),
         (("puncture", "trace", "builtin:torus1"), "puncture trace needs a curve file"),
     ]
     # a curve through a side no triangle has, an element on no inner edge

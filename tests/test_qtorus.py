@@ -168,35 +168,36 @@ def test_square_matches_per_pair_reference(monkeypatch):
     assert any(len({id(c) for c in sq.terms.values()}) < len(sq.terms) for sq in grid)
 
 
-def test_square_is_exact_when_every_run_collides(monkeypatch):
-    # zero multipliers hash every output run to one bucket, so each run is
-    # compared with the bucket's first run in full, and every run that
-    # differs from it keeps a Laurent of its own
-    monkeypatch.setattr(qtorus, "_MIX", (np.uint64(0),) * 5)
+def test_square_shares_exactly_the_equal_coefficients():
+    # every grid square holds one object per distinct coefficient: random
+    # and repeating elements, and both traces of the 9-crossing greedy rung
     rng = np.random.default_rng(13)
-    squares, unshared = 0, 0
+    squares = 0
     for spec in product_specs():
         for n_terms in (2, 5, 9):
             for a in (random_element(rng, spec, n_terms), repeating_element(rng, spec, n_terms)):
-                if a._square() is None:
+                square = a._square()
+                if square is None:
                     continue
-                square = a * a
                 assert square == reference_product(a, a)
                 assert_canonical(square)
+                assert_shared(square)
                 squares += 1
-    # x^(0,2)'s coefficient 1 is the first entry of x^(2,0)'s 1 + 2q + q^2,
-    # the first run: equal entries, but not an equal run
+    # x^(0,2)'s coefficient 1 is the first entry of x^(2,0)'s 1 + 2q + q^2:
+    # the two runs begin alike but differ, so they share no object
     a = TorusElement(spec2(0), {(1, 0): Laurent({0: 1, 8: 1}), (0, 1): ONE})
-    assert a._square() == reference_product(a, a)
+    square = a._square()
+    assert square == reference_product(a, a)
+    assert_shared(square)
     T, alpha = greedy_rung(9)
     for el in trace_once_edge(alpha, T, bundle=ShearSkein(T))[:2]:
         square = el._square()
         assert square == reference_product(el, el)
         assert_canonical(square)
-        coeffs = square.terms.values()
-        unshared += len({id(c) for c in coeffs}) > len(set(coeffs))
+        assert_shared(square)
+        assert len({id(c) for c in square.terms.values()}) < len(square.terms)
         squares += 1
-    assert squares >= 30 and unshared == 2
+    assert squares >= 30
 
 
 def greedy_rung(crossings):
