@@ -24,7 +24,7 @@ class Laurent:
     empty map is zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "__weakref__")
 
     def __init__(self, terms=None):
         clean = {}
@@ -69,8 +69,10 @@ class Laurent:
         return Laurent({n: coeff})
 
     # -- ring structure ----------------------------------------------
-    # any other operand gets NotImplemented, so Python raises TypeError:
-    # neither torus elements nor Exprs have a reflected sum or product
+    # the right operand is a Laurent or an int (an int on the left is
+    # refused: write Laurent.integer(c)); any other operand gets
+    # NotImplemented, so Python raises TypeError: neither torus elements nor
+    # Exprs have a reflected sum or product
 
     def __add__(self, other):
         other = _as_laurent(other)
@@ -81,8 +83,6 @@ class Laurent:
             out[n] = out.get(n, 0) + c
         return Laurent(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Laurent({n: -c for n, c in self.terms.items()})
 
@@ -90,15 +90,9 @@ class Laurent:
         other = _as_laurent(other)
         return other if other is NotImplemented else self + (-other)
 
-    def __rsub__(self, other):
-        other = _as_laurent(other)
-        return other if other is NotImplemented else other + (-self)
-
     def __mul__(self, other):
         other = _as_laurent(other)
         return other if other is NotImplemented else Laurent(_times(self, other))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:

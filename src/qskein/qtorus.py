@@ -52,18 +52,25 @@ d = 1, and its placements would cover about 2^41 grid steps.
 Any other square takes the pair loop, which is exact on Python ints.
 
 After the scatter, each output monomial's nonzero entries form one run of
-(exponent, value) pairs, and the square holds one Laurent per distinct
-run.  Runs are grouped by their exact bytes, so two monomials share a
-Laurent exactly when their coefficients are equal.  Only the runs that
-become Laurents are converted to Python ints.  Their exponents take one
-int object per grid point from a table over the grid points the kept
-entries occupy, built only when that range is shorter than the number of
-kept entries: the grid can span far more points than the square has
-entries (2^40 for phases of 2^42 on a grid of step 8), and a table over
-such a span would not fit in memory, so those exponents are converted one
-by one.  Laurent scalars and ints are immutable and compare by value, so
-monomials that share one coefficient object, and entries that share one
-exponent object, give the same outputs as before, at less memory.
+(exponent, value) pairs, and the process holds one Laurent per distinct
+live run.  Runs are grouped by their exact bytes across squares: _RUNS, a
+weak table from a run's bytes to the Laurent built from it, hands a run
+that equals a coefficient of any grid square still alive that Laurent,
+so two monomials of live grid squares share a Laurent exactly when their
+coefficients are equal.  (psi only changes exponents, so the skein square
+psi(t) psi(t) has the coefficients of the shear square t t.)  The table
+holds its Laurents weakly: it keeps none alive, and an entry leaves it
+when its Laurent is freed.  Only the runs with no live match are built,
+once per distinct run of the square, and registered, and only they are
+converted to Python ints.  Their exponents take one int object per grid
+point from a table over the grid points the kept entries occupy, built
+only when that range is shorter than the number of kept entries: the
+grid can span far more points than the square has entries (2^40 for
+phases of 2^42 on a grid of step 8), and a table over such a span would
+not fit in memory, so those exponents are converted one by one.  Laurent
+scalars and ints are immutable and compare by value, so monomials that
+share one coefficient object, and entries that share one exponent object,
+give the same outputs as separate objects would, at less memory.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -74,12 +81,18 @@ same way.
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import islice
 from operator import add, index, mul
 
 import numpy as np
 
 from .qscalar import Laurent, ONE, _times
+
+# the exact bytes of a square's output run -> the live Laurent built from it
+# (module docstring); weak, so it keeps no coefficient alive.  A miss only
+# costs a build: a reused Laurent has the terms, in the order, of a new one
+_RUNS = weakref.WeakValueDictionary()
 
 
 class TorusSpec:
@@ -338,30 +351,40 @@ class TorusElement:
         exp = (slot + low) * d + 2 * n0
         starts = np.flatnonzero(np.diff(mono, prepend=-1))
         lens = np.diff(starts, append=len(nz))
-        # one Laurent per distinct run: runs are grouped by their exact bytes,
-        # 16 per (exponent, value) entry, and each takes its group's first run
+        # one Laurent per distinct live run (module docstring): a run whose
+        # exact bytes, 16 per (exponent, value) entry, name a Laurent still
+        # alive in _RUNS takes it; the others are grouped by their bytes, and
+        # each group's first run is built and registered
         raw = np.stack((exp, val), axis=1).tobytes()
         bounds = (16 * np.append(starts, len(nz))).tolist()
-        first = {}
-        owner = np.array([first.setdefault(raw[i:j], r)
-                          for r, (i, j) in enumerate(zip(bounds, bounds[1:]))])
-        own = owner == np.arange(len(starts))
-        kept = np.repeat(own, lens)
-        # the kept exponents as one int object per grid point, from a table
-        # over the slots they occupy, unless that range outnumbers them
-        slot = slot[kept]
-        lo, hi = int(slot.min()), int(slot.max())
-        if hi - lo < len(slot):
-            table = ((np.arange(lo, hi + 1) + low) * d + 2 * n0).tolist()
-            exps = map(table.__getitem__, (slot - lo).tolist())
-        else:
-            exps = exp[kept].tolist()
-        entries = zip(exps, val[kept].tolist())
-        coeffs = [Laurent._canonical(dict(islice(entries, n))) for n in lens[own].tolist()]
-        held = (np.cumsum(own) - 1)[owner].tolist()
+        runs = [raw[i:j] for i, j in zip(bounds, bounds[1:])]
+        live = list(map(_RUNS.get, runs))
+        fresh = {}          # the bytes of each run with no live match -> its first run
+        for r, (run, c) in enumerate(zip(runs, live)):
+            if c is None:
+                fresh.setdefault(run, r)
+        if fresh:
+            first = list(fresh.values())
+            own = np.zeros(len(runs), dtype=bool)
+            own[first] = True
+            kept = np.repeat(own, lens)
+            # the kept exponents as one int object per grid point, from a
+            # table over the slots they occupy, unless that range outnumbers
+            # them
+            slot = slot[kept]
+            lo, hi = int(slot.min()), int(slot.max())
+            if hi - lo < len(slot):
+                table = ((np.arange(lo, hi + 1) + low) * d + 2 * n0).tolist()
+                exps = map(table.__getitem__, (slot - lo).tolist())
+            else:
+                exps = exp[kept].tolist()
+            entries = zip(exps, val[kept].tolist())
+            for run, n in zip(list(fresh), lens[first].tolist()):
+                fresh[run] = _RUNS[run] = Laurent._canonical(dict(islice(entries, n)))
+        coeffs = [fresh[run] if c is None else c for run, c in zip(runs, live)]
         out_keys = map(tuple, (out_codes[mono[starts], None] // strides % radix
                                + 2 * lows).tolist())
-        return _element(spec, dict(zip(out_keys, map(coeffs.__getitem__, held))))
+        return _element(spec, dict(zip(out_keys, coeffs)))
 
     def inverse_monomial(self):
         """Inverse of a one-term element with unit coefficient times q-power."""

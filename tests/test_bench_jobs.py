@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from qskein.qtorus import TorusElement
-from test_qtorus import assert_shared, reference_product
+from test_qtorus import assert_shared, reference_product, square_builds
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,7 +63,9 @@ def test_full_jobs_pass_their_checks_and_golden_digests(bench, name):
 def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
     # every greedy-rung trace of the reduced traces list is squared on the
     # grid; each square equals the per-pair reference and holds one object
-    # per distinct coefficient and one int object per distinct exponent
+    # per distinct coefficient, and, with no earlier job's square alive, one
+    # int object per distinct exponent; with every square alive, the
+    # squares hold one object per distinct coefficient between them
     _, _, workloads = bench
     grid, square_on_grid = [], TorusElement._square
 
@@ -71,9 +73,7 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
         grid.append(square_on_grid(el))
         return grid[-1]
 
-    monkeypatch.setattr(TorusElement, "_square", recorded)
-    jobs = workloads.build("traces", 0, tiny=True)
-    for job in jobs:
+    def check_squares(job):
         out = job.run()
         for name, square in zip(("shear", "skein"), grid[-2:]):
             assert square is out[name + "_sq"]
@@ -82,7 +82,38 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
             exps = [n for c in {id(c): c for c in square.terms.values()}.values()
                     for n in c.terms]
             assert len({id(n) for n in exps}) == len(set(exps))
+
+    monkeypatch.setattr(TorusElement, "_square", recorded)
+    jobs = workloads.build("traces", 0, tiny=True)
+    for job in jobs:
+        check_squares(job)
+        grid.clear()
+    held = [job.run() for job in jobs]
     assert len(grid) == 2 * len(jobs) > 20
+    coeffs = [c for square in grid for c in square.terms.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
+    assert all(out["shear_sq"] is grid[2 * i] for i, out in enumerate(held))
+
+
+def test_skein_square_takes_the_shear_square_coefficients(bench, monkeypatch):
+    # psi changes exponents only, so the skein square psi(t) psi(t) has the
+    # coefficients of the shear square t t: while the shear square is
+    # alive, the skein square takes each of them and builds no Laurent, and
+    # the shear square made again holds the first one's objects
+    _, _, workloads = bench
+    for job in workloads.build("traces", 0, tiny=True):
+        out = job.run()
+        shear, skein = out["shear"], out["skein"]
+        del out
+        first = shear * shear
+        second, built = square_builds(monkeypatch, skein)
+        assert built == [], job.key
+        assert {id(c) for c in second.terms.values()} <= {id(c) for c in first.terms.values()}
+        assert first == reference_product(shear, shear)
+        assert second == reference_product(skein, skein)
+        again, built = square_builds(monkeypatch, shear)
+        assert built == []
+        assert all(again.terms[k] is c for k, c in first.terms.items())
 
 
 def layout(el):

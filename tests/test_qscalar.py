@@ -127,3 +127,15 @@ def test_scalar_on_the_left():
         c + el
     with pytest.raises(TypeError):
         c - 1.5
+
+
+def test_int_operand_only_on_the_right():
+    # c + 1, c - 1 and c * 2 take the int as a constant; an int on the left
+    # is refused, and Laurent.integer puts a constant there
+    c = q(1) + q(-1)
+    assert c + 1 == Laurent.integer(1) + c == q(1) + q(-1) + q(0)
+    assert c - 1 == c + Laurent.integer(-1)
+    assert c * 2 == Laurent.integer(2) * c == q(1, 2) + q(-1, 2)
+    for op in (lambda: 1 + c, lambda: 1 - c, lambda: 2 * c):
+        with pytest.raises(TypeError):
+            op()

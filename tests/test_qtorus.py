@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -198,6 +199,67 @@ def test_square_shares_exactly_the_equal_coefficients():
         assert len({id(c) for c in square.terms.values()}) < len(square.terms)
         squares += 1
     assert squares >= 30
+
+
+def unmatched_element(rng, spec, n_terms):
+    """A repeating element whose coefficients are multiples of 10007, which
+    no other test's square holds, so none of its square's coefficients can
+    be alive before it is made."""
+    a = repeating_element(rng, spec, n_terms)
+    return TorusElement(spec, {k: c * Laurent.integer(10007) for k, c in a.terms.items()})
+
+
+def square_builds(monkeypatch, a):
+    """a * a, and the coefficients it builds."""
+    built, canonical = [], Laurent._canonical
+
+    def counted(terms):
+        built.append(canonical(terms))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(Laurent, "_canonical", staticmethod(counted))
+        square = a * a
+    return square, built
+
+
+def test_square_takes_live_coefficients(monkeypatch):
+    # a second grid square of one element, made while the first is alive,
+    # holds the first square's coefficient objects and builds none
+    rng = np.random.default_rng(35)
+    squares = 0
+    for spec in product_specs():
+        for a in (unmatched_element(rng, spec, 1), unmatched_element(rng, spec, 9)):
+            if a._square() is None:
+                continue
+            squares += 1
+            first, built = square_builds(monkeypatch, a)
+            assert len(built) == len(set(first.terms.values()))
+            second, built = square_builds(monkeypatch, a)
+            assert built == []
+            assert list(second.terms) == list(first.terms)
+            assert all(second.terms[k] is c for k, c in first.terms.items())
+            assert second == reference_product(a, a)
+    assert squares >= 10
+
+
+def test_square_table_is_weak(monkeypatch):
+    # the table of live coefficients keeps none alive: once every square is
+    # gone it is back to its size before them, and a new square builds
+    # fresh coefficients
+    rng = np.random.default_rng(36)
+    before = len(qtorus._RUNS)
+    elements = [unmatched_element(rng, spec, 9) for spec in product_specs()]
+    squares = [a * a for a in elements]
+    assert len(qtorus._RUNS) > before
+    del squares
+    gc.collect()
+    assert len(qtorus._RUNS) == before
+    for a in elements:
+        square, built = square_builds(monkeypatch, a)
+        assert square == reference_product(a, a)
+        assert {id(c) for c in square.terms.values()} == {id(c) for c in built}
+        assert len(built) == len(set(built))
 
 
 def greedy_rung(crossings):
