@@ -51,26 +51,44 @@ next to a one-term coefficient at an odd exponent, has ell = 2 but
 d = 1, and its placements would cover about 2^41 grid steps.
 Any other square takes the pair loop, which is exact on Python ints.
 
+A square has an exponent side and a coefficient side.  The exponent side
+computes the codes, the unordered term pairs, their phases and the output
+monomials.  The coefficient side, _square_coefficients, computes the rows,
+convolutions, layout, scatter and runs, and gives one Laurent (or None,
+where the pairs cancel) per output monomial.  It reads only the square's
+multiplication table: the distinct coefficients by value, in the order
+met; each term's coefficient index; each unordered pair's phase in eighths
+of q; and each pair's output monomial, numbered by its first pair in pair
+order, a numbering that depends neither on the exponent vectors nor on
+their code order.  _SQUARES maps the table of each live square that ran
+the coefficient side to its coefficient of each numbered monomial, and a
+square whose table is there takes those and skips the coefficient side.
+Its keys still come from its own codes, in code order, so its keys, their
+order, its Laurent objects and their term order are those the coefficient
+side would give it.  psi only relabels exponents and keeps the term order,
+so the skein square psi(t) psi(t) takes the table of the shear square
+t t.  An entry leaves _SQUARES when the square that computed it is freed
+(weakref.finalize), not when a square that took it is.
+
 After the scatter, each output monomial's nonzero entries form one run of
 (exponent, value) pairs, and the process holds one Laurent per distinct
 live run.  Runs are grouped by their exact bytes across squares: _RUNS, a
 weak table from a run's bytes to the Laurent built from it, hands a run
 that equals a coefficient of any grid square still alive that Laurent,
 so two monomials of live grid squares share a Laurent exactly when their
-coefficients are equal.  (psi only changes exponents, so the skein square
-psi(t) psi(t) has the coefficients of the shear square t t.)  The table
-holds its Laurents weakly: it keeps none alive, and an entry leaves it
-when its Laurent is freed.  Only the runs with no live match are built,
-once per distinct run of the square, and registered, and only they are
-converted to Python ints.  Their exponents take one int object per grid
-point from a table over the grid points the kept entries occupy, built
-only when that range is shorter than the number of kept entries: the
-grid can span far more points than the square has entries (2^40 for
-phases of 2^42 on a grid of step 8), and a table over such a span would
-not fit in memory, so those exponents are converted one by one.  Laurent
-scalars and ints are immutable and compare by value, so monomials that
-share one coefficient object, and entries that share one exponent object,
-give the same outputs as separate objects would, at less memory.
+coefficients are equal.  The table holds its Laurents weakly: it keeps
+none alive, and an entry leaves it when its Laurent is freed.  Only the
+runs with no live match are built, once per distinct run of the square,
+and registered, and only they are converted to Python ints.  Their
+exponents take one int object per grid point from a table over the grid
+points the kept entries occupy, built only when that range is shorter
+than the number of kept entries: the grid can span far more points than
+the square has entries (2^40 for phases of 2^42 on a grid of step 8), and
+a table over such a span would not fit in memory, so those exponents are
+converted one by one.  Laurent scalars and ints are immutable and compare
+by value, so monomials that share one coefficient object, and entries that
+share one exponent object, give the same outputs as separate objects
+would, at less memory.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -93,6 +111,10 @@ from .qscalar import Laurent, ONE, _times
 # (module docstring); weak, so it keeps no coefficient alive.  A miss only
 # costs a build: a reused Laurent has the terms, in the order, of a new one
 _RUNS = weakref.WeakValueDictionary()
+# a grid square's multiplication table -> its coefficient of each output
+# monomial numbered by first pair, None where it cancels (module docstring);
+# an entry leaves when its square is freed
+_SQUARES = {}
 
 
 class TorusSpec:
@@ -175,7 +197,7 @@ def _element(spec, terms):
 class TorusElement:
     """A finite R-linear combination of normalized monomials x^k."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "terms", "__weakref__")
 
     def __init__(self, spec, terms=None):
         self.spec = spec
@@ -253,10 +275,10 @@ class TorusElement:
         return _element(spec, {k: Laurent._canonical(c) for k, c in out if c})
 
     def _square(self):
-        """self * self as one int64 scatter on the exponent grid (module
-        docstring), or None when some value of it would not fit int64 or a
-        distinct coefficient would span more grid steps than the square of
-        self's coefficient term count."""
+        """self * self on the exponent grid (module docstring), or None when
+        some value of it would not fit int64 or a distinct coefficient would
+        span more grid steps than the square of self's coefficient term
+        count."""
         spec, terms = self.spec, self.terms
         if not terms:
             return TorusElement(spec)
@@ -266,7 +288,6 @@ class TorusElement:
         coeffs = list(index)
         mult = np.bincount(group).tolist()      # terms per distinct coefficient
         ns = [n for c in coeffs for n in c.terms]
-        n0 = min(ns)
         cols = list(zip(*keys))
         lows = [min(col) for col in cols]
         radix = [2 * (max(col) - low) + 1 for col, low in zip(cols, lows)]
@@ -279,112 +300,35 @@ class TorusElement:
                norm * norm) >= 1 << 63:
             return None
         # exponent side: mixed-radix codes, code(k_i + k_j) = code_i + code_j,
-        # and pair phases
+        # pair phases, and each output monomial numbered by its first pair
         strides = np.array([math.prod(radix[:i]) for i in range(len(radix))], dtype=np.int64)
         radix, lows = np.array(radix, dtype=np.int64), np.array(lows, dtype=np.int64)
         K = np.array(keys, dtype=np.int64).reshape(len(keys), len(cols))
         code = (K - lows) @ strides
         iu, ju = np.triu_indices(len(keys))     # unordered term pairs i <= j
-        out_codes, out_of = np.unique(code[iu] + code[ju], return_inverse=True)
+        out_codes, first, out_of = np.unique(code[iu] + code[ju], return_index=True,
+                                             return_inverse=True)
         phase = ((K @ spec.A) @ K.T)[iu, ju] * half
-        d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
-        # coefficient side: each distinct coefficient a dense row on step e
-        # from its lowest exponent, e the gcd of the exponent differences
-        # inside the coefficients (d when each has one term, and a multiple
-        # of d), and one convolution per distinct unordered coefficient pair
-        bottom = [min(c.terms) for c in coeffs]
-        e = math.gcd(*(n - b for c, b in zip(coeffs, bottom) for n in c.terms)) or d
-        s = e // d                  # grid steps from one product column to the next
-        offset = [(b - n0) // d for b in bottom]
-        size = np.array([(max(c.terms) - b) // e + 1 for c, b in zip(coeffs, bottom)])
-        ell = int(size.max())
-        # the grid steps a row covers bound the layout, not its slots ell
-        if s * (ell - 1) + 1 > sum(m * len(c.terms) for m, c in zip(mult, coeffs)) ** 2:
-            return None             # one row outgrows the whole pair loop's products
-        rows = np.zeros((len(coeffs), ell), dtype=np.int64)
-        for g, (c, b) in enumerate(zip(coeffs, bottom)):
-            for n, v in c.terms.items():
-                rows[g, (n - b) // e] = v
-        group, offset = np.array(group), np.array(offset)
-        g1, g2 = group[iu], group[ju]
-        pairs, via = np.unique(np.minimum(g1, g2) * len(coeffs) + np.maximum(g1, g2),
-                               return_inverse=True)
-        left, right = divmod(pairs, len(coeffs))
-        conv = np.zeros((2 * ell - 1, len(pairs)), dtype=np.int64)    # a pair per column
-        right_rows = rows[right].T
-        for j in range(ell):
-            conv[j:j + ell] += right_rows * rows[left, j]
-        # a term pair's product starts at its grid position plus its phase
-        # and, for i < j, also minus its phase, since <k_j,k_i> = -<k_i,k_j>;
-        # its column t lies s * t grid steps further on
-        shift = phase // d
-        base = offset[g1] + offset[g2]
-        cross = iu != ju
-        at = np.concatenate((base + shift, (base - shift)[cross]))
-        via = np.concatenate((via, via[cross]))
-        length = (size[left] + size[right] - 1)[via]       # product columns
-        extent = s * (length - 1) + 1                       # grid steps they cover
-        # positions, first by the key (monomial, start), then in the layout,
-        # which cuts out each gap that no earlier placement reaches across
-        low = int(at.min())
-        span = int((at + extent).max()) - low
-        pos = np.concatenate((out_of, out_of[cross])) * span + (at - low)
-        order = np.argsort(pos)
-        pos, via, length, extent = pos[order], via[order], length[order], extent[order]
-        # cut[i] sums the gaps up to placement i, where the farthest end so
-        # far falls short of the next start
-        cut = np.maximum.accumulate(pos + extent)
-        cut = np.cumsum(np.maximum(pos - np.concatenate(([0], cut[:-1])), 0))
-        pos -= cut
-        flat = np.zeros(int((pos + extent).max()), dtype=np.int64)
-        # product column t adds to the term pairs whose product is longer
-        order = np.argsort(length)
-        at, via, length = pos[order], via[order], length[order]
-        skip = np.searchsorted(length, np.arange(2 * ell - 1), side="right")
-        for t, k in enumerate(skip.tolist()):
-            np.add.at(flat, at[k:] + s * t, conv[t, via[k:]])
-        # a nonzero entry's key is its layout index plus the cut before it;
-        # each output monomial's entries form one run, in exponent order
-        nz = np.flatnonzero(flat)
-        key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
-        mono, slot, val = key // span, key % span, flat[nz]
-        exp = (slot + low) * d + 2 * n0
-        starts = np.flatnonzero(np.diff(mono, prepend=-1))
-        lens = np.diff(starts, append=len(nz))
-        # one Laurent per distinct live run (module docstring): a run whose
-        # exact bytes, 16 per (exponent, value) entry, name a Laurent still
-        # alive in _RUNS takes it; the others are grouped by their bytes, and
-        # each group's first run is built and registered
-        raw = np.stack((exp, val), axis=1).tobytes()
-        bounds = (16 * np.append(starts, len(nz))).tolist()
-        runs = [raw[i:j] for i, j in zip(bounds, bounds[1:])]
-        live = list(map(_RUNS.get, runs))
-        fresh = {}          # the bytes of each run with no live match -> its first run
-        for r, (run, c) in enumerate(zip(runs, live)):
-            if c is None:
-                fresh.setdefault(run, r)
-        if fresh:
-            first = list(fresh.values())
-            own = np.zeros(len(runs), dtype=bool)
-            own[first] = True
-            kept = np.repeat(own, lens)
-            # the kept exponents as one int object per grid point, from a
-            # table over the slots they occupy, unless that range outnumbers
-            # them
-            slot = slot[kept]
-            lo, hi = int(slot.min()), int(slot.max())
-            if hi - lo < len(slot):
-                table = ((np.arange(lo, hi + 1) + low) * d + 2 * n0).tolist()
-                exps = map(table.__getitem__, (slot - lo).tolist())
-            else:
-                exps = exp[kept].tolist()
-            entries = zip(exps, val[kept].tolist())
-            for run, n in zip(list(fresh), lens[first].tolist()):
-                fresh[run] = _RUNS[run] = Laurent._canonical(dict(islice(entries, n)))
-        coeffs = [fresh[run] if c is None else c for run, c in zip(runs, live)]
-        out_keys = map(tuple, (out_codes[mono[starts], None] // strides % radix
-                               + 2 * lows).tolist())
-        return _element(spec, dict(zip(out_keys, coeffs)))
+        unrank = np.argsort(first)              # first-pair number -> code order
+        rank = np.argsort(unrank)               # code order -> first-pair number
+        # the multiplication table keys the coefficient side (module
+        # docstring): a live square with this table hands over its
+        # coefficient of each numbered monomial
+        group = np.array(group)
+        table = (tuple(coeffs), group.tobytes(), phase.tobytes(), rank[out_of].tobytes())
+        known = _SQUARES.get(table)
+        if known is None:
+            out = _square_coefficients(coeffs, group, iu, ju, phase, out_of, len(out_codes))
+            if out is None:
+                return None
+        else:
+            out = list(map(known.__getitem__, rank.tolist()))
+        out_keys = map(tuple, (out_codes[:, None] // strides % radix + 2 * lows).tolist())
+        square = _element(spec, {k: c for k, c in zip(out_keys, out) if c is not None})
+        if known is None:
+            _SQUARES[table] = list(map(out.__getitem__, unrank.tolist()))
+            weakref.finalize(square, _SQUARES.pop, table)
+        return square
 
     def inverse_monomial(self):
         """Inverse of a one-term element with unit coefficient times q-power."""
@@ -462,6 +406,115 @@ def element_from_json(spec, data):
         co = Laurent({int(n): int(c) for n, c in t.get("coeff", {"0": 1}).items()})
         terms[k] = terms.get(k, Laurent.zero()) + co
     return TorusElement(spec, terms)
+
+
+def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
+    """The coefficient side of a square (module docstring): its distinct
+    coefficients, each term's coefficient index group, the unordered term
+    pairs iu <= ju with their phases in eighths of q and output monomials
+    out_of, give the coefficient of each of the count output monomials, a
+    Laurent or None where it cancels; None instead when a distinct
+    coefficient spans more grid steps than the square of the coefficient
+    term count."""
+    ns = [n for c in coeffs for n in c.terms]
+    n0 = min(ns)
+    d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
+    # each distinct coefficient a dense row on step e from its lowest
+    # exponent, e the gcd of the exponent differences inside the
+    # coefficients (d when each has one term, and a multiple of d), and one
+    # convolution per distinct unordered coefficient pair
+    bottom = [min(c.terms) for c in coeffs]
+    e = math.gcd(*(n - b for c, b in zip(coeffs, bottom) for n in c.terms)) or d
+    s = e // d                  # grid steps from one product column to the next
+    offset = np.array([(b - n0) // d for b in bottom])
+    size = np.array([(max(c.terms) - b) // e + 1 for c, b in zip(coeffs, bottom)])
+    ell = int(size.max())
+    # the grid steps a row covers bound the layout, not its slots ell
+    if s * (ell - 1) + 1 > sum(len(coeffs[g].terms) for g in group.tolist()) ** 2:
+        return None             # one row outgrows the whole pair loop's products
+    rows = np.zeros((len(coeffs), ell), dtype=np.int64)
+    for g, (c, b) in enumerate(zip(coeffs, bottom)):
+        for n, v in c.terms.items():
+            rows[g, (n - b) // e] = v
+    g1, g2 = group[iu], group[ju]
+    pairs, via = np.unique(np.minimum(g1, g2) * len(coeffs) + np.maximum(g1, g2),
+                           return_inverse=True)
+    left, right = divmod(pairs, len(coeffs))
+    conv = np.zeros((2 * ell - 1, len(pairs)), dtype=np.int64)    # a pair per column
+    right_rows = rows[right].T
+    for j in range(ell):
+        conv[j:j + ell] += right_rows * rows[left, j]
+    # a term pair's product starts at its grid position plus its phase
+    # and, for i < j, also minus its phase, since <k_j,k_i> = -<k_i,k_j>;
+    # its column t lies s * t grid steps further on
+    shift = phase // d
+    base = offset[g1] + offset[g2]
+    cross = iu != ju
+    at = np.concatenate((base + shift, (base - shift)[cross]))
+    via = np.concatenate((via, via[cross]))
+    length = (size[left] + size[right] - 1)[via]       # product columns
+    extent = s * (length - 1) + 1                       # grid steps they cover
+    # positions, first by the key (monomial, start), then in the layout,
+    # which cuts out each gap that no earlier placement reaches across
+    low = int(at.min())
+    span = int((at + extent).max()) - low
+    pos = np.concatenate((out_of, out_of[cross])) * span + (at - low)
+    order = np.argsort(pos)
+    pos, via, length, extent = pos[order], via[order], length[order], extent[order]
+    # cut[i] sums the gaps up to placement i, where the farthest end so
+    # far falls short of the next start
+    cut = np.maximum.accumulate(pos + extent)
+    cut = np.cumsum(np.maximum(pos - np.concatenate(([0], cut[:-1])), 0))
+    pos -= cut
+    flat = np.zeros(int((pos + extent).max()), dtype=np.int64)
+    # product column t adds to the term pairs whose product is longer
+    order = np.argsort(length)
+    at, via, length = pos[order], via[order], length[order]
+    skip = np.searchsorted(length, np.arange(2 * ell - 1), side="right")
+    for t, k in enumerate(skip.tolist()):
+        np.add.at(flat, at[k:] + s * t, conv[t, via[k:]])
+    # a nonzero entry's key is its layout index plus the cut before it;
+    # each output monomial's entries form one run, in exponent order
+    nz = np.flatnonzero(flat)
+    key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
+    mono, slot, val = key // span, key % span, flat[nz]
+    exp = (slot + low) * d + 2 * n0
+    starts = np.flatnonzero(np.diff(mono, prepend=-1))
+    lens = np.diff(starts, append=len(nz))
+    # one Laurent per distinct live run (module docstring): a run whose
+    # exact bytes, 16 per (exponent, value) entry, name a Laurent still
+    # alive in _RUNS takes it; the others are grouped by their bytes, and
+    # each group's first run is built and registered
+    raw = np.stack((exp, val), axis=1).tobytes()
+    bounds = (16 * np.append(starts, len(nz))).tolist()
+    runs = [raw[i:j] for i, j in zip(bounds, bounds[1:])]
+    live = list(map(_RUNS.get, runs))
+    fresh = {}          # the bytes of each run with no live match -> its first run
+    for r, (run, c) in enumerate(zip(runs, live)):
+        if c is None:
+            fresh.setdefault(run, r)
+    if fresh:
+        first = list(fresh.values())
+        own = np.zeros(len(runs), dtype=bool)
+        own[first] = True
+        kept = np.repeat(own, lens)
+        # the kept exponents as one int object per grid point, from a
+        # table over the slots they occupy, unless that range outnumbers
+        # them
+        slot = slot[kept]
+        lo, hi = int(slot.min()), int(slot.max())
+        if hi - lo < len(slot):
+            table = ((np.arange(lo, hi + 1) + low) * d + 2 * n0).tolist()
+            exps = map(table.__getitem__, (slot - lo).tolist())
+        else:
+            exps = exp[kept].tolist()
+        entries = zip(exps, val[kept].tolist())
+        for run, n in zip(list(fresh), lens[first].tolist()):
+            fresh[run] = _RUNS[run] = Laurent._canonical(dict(islice(entries, n)))
+    out = [None] * count
+    for m, run, c in zip(mono[starts].tolist(), runs, live):
+        out[m] = fresh[run] if c is None else c
+    return out
 
 
 # ---------------------------------------------------------------------------

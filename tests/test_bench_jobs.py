@@ -7,15 +7,18 @@ them).  Running these jobs here makes a change that breaks one of
 those calls, or changes one of their exact outputs, fail the test suite,
 not only a benchmark run.  Nothing under perfbench/ is written."""
 
+import hashlib
 import importlib
+import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from qskein.qtorus import TorusElement
-from test_qtorus import assert_shared, reference_product, square_builds
+from test_qtorus import assert_shared, coefficient_sides, reference_product, square_builds
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -97,22 +100,25 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
 
 def test_skein_square_takes_the_shear_square_coefficients(bench, monkeypatch):
     # psi changes exponents only, so the skein square psi(t) psi(t) has the
-    # coefficients of the shear square t t: while the shear square is
-    # alive, the skein square takes each of them and builds no Laurent, and
-    # the shear square made again holds the first one's objects
+    # multiplication table of the shear square t t: while the shear square
+    # is alive, the skein square runs no coefficient side, builds no
+    # Laurent and holds the shear square's coefficient objects, and the
+    # shear square made again holds the first one's objects
     _, _, workloads = bench
     for job in workloads.build("traces", 0, tiny=True):
         out = job.run()
         shear, skein = out["shear"], out["skein"]
         del out
         first = shear * shear
-        second, built = square_builds(monkeypatch, skein)
-        assert built == [], job.key
-        assert {id(c) for c in second.terms.values()} <= {id(c) for c in first.terms.values()}
+        sides = partial(coefficient_sides, monkeypatch)
+        (second, runs), built = square_builds(monkeypatch, skein, sides)
+        assert (runs, built) == (0, []), job.key
+        assert len(second.terms) == len(first.terms)
+        assert {id(c) for c in second.terms.values()} == {id(c) for c in first.terms.values()}
         assert first == reference_product(shear, shear)
         assert second == reference_product(skein, skein)
-        again, built = square_builds(monkeypatch, shear)
-        assert built == []
+        (again, runs), built = square_builds(monkeypatch, shear, sides)
+        assert (runs, built) == (0, [])
         assert all(again.terms[k] is c for k, c in first.terms.items())
 
 
@@ -143,3 +149,23 @@ def test_trace_squares_do_not_depend_on_term_order(bench):
                 assert layout(el._square()) == expected, (job.key, name)
                 orders += 1
     assert orders == 222
+
+
+def test_traces_outputs_keep_their_order(bench):
+    # every element of the full traces list, in order: the keys, their
+    # order and each coefficient's term order of shear, skein and both
+    # squares, pinned by one digest; with every output alive, the squares'
+    # 16,982 monomials hold 636 coefficient objects, one per distinct value
+    _, _, workloads = bench
+    names = ("shear", "skein", "shear_sq", "skein_sq")
+    digest, held = hashlib.sha256(), []
+    for job in workloads.build("traces", 0):
+        out = job.run()
+        held.append(out)
+        digest.update(json.dumps(
+            [job.key] + [[[list(k), list(c.terms.items())] for k, c in out[name].terms.items()]
+                         for name in names], separators=(",", ":")).encode())
+    assert len(held) == 37
+    assert digest.hexdigest()[:16] == "8104ad92a1c373ee"
+    coeffs = [c for out in held for name in names[2:] for c in out[name].terms.values()]
+    assert (len(coeffs), len({id(c) for c in coeffs})) == (16982, 636)

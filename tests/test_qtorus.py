@@ -209,8 +209,8 @@ def unmatched_element(rng, spec, n_terms):
     return TorusElement(spec, {k: c * Laurent.integer(10007) for k, c in a.terms.items()})
 
 
-def square_builds(monkeypatch, a):
-    """a * a, and the coefficients it builds."""
+def square_builds(monkeypatch, a, square=lambda a: a * a):
+    """square(a), by default a * a, and the coefficients it builds."""
     built, canonical = [], Laurent._canonical
 
     def counted(terms):
@@ -219,8 +219,8 @@ def square_builds(monkeypatch, a):
 
     with monkeypatch.context() as m:
         m.setattr(Laurent, "_canonical", staticmethod(counted))
-        square = a * a
-    return square, built
+        out = square(a)
+    return out, built
 
 
 def test_square_takes_live_coefficients(monkeypatch):
@@ -243,23 +243,77 @@ def test_square_takes_live_coefficients(monkeypatch):
     assert squares >= 10
 
 
+def coefficient_sides(monkeypatch, a):
+    """a._square(), and how many times it ran the coefficient side."""
+    runs, coefficients = [], qtorus._square_coefficients
+
+    def counted(*table):
+        runs.append(table)
+        return coefficients(*table)
+
+    with monkeypatch.context() as m:
+        m.setattr(qtorus, "_square_coefficients", counted)
+        square = a._square()
+    return square, len(runs)
+
+
 def test_square_table_is_weak(monkeypatch):
-    # the table of live coefficients keeps none alive: once every square is
-    # gone it is back to its size before them, and a new square builds
-    # fresh coefficients
+    # neither table of live squares keeps a square or a coefficient alive:
+    # once every square is gone both are back to their sizes before them,
+    # and a new square runs the coefficient side and builds fresh
+    # coefficients
     rng = np.random.default_rng(36)
-    before = len(qtorus._RUNS)
+    before = len(qtorus._RUNS), len(qtorus._SQUARES)
     elements = [unmatched_element(rng, spec, 9) for spec in product_specs()]
     squares = [a * a for a in elements]
-    assert len(qtorus._RUNS) > before
+    assert len(qtorus._RUNS) > before[0] and len(qtorus._SQUARES) > before[1]
     del squares
     gc.collect()
-    assert len(qtorus._RUNS) == before
+    assert (len(qtorus._RUNS), len(qtorus._SQUARES)) == before
     for a in elements:
         square, built = square_builds(monkeypatch, a)
         assert square == reference_product(a, a)
         assert {id(c) for c in square.terms.values()} == {id(c) for c in built}
         assert len(built) == len(set(built))
+        del square
+        assert coefficient_sides(monkeypatch, a)[1] == 1
+
+
+def table_pairs():
+    """(part, a, b): grid-squarable elements whose multiplication tables
+    agree in every part but one: the coefficient values, each term's
+    coefficient index, the pair phases (the same exponents on a spec with
+    another u), or which pairs share an output monomial (all phases 0)."""
+    p, r = Laurent({0: 1, 8: 2}), Laurent({-4: 3})
+    keys = ((1, 0), (0, 1), (1, 1), (2, -1))
+    yield ("values", TorusElement(spec2(8), dict(zip(keys, (p, r, p, r)))),
+           TorusElement(spec2(8), dict(zip(keys, (p, r * r, p, r * r)))))
+    yield ("indices", TorusElement(spec2(8), dict(zip(keys, (p, r, p, r)))),
+           TorusElement(spec2(8), dict(zip(keys, (p, r, r, p)))))
+    yield ("phases", TorusElement(spec2(8), dict(zip(keys, (p, r, p, r)))),
+           TorusElement(spec2(12), dict(zip(keys, (p, r, p, r)))))
+    # exponents on one axis pair to 0; pair sums 0 1 2 5 | 2 3 6 | 4 7 | 10
+    # against 0 1 3 4 | 2 4 5 | 6 7 | 8: nine monomials each, the collision
+    # at another pair
+    yield ("collisions",
+           TorusElement(spec2(8), {(n, 0): c for n, c in zip((0, 1, 2, 5), (p, r, p, r))}),
+           TorusElement(spec2(8), {(n, 0): c for n, c in zip((0, 1, 3, 4), (p, r, p, r))}))
+
+
+def test_square_table_tells_apart_each_part(monkeypatch):
+    # the second element of each pair, squared while the first one's square
+    # is alive, runs its own coefficient side and equals the reference
+    for part, a, b in table_pairs():
+        first = a._square()
+        assert first is not None and first == reference_product(a, a), part
+        second, runs = coefficient_sides(monkeypatch, b)
+        assert second is not None and second == reference_product(b, b), part
+        assert runs == 1, part
+        again, runs = coefficient_sides(monkeypatch, a)
+        assert runs == 0 and again == first, part
+        # a table leaves with the square that computed it, not with a later
+        # square that took it, so each pair starts with no table alive
+        del first, second, again
 
 
 def greedy_rung(crossings):
