@@ -258,8 +258,8 @@ def coefficient_sides(monkeypatch, a):
 
 
 def test_square_table_is_weak(monkeypatch):
-    # neither table of live squares keeps a square or a coefficient alive:
-    # once every square is gone both are back to their sizes before them,
+    # neither weak table keeps a square or a coefficient alive: once every
+    # square is gone both are back to their sizes before them,
     # and a new square runs the coefficient side and builds fresh
     # coefficients
     rng = np.random.default_rng(36)
