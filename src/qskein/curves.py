@@ -20,10 +20,12 @@ is a cyclic chain: step j forbids one value pair on crossings (j-1, j).
 u(s) is an integer quadratic form in the state, 2 u(s) = -s^T W s, and W
 is a sum of triangle-local face pairings, so the state sum needs no whole
 state: state_sum takes the rows of one step table (_step_table) once from
-the base crossing, keeping a frontier of (first value, current value,
-per-side partial sums) with a count per value of 2 u so far.  Its work
-grows with the frontier, not with the number of states.  u_of_state runs
-the same rows on one state, for the tests and the benchmark tracer's hook.
+the base crossing, keeping a frontier of (per-side partial sums, first
+value, current value) with a count per value of 2 u so far, held as an
+offset on a count map that children share until two paths merge.  Its
+work grows with the frontier, not with the number of states.  u_of_state
+runs the same rows on one state, for the tests and the benchmark tracer's
+hook.
 state_sum is behind every trace; enumerate_states lists the states one at
 a time for the CLI's state listing only.
 """
@@ -344,10 +346,17 @@ def state_sum(alpha, T, spec, base_edge=None):
     the admissible states of a curve crossing some edge of T once.
 
     A frontier walk, not a loop over states.  The rows of _step_table are
-    taken once, from the base crossing on.  A frontier key is (first
-    value, current value, P), where P[t, x] sums the values lifted so far
-    to side x of triangle t; it maps each value of W s s over the prefix
-    so far to its number of admissible prefixes.
+    taken once, from the base crossing on.  A frontier key is one flat
+    tuple: P, where P[t, x] sums the values lifted so far to side x of
+    triangle t, then the first value and the current value.  Its value is
+    (offset, counts): each value of W s s over the prefix so far is offset
+    plus a key of counts, which maps it to its number of admissible
+    prefixes.  A child shares its parent's counts and adds its phase
+    increment to the offset; only a merge of two paths into one key builds
+    a new map, a copy of the first path's with the second's added, in the
+    key order separate copies would have.  A key has at most two parents,
+    one per value of the crossing before its current one, so it is merged
+    at most once per step, and no map is changed once it is shared.
     Step m, entering on slot i with v_(m-1) and leaving on slot o with
     v_m, forbids its corner pair and adds
     v_(m-1) sum_x Q(x, i) P[t, x] + v_m sum_x Q(x, o) P[t, x] to W s s,
@@ -363,37 +372,43 @@ def state_sum(alpha, T, spec, base_edge=None):
     n = len(alpha.steps)
     _, side, walk = _step_table(alpha, base_edge)
     slots = _crossing_slots(alpha, spec.index)
-    zero = (0,) * len(side)
-    frontier = {(v, v, zero): {0: 1} for v in (1, -1)}
+    zero = [0] * len(side)
+    frontier = {(*zero, v, v): (0, {0: 1}) for v in (1, -1)}
     for m, (bad, at_i, at_o, i_prev, i_next, o_prev, o_next) in enumerate(walk):
         nxt = {}
-        for (first, v, P), counts in frontier.items():
-            pair_in, pair_out = v * (P[i_prev] - P[i_next]), P[o_prev] - P[o_next]
+        for key, (offset, counts) in frontier.items():
+            first, v = key[-2:]
+            pair_in, pair_out = v * (key[i_prev] - key[i_next]), key[o_prev] - key[o_next]
             for w in (first,) if m == n - 1 else (1, -1):
                 if (v, w) == bad:
                     continue
-                sums = list(P)
+                sums = list(key)
                 sums[at_i] += v
                 sums[at_o] += w
-                key = (first, w, tuple(sums))
-                d = pair_in + w * pair_out
-                acc = nxt.get(key)
+                sums[-1] = w
+                child = tuple(sums)
+                d = offset + pair_in + w * pair_out
+                acc = nxt.get(child)
                 if acc is None:
-                    nxt[key] = {x + d: c for x, c in counts.items()}
-                else:
-                    for x, c in counts.items():
-                        acc[x + d] = acc.get(x + d, 0) + c
+                    nxt[child] = (d, counts)
+                    continue
+                base, shared = acc
+                into = dict(shared)
+                d -= base
+                for x, c in counts.items():
+                    into[x + d] = into.get(x + d, 0) + c
+                nxt[child] = (base, into)
         frontier = nxt
     width = len(spec.labels)
     read = {j: side[t, o] for j, (t, _, o) in zip(slots, alpha.steps)}
     terms, states = {}, 0
-    for (_, _, P), counts in frontier.items():
+    for P, (offset, counts) in frontier.items():
         k = [0] * width
         for j, at in read.items():
             k[j] = P[at]
         coeffs = terms.setdefault(tuple(k), {})
         for x, c in counts.items():
-            n8 = -4 * x                          # 8 u(s), in eighths of q
+            n8 = -4 * (x + offset)               # 8 u(s), in eighths of q
             coeffs[n8] = coeffs.get(n8, 0) + c
             states += c
     if odd_rows(list(terms), T).any():

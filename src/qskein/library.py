@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from .curves import NormalCurve
 from .puncture import lift
 from .surface import annulus, polygon, sphere_three_marked, torus_one_marked
@@ -43,8 +45,10 @@ def sphere_curve(pair):
 
 def surface_by_name(name):
     """Builder lookup: polygonN, annulus, torus1, sphere3, or their lifts."""
-    if name.startswith("polygon") and name[len("polygon"):].isdecimal():
-        return polygon(int(name[len("polygon"):]))
+    # ASCII digits without a leading zero: polygon03 or a non-ASCII digit
+    # would name a polygon that the listed names do not
+    if match := re.fullmatch(r"polygon([1-9][0-9]*)", name):
+        return polygon(int(match[1]))
     if name == "annulus":
         return annulus()
     if name == "torus1":

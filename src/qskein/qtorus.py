@@ -38,37 +38,48 @@ each monomial's placements form runs and the layout is never longer than
 the placements together.  One np.add.at per product column fills it, so
 temporaries stay at one entry per placement.
 
-The grid is used when every value it computes fits int64: codes below
-prod(radix), exponent vectors up to 2 max|k|, phases and output exponents
-up to a bound r, layout keys below (len(a.terms) + 1)^2 (r + 1), and
-partial sums up to ||a||_1^2, and when no distinct coefficient spans more
-grid steps than the square of a's coefficient term count, which is the
-number of coefficient-term products the pair loop makes, so that one
-sparse coefficient with a wide span cannot ask for rows or a layout of
-mostly zeros.  The bound is on grid steps, s (ell - 1) + 1 for a row of
-ell slots, not on ell: a two-term coefficient whose terms lie 2^40 apart,
+The grid is used when every value it computes fits int64: the exponent
+vectors, sort keys below prod(radix) npairs (below), output exponent
+vectors up to 2 max|k|, phases and output exponents up to a bound r,
+layout keys below (len(a.terms) + 1)^2 (r + 1), and partial sums up to
+||a||_1^2, and when no distinct coefficient spans more grid steps than
+the square of a's coefficient term count, which is the number of
+coefficient-term products the pair loop makes, so that one sparse
+coefficient with a wide span cannot ask for rows or a layout of mostly
+zeros.  The bound is on grid steps, s (ell - 1) + 1 for a row of ell
+slots, not on ell: a two-term coefficient whose terms lie 2^40 apart,
 next to a one-term coefficient at an odd exponent, has ell = 2 but
 d = 1, and its placements would cover about 2^41 grid steps.
 Any other square takes the pair loop, which is exact on Python ints.
 
 A square has an exponent side and a coefficient side.  The exponent side
-computes the codes, the unordered term pairs, their phases and the output
-monomials.  The coefficient side, _square_coefficients, computes the rows,
-convolutions, layout, scatter and runs, and gives one Laurent (or None,
-where the pairs cancel) per output monomial.  It reads only the square's
-multiplication table: the distinct coefficients by value, in the order
-met; each term's coefficient index; each unordered pair's phase in eighths
-of q; and each pair's output monomial, numbered by its first pair in pair
-order, a numbering that depends neither on the exponent vectors nor on
-their code order.  _SQUARES maps the table of each live square that ran
-the coefficient side to its coefficient of each numbered monomial, and a
+reads the exponent vectors into one int64 matrix K, takes its bounds from
+K's column minima and maxima, and lists the npairs unordered term pairs
+i <= j row by row (_pairs), without the n x n mask of np.triu_indices.
+One sort of the key code(k_i + k_j) npairs + pair index (_group_pairs)
+then groups the pairs: each run of one code is an output monomial, the
+runs come in code order, and a run begins at its monomial's first pair,
+so the run starts give each monomial's first pair and each pair's
+monomial.  A monomial's
+exponent vector is K[i] + K[j] at its first pair, so no code is decoded.
+The exponent side also takes the pair phases.  The coefficient side,
+_square_coefficients, computes the rows, convolutions, layout, scatter
+and runs, and gives one Laurent (or None, where the pairs cancel) per
+output monomial.  It reads only the square's multiplication table: the
+distinct coefficients by value, in the order met; each term's
+coefficient index; each unordered pair's phase in eighths of q; and each
+pair's output monomial, numbered by its first pair in pair order, a
+numbering that depends neither on the exponent vectors nor on their code
+order.  _SQUARES maps the table of each live square that ran the
+coefficient side to its coefficient of each numbered monomial, and a
 square whose table is there takes those and skips the coefficient side.
-Its keys still come from its own codes, in code order, so its keys, their
-order, its Laurent objects and their term order are those the coefficient
-side would give it.  psi only relabels exponents and keeps the term order,
-so the skein square psi(t) psi(t) takes the table of the shear square
-t t.  An entry leaves _SQUARES when the square that computed it is freed
-(weakref.finalize), not when a square that took it is.
+Its keys still come from its own exponents, in code order, so its keys,
+their order, its Laurent objects and their term order are those the
+coefficient side would give it.  psi only relabels exponents and keeps
+the term order, so the skein square psi(t) psi(t) takes the table of the
+shear square t t.  An entry leaves _SQUARES when the square that
+computed it is freed (weakref.finalize), not when a square that took it
+is.
 
 After the scatter, each output monomial's nonzero entries form one run of
 (exponent, value) pairs, and the process holds one Laurent per distinct
@@ -282,32 +293,34 @@ class TorusElement:
         spec, terms = self.spec, self.terms
         if not terms:
             return TorusElement(spec)
-        keys, half = list(terms), spec.u_eighth // 2
+        half, size = spec.u_eighth // 2, len(terms)
+        try:
+            K = np.array(list(terms), dtype=np.int64).reshape(size, len(spec.labels))
+        except OverflowError:
+            return None                         # an exponent past int64
         index = {}          # each distinct coefficient, numbered in the order met
         group = [index.setdefault(c, len(index)) for c in terms.values()]
         coeffs = list(index)
         mult = np.bincount(group).tolist()      # terms per distinct coefficient
         ns = [n for c in coeffs for n in c.terms]
-        cols = list(zip(*keys))
-        lows = [min(col) for col in cols]
-        radix = [2 * (max(col) - low) + 1 for col, low in zip(cols, lows)]
-        kabs = max((max(map(abs, col)) for col in cols), default=0)
+        low = K.min(0)
+        lows, highs = low.tolist(), K.max(0).tolist()
+        radix = [2 * (hi - lo) + 1 for lo, hi in zip(lows, highs)]
+        kabs = max(map(abs, lows + highs), default=0)
         form = kabs * kabs * int(np.abs(spec.A).sum())     # bounds |k_i A k_j|
         norm = sum(m * sum(map(abs, c.terms.values())) for m, c in zip(mult, coeffs))
         reach = form * max(abs(half), 1) + 4 * max(map(abs, ns))    # bounds phases, exponents
-        # codes, output exponent vectors, layout keys and partial sums
-        if max(math.prod(radix), 2 * kabs, (len(keys) + 1) ** 2 * (reach + 1),
+        npairs = size * (size + 1) // 2
+        # sort keys, output exponent vectors, layout keys and partial sums
+        if max(math.prod(radix) * npairs, 2 * kabs, (size + 1) ** 2 * (reach + 1),
                norm * norm) >= 1 << 63:
             return None
         # exponent side: mixed-radix codes, code(k_i + k_j) = code_i + code_j,
         # pair phases, and each output monomial numbered by its first pair
         strides = np.array([math.prod(radix[:i]) for i in range(len(radix))], dtype=np.int64)
-        radix, lows = np.array(radix, dtype=np.int64), np.array(lows, dtype=np.int64)
-        K = np.array(keys, dtype=np.int64).reshape(len(keys), len(cols))
-        code = (K - lows) @ strides
-        iu, ju = np.triu_indices(len(keys))     # unordered term pairs i <= j
-        out_codes, first, out_of = np.unique(code[iu] + code[ju], return_index=True,
-                                             return_inverse=True)
+        code = (K - low) @ strides
+        iu, ju = _pairs(size)                   # unordered term pairs i <= j
+        first, out_of = _group_pairs(code[iu] + code[ju])
         phase = ((K @ spec.A) @ K.T)[iu, ju] * half
         unrank = np.argsort(first)              # first-pair number -> code order
         rank = np.argsort(unrank)               # code order -> first-pair number
@@ -318,12 +331,12 @@ class TorusElement:
         table = (tuple(coeffs), group.tobytes(), phase.tobytes(), rank[out_of].tobytes())
         known = _SQUARES.get(table)
         if known is None:
-            out = _square_coefficients(coeffs, group, iu, ju, phase, out_of, len(out_codes))
+            out = _square_coefficients(coeffs, group, iu, ju, phase, out_of, len(first))
             if out is None:
                 return None
         else:
             out = list(map(known.__getitem__, rank.tolist()))
-        out_keys = map(tuple, (out_codes[:, None] // strides % radix + 2 * lows).tolist())
+        out_keys = map(tuple, (K[iu[first]] + K[ju[first]]).tolist())
         square = _element(spec, {k: c for k, c in zip(out_keys, out) if c is not None})
         if known is None:
             _SQUARES[table] = list(map(out.__getitem__, unrank.tolist()))
@@ -406,6 +419,28 @@ def element_from_json(spec, data):
         co = Laurent({int(n): int(c) for n, c in t.get("coeff", {"0": 1}).items()})
         terms[k] = terms.get(k, Laurent.zero()) + co
     return TorusElement(spec, terms)
+
+
+def _pairs(n):
+    """The unordered pairs i <= j below n in the order of np.triu_indices(n),
+    without its n x n mask: pair p of row i is (i, i + p - start of row i)."""
+    rows = np.arange(n)
+    lens = n - rows
+    iu = np.repeat(rows, lens)
+    return iu, np.arange(len(iu)) - np.repeat(np.cumsum(lens) - lens - rows, lens)
+
+
+def _group_pairs(codes):
+    """(each output monomial's first pair, in code order; each pair's
+    monomial) from the pairs' output codes, by one sort of code * npairs +
+    pair index: each run of one code is a monomial, and it begins at the
+    monomial's first pair."""
+    npairs = len(codes)
+    sums, order = np.divmod(np.sort(codes * npairs + np.arange(npairs)), npairs)
+    new = np.diff(sums, prepend=-1) != 0
+    out_of = np.empty(npairs, dtype=np.int64)
+    out_of[order] = np.cumsum(new) - 1
+    return order[new], out_of
 
 
 def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):

@@ -384,7 +384,9 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     for argv, name in ((("flipseq", "builtin:nosuch", "e0_2"), "nosuch"),
                        (("surf", "matrices", "builtin:nosuch"), "nosuch"),
                        (("surf", "matrices", "builtin:polygonx"), "polygonx"),
-                       (("surf", "matrices", "builtin:polygon"), "polygon")):
+                       (("surf", "matrices", "builtin:polygon"), "polygon"),
+                       (("surf", "matrices", "builtin:polygon\u0665"), "polygon\u0665"),
+                       (("surf", "matrices", "builtin:polygon03"), "polygon03")):
         assert run(capsys, *argv)[::2] == (2, "input error: unknown surface %r\n" % name), argv
     # values that would raise a ValueError deep inside are rejected where
     # they are read

@@ -433,6 +433,31 @@ def test_square_int64_and_object_coefficients():
         assert_canonical(mono * mono)
 
 
+def test_square_pairs_are_the_upper_triangle():
+    for n in range(1, 41):
+        iu, ju = qtorus._pairs(n)
+        ti, tj = np.triu_indices(n)
+        assert iu.dtype == ti.dtype and ju.dtype == tj.dtype
+        assert np.array_equal(iu, ti) and np.array_equal(ju, tj)
+
+
+def test_square_sort_key_int64_bound():
+    # the exponent side sorts pair code * npairs + pair index, which stays
+    # below prod(radix) * npairs; on one label with A = 0 that product is
+    # the only bound near 2^63: (2 h + 1) * 6 just below takes the grid,
+    # just above the pair loop, though 2 h + 1 itself fits int64 on both
+    s = TorusSpec(("a",), [[0]], 2)
+    below = 768614336404564650
+    for h in (below, below + 1):
+        assert ((2 * h + 1) * 6 < 2 ** 63) == (h == below) and 2 * h + 1 < 2 ** 63
+        a = TorusElement(s, {(0,): Laurent({0: 1, 4: -2}), (1,): Laurent({2: 3}),
+                             (h,): Laurent({0: 1, 4: -2})})
+        assert (a._square() is None) == (h == below + 1)
+        square = a * a
+        assert square == reference_product(a, a) and len(square.terms) == 6
+        assert_canonical(square)
+
+
 def test_square_edge_cases(monkeypatch):
     for spec in product_specs():        # zero width and u_eighth 0 among them
         one_term = TorusElement.monomial(spec, spec.zero_vec(), Laurent({3: -2, 5: 1}))

@@ -32,6 +32,7 @@ from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement, TorusSpec
 from qskein.shear import ShearSkein, is_balanced, shear_spec
 from qskein.surface import SurfaceError, sphere_three_marked, torus_one_marked
+from test_bench_jobs import bench  # noqa: F401  (the perfbench modules, as a fixture)
 
 
 def _local_face(slot1, slot2):
@@ -241,3 +242,33 @@ def test_state_sum_raises_on_an_unbalanced_exponent(monkeypatch):
                         lambda alpha, index: slots(alpha, index)[-1:] * len(alpha.steps))
     with pytest.raises(AssertionError, match="not balanced"):
         state_sum(core, T, spec)
+
+
+def state_layout(element, count):
+    """Keys in order, each coefficient's terms in order, and the count."""
+    return [(k, list(c.terms.items())) for k, c in element.terms.items()], count
+
+
+def test_state_sums_leave_each_other_unchanged(bench):
+    # a frontier entry's children share its count map and only a merge
+    # builds a new one; on the tiny rung 'rung (1,0) a b' (7 crossings,
+    # either base edge) a map that a merge built is shared by the next
+    # step's children and merged into again, which must copy it, since a
+    # write would change every entry that shares it
+    _, _, workloads = bench
+    # each traces job runs _trace_rung(alpha, T, ...)
+    rungs = {job.key: job.run.args[0] for job in workloads.build("traces", 0, tiny=True)}
+    assert len(rungs["rung (1,0) a b"].steps) == 7
+    checked = 0
+    for alpha in [*rungs.values(), *(torus_curve(s)[1] for s in TORUS_SLOPES)]:
+        spec = shear_spec(alpha.T)
+        once = sorted(e for e, m in alpha.multiplicities().items() if m == 1)
+        a, b = once[0], once[-1]
+        first = state_sum(alpha, alpha.T, spec, a)
+        seen = state_layout(*first)
+        state_sum(alpha, alpha.T, spec, b)
+        again = state_sum(alpha, alpha.T, spec, a)
+        assert again == first
+        assert state_layout(*again) == state_layout(*first) == seen
+        checked += a != b
+    assert checked == len(rungs) + len(TORUS_SLOPES) - 5
