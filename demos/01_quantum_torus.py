@@ -24,10 +24,9 @@ def weyl_normalize(spec, factors):
 
 
 # q itself is exponent 8; q^(1/2) is exponent 4
-q = Laurent.q_power(8)
 s = Laurent.q_power(4) + Laurent.q_power(-4)
 print("q^(1/2) + q^(-1/2) =", s)
-print("(q + q^-1)(q - q^-1) =", (q + q ** -1) * (q - q ** -1))
+print("(q + q^-1)(q - q^-1) =", Laurent({8: 1, -8: 1}) * Laurent({8: 1, -8: -1}))
 
 # the reflection q^(1/8) -> q^(-1/8) fixes palindromic scalars
 print("reflect:", s.reflect() == s)

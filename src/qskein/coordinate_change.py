@@ -69,13 +69,6 @@ class Expr:
     def from_element(el):
         return Expr(el.spec, [(ONE, (("el", el),))])
 
-    def __add__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        if self.spec != other.spec:
-            raise ValueError("torus spec mismatch")
-        return Expr(self.spec, self.words + other.words)
-
     def __mul__(self, other):
         if not isinstance(other, Laurent):
             return NotImplemented

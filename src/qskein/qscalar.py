@@ -24,7 +24,7 @@ class Laurent:
     empty map is zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("terms", "_hash", "__weakref__")
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         clean = {}
@@ -83,29 +83,9 @@ class Laurent:
             out[n] = out.get(n, 0) + c
         return Laurent(out)
 
-    def __neg__(self):
-        return Laurent({n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _as_laurent(other)
-        return other if other is NotImplemented else self + (-other)
-
     def __mul__(self, other):
         other = _as_laurent(other)
         return other if other is NotImplemented else Laurent(_times(self, other))
-
-    def __pow__(self, k):
-        if k < 0:
-            inv = self.inverse()
-            return inv ** (-k)
-        out = Laurent.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def inverse(self):
         """Inverse of a unit +-q^(n/8); anything else is not invertible."""

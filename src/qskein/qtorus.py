@@ -74,7 +74,7 @@ order.  _SQUARES maps the table of each live square that ran the
 coefficient side to its coefficient of each numbered monomial, and a
 square whose table is there takes those and skips the coefficient side.
 Its keys still come from its own exponents, in code order, so its keys,
-their order, its Laurent objects and their term order are those the
+their order, its coefficients and their term order are those the
 coefficient side would give it.  psi only relabels exponents and keeps
 the term order, so the skein square psi(t) psi(t) takes the table of the
 shear square t t.  An entry leaves _SQUARES when the square that
@@ -82,24 +82,13 @@ computed it is freed (weakref.finalize), not when a square that took it
 is.
 
 After the scatter, each output monomial's nonzero entries form one run of
-(exponent, value) pairs, and the process holds one Laurent per distinct
-live run.  Runs are grouped by their exact bytes across squares: _RUNS, a
-weak table from a run's bytes to the Laurent built from it, hands a run
-that equals a coefficient of any grid square still alive that Laurent,
-so two monomials of live grid squares share a Laurent exactly when their
-coefficients are equal.  The table holds its Laurents weakly: it keeps
-none alive, and an entry leaves it when its Laurent is freed.  Only the
-runs with no live match are built, once per distinct run of the square,
-and registered, and only they are converted to Python ints.  Their
-exponents take one int object per grid point from a table over the grid
-points the kept entries occupy, built only when that range is shorter
-than the number of kept entries: the grid can span far more points than
-the square has entries (2^40 for phases of 2^42 on a grid of step 8), and
-a table over such a span would not fit in memory, so those exponents are
-converted one by one.  Laurent scalars and ints are immutable and compare
-by value, so monomials that share one coefficient object, and entries that
-share one exponent object, give the same outputs as separate objects
-would, at less memory.
+(exponent, value) pairs.  Runs are grouped by their exact bytes within the
+square, and each distinct run is built into one Laurent, so two monomials
+of one square share a Laurent exactly when their coefficients are equal.
+Across squares, coefficients are shared only by a square that takes a
+live table from _SQUARES.  Laurent scalars are immutable and compare by
+value, so monomials that share one coefficient object give the same
+outputs as separate objects would, at less memory.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -110,6 +99,7 @@ same way.
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from itertools import islice
 from operator import add, index, mul
@@ -118,10 +108,6 @@ import numpy as np
 
 from .qscalar import Laurent, ONE, _times
 
-# the exact bytes of a square's output run -> the live Laurent built from it
-# (module docstring); weak, so it keeps no coefficient alive.  A miss only
-# costs a build: a reused Laurent has the terms, in the order, of a new one
-_RUNS = weakref.WeakValueDictionary()
 # a grid square's multiplication table -> its coefficient of each output
 # monomial numbered by first pair, None where it cancels (module docstring);
 # an entry leaves when its square is freed
@@ -416,9 +402,18 @@ def element_from_json(spec, data):
     terms = {}
     for t in data["terms"]:
         k = spec.vec({lab: int(e) for lab, e in t["exp"].items()})
-        co = Laurent({int(n): int(c) for n, c in t.get("coeff", {"0": 1}).items()})
+        co = Laurent({_eighths(n): int(c) for n, c in t.get("coeff", {"0": 1}).items()})
         terms[k] = terms.get(k, Laurent.zero()) + co
     return TorusElement(spec, terms)
+
+
+def _eighths(key):
+    """The eighth exponent a JSON coefficient key names: ASCII digits with
+    an optional sign, where int() would also take other digits and
+    underscores."""
+    if not re.fullmatch(r"[+-]?[0-9]+", key):
+        raise ValueError("%r is not an integer" % key)
+    return int(key)
 
 
 def _pairs(n):
@@ -512,43 +507,29 @@ def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
     # each output monomial's entries form one run, in exponent order
     nz = np.flatnonzero(flat)
     key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
-    mono, slot, val = key // span, key % span, flat[nz]
-    exp = (slot + low) * d + 2 * n0
+    mono, val = key // span, flat[nz]
+    exp = (key % span + low) * d + 2 * n0
     starts = np.flatnonzero(np.diff(mono, prepend=-1))
     lens = np.diff(starts, append=len(nz))
-    # one Laurent per distinct live run (module docstring): a run whose
-    # exact bytes, 16 per (exponent, value) entry, name a Laurent still
-    # alive in _RUNS takes it; the others are grouped by their bytes, and
-    # each group's first run is built and registered
+    # one Laurent per distinct run of this square (module docstring): runs
+    # are grouped by their exact bytes, 16 per (exponent, value) entry, and
+    # each group's first run is built
     raw = np.stack((exp, val), axis=1).tobytes()
     bounds = (16 * np.append(starts, len(nz))).tolist()
     runs = [raw[i:j] for i, j in zip(bounds, bounds[1:])]
-    live = list(map(_RUNS.get, runs))
-    fresh = {}          # the bytes of each run with no live match -> its first run
-    for r, (run, c) in enumerate(zip(runs, live)):
-        if c is None:
-            fresh.setdefault(run, r)
-    if fresh:
-        first = list(fresh.values())
-        own = np.zeros(len(runs), dtype=bool)
-        own[first] = True
-        kept = np.repeat(own, lens)
-        # the kept exponents as one int object per grid point, from a
-        # table over the slots they occupy, unless that range outnumbers
-        # them
-        slot = slot[kept]
-        lo, hi = int(slot.min()), int(slot.max())
-        if hi - lo < len(slot):
-            table = ((np.arange(lo, hi + 1) + low) * d + 2 * n0).tolist()
-            exps = map(table.__getitem__, (slot - lo).tolist())
-        else:
-            exps = exp[kept].tolist()
-        entries = zip(exps, val[kept].tolist())
-        for run, n in zip(list(fresh), lens[first].tolist()):
-            fresh[run] = _RUNS[run] = Laurent._canonical(dict(islice(entries, n)))
+    first = {}          # the bytes of each distinct run -> its first run
+    for r, run in enumerate(runs):
+        first.setdefault(run, r)
+    heads = list(first.values())
+    own = np.zeros(len(runs), dtype=bool)
+    own[heads] = True
+    kept = np.repeat(own, lens)
+    entries = zip(exp[kept].tolist(), val[kept].tolist())
+    for run, n in zip(list(first), lens[heads].tolist()):
+        first[run] = Laurent._canonical(dict(islice(entries, n)))
     out = [None] * count
-    for m, run, c in zip(mono[starts].tolist(), runs, live):
-        out[m] = fresh[run] if c is None else c
+    for m, run in zip(mono[starts].tolist(), runs):
+        out[m] = first[run]
     return out
 
 

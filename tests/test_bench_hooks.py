@@ -10,7 +10,7 @@ from qskein.coordinate_change import Expr, compose_flips
 from qskein.library import surface_by_name
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement, TorusSpec
-from test_coordinate_change import times, unit
+from test_coordinate_change import plus, times, unit
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,8 +50,8 @@ def test_tracer_counts_one_factorization_per_shared_inverse():
     x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
     tracer = tracing.Tracer()
     with tracer.installed():
-        verdict = repcheck.verify_identity(times(inv, x) + times(x, inv) + inv,
-                                           inv + times(x, inv) + times(inv, x),
+        verdict = repcheck.verify_identity(plus(times(inv, x), times(x, inv), inv),
+                                           plus(inv, times(x, inv), times(inv, x)),
                                            s, trials=2)
     assert verdict.passed and len(verdict.orders) == 3
     assert tracer.counts["repcheck.factorizations_dense"] == 3

@@ -409,6 +409,11 @@ def test_input_errors(capsys, tmp_path, annulus_files):
         (("flipseq", "builtin:polygon5", "e0_2", "--labels", ""), "--labels has an empty name"),
         (("puncture", "trace", "builtin:torus1"), "puncture trace needs a curve file"),
     ]
+    # int() would read the Arabic-Indic three and 1_6 as 3 and 16
+    for key in ("\u0663", "1_6"):
+        path = tmp_path / ("elem_%d.json" % len(cases))
+        path.write_text(json.dumps({"terms": [{"exp": {"d1": 1}, "coeff": {key: 1}}]}))
+        cases.append((("shear", "psi", surf, str(path)), "bad coefficient exponent: %r" % key))
     # a curve through a side no triangle has, an element on no inner edge
     steps = json.loads((tmp_path / "core.json").read_text())["steps"]
     off_side = tmp_path / "off_side.json"

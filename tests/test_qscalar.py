@@ -13,15 +13,15 @@ def test_addition_examples():
     s = q(4) + q(-4)
     assert s.terms == {4: 1, -4: 1}
     x = q(3, 5) + q(-2, 7)
-    assert (x + (-x)).is_zero()
+    assert (x + x * -1).is_zero()
     # (q + q^-1) + (q - q^-1) = 2q
-    assert (q(8) + q(-8)) + (q(8) - q(-8)) == q(8, 2)
+    assert (q(8) + q(-8)) + (q(8) + q(-8, -1)) == q(8, 2)
 
 
 def test_multiplication_examples():
     assert (q(1) * q(-1)).is_one()
-    lhs = (q(8) + q(-8)) * (q(8) - q(-8))
-    assert lhs == q(16) - q(-16)
+    lhs = (q(8) + q(-8)) * (q(8) + q(-8, -1))
+    assert lhs == q(16) + q(-16, -1)
     assert (Laurent.zero() * (q(8) + q(3, 9))).is_zero()
 
 
@@ -33,16 +33,13 @@ def test_reflect():
     assert x.reflect().reflect() == x
 
 
-def test_inverse_and_pow():
+def test_inverse():
     assert q(3).inverse() == q(-3)
     assert q(5, -1).inverse() == q(-5, -1)
     with pytest.raises(ValueError):
         (q(0, 2)).inverse()
     with pytest.raises(ValueError):
         (q(1) + q(2)).inverse()
-    assert q(2) ** 3 == q(6)
-    assert q(2) ** -2 == q(-4)
-    assert (q(1) + q(-1)) ** 0 == Laurent.one()
 
 
 def test_eval_examples():
@@ -130,11 +127,10 @@ def test_scalar_on_the_left():
 
 
 def test_int_operand_only_on_the_right():
-    # c + 1, c - 1 and c * 2 take the int as a constant; an int on the left
-    # is refused, and Laurent.integer puts a constant there
+    # c + 1 and c * 2 take the int as a constant; an int on the left is
+    # refused, and Laurent.integer puts a constant there
     c = q(1) + q(-1)
     assert c + 1 == Laurent.integer(1) + c == q(1) + q(-1) + q(0)
-    assert c - 1 == c + Laurent.integer(-1)
     assert c * 2 == Laurent.integer(2) * c == q(1, 2) + q(-1, 2)
     for op in (lambda: 1 + c, lambda: 1 - c, lambda: 2 * c):
         with pytest.raises(TypeError):

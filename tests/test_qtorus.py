@@ -258,18 +258,17 @@ def coefficient_sides(monkeypatch, a):
 
 
 def test_square_table_is_weak(monkeypatch):
-    # neither weak table keeps a square or a coefficient alive: once every
-    # square is gone both are back to their sizes before them,
-    # and a new square runs the coefficient side and builds fresh
-    # coefficients
+    # the square table keeps no square alive: once every square is gone it
+    # is back to its size before them, and a new square runs the
+    # coefficient side and builds fresh coefficients
     rng = np.random.default_rng(36)
-    before = len(qtorus._RUNS), len(qtorus._SQUARES)
+    before = len(qtorus._SQUARES)
     elements = [unmatched_element(rng, spec, 9) for spec in product_specs()]
     squares = [a * a for a in elements]
-    assert len(qtorus._RUNS) > before[0] and len(qtorus._SQUARES) > before[1]
+    assert len(qtorus._SQUARES) > before
     del squares
     gc.collect()
-    assert (len(qtorus._RUNS), len(qtorus._SQUARES)) == before
+    assert len(qtorus._SQUARES) == before
     for a in elements:
         square, built = square_builds(monkeypatch, a)
         assert square == reference_product(a, a)

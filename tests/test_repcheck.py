@@ -20,7 +20,7 @@ from qskein.repcheck import (
     verify_identity,
 )
 from qskein.shear import ShearSkein
-from test_coordinate_change import times, unit
+from test_coordinate_change import plus, times, unit
 from test_negative_controls import scale_coefficient, shift_exponent
 
 
@@ -219,8 +219,8 @@ def test_shared_inverse_factorized_once_per_order(monkeypatch):
     s = spec_ambient()
     inv = Expr.from_element(TorusElement.one(s) + TorusElement.monomial(s, (0, 1, 0))).inv()
     x = Expr.from_element(TorusElement.monomial(s, (0, 0, 1)))
-    verdict = verify_identity(times(inv, x) + times(x, inv) + inv,
-                              inv + times(x, inv) + times(inv, x), s, trials=3)
+    verdict = verify_identity(plus(times(inv, x), times(x, inv), inv),
+                              plus(inv, times(x, inv), times(inv, x)), s, trials=3)
     assert verdict.passed and verdict.orders == DEFAULT_ORDERS
     assert len(calls) == len(verdict.orders)
 
@@ -667,8 +667,8 @@ def test_zero_and_nested_denominators_take_representations():
     a = TorusElement.monomial(s, (2, 0))
     x = Expr.from_element(a)
     zero = Expr.from_element(TorusElement.zero(s))
-    cancelling = x + x * Laurent.integer(-1)    # two words whose sum is 0
-    nested = times((x + x.inv()).inv(), x)
+    cancelling = plus(x, x * Laurent.integer(-1))    # two words whose sum is 0
+    nested = times(plus(x, x.inv()).inv(), x)
     for den in (zero, cancelling):
         v = row_verdict(times(den.inv(), x), "a", s)
         assert v.method == "representation" and v.status == "INCONCLUSIVE", v
@@ -807,7 +807,7 @@ def test_direct_sum_blocks_act_and_solve_as_their_orders():
         for terms in (1, 2, 3):
             el, el2 = random_element(s, rng, terms), random_element(s, rng, 2)
             acted = rep.act_element(el, batch)
-            nested = Expr.from_element(el) + Expr.from_element(el2).inv()
+            nested = plus(Expr.from_element(el), Expr.from_element(el2).inv())
             for payload in (Expr.from_element(el), nested):
                 dead = {}
                 solved = rep._solve(payload, batch, dead)
@@ -851,7 +851,7 @@ def test_largest_block_builds_its_matrix_alone(monkeypatch):
     outer, inner = (random_element(s, rng, 3) for _ in range(2))
     assert len(outer.terms) == len(inner.terms) == 3
     inner = Expr.from_element(inner)
-    payload = Expr.from_element(outer) + inner.inv()
+    payload = plus(Expr.from_element(outer), inner.inv())
     rep = RootRep(s, DEFAULT_ORDERS, seed=4)
     batch = rep.random_vectors(2)
     rep._solve(payload, batch, {})
@@ -918,7 +918,7 @@ def direct_sum_rows():
             A, B, C = (Expr.from_element(x) for x in (a, b, c))
             rows.append(("A^-1 (A B) = B", times(A.inv(), Expr.from_element(a * b)), B, s))
             rows.append(("(A B) B^-1 = A", times(Expr.from_element(a * b), B.inv()), A, s))
-            nested = A + B.inv()
+            nested = plus(A, B.inv())
             rows.append(("N^-1 N C = C", times(nested.inv(), nested, C), C, s))
     for name, comp in closed_walk_composites()[-3:]:
         for lab in sorted(comp.source.labels):
@@ -927,7 +927,7 @@ def direct_sum_rows():
     s, D = singular_at_5()
     x = Expr.from_element(TorusElement.monomial(s, (1, 0)))
     rows.append(("D^-1 D = 1", times(D.inv(), D), unit(s), s))
-    nested = D.inv() + x
+    nested = plus(D.inv(), x)
     rows.append(("(D^-1 + x)^-1 (D^-1 + x) = 1", times(nested.inv(), nested), unit(s), s))
     big = TorusSpec(tuple("abcdefgh"), np.kron(np.eye(4, dtype=int), [[0, 1], [-1, 0]]), 2)
     y = Expr.from_element(sum((TorusElement.generator(big, lab) for lab in big.labels),

@@ -9,7 +9,7 @@ Any other function or class is reached by a name, an import, an attribute
 or a string.
 
 A static scan cannot see what the program runs, so two kinds of dead code
-pass it.  Operator methods (__add__, __pow__, __hash__, ...) are entered
+pass it.  Operator methods (__add__, __mul__, __hash__, ...) are entered
 by syntax or by the runtime, not by name, and are never checked.  A method
 whose name another class also defines is reached by any access of that
 name, as NormalCurve.to_json was by the uses of Triangulation.to_json.  A
