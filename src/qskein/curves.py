@@ -374,27 +374,30 @@ def state_sum(alpha, T, spec, base_edge=None):
     slots = _crossing_slots(alpha, spec.index)
     zero = [0] * len(side)
     frontier = {(*zero, v, v): (0, {0: 1}) for v in (1, -1)}
-    for m, (bad, at_i, at_o, i_prev, i_next, o_prev, o_next) in enumerate(walk):
+    for m, ((bad_v, bad_w), at_i, at_o, i_prev, i_next, o_prev, o_next) in enumerate(walk):
         nxt = {}
+        setdefault = nxt.setdefault
+        last = m == n - 1
         for key, (offset, counts) in frontier.items():
-            first, v = key[-2:]
-            pair_in, pair_out = v * (key[i_prev] - key[i_next]), key[o_prev] - key[o_next]
-            for w in (first,) if m == n - 1 else (1, -1):
-                if (v, w) == bad:
+            v = key[-1]
+            start = offset + v * (key[i_prev] - key[i_next])
+            pair_out = key[o_prev] - key[o_next]
+            sums = list(key)        # the children differ at at_o and the end
+            sums[at_i] += v
+            out = sums[at_o]
+            for w in (key[-2],) if last else (1, -1):
+                if v == bad_v and w == bad_w:
                     continue
-                sums = list(key)
-                sums[at_i] += v
-                sums[at_o] += w
+                sums[at_o] = out + w
                 sums[-1] = w
                 child = tuple(sums)
-                d = offset + pair_in + w * pair_out
-                acc = nxt.get(child)
-                if acc is None:
-                    nxt[child] = (d, counts)
+                entry = (start + w * pair_out, counts)
+                acc = setdefault(child, entry)     # one hash of the child
+                if acc is entry:
                     continue
                 base, shared = acc
                 into = dict(shared)
-                d -= base
+                d = entry[0] - base
                 for x, c in counts.items():
                     into[x + d] = into.get(x + d, 0) + c
                 nxt[child] = (base, into)

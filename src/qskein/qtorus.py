@@ -53,33 +53,35 @@ d = 1, and its placements would cover about 2^41 grid steps.
 Any other square takes the pair loop, which is exact on Python ints.
 
 A square has an exponent side and a coefficient side.  The exponent side
-reads the exponent vectors into one int64 matrix K, takes its bounds from
-K's column minima and maxima, and lists the npairs unordered term pairs
-i <= j row by row (_pairs), without the n x n mask of np.triu_indices.
-One sort of the key code(k_i + k_j) npairs + pair index (_group_pairs)
-then groups the pairs: each run of one code is an output monomial, the
-runs come in code order, and a run begins at its monomial's first pair,
-so the run starts give each monomial's first pair and each pair's
-monomial.  A monomial's
-exponent vector is K[i] + K[j] at its first pair, so no code is decoded.
-The exponent side also takes the pair phases.  The coefficient side,
-_square_coefficients, computes the rows, convolutions, layout, scatter
-and runs, and gives one Laurent (or None, where the pairs cancel) per
-output monomial.  It reads only the square's multiplication table: the
-distinct coefficients by value, in the order met; each term's
+reads the exponent vectors into one int64 matrix K, takes its bounds
+from K's column minima and maxima, and lists the npairs unordered term
+pairs i <= j row by row (_pairs), without the n x n mask of
+np.triu_indices.  One sort of the key code(k_i + k_j) npairs + pair
+index (_group_pairs) then groups the pairs: each run of one code is an
+output monomial, the runs come in code order, and a run begins at its
+monomial's first pair, so the run starts give each monomial's first pair
+and each pair's monomial.  A monomial's exponent vector is K[i] + K[j]
+at its first pair, so no code is decoded; the keys are built from the
+columns of these sums, one tuple per monomial.  The exponent side also
+takes the pair phases.  The coefficient side, _square_coefficients,
+computes the rows, convolutions, layout, scatter and runs, and gives one
+Laurent (or None, where the pairs cancel) per output monomial and the
+number that cancel, so that a square where none cancels takes every
+monomial without a test.  It reads only the square's multiplication
+table: the distinct coefficients by value, in the order met; each term's
 coefficient index; each unordered pair's phase in eighths of q; and each
 pair's output monomial, numbered by its first pair in pair order, a
 numbering that depends neither on the exponent vectors nor on their code
 order.  _SQUARES maps the table of each live square that ran the
-coefficient side to its coefficient of each numbered monomial, and a
-square whose table is there takes those and skips the coefficient side.
-Its keys still come from its own exponents, in code order, so its keys,
-their order, its coefficients and their term order are those the
-coefficient side would give it.  psi only relabels exponents and keeps
-the term order, so the skein square psi(t) psi(t) takes the table of the
-shear square t t.  An entry leaves _SQUARES when the square that
-computed it is freed (weakref.finalize), not when a square that took it
-is.
+coefficient side to its coefficient of each numbered monomial and the
+number that cancel, and a square whose table is there takes those and
+skips the coefficient side.  Its keys still come from its own exponents,
+in code order, so its keys, their order, its coefficients and their term
+order are those the coefficient side would give it.  psi only relabels
+exponents and keeps the term order, so the skein square psi(t) psi(t)
+takes the table of the shear square t t.  An entry leaves _SQUARES when
+the square that computed it is freed (weakref.finalize), not when a
+square that took it is.
 
 After the scatter, each output monomial's nonzero entries form one run of
 (exponent, value) pairs.  Runs are grouped by their exact bytes within the
@@ -101,16 +103,16 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from itertools import islice
+from itertools import chain, islice
 from operator import add, index, mul
 
 import numpy as np
 
 from .qscalar import Laurent, ONE, _times
 
-# a grid square's multiplication table -> its coefficient of each output
-# monomial numbered by first pair, None where it cancels (module docstring);
-# an entry leaves when its square is freed
+# a grid square's multiplication table -> (its coefficient of each output
+# monomial numbered by first pair, None where it cancels; how many cancel)
+# (module docstring); an entry leaves when its square is freed
 _SQUARES = {}
 
 
@@ -279,13 +281,14 @@ class TorusElement:
         spec, terms = self.spec, self.terms
         if not terms:
             return TorusElement(spec)
-        half, size = spec.u_eighth // 2, len(terms)
+        half, size, width = spec.u_eighth // 2, len(terms), len(spec.labels)
         try:
-            K = np.array(list(terms), dtype=np.int64).reshape(size, len(spec.labels))
+            K = np.fromiter(chain.from_iterable(terms), dtype=np.int64,
+                            count=size * width).reshape(size, width)
         except OverflowError:
             return None                         # an exponent past int64
         index = {}          # each distinct coefficient, numbered in the order met
-        group = [index.setdefault(c, len(index)) for c in terms.values()]
+        group = np.array([index.setdefault(c, len(index)) for c in terms.values()])
         coeffs = list(index)
         mult = np.bincount(group).tolist()      # terms per distinct coefficient
         ns = [n for c in coeffs for n in c.terms]
@@ -303,29 +306,35 @@ class TorusElement:
             return None
         # exponent side: mixed-radix codes, code(k_i + k_j) = code_i + code_j,
         # pair phases, and each output monomial numbered by its first pair
-        strides = np.array([math.prod(radix[:i]) for i in range(len(radix))], dtype=np.int64)
+        strides = np.array([math.prod(radix[:i]) for i in range(width)], dtype=np.int64)
         code = (K - low) @ strides
         iu, ju = _pairs(size)                   # unordered term pairs i <= j
         first, out_of = _group_pairs(code[iu] + code[ju])
+        count = len(first)
         phase = ((K @ spec.A) @ K.T)[iu, ju] * half
         unrank = np.argsort(first)              # first-pair number -> code order
-        rank = np.argsort(unrank)               # code order -> first-pair number
+        rank = np.empty_like(unrank)            # code order -> first-pair number
+        rank[unrank] = np.arange(count)
         # the multiplication table keys the coefficient side (module
         # docstring): a live square with this table hands over its
-        # coefficient of each numbered monomial
-        group = np.array(group)
+        # coefficient of each numbered monomial and how many cancel
         table = (tuple(coeffs), group.tobytes(), phase.tobytes(), rank[out_of].tobytes())
         known = _SQUARES.get(table)
         if known is None:
-            out = _square_coefficients(coeffs, group, iu, ju, phase, out_of, len(first))
-            if out is None:
+            got = _square_coefficients(coeffs, group, iu, ju, phase, out_of, count)
+            if got is None:
                 return None
+            out, cancelled = got
         else:
-            out = list(map(known.__getitem__, rank.tolist()))
-        out_keys = map(tuple, (K[iu[first]] + K[ju[first]]).tolist())
-        square = _element(spec, {k: c for k, c in zip(out_keys, out) if c is not None})
+            numbered, cancelled = known
+            out = list(map(numbered.__getitem__, rank.tolist()))
+        cols = (K[iu[first]] + K[ju[first]]).T.tolist()
+        out_keys = zip(*cols) if cols else [()] * count     # zero width: () keys
+        items = zip(out_keys, out)
+        square = _element(spec, {k: c for k, c in items if c is not None}
+                          if cancelled else dict(items))
         if known is None:
-            _SQUARES[table] = list(map(out.__getitem__, unrank.tolist()))
+            _SQUARES[table] = (list(map(out.__getitem__, unrank.tolist())), cancelled)
             weakref.finalize(square, _SQUARES.pop, table)
         return square
 
@@ -402,8 +411,13 @@ def element_from_json(spec, data):
     terms = {}
     for t in data["terms"]:
         k = spec.vec({lab: int(e) for lab, e in t["exp"].items()})
-        co = Laurent({_eighths(n): int(c) for n, c in t.get("coeff", {"0": 1}).items()})
-        terms[k] = terms.get(k, Laurent.zero()) + co
+        co = {}
+        for key, c in t.get("coeff", {"0": 1}).items():
+            n = _eighths(key)
+            if n in co:         # "3", "03" and "+3" name one exponent
+                raise ValueError("%r repeats exponent %d" % (key, n))
+            co[n] = int(c)
+        terms[k] = terms.get(k, Laurent.zero()) + Laurent(co)
     return TorusElement(spec, terms)
 
 
@@ -425,6 +439,15 @@ def _pairs(n):
     return iu, np.arange(len(iu)) - np.repeat(np.cumsum(lens) - lens - rows, lens)
 
 
+def _heads(a):
+    """Where a run of equal entries of a begins: a mask, true at entry 0
+    and wherever an entry differs from the one before it."""
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
+
+
 def _group_pairs(codes):
     """(each output monomial's first pair, in code order; each pair's
     monomial) from the pairs' output codes, by one sort of code * npairs +
@@ -432,7 +455,7 @@ def _group_pairs(codes):
     monomial's first pair."""
     npairs = len(codes)
     sums, order = np.divmod(np.sort(codes * npairs + np.arange(npairs)), npairs)
-    new = np.diff(sums, prepend=-1) != 0
+    new = _heads(sums)
     out_of = np.empty(npairs, dtype=np.int64)
     out_of[order] = np.cumsum(new) - 1
     return order[new], out_of
@@ -443,9 +466,9 @@ def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
     coefficients, each term's coefficient index group, the unordered term
     pairs iu <= ju with their phases in eighths of q and output monomials
     out_of, give the coefficient of each of the count output monomials, a
-    Laurent or None where it cancels; None instead when a distinct
-    coefficient spans more grid steps than the square of the coefficient
-    term count."""
+    Laurent or None where it cancels, and the number that cancel; None
+    instead when a distinct coefficient spans more grid steps than the
+    square of the coefficient term count."""
     ns = [n for c in coeffs for n in c.terms]
     n0 = min(ns)
     d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
@@ -509,14 +532,16 @@ def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
     key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
     mono, val = key // span, flat[nz]
     exp = (key % span + low) * d + 2 * n0
-    starts = np.flatnonzero(np.diff(mono, prepend=-1))
-    lens = np.diff(starts, append=len(nz))
+    starts = np.flatnonzero(_heads(mono))
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = len(nz)
+    lens = ends - starts
     # one Laurent per distinct run of this square (module docstring): runs
     # are grouped by their exact bytes, 16 per (exponent, value) entry, and
     # each group's first run is built
     raw = np.stack((exp, val), axis=1).tobytes()
-    bounds = (16 * np.append(starts, len(nz))).tolist()
-    runs = [raw[i:j] for i, j in zip(bounds, bounds[1:])]
+    runs = [raw[i:j] for i, j in zip((16 * starts).tolist(), (16 * ends).tolist())]
     first = {}          # the bytes of each distinct run -> its first run
     for r, run in enumerate(runs):
         first.setdefault(run, r)
@@ -530,7 +555,7 @@ def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
     out = [None] * count
     for m, run in zip(mono[starts].tolist(), runs):
         out[m] = first[run]
-    return out
+    return out, count - len(runs)
 
 
 # ---------------------------------------------------------------------------

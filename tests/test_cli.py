@@ -414,6 +414,11 @@ def test_input_errors(capsys, tmp_path, annulus_files):
         path = tmp_path / ("elem_%d.json" % len(cases))
         path.write_text(json.dumps({"terms": [{"exp": {"d1": 1}, "coeff": {key: 1}}]}))
         cases.append((("shear", "psi", surf, str(path)), "bad coefficient exponent: %r" % key))
+    # three spellings of one exponent would overwrite one another
+    path = tmp_path / "elem_repeated.json"
+    path.write_text(json.dumps({"terms": [{"exp": {"d1": 1}, "coeff": {"3": 1, "03": 2, "+3": 5}}]}))
+    cases.append((("shear", "psi", surf, str(path)),
+                   "bad coefficient exponent: '03' repeats exponent 3"))
     # a curve through a side no triangle has, an element on no inner edge
     steps = json.loads((tmp_path / "core.json").read_text())["steps"]
     off_side = tmp_path / "off_side.json"
