@@ -69,23 +69,22 @@ class Laurent:
         return Laurent({n: coeff})
 
     # -- ring structure ----------------------------------------------
-    # the right operand is a Laurent or an int (an int on the left is
-    # refused: write Laurent.integer(c)); any other operand gets
-    # NotImplemented, so Python raises TypeError: neither torus elements nor
-    # Exprs have a reflected sum or product
+    # both operands are Laurent scalars: any other operand, an int on
+    # either side included (write Laurent.integer(c)), gets NotImplemented
+    # and so a TypeError; only __eq__ accepts ints
 
     def __add__(self, other):
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return other
+        if not isinstance(other, Laurent):
+            return NotImplemented
         out = dict(self.terms)
         for n, c in other.terms.items():
             out[n] = out.get(n, 0) + c
         return Laurent(out)
 
     def __mul__(self, other):
-        other = _as_laurent(other)
-        return other if other is NotImplemented else Laurent(_times(self, other))
+        if not isinstance(other, Laurent):
+            return NotImplemented
+        return Laurent(_times(self, other))
 
     def inverse(self):
         """Inverse of a unit +-q^(n/8); anything else is not invertible."""
@@ -168,15 +167,6 @@ def _times(c1, c2):
             n = n1 + n2
             out[n] = out.get(n, 0) + a1 * a2
     return out
-
-
-def _as_laurent(x):
-    """x as a Laurent when it is a Laurent or an int, else NotImplemented."""
-    if isinstance(x, Laurent):
-        return x
-    if isinstance(x, int):
-        return Laurent.integer(x)
-    return NotImplemented
 
 
 def _exp_str(n):

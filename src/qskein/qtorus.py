@@ -64,24 +64,24 @@ and each pair's monomial.  A monomial's exponent vector is K[i] + K[j]
 at its first pair, so no code is decoded; the keys are built from the
 columns of these sums, one tuple per monomial.  The exponent side also
 takes the pair phases.  The coefficient side, _square_coefficients,
-computes the rows, convolutions, layout, scatter and runs, and gives one
-Laurent (or None, where the pairs cancel) per output monomial and the
-number that cancel, so that a square where none cancels takes every
-monomial without a test.  It reads only the square's multiplication
-table: the distinct coefficients by value, in the order met; each term's
-coefficient index; each unordered pair's phase in eighths of q; and each
-pair's output monomial, numbered by its first pair in pair order, a
-numbering that depends neither on the exponent vectors nor on their code
-order.  _SQUARES maps the table of each live square that ran the
-coefficient side to its coefficient of each numbered monomial and the
-number that cancel, and a square whose table is there takes those and
-skips the coefficient side.  Its keys still come from its own exponents,
-in code order, so its keys, their order, its coefficients and their term
-order are those the coefficient side would give it.  psi only relabels
-exponents and keeps the term order, so the skein square psi(t) psi(t)
-takes the table of the shear square t t.  An entry leaves _SQUARES when
-the square that computed it is freed (weakref.finalize), not when a
-square that took it is.
+computes the rows, convolutions, layout, scatter and runs.  It reads only
+the square's multiplication table: the distinct coefficients by value, in
+the order met; each term's coefficient index; each unordered pair's phase
+in eighths of q; and each pair's output monomial, numbered by its first
+pair in pair order, a numbering that depends neither on the exponent
+vectors nor on their code order.  It gives one Laurent (or None, where
+the pairs cancel) per output monomial in that numbering and the number
+that cancel, so that a square where none cancels takes every monomial
+without a test.  _SQUARES maps the table of each live square that ran the
+coefficient side to exactly what that run gave, and a square whose table
+is there takes it and skips the coefficient side.  Either way the square
+reads the coefficients in code order, through each monomial's first-pair
+number, and takes its keys from its own exponents, so its keys, their
+order, its coefficients and their term order do not depend on which
+square computed them.  psi only relabels exponents and keeps the term
+order, so the skein square psi(t) psi(t) takes the table of the shear
+square t t.  An entry leaves _SQUARES when the square that computed it is
+freed (weakref.finalize), not when a square that took it is.
 
 After the scatter, each output monomial's nonzero entries form one run of
 (exponent, value) pairs.  Runs are grouped by their exact bytes within the
@@ -312,29 +312,27 @@ class TorusElement:
         first, out_of = _group_pairs(code[iu] + code[ju])
         count = len(first)
         phase = ((K @ spec.A) @ K.T)[iu, ju] * half
-        unrank = np.argsort(first)              # first-pair number -> code order
-        rank = np.empty_like(unrank)            # code order -> first-pair number
-        rank[unrank] = np.arange(count)
+        rank = np.empty_like(first)             # code order -> first-pair number
+        rank[np.argsort(first)] = np.arange(count)
+        by_first = rank[out_of]                 # each pair's monomial by first pair
         # the multiplication table keys the coefficient side (module
         # docstring): a live square with this table hands over its
         # coefficient of each numbered monomial and how many cancel
-        table = (tuple(coeffs), group.tobytes(), phase.tobytes(), rank[out_of].tobytes())
+        table = (tuple(coeffs), group.tobytes(), phase.tobytes(), by_first.tobytes())
         known = _SQUARES.get(table)
-        if known is None:
-            got = _square_coefficients(coeffs, group, iu, ju, phase, out_of, count)
-            if got is None:
+        miss = known is None
+        if miss:
+            known = _square_coefficients(coeffs, group, iu, ju, phase, by_first, count)
+            if known is None:
                 return None
-            out, cancelled = got
-        else:
-            numbered, cancelled = known
-            out = list(map(numbered.__getitem__, rank.tolist()))
+        numbered, cancelled = known
         cols = (K[iu[first]] + K[ju[first]]).T.tolist()
         out_keys = zip(*cols) if cols else [()] * count     # zero width: () keys
-        items = zip(out_keys, out)
+        items = zip(out_keys, map(numbered.__getitem__, rank.tolist()))
         square = _element(spec, {k: c for k, c in items if c is not None}
                           if cancelled else dict(items))
-        if known is None:
-            _SQUARES[table] = (list(map(out.__getitem__, unrank.tolist())), cancelled)
+        if miss:
+            _SQUARES[table] = known
             weakref.finalize(square, _SQUARES.pop, table)
         return square
 
@@ -465,10 +463,11 @@ def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
     """The coefficient side of a square (module docstring): its distinct
     coefficients, each term's coefficient index group, the unordered term
     pairs iu <= ju with their phases in eighths of q and output monomials
-    out_of, give the coefficient of each of the count output monomials, a
-    Laurent or None where it cancels, and the number that cancel; None
-    instead when a distinct coefficient spans more grid steps than the
-    square of the coefficient term count."""
+    out_of, numbered by first pair, give the coefficient of each of the
+    count output monomials in that numbering, a Laurent or None where it
+    cancels, and the number that cancel; None instead when a distinct
+    coefficient spans more grid steps than the square of the coefficient
+    term count."""
     ns = [n for c in coeffs for n in c.terms]
     n0 = min(ns)
     d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1

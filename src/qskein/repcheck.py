@@ -116,10 +116,6 @@ DENSE_DIM = 4000
 DEFAULT_TRIALS = 20
 
 
-class Inconclusive(Exception):
-    """This root order cannot decide: a matrix is singular mod p."""
-
-
 def lu_factor(mat, p):
     """The inverse of mat mod p by Gauss-Jordan elimination on [mat | 1];
     ValueError when mat is singular mod p.  Each step updates only the rows
@@ -442,11 +438,11 @@ class RootRep:
             out += v[..., index] * weight % self.prime
         return out % self.prime
 
-    def act_expr(self, expr, v, dead=None):
+    def act_expr(self, expr, v, dead):
         """Apply a formal expression: sum over words, factors applied
         right to left, inverses through linear solves.  A block in which an
         inverse is singular is left zero and its order noted in dead
-        {L: note}, the first note kept; with no dead, it raises Inconclusive."""
+        {L: note}, the first note kept."""
         block = self._layout.block
         out = np.zeros_like(v)
         for coeff, factors in expr.words:
@@ -457,11 +453,11 @@ class RootRep:
             out += scalar[block] * w % self.prime
         return out % self.prime
 
-    def _solve(self, expr, v, dead=None):
+    def _solve(self, expr, v, dead):
         """w with expr . w = v for v of shape (dim,) or (n, dim), block by
         block through the block's inverse (see _invert), cached in the block
-        by the payload object.  A block with no inverse is handled as
-        act_expr says."""
+        by the payload object.  A block with no inverse is left zero and
+        noted in dead, as act_expr says."""
         key = id(expr)
         missing = [b for b in self.blocks if key not in b.inverses]
         for b, inverse in zip(missing, self._invert(expr, missing) if missing else ()):
@@ -471,8 +467,6 @@ class RootRep:
         for b in self.blocks:
             inverse = b.inverses[key][1]
             if isinstance(inverse, str):
-                if dead is None:
-                    raise Inconclusive(inverse)
                 dead.setdefault(b.L, inverse)
             else:
                 out[:, b.span] = lu_solve(inverse, rows[:, b.span].T, b.p).T

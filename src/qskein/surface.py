@@ -127,7 +127,7 @@ class Triangulation:
         self.vertex_of = {c: vi for vi, orbit in enumerate(orbits) for c in orbit}
         self.interior_vertices = frozenset(range(len(starts), len(orbits)))
 
-        # self-folded triangles: a triangle glued to itself along two sides
+        # self-folded: a triangle glued to itself along two sides
         self.self_folded = tuple(
             any(self.glue.get(tri[i]) in tri for i in range(3))
             for tri in self.triangles
@@ -150,11 +150,9 @@ class Triangulation:
         else:
             self.connected = False
 
-        self.surface_class = (
-            "marked"
-            if not self.interior_vertices and not any(self.self_folded)
-            else "generalized"
-        )
+        # a triangle folded onto itself glues the corner between its glued
+        # sides to itself, an interior vertex, so it is never "marked"
+        self.surface_class = "generalized" if self.interior_vertices else "marked"
 
         # vertex names from hints, propagated through side classes
         names = {}
@@ -187,22 +185,8 @@ class Triangulation:
             raise SurfaceError("empty triangulation")
         if not self.connected:
             raise SurfaceError("surface is not connected")
-        # every boundary component carries a marked point automatically
-        # (all vertices of a triangulation are marked); the excluded small
-        # cases cannot even be encoded, but guard against degenerate data.
-        V = len(self.vertices)
-        E = len(self.edges)
-        F = len(self.triangles)
-        chi = V - E + F
-        closed = not self.boundary_edges
-        if closed and chi == 2 and V <= 2:
-            raise SurfaceError("sphere with at most two marked points is excluded")
-        if chi == 1 and V == 1:
-            raise SurfaceError("monogon is excluded")
         if require_marked and self.surface_class != "marked":
-            if self.interior_vertices:
-                raise SurfaceError("interior marked points: not a marked surface")
-            raise SurfaceError("self-folded triangle: not a marked surface")
+            raise SurfaceError("interior marked points: not a marked surface")
         return True
 
     # -- face matrix -------------------------------------------------------

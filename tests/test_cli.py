@@ -93,6 +93,10 @@ def test_shear_psi(capsys, annulus_files, tmp_path):
     code, out, _ = run(capsys, "shear", "psi", surf, str(elem))
     assert code == 0
     assert "x[d1]^-2 x[d2]^2" in out
+    # an element with no terms is zero, and so is its image
+    elem.write_text(json.dumps({"terms": []}))
+    code, out, err = run(capsys, "shear", "psi", "builtin:polygon5", str(elem))
+    assert (code, out) == (0, "0\n"), err
 
 
 def test_shear_psi_coefficient_defaults_to_one(capsys, annulus_files, tmp_path):

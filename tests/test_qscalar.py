@@ -13,7 +13,7 @@ def test_addition_examples():
     s = q(4) + q(-4)
     assert s.terms == {4: 1, -4: 1}
     x = q(3, 5) + q(-2, 7)
-    assert (x + x * -1).is_zero()
+    assert (x + x * Laurent.integer(-1)).is_zero()
     # (q + q^-1) + (q - q^-1) = 2q
     assert (q(8) + q(-8)) + (q(8) + q(-8, -1)) == q(8, 2)
 
@@ -84,6 +84,11 @@ def test_hash_agrees_with_equality_on_integers():
     assert len({Laurent.integer(3), 3}) == 1
     assert len({Laurent.zero(), 0, Laurent.integer(0)}) == 1
     assert q(8, 3) != 3 and q(0, 3) + q(8) != 3
+    # the hash is kept, so the terms cannot be replaced
+    c = Laurent.integer(3)
+    with pytest.raises(AttributeError, match="immutable"):
+        c.terms = {}
+    assert c == 3 and hash(c) == hash(3)
 
 
 @given(scalars)
@@ -127,11 +132,13 @@ def test_scalar_on_the_left():
 
 
 def test_int_operand_only_on_the_right():
-    # c + 1 and c * 2 take the int as a constant; an int on the left is
-    # refused, and Laurent.integer puts a constant there
+    # an int operand is refused on either side of + and *, and
+    # Laurent.integer puts a constant there; == alone accepts an int
     c = q(1) + q(-1)
-    assert c + 1 == Laurent.integer(1) + c == q(1) + q(-1) + q(0)
-    assert c * 2 == Laurent.integer(2) * c == q(1, 2) + q(-1, 2)
-    for op in (lambda: 1 + c, lambda: 1 - c, lambda: 2 * c):
+    assert c + Laurent.integer(1) == Laurent.integer(1) + c == q(1) + q(-1) + q(0)
+    assert c * Laurent.integer(2) == q(1, 2) + q(-1, 2)
+    for op in (lambda: c + 1, lambda: c * 2, lambda: 1 + c, lambda: 1 - c,
+               lambda: 2 * c):
         with pytest.raises(TypeError):
             op()
+    assert Laurent.integer(1) == 1 and c != 1

@@ -624,6 +624,12 @@ def test_mul_example():
     b = TorusElement.monomial(s, (0, 1))
     assert a * b == TorusElement.monomial(s, (1, 1), Laurent.q_power(4))
     assert a * a.inverse_monomial() == TorusElement.one(s)
+    with pytest.raises(ValueError, match="only monomials are invertible"):
+        (a + b).inverse_monomial()
+    # a coefficient of several terms is bracketed, and zero prints as 0
+    assert str((a + b) * (a + b)) == ("1*q^(0) * x[b]^2 + (1*q^(-1/2) + 1*q^(1/2))"
+                                      " * x[a]^1 x[b]^1 + 1*q^(0) * x[a]^2")
+    assert str(TorusElement.zero(s)) == "0"
 
 
 def test_commutation_relation():
@@ -738,6 +744,9 @@ def test_mlh_apply_sums_colliding_images():
     image = mlh_apply(H, src, dst, el)
     assert image.terms == {(big,): ONE}
     assert_canonical(image)
+    assert mlh_apply(H, src, dst, TorusElement.zero(src)) == TorusElement.zero(dst)
+    with pytest.raises(ValueError, match="does not live in the source torus"):
+        mlh_apply(H, src, dst, TorusElement.one(dst))
 
 
 def test_mlh_injective_on_base():
@@ -778,6 +787,10 @@ def test_spec_mismatch_errors():
         TorusSpec(("a", "b"), [[0, 1], [1, 0]], 8)
     with pytest.raises(ValueError):
         TorusSpec(("a",), [[0]], 3)  # u not a power of q^(1/4)
+    with pytest.raises(ValueError, match="duplicate labels"):
+        TorusSpec(("a", "a"), [[0, 1], [-1, 0]], 8)
+    with pytest.raises(ValueError, match=r"matrix shape \(1, 1\) does not match 2 labels"):
+        TorusSpec(("a", "b"), [[0]], 8)
 
 
 def test_json_roundtrip():
@@ -800,6 +813,7 @@ def test_add_refuses_what_is_not_a_torus_element():
     with pytest.raises(TypeError):
         el - 1.5
     one = TorusElement.one(spec)
+    assert one != 1 and one != Laurent.one()
     assert el + el + one == el * Laurent.integer(2) + one
 
 
@@ -812,6 +826,8 @@ def test_exponents_must_be_integers():
             TorusElement(s, terms)
     with pytest.raises(TypeError):
         s.vec({"a": 2.7})
+    with pytest.raises(ValueError, match="exponent vector of wrong length"):
+        TorusElement(s, {(1,): ONE})
     el = TorusElement(s, {(np.int64(1), np.int32(-2)): ONE})
     assert el.terms == {(1, -2): ONE}
     assert all(type(e) is int for e in next(iter(el.terms)))

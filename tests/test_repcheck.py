@@ -13,7 +13,6 @@ from qskein.qscalar import RootOfUnity
 from qskein.repcheck import (
     DEFAULT_ORDERS,
     EXTRA_ORDERS,
-    Inconclusive,
     RootRep,
     symplectic_normal_form,
     verify_generator_map_identity,
@@ -106,13 +105,15 @@ def test_solve_monomial_and_binomial():
     rep = RootRep(s, (7,))
     v = rep.random_vectors(1)[0]
     mono = Expr.from_element(TorusElement.monomial(s, (1, 2), Laurent.q_power(3)))
-    w = rep.act_expr(mono.inv(), v)
-    assert np.array_equal(rep.act_expr(mono, w), v)
+    dead = {}
+    w = rep.act_expr(mono.inv(), v, dead)
+    assert np.array_equal(rep.act_expr(mono, w, dead), v)
     binom = Expr.from_element(
         TorusElement.one(s) + TorusElement.monomial(s, (1, 0))
     )
-    w = rep.act_expr(binom.inv(), v)
-    assert np.array_equal(rep.act_expr(binom, w), v)
+    w = rep.act_expr(binom.inv(), v, dead)
+    assert np.array_equal(rep.act_expr(binom, w, dead), v)
+    assert dead == {}
 
 
 def test_singular_action_inconclusive():
@@ -121,8 +122,9 @@ def test_singular_action_inconclusive():
     bad = Expr.from_element(TorusElement.zero(s))
     rep = RootRep(s, (5,))
     v = rep.random_vectors(1)[0]
-    with pytest.raises(Inconclusive):
-        rep.act_expr(bad.inv(), v)
+    dead = {}
+    assert not rep.act_expr(bad.inv(), v, dead).any()
+    assert list(dead) == [5] and dead[5].startswith("singular action at L=5: ")
     verdict = verify_identity(bad.inv(), bad.inv(), s, trials=2)
     assert verdict.status == "INCONCLUSIVE"
 
@@ -229,7 +231,7 @@ def test_pass_needs_three_orders(monkeypatch):
     # four inconclusive orders leave only 17 and 19, which is not enough
     act_expr = RootRep.act_expr
 
-    def flaky(rep, expr, v, dead=None):
+    def flaky(rep, expr, v, dead):
         for b in rep.blocks:
             if b.L in (5, 7, 11, 13):
                 dead.setdefault(b.L, "forced at L=%d" % b.L)
@@ -268,7 +270,7 @@ def test_one_action_per_side_per_order(monkeypatch):
     calls = []
     act_expr = RootRep.act_expr
 
-    def counted(rep, expr, v, dead=None):
+    def counted(rep, expr, v, dead):
         calls.append(rep.orders)
         return act_expr(rep, expr, v, dead)
 
@@ -297,7 +299,9 @@ def test_fail_witness_is_first_failing_trial():
     # and acted on alone, separates the two sides mod p
     rep = RootRep(s, (L,), seed=0)
     v = rep.random_vectors(5)[verdict.witness["trial"]]
-    assert not np.array_equal(rep.act_expr(x, v), rep.act_expr(wrong, v))
+    dead = {}
+    assert not np.array_equal(rep.act_expr(x, v, dead), rep.act_expr(wrong, v, dead))
+    assert dead == {}
 
 
 def test_trial_vectors_do_not_depend_on_trials():
@@ -384,8 +388,10 @@ def test_solve_matches_reference_inverse():
             mat = reference_matrix(rep, binomial)
             expr = Expr.from_element(binomial)
             assert len(binomial.terms) == 2
-            one = rep._solve(expr, batch[0])
-            many = rep._solve(expr, batch)
+            dead = {}
+            one = rep._solve(expr, batch[0], dead)
+            many = rep._solve(expr, batch, dead)
+            assert dead == {}
             p = rep.blocks[0].p
             assert np.array_equal(mat @ one % p, batch[0])
             assert np.array_equal(many @ mat.T % p, batch)
@@ -733,11 +739,14 @@ def test_cycle_inverse_equals_gauss_jordan(monkeypatch):
                 expr = Expr.from_element(el)
                 mat = reference_matrix(rep, el)
                 p = rep.blocks[0].p
-                assert np.array_equal(rep._solve(expr, batch) @ mat.T % p, batch)
+                dead = {}
+                assert np.array_equal(rep._solve(expr, batch, dead) @ mat.T % p, batch)
+                assert dead == {}
                 assert np.array_equal(rep.blocks[0].inverses[id(expr)][1], gauss_jordan(mat, p))
             zero = TorusElement(s, {k0: vanish, k1: vanish * unit})
-            with pytest.raises(Inconclusive, match="singular action at L=%d" % L):
-                rep._solve(Expr.from_element(zero), batch)
+            dead = {}
+            assert not rep._solve(Expr.from_element(zero), batch, dead).any()
+            assert list(dead) == [L] and dead[L].startswith("singular action at L=%d: " % L)
             with pytest.raises(ValueError, match="singular"):
                 gauss_jordan(reference_matrix(rep, zero), rep.blocks[0].p)
 
@@ -756,8 +765,9 @@ def test_singular_binomial_is_inconclusive_at_its_order():
     D = TorusElement(s, {(0, 1): Laurent.one(), (1, 1): Laurent.integer(c)})
     with pytest.raises(ValueError, match="singular"):
         repcheck.lu_factor(reference_matrix(rep, D), p)
-    with pytest.raises(Inconclusive):
-        rep._solve(Expr.from_element(D), rep.random_vectors(1))
+    dead = {}
+    assert not rep._solve(Expr.from_element(D), rep.random_vectors(1), dead).any()
+    assert dead == {5: "singular action at L=5: matrix is singular mod %d" % p}
     inv = Expr.from_element(D).inv()
     verdict = verify_identity(times(inv, Expr.from_element(D)), unit(s), s, trials=3)
     assert verdict.status == "PASS" and verdict.orders == (7, 11, 13)
@@ -841,7 +851,7 @@ def test_largest_block_builds_its_matrix_alone(monkeypatch):
         factorized.append(p)
         return lu(mat, p)
 
-    def recorded(rep, expr, v, dead=None):
+    def recorded(rep, expr, v, dead):
         batches.append(([b.L for b in rep.blocks], v.shape))
         return act_expr(rep, expr, v, dead)
 
@@ -866,7 +876,7 @@ def test_largest_block_builds_its_matrix_alone(monkeypatch):
 
 def sequential_verdict(lhs, rhs, spec, trials, seed=0):
     """verify_identity's verdict order by order: one one-order RootRep per
-    order, each side walked alone and stopped by its first singular inverse."""
+    order, each side walked alone, noting its first singular inverse."""
     lhs_list = [lhs] if isinstance(lhs, Expr) else list(lhs)
     rhs_list = [rhs] if isinstance(rhs, Expr) else list(rhs)
     sub = repcheck._support_spec(lhs_list + rhs_list, spec)
@@ -879,11 +889,11 @@ def sequential_verdict(lhs, rhs, spec, trials, seed=0):
             notes.append(rep.skipped[L])
             continue
         batch = rep.random_vectors(trials)
-        try:
-            av = sum((rep.act_expr(e, batch) for e in lhs_list), np.zeros_like(batch))
-            bv = sum((rep.act_expr(e, batch) for e in rhs_list), np.zeros_like(batch))
-        except Inconclusive as exc:
-            notes.append(str(exc))
+        dead = {}
+        av = sum((rep.act_expr(e, batch, dead) for e in lhs_list), np.zeros_like(batch))
+        bv = sum((rep.act_expr(e, batch, dead) for e in rhs_list), np.zeros_like(batch))
+        if dead:
+            notes.append(dead[L])
             continue
         failing = np.flatnonzero(((av - bv) % rep.blocks[0].p).any(axis=1))
         if failing.size:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,42 @@ def test_self_folded_triangle():
     assert T.self_folded[0]
     assert T.surface_class == "generalized"
     assert not T.face_matrix().any()
+
+
+def _pairings(sides):
+    """Every set of disjoint pairs of sides, each pair a gluing."""
+    if not sides:
+        yield []
+        return
+    first, rest = sides[0], sides[1:]
+    yield from _pairings(rest)
+    for i, other in enumerate(rest):
+        for more in _pairings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + more
+
+
+def test_validate_refuses_only_disconnected_and_interior_points():
+    # every side pairing of one to three triangles: validate refuses only a
+    # disconnected surface, require_marked adds only interior marked
+    # points, and a self-folded triangle always has one (the corner between
+    # its two glued sides is glued to itself)
+    outcomes, pairings = Counter(), 0
+    for n in (1, 2, 3):
+        triangles = [tuple("t%ds%d" % (t, i) for i in range(3)) for t in range(n)]
+        for gluing in _pairings([s for tri in triangles for s in tri]):
+            T = Triangulation(triangles, gluing)
+            pairings += 1
+            assert T.interior_vertices or not any(T.self_folded)
+            assert (T.surface_class == "marked") == (not T.interior_vertices)
+            for marked in (False, True):
+                try:
+                    outcomes[T.validate(require_marked=marked)] += 1
+                except SurfaceError as exc:
+                    outcomes[str(exc)] += 1
+    assert pairings == 2700
+    assert outcomes == {True: 2567,
+                        "interior marked points: not a marked surface": 1233,
+                        "surface is not connected": 1600}
 
 
 def test_validation_errors():

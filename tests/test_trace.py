@@ -106,6 +106,10 @@ def test_trace_rejects_bad_input():
     lam, c = torus_curve("1,-1")
     with pytest.raises(CurveError):
         trace_simple(c, lam)
+    # a curve on another triangulation crosses edges that are not inner here
+    ld = lift(torus_one_marked())
+    with pytest.raises(CurveError, match="non-inner edge"):
+        trace_once_edge(curve_lift(ld, torus_curve("1,0")[1]), A)
     with pytest.raises(CurveError):
         # a bouncing step sequence is not a normal curve at all
         NormalCurve(A, [(0, 2, 2)])
@@ -124,6 +128,10 @@ def test_psi_image_knot_monomial():
     [k] = list(img.terms)
     assert k[bundle.x.index["c"]] == 0
     assert eps[bundle.x.index["c"]] == 0
+    # the "after" lift doubles c, so two edges are crossed twice
+    after = lift(lam, variant="after")
+    with pytest.raises(CurveError, match="needs a simple or almost-simple curve"):
+        psi_image_of_knot_monomial(curve_lift(after, c), after.delta)
 
 
 def test_unchanged_pattern_gives_trivial_monomial():
