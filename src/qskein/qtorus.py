@@ -92,6 +92,19 @@ live table from _SQUARES.  Laurent scalars are immutable and compare by
 value, so monomials that share one coefficient object give the same
 outputs as separate objects would, at less memory.
 
+A square's working memory is that of its largest stage, not the sum of
+its stages.  _square drops the pair codes and each pair's monomial in
+code order once it has the output exponent vectors, and the term pairs,
+their phases and their first-pair numbers once the coefficient side has
+run.  The coefficient side runs in four stages, rows and convolutions
+(_convolutions), placements and layout (_layout), the scatter (_scatter)
+and runs and Laurents (_runs), and each returns only what the next one
+reads, so every array is freed once its last reader has run.  Squaring
+the top traces rung's 124-term shear trace (7,750 term pairs, 1,003
+output monomials) with no live table, tracemalloc reads a peak about
+0.8 MB above the 1.1-1.2 MB the square retains; it read 3.9 MB above
+when every array lived until the square returned.
+
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
 of TorusElement() and Laurent(); state_sum and mlh_apply build theirs the
@@ -311,10 +324,12 @@ class TorusElement:
         iu, ju = _pairs(size)                   # unordered term pairs i <= j
         first, out_of = _group_pairs(code[iu] + code[ju])
         count = len(first)
+        sums = K[iu[first]] + K[ju[first]]      # output exponent vectors, in code order
         phase = ((K @ spec.A) @ K.T)[iu, ju] * half
         rank = np.empty_like(first)             # code order -> first-pair number
         rank[np.argsort(first)] = np.arange(count)
         by_first = rank[out_of]                 # each pair's monomial by first pair
+        del code, first, out_of
         # the multiplication table keys the coefficient side (module
         # docstring): a live square with this table hands over its
         # coefficient of each numbered monomial and how many cancel
@@ -325,8 +340,9 @@ class TorusElement:
             known = _square_coefficients(coeffs, group, iu, ju, phase, by_first, count)
             if known is None:
                 return None
+        del iu, ju, phase, by_first
         numbered, cancelled = known
-        cols = (K[iu[first]] + K[ju[first]]).T.tolist()
+        cols = sums.T.tolist()
         out_keys = zip(*cols) if cols else [()] * count     # zero width: () keys
         items = zip(out_keys, map(numbered.__getitem__, rank.tolist()))
         square = _element(spec, {k: c for k, c in items if c is not None}
@@ -467,28 +483,51 @@ def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
     count output monomials in that numbering, a Laurent or None where it
     cancels, and the number that cancel; None instead when a distinct
     coefficient spans more grid steps than the square of the coefficient
-    term count."""
+    term count.
+
+    The work runs in four stages, _convolutions, _layout, _scatter and
+    _runs, and each returns only what the next one reads, so an array is
+    freed once its last reader has run: the working memory above the
+    inputs and the result is about that of the largest stage, not the sum
+    of all of them."""
     ns = [n for c in coeffs for n in c.terms]
     n0 = min(ns)
     d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
     # each distinct coefficient a dense row on step e from its lowest
     # exponent, e the gcd of the exponent differences inside the
-    # coefficients (d when each has one term, and a multiple of d), and one
-    # convolution per distinct unordered coefficient pair
+    # coefficients (d when each has one term, and a multiple of d)
     bottom = [min(c.terms) for c in coeffs]
     e = math.gcd(*(n - b for c, b in zip(coeffs, bottom) for n in c.terms)) or d
     s = e // d                  # grid steps from one product column to the next
-    offset = np.array([(b - n0) // d for b in bottom])
     size = np.array([(max(c.terms) - b) // e + 1 for c, b in zip(coeffs, bottom)])
     ell = int(size.max())
     # the grid steps a row covers bound the layout, not its slots ell
     if s * (ell - 1) + 1 > sum(len(coeffs[g].terms) for g in group.tolist()) ** 2:
         return None             # one row outgrows the whole pair loop's products
+    offset = np.array([(b - n0) // d for b in bottom])
+    g1, g2 = group[iu], group[ju]
+    conv, via, length = _convolutions(coeffs, bottom, e, size, ell, g1, g2)
+    base = offset[g1] + offset[g2]
+    del g1, g2
+    pos, cut, via, length, low, span = _layout(base, phase // d, iu != ju, via,
+                                               length, out_of, s)
+    del base
+    key, val = _scatter(conv, pos, cut, via, length, s)
+    del conv, pos, cut, via, length
+    return _runs(key, val, span, low, d, 2 * n0, count)
+
+
+def _convolutions(coeffs, bottom, e, size, ell, g1, g2):
+    """Rows and convolutions: each distinct coefficient a dense row of ell
+    slots on step e from its bottom exponent, and one convolution per
+    distinct unordered coefficient pair.  Gives the convolutions, a pair
+    per column; each term pair's coefficient pair, from the term pairs'
+    coefficient indices g1 and g2; and each coefficient pair's number of
+    product columns."""
     rows = np.zeros((len(coeffs), ell), dtype=np.int64)
     for g, (c, b) in enumerate(zip(coeffs, bottom)):
         for n, v in c.terms.items():
             rows[g, (n - b) // e] = v
-    g1, g2 = group[iu], group[ju]
     pairs, via = np.unique(np.minimum(g1, g2) * len(coeffs) + np.maximum(g1, g2),
                            return_inverse=True)
     left, right = divmod(pairs, len(coeffs))
@@ -496,65 +535,96 @@ def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
     right_rows = rows[right].T
     for j in range(ell):
         conv[j:j + ell] += right_rows * rows[left, j]
-    # a term pair's product starts at its grid position plus its phase
-    # and, for i < j, also minus its phase, since <k_j,k_i> = -<k_i,k_j>;
-    # its column t lies s * t grid steps further on
-    shift = phase // d
-    base = offset[g1] + offset[g2]
-    cross = iu != ju
+    return conv, via, size[left] + size[right] - 1
+
+
+def _layout(base, shift, cross, via, length, out_of, s):
+    """Placements and layout.  A term pair's product starts at its grid
+    position base plus its phase shift in grid steps and, where cross
+    (i < j), also minus it, since <k_j,k_i> = -<k_i,k_j>; its column t
+    lies s * t grid steps further on.  The placements are sorted by the key
+    (monomial, start) and each gap that no earlier placement reaches
+    across is cut out.  Gives each placement's layout position in that
+    order, the gaps cut up to it, its coefficient pair and its number of
+    product columns, and the lowest start and the span of starts that
+    decode a key."""
     at = np.concatenate((base + shift, (base - shift)[cross]))
     via = np.concatenate((via, via[cross]))
-    length = (size[left] + size[right] - 1)[via]       # product columns
+    length = length[via]                                # product columns
     extent = s * (length - 1) + 1                       # grid steps they cover
-    # positions, first by the key (monomial, start), then in the layout,
-    # which cuts out each gap that no earlier placement reaches across
     low = int(at.min())
     span = int((at + extent).max()) - low
     pos = np.concatenate((out_of, out_of[cross])) * span + (at - low)
+    del at
     order = np.argsort(pos)
     pos, via, length, extent = pos[order], via[order], length[order], extent[order]
+    del order
     # cut[i] sums the gaps up to placement i, where the farthest end so
     # far falls short of the next start
     cut = np.maximum.accumulate(pos + extent)
     cut = np.cumsum(np.maximum(pos - np.concatenate(([0], cut[:-1])), 0))
     pos -= cut
-    flat = np.zeros(int((pos + extent).max()), dtype=np.int64)
-    # product column t adds to the term pairs whose product is longer
+    return pos, cut, via, length, low, span
+
+
+def _scatter(conv, pos, cut, via, length, s):
+    """The scatter: one np.add.at per product column into the layout, which
+    ends where the last placement does.  Gives the key of each nonzero
+    entry, its layout index plus the cut before it, and its value."""
+    flat = np.zeros(int((pos + s * (length - 1) + 1).max()), dtype=np.int64)
+    # product column t adds to the placements whose product is longer
     order = np.argsort(length)
     at, via, length = pos[order], via[order], length[order]
-    skip = np.searchsorted(length, np.arange(2 * ell - 1), side="right")
+    del order
+    skip = np.searchsorted(length, np.arange(len(conv)), side="right")
     for t, k in enumerate(skip.tolist()):
         np.add.at(flat, at[k:] + s * t, conv[t, via[k:]])
-    # a nonzero entry's key is its layout index plus the cut before it;
-    # each output monomial's entries form one run, in exponent order
+    del at, via, length
     nz = np.flatnonzero(flat)
-    key = nz + cut[np.searchsorted(pos, nz, side="right") - 1]
-    mono, val = key // span, flat[nz]
-    exp = (key % span + low) * d + 2 * n0
+    val = flat[nz]
+    del flat
+    return nz + cut[np.searchsorted(pos, nz, side="right") - 1], val
+
+
+def _runs(key, val, span, low, d, n_base, count):
+    """Runs and Laurents.  An entry's key is its monomial times span plus
+    its start above low, and its exponent is n_base plus d per unit of
+    start; each output monomial's nonzero entries form one run, in
+    exponent order.  Runs are grouped by their exact bytes, 16 per
+    (exponent, value) entry, and each group's first run is built into one
+    Laurent (module docstring).  Gives the coefficient of each of the count
+    monomials and the number that cancel."""
+    mono, exp = np.divmod(key, span)
+    exp += low
+    exp *= d
+    exp += n_base
     starts = np.flatnonzero(_heads(mono))
+    mono = mono[starts].tolist()
     ends = np.empty_like(starts)
     ends[:-1] = starts[1:]
-    ends[-1:] = len(nz)
+    ends[-1:] = len(exp)
     lens = ends - starts
-    # one Laurent per distinct run of this square (module docstring): runs
-    # are grouped by their exact bytes, 16 per (exponent, value) entry, and
-    # each group's first run is built
     raw = np.stack((exp, val), axis=1).tobytes()
-    runs = [raw[i:j] for i, j in zip((16 * starts).tolist(), (16 * ends).tolist())]
-    first = {}          # the bytes of each distinct run -> its first run
-    for r, run in enumerate(runs):
-        first.setdefault(run, r)
+    # each run's first run with the same bytes; the bytes go before the
+    # Laurents are built
+    first = {}
+    head_of = [first.setdefault(raw[i:j], r) for r, (i, j)
+            in enumerate(zip((16 * starts).tolist(), (16 * ends).tolist()))]
+    del raw, starts, ends
     heads = list(first.values())
-    own = np.zeros(len(runs), dtype=bool)
+    del first
+    own = np.zeros(len(head_of), dtype=bool)
     own[heads] = True
     kept = np.repeat(own, lens)
     entries = zip(exp[kept].tolist(), val[kept].tolist())
-    for run, n in zip(list(first), lens[heads].tolist()):
-        first[run] = Laurent._canonical(dict(islice(entries, n)))
+    del exp, kept
+    built = [None] * len(head_of)
+    for r, n in zip(heads, lens[heads].tolist()):
+        built[r] = Laurent._canonical(dict(islice(entries, n)))
     out = [None] * count
-    for m, run in zip(mono[starts].tolist(), runs):
-        out[m] = first[run]
-    return out, count - len(runs)
+    for m, r in zip(mono, head_of):
+        out[m] = built[r]
+    return out, count - len(head_of)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ import importlib
 import json
 import random
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+from qskein import qtorus
 from qskein.qtorus import TorusElement
 from test_qtorus import assert_shared, coefficient_sides, reference_product, square_builds
 
@@ -163,3 +165,25 @@ def test_traces_outputs_keep_their_order(bench):
     assert digest.hexdigest()[:16] == "8104ad92a1c373ee"
     coeffs = [c for out in held for name in names[2:] for c in out[name].terms.values()]
     assert (len(coeffs), len({id(c) for c in coeffs})) == (16982, 1513)
+
+
+def test_top_square_working_memory_stays_near_its_result(bench):
+    # the top traces rung's shear trace (124 terms, 7,750 term pairs),
+    # squared with no live table: the coefficient side frees each array
+    # once its last reader has run, so the square's traced peak stays
+    # within 1.5 MB of what the square retains (about 3.9 MB above it when
+    # every array lived until the square returned)
+    _, _, workloads = bench
+    top, = [job for job in workloads.build("traces", 0) if job.top]
+    shear = top.run()["shear"]          # the job's squares die with its output
+    tables = len(qtorus._SQUARES)
+    tracemalloc.start()
+    try:
+        square = shear * shear
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(shear.terms) == 124
+    assert len(qtorus._SQUARES) == tables + 1       # it ran the coefficient side
+    assert len(square.terms) == 1003
+    assert peak - retained < 1.5 * 2 ** 20, (peak, retained)

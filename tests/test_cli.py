@@ -13,6 +13,7 @@ from qskein.coordinate_change import Expr, compose_flips
 from qskein.library import annulus_core, torus_curve
 from qskein.puncture import lift
 from qskein.qscalar import Laurent
+from qskein.surface import torus_one_marked
 
 
 def curve_json(curve):
@@ -445,6 +446,21 @@ def test_input_errors(capsys, tmp_path, annulus_files):
     for argv, message in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err, argv
+
+
+def test_puncture_lift_refusal_and_empty_bar_matrix(capsys, tmp_path):
+    # lift names its new edges g0, g1, ...: on a torus whose edge c is
+    # called g0 the names clash, and the refusal exits 2
+    data = torus_one_marked().to_json()
+    data["edge_labels"] = {s: "g0" if e == "c" else e for s, e in data["edge_labels"].items()}
+    path = tmp_path / "torus_g0.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "puncture", "lift", str(path))[::2] == (
+        2, "input error: edge label g0 used by 4 sides\n")
+    # a triangle has no inner edge, so its bar matrix H is empty, of rank 0
+    code, out, _ = run(capsys, "puncture", "lift", "builtin:polygon3")
+    assert code == 0
+    assert "bar matrix checks: {'Qbar': True, 'duality': True, 'rank': True}" in out
 
 
 def test_surface_and_curve_file_faults_are_named(capsys, tmp_path, annulus_files):

@@ -305,6 +305,7 @@ def test_expr_algebra():
     e = Expr.from_element(el)
     two = plus(e, e)
     assert len(two.words) == 2
+    assert repr(two) == "Expr(2 words over %r)" % b.y
     assert e.power(2).as_element() == times(e, e).as_element() == el * el
     assert e.inv().words[0][1][0][0] == "inv"
     with pytest.raises(ValueError):

@@ -41,6 +41,7 @@ def test_step_validation():
 
 def test_classify():
     A, core = annulus_core()
+    assert repr(core) == "NormalCurve(2 steps over ('d1', 'd2'))"
     assert classify(core) == "simple"
     lam, c = torus_curve("1,-1")
     assert classify(c) == "almost-simple"

@@ -44,6 +44,7 @@ def test_inverse():
 
 def test_eval_examples():
     root = RootOfUnity(5)
+    assert repr(root) == "RootOfUnity(L=5, p=%d)" % root.p
     assert Laurent.one().evaluate(root) == 1
     assert q(1).evaluate(root) == root.zeta
     assert q(-1).evaluate(root) * root.zeta % root.p == 1

@@ -304,6 +304,31 @@ def test_flip_rejects_a_label_in_use():
         T1.flip("e0_3", new_label="n")
 
 
+def test_flip_passes_over_taken_names():
+    # polygon(4) with its boundary edges e0_1 and e1_2 named e1_3 and
+    # e0_2*, and its side T1.c named e0_2**#1: the hint-derived diagonal
+    # e1_3 and the fallback e0_2* are taken edge names, so the flip takes
+    # e0_2**, and the first names of its new sides take a prime
+    hints = {"T0.a": ("0", "1"), "T0.b": ("1", "2"), "T0.c": ("2", "0"),
+             "T1.a": ("0", "2"), "T1.b": ("2", "3"), "e0_2**#1": ("3", "0")}
+    edges = {"T0.a": "e1_3", "T0.b": "e0_2*", "T0.c": "e0_2",
+             "T1.a": "e0_2", "T1.b": "e2_3", "e0_2**#1": "e0_3"}
+    T = Triangulation([("T0.a", "T0.b", "T0.c"), ("T1.a", "T1.b", "e0_2**#1")],
+                      [("T0.c", "T1.a")], edges, hints)
+    T1, fd = T.flip("e0_2")
+    assert fd.a_star == "e0_2**" and T1.inner_edges == ("e0_2**",)
+    assert {"e0_2**#1'", "e0_2**#2'"} < set(T1.sides)
+    assert T1.flip("e0_2**", new_label="e0_2")[0].same_as(T)
+
+
+def test_vertex_hint_may_name_one_end():
+    # a hint whose end is None names the vertex at its start alone; the
+    # side that ends at that vertex carries the name on
+    T = Triangulation([("s0", "s1", "s2")], [], None, {"s0": ("u", None)})
+    assert T.vertex_names == {T.vertex_of[(0, 0)]: "u"}
+    assert T._collect_vertex_hints() == {"s0": ("u", None), "s2": (None, "u")}
+
+
 def test_side_keyed_data_must_name_sides():
     tri, glue = [("s0", "s1", "s2")], []
     with pytest.raises(SurfaceError, match="edge_labels"):
