@@ -220,10 +220,7 @@ def cmd_flipseq(args):
 
 def cmd_puncture(args):
     T = _load_surface(args.surface)
-    try:
-        ld = lift(T, variant=args.variant)
-    except SurfaceError as exc:
-        raise InputError(str(exc))
+    ld = lift(T, variant=args.variant)
     if args.what == "lift":
         out = {
             "delta": ld.delta.to_json(),

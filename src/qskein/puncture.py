@@ -19,6 +19,7 @@ punctured shear-to-skein map y^k -> x^(k Hbar) is again an algebra map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -70,15 +71,14 @@ def lift(lam, variant="after"):
     fake_tris = {}
     cp_edge = {}
     points = []
+    # each point's new edges and sides, numbered past the input's names
+    taken = set(lam.edges) | set(lam.sides)
+    numbers = (i for i in count() if taken.isdisjoint(_new_names(i)))
 
-    while True:
-        interior = sorted(
-            cur.interior_vertices,
-            key=lambda vi: min(cur.vertices[vi]),
-        )
-        if not interior:
-            break
-        vi = interior[0]
+    # each pass opens one interior point; validate() below checks that
+    # none is left
+    for _ in range(len(lam.interior_vertices)):
+        vi = min(cur.interior_vertices, key=lambda vi: min(cur.vertices[vi]))
         pname = "p%d" % len(points)
         corner = min(
             c for c in cur.vertices[vi] if c[0] not in fake_tris.values()
@@ -86,11 +86,7 @@ def lift(lam, variant="after"):
         t, ci = corner
         tri = cur.triangles[t]
         sA, sB, sC = tri[ci], tri[(ci + 1) % 3], tri[(ci + 2) % 3]
-        cp = "cp%d" % len(points)
-        g_lab = "g%d" % len(points)
-        s_cp = "S.%s" % cp
-        s_g1 = "S.%s#1" % g_lab
-        s_g2 = "S.%s#2" % g_lab
+        cp, g_lab, s_cp, s_g1, s_g2 = _new_names(next(numbers))
 
         triangles = [list(x) for x in cur.triangles]
         side_edge = dict(cur.side_edge)
@@ -124,8 +120,6 @@ def lift(lam, variant="after"):
             lt, rot = tri_map[t]
             tri_map[t] = (lt, (rot + rot_add) % 3)
         cur = new_tri
-        if len(points) > 64:
-            raise SurfaceError("runaway lift; malformed input?")
 
     for e in lam.edges:
         omega.setdefault(e, e)
@@ -134,6 +128,12 @@ def lift(lam, variant="after"):
     cur.validate(require_marked=True)
     return LiftData(lam=lam, delta=cur, points=tuple(points), cp_edge=cp_edge,
                     fake_tris=fake_tris, omega=omega, tri_map=tri_map)
+
+
+def _new_names(i):
+    """The edges c_p and g and the sides c_p, g#1 and g#2 of the i-th new
+    fake triangle."""
+    return "cp%d" % i, "g%d" % i, "S.cp%d" % i, "S.g%d#1" % i, "S.g%d#2" % i
 
 
 # ---------------------------------------------------------------------------

@@ -12,98 +12,56 @@ product is x^(k_1) ... x^(k_m) = u^((1/2) sum_(i<j) <k_i,k_j>_A) x^(sum k_i).
 Since u is a power of q^(1/4), u^(1/2) lives in the coefficient ring and
 every product is exact.
 
-A product a * b is a pair loop: each term pair multiplies its two
-coefficients (qscalar._times, the product Laurent.__mul__ uses) and adds
-the result shifted by its phase (u_eighth/2) k1 A k2.  The pairing row
-k1 A is computed once per left term, so a phase is one integer dot
-product.  Term pairs are visited in the order of the term-by-term product,
-and coefficients accumulate as Python ints.
+A product a * b in which either operand has fewer than two terms is a pair
+loop: each term pair multiplies its two coefficients (qscalar._times) and
+adds the result shifted by its phase (u_eighth/2) k1 A k2, one integer dot
+product with the row k1 A taken once per left term.  Coefficients
+accumulate as Python ints.
 
-A square a * a is one int64 scatter on an exponent grid instead.  Every
-coefficient exponent lies in n0 + dZ, where d is the gcd of all exponent
-differences and all pair phases: the grid.  The exponents inside each
-coefficient step by a multiple of e, the gcd of the differences inside
-the coefficients (e = d when each has one term), and d divides e.  So
-each distinct coefficient is a dense row on step e from its lowest
-exponent, each distinct unordered coefficient pair is convolved once on
-that step, and product column t lands s = e/d grid steps after column
-t - 1.  On the traces squares e = 2d, which halves the rows, the
-convolutions and the scatter.  Exponent vectors get mixed-radix codes with
-code(k_i + k_j) = code_i + code_j, which key the output monomials.  Each
-unordered term pair i <= j places its product at +phase and, for i < j, at
--phase, since <k_j,k_i>_A = -<k_i,k_j>_A; a product of len columns covers
-s (len - 1) + 1 grid steps.  Sorted by the key (output monomial, start),
-the placements lose every gap that no earlier placement reaches across, so
-each monomial's placements form runs and the layout is never longer than
-the placements together.  One np.add.at per product column fills it, so
-temporaries stay at one entry per placement.
+Every other product, a * a among them, is one int64 scatter on an
+exponent grid.  Every coefficient exponent lies in 2 n0 + dZ, n0 the
+lowest exponent of a coefficient of a or b and d the gcd of all exponent
+differences and pair phases.  The exponents inside each coefficient step
+by e, the gcd of the differences inside the coefficients (e = d when each
+has one term), a multiple of d.  So each distinct coefficient of a and b
+is a dense row on step e, each distinct unordered coefficient pair is
+convolved once, since convolution commutes, and product column t lands
+s = e/d grid steps after column t - 1 (s = 2 on the traces squares).  Each
+ordered term pair (i, j) places its product once, at its phase.  Sorted by
+(output monomial, start), the placements lose every gap that no earlier
+placement reaches across, so the layout is never longer than the
+placements together, and one np.add.at per product column fills it.
 
 The grid is used when every value it computes fits int64: the exponent
-vectors, sort keys below prod(radix) npairs (below), output exponent
-vectors up to 2 max|k|, phases and output exponents up to a bound r,
-layout keys below (len(a.terms) + 1)^2 (r + 1), and partial sums up to
-||a||_1^2, and when no distinct coefficient spans more grid steps than
-the square of a's coefficient term count, which is the number of
-coefficient-term products the pair loop makes, so that one sparse
-coefficient with a wide span cannot ask for rows or a layout of mostly
-zeros.  The bound is on grid steps, s (ell - 1) + 1 for a row of ell
-slots, not on ell: a two-term coefficient whose terms lie 2^40 apart,
-next to a one-term coefficient at an odd exponent, has ell = 2 but
-d = 1, and its placements would cover about 2^41 grid steps.
-Any other square takes the pair loop, which is exact on Python ints.
+vectors, sort keys below prod(radix) npairs, output exponent vectors up
+to max|k_a| + max|k_b|, phases and output exponents up to a bound r,
+layout keys below (npairs + 1)(2r + 1) and partial sums up to
+||a||_1 ||b||_1; and when no distinct coefficient spans more grid steps,
+s (ell - 1) + 1 for a row of ell slots, than the pair loop makes
+coefficient-term products, so that a sparse coefficient of wide span
+cannot ask for a layout of mostly zeros.  Any other product takes the
+pair loop, which is exact on Python ints.
 
-A square has an exponent side and a coefficient side.  The exponent side
-reads the exponent vectors into one int64 matrix K, takes its bounds
-from K's column minima and maxima, and lists the npairs unordered term
-pairs i <= j row by row (_pairs), without the n x n mask of
-np.triu_indices.  One sort of the key code(k_i + k_j) npairs + pair
-index (_group_pairs) then groups the pairs: each run of one code is an
-output monomial, the runs come in code order, and a run begins at its
-monomial's first pair, so the run starts give each monomial's first pair
-and each pair's monomial.  A monomial's exponent vector is K[i] + K[j]
-at its first pair, so no code is decoded; the keys are built from the
-columns of these sums, one tuple per monomial.  The exponent side also
-takes the pair phases.  The coefficient side, _square_coefficients,
-computes the rows, convolutions, layout, scatter and runs.  It reads only
-the square's multiplication table: the distinct coefficients by value, in
-the order met; each term's coefficient index; each unordered pair's phase
-in eighths of q; and each pair's output monomial, numbered by its first
-pair in pair order, a numbering that depends neither on the exponent
-vectors nor on their code order.  It gives one Laurent (or None, where
-the pairs cancel) per output monomial in that numbering and the number
-that cancel, so that a square where none cancels takes every monomial
-without a test.  _SQUARES maps the table of each live square that ran the
-coefficient side to exactly what that run gave, and a square whose table
-is there takes it and skips the coefficient side.  Either way the square
-reads the coefficients in code order, through each monomial's first-pair
-number, and takes its keys from its own exponents, so its keys, their
-order, its coefficients and their term order do not depend on which
-square computed them.  psi only relabels exponents and keeps the term
-order, so the skein square psi(t) psi(t) takes the table of the shear
-square t t.  An entry leaves _SQUARES when the square that computed it is
-freed (weakref.finalize), not when a square that took it is.
-
-After the scatter, each output monomial's nonzero entries form one run of
-(exponent, value) pairs.  Runs are grouped by their exact bytes within the
-square, and each distinct run is built into one Laurent, so two monomials
-of one square share a Laurent exactly when their coefficients are equal.
-Across squares, coefficients are shared only by a square that takes a
-live table from _SQUARES.  Laurent scalars are immutable and compare by
-value, so monomials that share one coefficient object give the same
-outputs as separate objects would, at less memory.
-
-A square's working memory is that of its largest stage, not the sum of
-its stages.  _square drops the pair codes and each pair's monomial in
-code order once it has the output exponent vectors, and the term pairs,
-their phases and their first-pair numbers once the coefficient side has
-run.  The coefficient side runs in four stages, rows and convolutions
-(_convolutions), placements and layout (_layout), the scatter (_scatter)
-and runs and Laurents (_runs), and each returns only what the next one
-reads, so every array is freed once its last reader has run.  Squaring
-the top traces rung's 124-term shear trace (7,750 term pairs, 1,003
-output monomials) with no live table, tracemalloc reads a peak about
-0.8 MB above the 1.1-1.2 MB the square retains; it read 3.9 MB above
-when every array lived until the square returned.
+The exponent side gives the rows of Ka and Kb, the exponent vectors of a
+and b, mixed-radix codes over the radix of the sums, so that code(k_i +
+k_j) = code_a[i] + code_b[j].  One sort (_group_pairs) groups the npairs
+ordered pairs, numbered row by row, by code: each run of one code is an
+output monomial, the runs come in code order, and a monomial's exponent
+vector is Ka[i] + Kb[j] at its first pair.  The phases are
+(Ka A Kb^T) u_eighth/2.  The coefficient side (_convolutions, _layout,
+_scatter and _runs, each returning only what the next reads) reads only
+the multiplication table: the distinct coefficients of a and b in the
+order met, each term's coefficient index in a and in b, each pair's phase
+and each pair's output monomial numbered by its first pair.  Each
+monomial's nonzero entries form one run of (exponent, value) pairs, and
+each distinct run becomes one Laurent, so monomials share a Laurent
+exactly when their coefficients are equal.  _PRODUCTS keeps what the
+coefficient side gave for the table of each live product that ran it, and
+a product with that table takes it.  Either way the product reads the
+coefficients in code order and its keys from its own exponents, so its
+keys, their order and its coefficients' term order depend neither on the
+term order of a or b nor on which product computed them.  psi relabels
+exponents and keeps the term order, so psi(a) psi(b) takes a b's table.
 
 Both paths build their output in canonical form, Python ints and no zero
 coefficient, and hand it to one private constructor that skips the checks
@@ -123,10 +81,10 @@ import numpy as np
 
 from .qscalar import Laurent, ONE, _times
 
-# a grid square's multiplication table -> (its coefficient of each output
-# monomial numbered by first pair, None where it cancels; how many cancel)
-# (module docstring); an entry leaves when its square is freed
-_SQUARES = {}
+# a live grid product's multiplication table -> (its coefficient of each output
+# monomial numbered by first pair, None where it cancels; how many cancel);
+# an entry leaves when the product that computed it is freed
+_PRODUCTS = {}
 
 
 class TorusSpec:
@@ -266,8 +224,9 @@ class TorusElement:
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check(other)
-        if other is self and (square := self._square()) is not None:
-            return square
+        if min(len(self.terms), len(other.terms)) > 1 and (
+                product := self._grid(other)) is not None:
+            return product
         spec = self.spec
         half = spec.u_eighth // 2
         acc = {}        # k -> {eighth exponent: int coefficient}
@@ -286,71 +245,66 @@ class TorusElement:
         out = ((k, {n: a for n, a in slot.items() if a}) for k, slot in acc.items())
         return _element(spec, {k: Laurent._canonical(c) for k, c in out if c})
 
-    def _square(self):
-        """self * self on the exponent grid (module docstring), or None when
+    def _grid(self, other):
+        """self * other on the exponent grid (module docstring), or None when
         some value of it would not fit int64 or a distinct coefficient would
-        span more grid steps than the square of self's coefficient term
-        count."""
-        spec, terms = self.spec, self.terms
-        if not terms:
-            return TorusElement(spec)
-        half, size, width = spec.u_eighth // 2, len(terms), len(spec.labels)
+        span more grid steps than the pair loop makes coefficient-term
+        products."""
+        spec, half, width = self.spec, self.spec.u_eighth // 2, len(self.spec.labels)
+        na = len(self.terms)
         try:
-            K = np.fromiter(chain.from_iterable(terms), dtype=np.int64,
-                            count=size * width).reshape(size, width)
+            K = np.fromiter(chain.from_iterable(chain(self.terms, other.terms)), dtype=np.int64,
+                            count=(na + len(other.terms)) * width).reshape(-1, width)
         except OverflowError:
             return None                         # an exponent past int64
-        index = {}          # each distinct coefficient, numbered in the order met
-        group = np.array([index.setdefault(c, len(index)) for c in terms.values()])
+        index = {}      # each distinct coefficient of both, numbered in the order met
+        g = np.array([index.setdefault(c, len(index))
+                      for c in chain(self.terms.values(), other.terms.values())])
         coeffs = list(index)
-        mult = np.bincount(group).tolist()      # terms per distinct coefficient
-        ns = [n for c in coeffs for n in c.terms]
-        low = K.min(0)
-        lows, highs = low.tolist(), K.max(0).tolist()
-        radix = [2 * (hi - lo) + 1 for lo, hi in zip(lows, highs)]
-        kabs = max(map(abs, lows + highs), default=0)
-        form = kabs * kabs * int(np.abs(spec.A).sum())     # bounds |k_i A k_j|
-        norm = sum(m * sum(map(abs, c.terms.values())) for m, c in zip(mult, coeffs))
-        reach = form * max(abs(half), 1) + 4 * max(map(abs, ns))    # bounds phases, exponents
-        npairs = size * (size + 1) // 2
+        Ka, Kb, ga, gb = K[:na], K[na:], g[:na], g[na:]
+        norms = [sum(map(abs, c.terms.values())) for c in coeffs]
+        norm_a, norm_b = (sum(map(mul, np.bincount(gx, minlength=len(coeffs)).tolist(), norms))
+                          for gx in (ga, gb))
+        (lo_a, lo_b), (hi_a, hi_b) = (f.reduceat(K, [0, na]).tolist()     # a's rows, b's
+                                       for f in (np.minimum, np.maximum))
+        radix = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+        kabs_a, kabs_b = max(map(abs, lo_a + hi_a)), max(map(abs, lo_b + hi_b))
+        form = kabs_a * kabs_b * int(np.abs(spec.A).sum())     # bounds |k_i A k_j|
+        reach = form * max(abs(half), 1) + 4 * max(abs(n) for c in coeffs for n in c.terms)
+        npairs = len(Ka) * len(Kb)
         # sort keys, output exponent vectors, layout keys and partial sums
-        if max(math.prod(radix) * npairs, 2 * kabs, (size + 1) ** 2 * (reach + 1),
-               norm * norm) >= 1 << 63:
+        if max(math.prod(radix) * npairs, kabs_a + kabs_b, (npairs + 1) * (2 * reach + 1),
+               norm_a * norm_b) >= 1 << 63:
             return None
-        # exponent side: mixed-radix codes, code(k_i + k_j) = code_i + code_j,
-        # pair phases, and each output monomial numbered by its first pair
+        # exponent side (module docstring); pair p is (p // len(Kb), p % len(Kb))
         strides = np.array([math.prod(radix[:i]) for i in range(width)], dtype=np.int64)
-        code = (K - low) @ strides
-        iu, ju = _pairs(size)                   # unordered term pairs i <= j
-        first, out_of = _group_pairs(code[iu] + code[ju])
+        first, out_of = _group_pairs((((Ka - lo_a) @ strides)[:, None]
+                                      + (Kb - lo_b) @ strides).ravel())
         count = len(first)
-        sums = K[iu[first]] + K[ju[first]]      # output exponent vectors, in code order
-        phase = ((K @ spec.A) @ K.T)[iu, ju] * half
+        i, j = np.divmod(first, len(Kb))
+        sums = Ka[i] + Kb[j]                    # output exponent vectors, in code order
+        phase = ((Ka @ spec.A @ Kb.T) * half).ravel()
         rank = np.empty_like(first)             # code order -> first-pair number
         rank[np.argsort(first)] = np.arange(count)
         by_first = rank[out_of]                 # each pair's monomial by first pair
-        del code, first, out_of
-        # the multiplication table keys the coefficient side (module
-        # docstring): a live square with this table hands over its
-        # coefficient of each numbered monomial and how many cancel
-        table = (tuple(coeffs), group.tobytes(), phase.tobytes(), by_first.tobytes())
-        known = _SQUARES.get(table)
+        del first, out_of, i, j
+        # a live product with this multiplication table hands over its coefficients
+        table = (tuple(coeffs), ga.tobytes(), gb.tobytes(), phase.tobytes(), by_first.tobytes())
+        known = _PRODUCTS.get(table)
         miss = known is None
         if miss:
-            known = _square_coefficients(coeffs, group, iu, ju, phase, by_first, count)
+            known = _coefficients(coeffs, ga, gb, phase, by_first, count)
             if known is None:
                 return None
-        del iu, ju, phase, by_first
+        del phase, by_first
         numbered, cancelled = known
-        cols = sums.T.tolist()
-        out_keys = zip(*cols) if cols else [()] * count     # zero width: () keys
-        items = zip(out_keys, map(numbered.__getitem__, rank.tolist()))
-        square = _element(spec, {k: c for k, c in items if c is not None}
-                          if cancelled else dict(items))
+        items = zip(zip(*sums.T.tolist()), map(numbered.__getitem__, rank.tolist()))
+        product = _element(spec, {k: c for k, c in items if c is not None}
+                           if cancelled else dict(items))
         if miss:
-            _SQUARES[table] = known
-            weakref.finalize(square, _SQUARES.pop, table)
-        return square
+            _PRODUCTS[table] = known
+            weakref.finalize(product, _PRODUCTS.pop, table)
+        return product
 
     def inverse_monomial(self):
         """Inverse of a one-term element with unit coefficient times q-power."""
@@ -444,15 +398,6 @@ def _eighths(key):
     return int(key)
 
 
-def _pairs(n):
-    """The unordered pairs i <= j below n in the order of np.triu_indices(n),
-    without its n x n mask: pair p of row i is (i, i + p - start of row i)."""
-    rows = np.arange(n)
-    lens = n - rows
-    iu = np.repeat(rows, lens)
-    return iu, np.arange(len(iu)) - np.repeat(np.cumsum(lens) - lens - rows, lens)
-
-
 def _heads(a):
     """Where a run of equal entries of a begins: a mask, true at entry 0
     and wherever an entry differs from the one before it."""
@@ -475,61 +420,52 @@ def _group_pairs(codes):
     return order[new], out_of
 
 
-def _square_coefficients(coeffs, group, iu, ju, phase, out_of, count):
-    """The coefficient side of a square (module docstring): its distinct
-    coefficients, each term's coefficient index group, the unordered term
-    pairs iu <= ju with their phases in eighths of q and output monomials
-    out_of, numbered by first pair, give the coefficient of each of the
-    count output monomials in that numbering, a Laurent or None where it
-    cancels, and the number that cancel; None instead when a distinct
-    coefficient spans more grid steps than the square of the coefficient
-    term count.
-
-    The work runs in four stages, _convolutions, _layout, _scatter and
-    _runs, and each returns only what the next one reads, so an array is
-    freed once its last reader has run: the working memory above the
-    inputs and the result is about that of the largest stage, not the sum
-    of all of them."""
+def _coefficients(coeffs, ga, gb, phase, out_of, count):
+    """The coefficient side of a product (module docstring): from its
+    multiplication table, the coefficient of each of the count output
+    monomials numbered by first pair, a Laurent or None where it cancels,
+    and the number that cancel; None instead when a distinct coefficient
+    spans more grid steps than the pair loop makes coefficient-term
+    products."""
     ns = [n for c in coeffs for n in c.terms]
     n0 = min(ns)
     d = math.gcd(int(np.gcd.reduce(phase)), *(n - n0 for n in ns)) or 1
-    # each distinct coefficient a dense row on step e from its lowest
-    # exponent, e the gcd of the exponent differences inside the
-    # coefficients (d when each has one term, and a multiple of d)
+    # each distinct coefficient a dense row on step e from its lowest exponent
     bottom = [min(c.terms) for c in coeffs]
     e = math.gcd(*(n - b for c, b in zip(coeffs, bottom) for n in c.terms)) or d
     s = e // d                  # grid steps from one product column to the next
     size = np.array([(max(c.terms) - b) // e + 1 for c, b in zip(coeffs, bottom)])
     ell = int(size.max())
     # the grid steps a row covers bound the layout, not its slots ell
-    if s * (ell - 1) + 1 > sum(len(coeffs[g].terms) for g in group.tolist()) ** 2:
+    terms = np.array([len(c.terms) for c in coeffs])
+    if s * (ell - 1) + 1 > int(terms[ga].sum()) * int(terms[gb].sum()):
         return None             # one row outgrows the whole pair loop's products
     offset = np.array([(b - n0) // d for b in bottom])
-    g1, g2 = group[iu], group[ju]
-    conv, via, length = _convolutions(coeffs, bottom, e, size, ell, g1, g2)
-    base = offset[g1] + offset[g2]
-    del g1, g2
-    pos, cut, via, length, low, span = _layout(base, phase // d, iu != ju, via,
-                                               length, out_of, s)
-    del base
+    conv, via, length = _convolutions(coeffs, bottom, e, size, ell, ga, gb)
+    at = (offset[ga][:, None] + offset[gb]).ravel() + phase // d    # each placement's start
+    pos, cut, via, length, low, span = _layout(at, via, length, out_of, s)
+    del at
     key, val = _scatter(conv, pos, cut, via, length, s)
     del conv, pos, cut, via, length
     return _runs(key, val, span, low, d, 2 * n0, count)
 
 
-def _convolutions(coeffs, bottom, e, size, ell, g1, g2):
+def _convolutions(coeffs, bottom, e, size, ell, ga, gb):
     """Rows and convolutions: each distinct coefficient a dense row of ell
     slots on step e from its bottom exponent, and one convolution per
     distinct unordered coefficient pair.  Gives the convolutions, a pair
-    per column; each term pair's coefficient pair, from the term pairs'
-    coefficient indices g1 and g2; and each coefficient pair's number of
-    product columns."""
+    per column; each ordered term pair's coefficient pair, from the terms'
+    coefficient indices ga in a and gb in b; and each coefficient pair's
+    number of product columns."""
     rows = np.zeros((len(coeffs), ell), dtype=np.int64)
     for g, (c, b) in enumerate(zip(coeffs, bottom)):
         for n, v in c.terms.items():
             rows[g, (n - b) // e] = v
-    pairs, via = np.unique(np.minimum(g1, g2) * len(coeffs) + np.maximum(g1, g2),
+    # each index of a meets each of b: pair the distinct indices
+    (ua, at_a), (ub, at_b) = (np.unique(g, return_inverse=True) for g in (ga, gb))
+    pairs, via = np.unique(np.minimum.outer(ua, ub) * len(coeffs) + np.maximum.outer(ua, ub),
                            return_inverse=True)
+    via = via.reshape(len(ua), len(ub))[at_a[:, None], at_b].ravel()
     left, right = divmod(pairs, len(coeffs))
     conv = np.zeros((2 * ell - 1, len(pairs)), dtype=np.int64)    # a pair per column
     right_rows = rows[right].T
@@ -538,24 +474,19 @@ def _convolutions(coeffs, bottom, e, size, ell, g1, g2):
     return conv, via, size[left] + size[right] - 1
 
 
-def _layout(base, shift, cross, via, length, out_of, s):
-    """Placements and layout.  A term pair's product starts at its grid
-    position base plus its phase shift in grid steps and, where cross
-    (i < j), also minus it, since <k_j,k_i> = -<k_i,k_j>; its column t
-    lies s * t grid steps further on.  The placements are sorted by the key
-    (monomial, start) and each gap that no earlier placement reaches
-    across is cut out.  Gives each placement's layout position in that
-    order, the gaps cut up to it, its coefficient pair and its number of
-    product columns, and the lowest start and the span of starts that
-    decode a key."""
-    at = np.concatenate((base + shift, (base - shift)[cross]))
-    via = np.concatenate((via, via[cross]))
+def _layout(at, via, length, out_of, s):
+    """Placements and layout.  A term pair's product starts at grid
+    position at and its column t lies s * t grid steps further on.  The
+    placements are sorted by the key (monomial, start) and each gap that no
+    earlier placement reaches across is cut out.  Gives each placement's
+    layout position in that order, the gaps cut up to it, its coefficient
+    pair and its number of product columns, and the lowest start and the
+    span of starts that decode a key."""
     length = length[via]                                # product columns
     extent = s * (length - 1) + 1                       # grid steps they cover
     low = int(at.min())
     span = int((at + extent).max()) - low
-    pos = np.concatenate((out_of, out_of[cross])) * span + (at - low)
-    del at
+    pos = out_of * span + (at - low)
     order = np.argsort(pos)
     pos, via, length, extent = pos[order], via[order], length[order], extent[order]
     del order
@@ -600,9 +531,7 @@ def _runs(key, val, span, low, d, n_base, count):
     exp += n_base
     starts = np.flatnonzero(_heads(mono))
     mono = mono[starts].tolist()
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1:] = len(exp)
+    ends = np.append(starts[1:], len(exp))
     lens = ends - starts
     raw = np.stack((exp, val), axis=1).tobytes()
     # each run's first run with the same bytes; the bytes go before the

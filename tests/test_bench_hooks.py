@@ -78,7 +78,7 @@ def test_tracer_sees_one_product_per_mul():
 
 
 def test_tracer_sees_square_as_one_mul():
-    # a * a takes the grid-scatter path, or the pair loop when the grid cannot
+    # a * a takes the grid kernel, or the pair loop when the grid cannot
     # hold it in int64 (here: coefficients of 2^40), inside the wrapped
     # __mul__, so it is still one qtorus.mul span with len(a.terms)^2 term pairs
     tracing = load_tracing()
@@ -90,7 +90,7 @@ def test_tracer_sees_square_as_one_mul():
         with tracer.installed():
             square = a * a
         assert square == a * TorusElement(s, dict(a.terms))
-        assert (a._square() is None) == (scale > 1)
+        assert (a._grid(a) is None) == (scale > 1)
         assert tracer.counts["qtorus.muls"] == 1
         assert tracer.counts["qtorus.term_pairs"] == len(a.terms) ** 2 == 36
         assert [rec[0] for rec in tracer.spans] == ["qtorus.mul"]

@@ -20,7 +20,8 @@ import pytest
 
 from qskein import qtorus
 from qskein.qtorus import TorusElement
-from test_qtorus import assert_shared, coefficient_sides, reference_product, square_builds
+from test_qtorus import (
+    assert_shared, coefficient_sides, layout, reference_product, square_builds)
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,10 +71,11 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
     # grid; each square equals the per-pair reference and holds one object
     # per distinct coefficient
     _, _, workloads = bench
-    grid, square_on_grid = [], TorusElement._square
+    grid, on_grid = [], TorusElement._grid
 
-    def recorded(el):
-        grid.append(square_on_grid(el))
+    def recorded(el, other):
+        assert other is el          # the traces jobs' only multi-term products
+        grid.append(on_grid(el, other))
         return grid[-1]
 
     def check_squares(job):
@@ -83,7 +85,7 @@ def test_trace_squares_share_equal_coefficients(bench, monkeypatch):
             assert square == reference_product(out[name], out[name])
             assert_shared(square)
 
-    monkeypatch.setattr(TorusElement, "_square", recorded)
+    monkeypatch.setattr(TorusElement, "_grid", recorded)
     jobs = workloads.build("traces", 0, tiny=True)
     for job in jobs:
         check_squares(job)
@@ -117,13 +119,6 @@ def test_skein_square_takes_the_shear_square_coefficients(bench, monkeypatch):
         assert all(again.terms[k] is c for k, c in first.terms.items())
 
 
-def layout(el):
-    """Keys in order, each coefficient's terms in order, and the number of
-    coefficient objects."""
-    return ([(k, list(c.terms.items())) for k, c in el.terms.items()],
-            len({id(c) for c in el.terms.values()}))
-
-
 def test_trace_squares_do_not_depend_on_term_order(bench):
     # each traces rung's shear and skein trace, squared with its terms in
     # the original, sorted, reversed and shuffled orders: every order gives
@@ -137,11 +132,13 @@ def test_trace_squares_do_not_depend_on_term_order(bench):
         for name in ("shear", "skein"):
             items = list(out[name].terms.items())
             shuffled = rng.sample(items, len(items))
-            expected = layout(out[name]._square())
+            expected = layout(out[name]._grid(out[name]))
             for order in (sorted(items), items[::-1], shuffled):
                 el = TorusElement(out[name].spec, dict(order))
                 assert list(el.terms) == [k for k, _ in order]
-                assert layout(el._square()) == expected, (job.key, name)
+                assert layout(el._grid(el)) == expected, (job.key, name)
+                # the same square with its operands in two term orders
+                assert layout(el._grid(out[name])) == expected, (job.key, name)
                 orders += 1
     assert orders == 222
 
@@ -168,15 +165,14 @@ def test_traces_outputs_keep_their_order(bench):
 
 
 def test_top_square_working_memory_stays_near_its_result(bench):
-    # the top traces rung's shear trace (124 terms, 7,750 term pairs),
-    # squared with no live table: the coefficient side frees each array
-    # once its last reader has run, so the square's traced peak stays
-    # within 1.5 MB of what the square retains (about 3.9 MB above it when
-    # every array lived until the square returned)
+    # the top traces rung's shear trace (124 terms, 15,376 ordered term
+    # pairs), squared with no live table: the coefficient side frees each
+    # array once its last reader has run, so the square's traced peak stays
+    # within 1.5 MB of what the square retains (about 0.9 MB above it)
     _, _, workloads = bench
     top, = [job for job in workloads.build("traces", 0) if job.top]
     shear = top.run()["shear"]          # the job's squares die with its output
-    tables = len(qtorus._SQUARES)
+    tables = len(qtorus._PRODUCTS)
     tracemalloc.start()
     try:
         square = shear * shear
@@ -184,6 +180,6 @@ def test_top_square_working_memory_stays_near_its_result(bench):
     finally:
         tracemalloc.stop()
     assert len(shear.terms) == 124
-    assert len(qtorus._SQUARES) == tables + 1       # it ran the coefficient side
+    assert len(qtorus._PRODUCTS) == tables + 1      # it ran the coefficient side
     assert len(square.terms) == 1003
     assert peak - retained < 1.5 * 2 ** 20, (peak, retained)

@@ -449,14 +449,21 @@ def test_input_errors(capsys, tmp_path, annulus_files):
 
 
 def test_puncture_lift_refusal_and_empty_bar_matrix(capsys, tmp_path):
-    # lift names its new edges g0, g1, ...: on a torus whose edge c is
-    # called g0 the names clash, and the refusal exits 2
+    # a surface file that labels the glued sides T0.c and T1.c apart is
+    # refused with exit 2; a torus whose edge c is called g0 lifts, its new
+    # edges numbered past the input's names
     data = torus_one_marked().to_json()
+    bad = {**data, "edge_labels": {s: "a" if e == "c" and s.startswith("T0") else e
+                                   for s, e in data["edge_labels"].items()}}
+    path = tmp_path / "torus_bad.json"
+    path.write_text(json.dumps(bad))
+    assert run(capsys, "puncture", "lift", str(path))[::2] == (
+        2, "input error: %s: glued sides T0.c,T1.c carry different edge labels\n" % path)
     data["edge_labels"] = {s: "g0" if e == "c" else e for s, e in data["edge_labels"].items()}
     path = tmp_path / "torus_g0.json"
     path.write_text(json.dumps(data))
-    assert run(capsys, "puncture", "lift", str(path))[::2] == (
-        2, "input error: edge label g0 used by 4 sides\n")
+    code, out, _ = run(capsys, "--json", "puncture", "lift", str(path))
+    assert code == 0 and json.loads(out)["cp_edges"] == {"p0": "cp1"}
     # a triangle has no inner edge, so its bar matrix H is empty, of rank 0
     code, out, _ = run(capsys, "puncture", "lift", "builtin:polygon3")
     assert code == 0

@@ -7,7 +7,7 @@ from qskein.puncture import BarBundle, bar_trace, curve_lift, lift
 from qskein.qscalar import Laurent
 from qskein.qtorus import TorusElement
 from qskein.shear import ShearSkein
-from qskein.surface import polygon, sphere_three_marked, torus_one_marked
+from qskein.surface import Triangulation, polygon, sphere_three_marked, torus_one_marked
 
 
 def is_equivariant(ld, alpha_d, values):
@@ -59,6 +59,60 @@ def test_lift_sphere():
     assert len(D.boundary_edges) == 3
     chi = len(D.vertices) - len(D.edges) + len(D.triangles)
     assert chi == -1                        # sphere minus three open disks
+
+
+def doubled_polygon(n):
+    """The sphere with n marked points: polygon(n) glued along its boundary
+    to a mirror copy of itself."""
+    P = polygon(n)
+    mirror = {s: "M." + s for s in P.sides}
+    glue = [(x, y) for x, y in P.glue.items() if x < y]
+    return Triangulation(
+        list(P.triangles) + [(mirror[a], mirror[c], mirror[b]) for a, b, c in P.triangles],
+        glue + [(mirror[x], mirror[y]) for x, y in glue]
+        + [(s, mirror[s]) for s in P.sides if s not in P.glue])
+
+
+def test_lift_opens_every_interior_point():
+    # each pass of the surgery loop opens one point, so 65 points lift
+    # with no cap on their number
+    S = doubled_polygon(65)
+    assert len(S.interior_vertices) == 65
+    ld = lift(S)
+    ld.delta.validate(require_marked=True)
+    assert len(ld.points) == len(ld.fake_tris) == 65
+    assert len(ld.delta.triangles) == 2 * 63 + 65
+    assert len(ld.delta.boundary_edges) == 65
+
+
+def relabel(el, names):
+    """el's terms as a set of ({label: exponent}, coefficient), each label
+    renamed through names."""
+    return {(frozenset((names.get(lab, lab), e) for lab, e in zip(el.spec.labels, k) if e), c)
+            for k, c in el.terms.items()}
+
+
+def test_lift_names_avoid_the_inputs():
+    # a torus whose edge c is named g0: the lift numbers its new edges and
+    # sides past the input's names, so its first point takes g1 and cp1,
+    # and its bar trace is the plain torus's under the renaming
+    data = torus_one_marked().to_json()
+    data["edge_labels"] = {s: "g0" if e == "c" else e for s, e in data["edge_labels"].items()}
+    renamed = Triangulation.from_json(data)
+    ld = lift(renamed)
+    assert ld.cp_edge == {"p0": "cp1"} and "g1" in ld.delta.edges
+    assert ld.omega["g0"] == "g0" and ld.omega["g1"] in ("a", "b", "g0")
+    names = {"c": "g0", "g0": "g1", "cp0": "cp1"}
+    lam, plain = torus_one_marked(), lift(torus_one_marked())
+    assert {names.get(e, e): names.get(f, f) for e, f in plain.omega.items()} == ld.omega
+    for slope, weights in (("1,0", {"a": 0, "b": 1, "c": 1}), ("1,2", {"a": 2, "b": 1, "c": 1})):
+        before = bar_trace(plain, NormalCurve.from_weights(lam, weights))
+        after = bar_trace(ld, NormalCurve.from_weights(
+            renamed, {names.get(e, e): w for e, w in weights.items()}))
+        assert before.cross_checked and after.cross_checked, slope
+        assert before.state_count == after.state_count
+        for side in ("shear_side", "skein_side"):
+            assert relabel(getattr(before, side), names) == relabel(getattr(after, side), {})
 
 
 def test_lift_rejects_unknown_variant():

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from qskein import qtorus
 from qskein.coordinate_change import GeneratorImageMap
-from qskein.curves import CurveError, transport_curve
+from qskein.curves import CurveError, NormalCurve, state_sum, transport_curve
 from qskein.library import surface_by_name, torus_curve
-from qskein.puncture import curve_lift, lift
+from qskein.puncture import BarBundle, curve_lift, lift
 from qskein.qscalar import Laurent, ONE
 from qskein.qtorus import (
     TorusElement,
@@ -116,7 +116,10 @@ def product_specs():
 
 
 def test_product_matches_per_pair_reference():
+    # operands of two or more terms with small coefficients take the grid,
+    # all others the pair loop; the zero width spec has one monomial
     rng = np.random.default_rng(8)
+    grids = 0
     for spec in product_specs():
         zero = TorusElement.zero(spec)
         for m, p in ((0, 3), (3, 0), (1, 1), (3, 4), (6, 5)):
@@ -127,9 +130,14 @@ def test_product_matches_per_pair_reference():
                 assert prod == reference_product(a, b)
                 assert_canonical(prod)
                 assert zero * b == zero and a * zero == zero
+                if min(len(a.terms), len(b.terms)) > 1 and not big:
+                    assert a._grid(b) == prod
+                    assert_shared(prod)
+                    grids += 1
         for _ in range(10):
             k, n = rng_vec(rng, spec), rng_vec(rng, spec)
             assert spec.pairing(k, n) == pairing(k, n, spec.A)
+    assert grids == 12
 
 
 def assert_shared(el):
@@ -139,15 +147,17 @@ def assert_shared(el):
 
 
 def test_square_matches_per_pair_reference(monkeypatch):
-    # a * a takes the grid-scatter path, or the pair loop for big or sparse
-    # coefficients; u_eighth 0 makes +phase = -phase
-    paths, square_on_grid = [], TorusElement._square
+    # a * a takes the grid kernel with b = a, or the pair loop for one term
+    # and for big or sparse coefficients; u_eighth 0 makes every phase 0
+    paths, on_grid = [], TorusElement._grid
 
-    def recorded(el):
-        paths.append((len(el.terms), square_on_grid(el)))
-        return paths[-1][1]
+    def recorded(el, other):
+        out = on_grid(el, other)
+        if other is el:
+            paths.append((len(el.terms), out))
+        return out
 
-    monkeypatch.setattr(TorusElement, "_square", recorded)
+    monkeypatch.setattr(TorusElement, "_grid", recorded)
     rng = np.random.default_rng(11)
     for spec in product_specs():
         for n_terms in (0, 1, 2, 5, 9):
@@ -158,11 +168,10 @@ def test_square_matches_per_pair_reference(monkeypatch):
                     assert square == reference_product(a, a)
                     assert square == a * TorusElement(spec, dict(a.terms))
                     assert_canonical(square)
-    # 54 of the 112 nonempty squares take the grid; the others exceed int64
-    # (big coefficients) or, in 2 cases, hold a row longer than their
-    # coefficient term count squared
-    grid = [out for n, out in paths if n > 0 and out is not None]
-    assert len(grid) >= 54
+    # only squares of two or more terms reach the grid; 35 of those 71 take
+    # it, every one whose coefficients are small (the others exceed int64)
+    grid = [out for n, out in paths if out is not None]
+    assert all(n > 1 for n, _ in paths) and len(paths) == 71 and len(grid) >= 35
     for square in grid:
         assert_shared(square)
     # some grid square holds one coefficient object for several monomials
@@ -177,8 +186,7 @@ def test_square_shares_exactly_the_equal_coefficients():
     for spec in product_specs():
         for n_terms in (2, 5, 9):
             for a in (random_element(rng, spec, n_terms), repeating_element(rng, spec, n_terms)):
-                square = a._square()
-                if square is None:
+                if len(a.terms) < 2 or (square := a._grid(a)) is None:
                     continue
                 assert square == reference_product(a, a)
                 assert_canonical(square)
@@ -187,12 +195,12 @@ def test_square_shares_exactly_the_equal_coefficients():
     # x^(0,2)'s coefficient 1 is the first entry of x^(2,0)'s 1 + 2q + q^2:
     # the two runs begin alike but differ, so they share no object
     a = TorusElement(spec2(0), {(1, 0): Laurent({0: 1, 8: 1}), (0, 1): ONE})
-    square = a._square()
+    square = a._grid(a)
     assert square == reference_product(a, a)
     assert_shared(square)
     T, alpha = greedy_rung(9)
     for el in trace_once_edge(alpha, T, bundle=ShearSkein(T))[:2]:
-        square = el._square()
+        square = el._grid(el)
         assert square == reference_product(el, el)
         assert_canonical(square)
         assert_shared(square)
@@ -229,8 +237,8 @@ def test_square_takes_live_coefficients(monkeypatch):
     rng = np.random.default_rng(35)
     squares = 0
     for spec in product_specs():
-        for a in (unmatched_element(rng, spec, 1), unmatched_element(rng, spec, 9)):
-            if a._square() is None:
+        for a in (unmatched_element(rng, spec, 4), unmatched_element(rng, spec, 9)):
+            if len(a.terms) < 2 or a._grid(a) is None:
                 continue
             squares += 1
             first, built = square_builds(monkeypatch, a)
@@ -243,18 +251,19 @@ def test_square_takes_live_coefficients(monkeypatch):
     assert squares >= 10
 
 
-def coefficient_sides(monkeypatch, a):
-    """a._square(), and how many times it ran the coefficient side."""
-    runs, coefficients = [], qtorus._square_coefficients
+def coefficient_sides(monkeypatch, a, b=None):
+    """a * b on the grid, by default a * a, and how many times it ran the
+    coefficient side."""
+    runs, coefficients = [], qtorus._coefficients
 
     def counted(*table):
         runs.append(table)
         return coefficients(*table)
 
     with monkeypatch.context() as m:
-        m.setattr(qtorus, "_square_coefficients", counted)
-        square = a._square()
-    return square, len(runs)
+        m.setattr(qtorus, "_coefficients", counted)
+        product = a._grid(a if b is None else b)
+    return product, len(runs)
 
 
 def test_square_table_is_weak(monkeypatch):
@@ -262,13 +271,14 @@ def test_square_table_is_weak(monkeypatch):
     # is back to its size before them, and a new square runs the
     # coefficient side and builds fresh coefficients
     rng = np.random.default_rng(36)
-    before = len(qtorus._SQUARES)
-    elements = [unmatched_element(rng, spec, 9) for spec in product_specs()]
+    gc.collect()                # products that earlier tests left in cycles
+    before = len(qtorus._PRODUCTS)
+    elements = [unmatched_element(rng, spec, 9) for spec in product_specs() if spec.labels]
     squares = [a * a for a in elements]
-    assert len(qtorus._SQUARES) > before
+    assert len(qtorus._PRODUCTS) > before
     del squares
     gc.collect()
-    assert len(qtorus._SQUARES) == before
+    assert len(qtorus._PRODUCTS) == before
     for a in elements:
         square, built = square_builds(monkeypatch, a)
         assert square == reference_product(a, a)
@@ -303,7 +313,7 @@ def test_square_table_tells_apart_each_part(monkeypatch):
     # the second element of each pair, squared while the first one's square
     # is alive, runs its own coefficient side and equals the reference
     for part, a, b in table_pairs():
-        first = a._square()
+        first = a._grid(a)
         assert first is not None and first == reference_product(a, a), part
         second, runs = coefficient_sides(monkeypatch, b)
         assert second is not None and second == reference_product(b, b), part
@@ -316,29 +326,38 @@ def test_square_table_tells_apart_each_part(monkeypatch):
 
 
 def partly_cancelling():
-    """(a, the monomial its square loses): grid-squarable elements whose
-    squares lose one monomial and keep the others.  On one commuting label,
-    (1 + 2 x - 2 x^2)^2 has 2 * 1 * (-2) + 2^2 = 0 at x^2.  On spec2(8),
-    x^(1,0) 2 x^(0,1) + 2 x^(0,1) x^(1,0) = 2 (q^(1/2) + q^(-1/2)) x^(1,1)
-    meets the cross terms 2 * (-(q^(1/2) + q^(-1/2))) of x^(1,1) and x^(0,0)."""
-    yield TorusElement(TorusSpec(("a",), [[0]], 2), {
-        (0,): ONE, (2,): Laurent.integer(-2), (1,): Laurent.integer(2)}), (2,)
-    yield TorusElement(spec2(8), {
-        (1, 0): ONE, (0, 1): Laurent.integer(2), (1, 1): Laurent({4: -1, -4: -1}),
-        (0, 0): ONE}), (1, 1)
+    """(a, b, a monomial that a * b loses): grid products that lose it and
+    keep more than two others.  On one commuting label, (1 + 2 x - 2 x^2)^2
+    has 2 * 1 * (-2) + 2^2 = 0 at x^2, and (1 + 2 x)(1 - 2 x + 4 x^2 + x^5)
+    loses x and x^2.  On spec2(8), x^(1,0) 2 x^(0,1) + 2 x^(0,1) x^(1,0) =
+    2 (q^(1/2) + q^(-1/2)) x^(1,1) meets the cross terms
+    2 * (-(q^(1/2) + q^(-1/2))) of x^(1,1) and x^(0,0), and
+    x^(1,0) x^(0,1) = q^(1/2) x^(1,1) meets -q^(1/2) x^(0,0) x^(1,1)."""
+    one = TorusSpec(("a",), [[0]], 2)
+    a = TorusElement(one, {(0,): ONE, (2,): Laurent.integer(-2), (1,): Laurent.integer(2)})
+    yield a, a, (2,)
+    yield (TorusElement(one, {(0,): ONE, (1,): Laurent.integer(2)}),
+           TorusElement(one, {(0,): ONE, (1,): Laurent.integer(-2), (2,): Laurent.integer(4),
+                              (5,): ONE}), (1,))
+    a = TorusElement(spec2(8), {(1, 0): ONE, (0, 1): Laurent.integer(2),
+                                (1, 1): Laurent({4: -1, -4: -1}), (0, 0): ONE})
+    yield a, a, (1, 1)
+    yield (TorusElement(spec2(8), {(1, 0): ONE, (0, 0): Laurent({4: -1})}),
+           TorusElement(spec2(8), {(0, 1): ONE, (1, 1): ONE, (2, 0): ONE}), (1, 1))
 
 
 def test_square_that_partly_cancels_on_both_paths(monkeypatch):
-    # the first square runs the coefficient side, the second takes the
-    # first's table with its count of cancelled monomials: both drop the
-    # cancelled monomial, keep every other and list their keys in one order
-    for a, gone in partly_cancelling():
-        reference = reference_product(a, a)
+    # the first product, a square or a * b of distinct operands, runs the
+    # coefficient side, the second takes the first's table with its count of
+    # cancelled monomials: both drop the cancelled monomial, keep every
+    # other and list their keys in one order
+    for a, b, gone in partly_cancelling():
+        reference = reference_product(a, b)
         assert gone not in reference.terms and len(reference.terms) > 2
-        first, runs = coefficient_sides(monkeypatch, a)
+        first, runs = coefficient_sides(monkeypatch, a, b)
         assert runs == 1 and first == reference
         assert_canonical(first)
-        second, runs = coefficient_sides(monkeypatch, a)
+        second, runs = coefficient_sides(monkeypatch, a, b)
         assert runs == 0 and second == reference
         assert_canonical(second)
         assert list(second.terms) == list(first.terms)
@@ -371,13 +390,13 @@ def test_square_of_greedy_rung_trace_matches_reference(monkeypatch):
     assert len(alpha.steps) == 14
     shear, skein, _ = trace_once_edge(alpha, T, bundle=ShearSkein(T))
     # the rung's squares come from the grid, not from the pair loop
-    grid, square_on_grid = [], TorusElement._square
+    grid, on_grid = [], TorusElement._grid
 
-    def recorded(el):
-        grid.append(square_on_grid(el))
+    def recorded(el, other):
+        grid.append(on_grid(el, other))
         return grid[-1]
 
-    monkeypatch.setattr(TorusElement, "_square", recorded)
+    monkeypatch.setattr(TorusElement, "_grid", recorded)
     for el in (shear, skein):
         assert len(el.terms) > 20
         square = el * el
@@ -402,13 +421,13 @@ def stepped_element(rng, spec, n_terms, steps):
     return TorusElement(spec, terms)
 
 
-def grid_steps(a):
-    """(d, e) of a's square: d the gcd of every pair phase and coefficient
+def grid_steps(a, b):
+    """(d, e) of a * b: d the gcd of every pair phase and coefficient
     exponent difference, e that of the differences inside each coefficient."""
-    coeffs = set(a.terms.values())
+    coeffs = set(a.terms.values()) | set(b.terms.values())
     ns = [n for c in coeffs for n in c.terms]
     half = a.spec.u_eighth // 2
-    phases = [half * a.spec.pairing(k1, k2) for k1 in a.terms for k2 in a.terms]
+    phases = [half * a.spec.pairing(k1, k2) for k1 in a.terms for k2 in b.terms]
     d = math.gcd(*phases, *(n - min(ns) for n in ns)) or 1
     return d, math.gcd(*(n - min(c.terms) for c in coeffs for n in c.terms)) or d
 
@@ -417,28 +436,34 @@ def test_square_rows_on_each_coefficients_step():
     # coefficients that all step by 2 or 3 times 4 lay their rows on that
     # step e and their product columns e/d grid steps apart; mixed steps give
     # e = 4, and one-term coefficients add no step (all one-term: e = d);
-    # a square whose row would span more grid steps than the pair loop's
-    # products takes the pair loop, whatever its rows' own step
+    # a square, or a product a * b of distinct operands, whose row would
+    # span more grid steps than the pair loop's products takes the pair
+    # loop, whatever its rows' own step
     rng = np.random.default_rng(19)
     ratios, looped = set(), 0
     for spec in product_specs():
         for steps in ((2,), (3,), (2, 3), (1, 2, 3), (0,), (0, 2), (0, 3)):
             for n_terms in (1, 3, 6):
                 a = stepped_element(rng, spec, n_terms, steps)
-                square = a._square()
-                assert a * a == reference_product(a, a)
-                d, e = grid_steps(a)
-                terms = sum(len(c.terms) for c in a.terms.values())
-                rows = max((max(c.terms) - min(c.terms)) // d + 1 for c in a.terms.values())
-                assert (square is None) == (rows > terms ** 2)
-                if square is None:
-                    looped += 1
-                    continue
-                assert square == reference_product(a, a)
-                assert_canonical(square)
-                assert_shared(square)
-                ratios.add(e // d)
-    assert {1, 2, 3} <= ratios and looped < 10
+                b = stepped_element(rng, spec, n_terms + 2, steps)
+                for x, y in ((a, a), (a, b), (b, a)):
+                    assert x * y == reference_product(x, y)
+                    if min(len(x.terms), len(y.terms)) < 2:
+                        continue
+                    product = x._grid(y)
+                    d, e = grid_steps(x, y)
+                    terms = [sum(len(c.terms) for c in el.terms.values()) for el in (x, y)]
+                    rows = max((max(c.terms) - min(c.terms)) // d + 1
+                               for el in (x, y) for c in el.terms.values())
+                    assert (product is None) == (rows > terms[0] * terms[1])
+                    if product is None:
+                        looped += 1
+                        continue
+                    assert product == reference_product(x, y)
+                    assert_canonical(product)
+                    assert_shared(product)
+                    ratios.add(e // d)
+    assert {1, 2, 3} <= ratios and looped < 30
 
 
 def test_square_int64_and_object_coefficients():
@@ -452,7 +477,7 @@ def test_square_int64_and_object_coefficients():
                              (0, 1): Laurent({0: p, -8: norm - 3 * p}),
                              (1, 1): Laurent()})
         assert sum(abs(v) for c in a.terms.values() for v in c.terms.values()) == norm
-        assert (a._square() is None) == (norm == 3037000500)
+        assert (a._grid(a) is None) == (norm == 3037000500)
         square = a * a
         assert square == reference_product(a, a)
         assert_canonical(square)
@@ -460,14 +485,6 @@ def test_square_int64_and_object_coefficients():
         mono = TorusElement.monomial(s, (1, -1), Laurent({4: norm}))
         assert (mono * mono).terms == {(2, -2): Laurent({8: norm * norm})}
         assert_canonical(mono * mono)
-
-
-def test_square_pairs_are_the_upper_triangle():
-    for n in range(1, 41):
-        iu, ju = qtorus._pairs(n)
-        ti, tj = np.triu_indices(n)
-        assert iu.dtype == ti.dtype and ju.dtype == tj.dtype
-        assert np.array_equal(iu, ti) and np.array_equal(ju, tj)
 
 
 def test_group_pairs_is_unique_with_first_indices():
@@ -485,15 +502,15 @@ def test_group_pairs_is_unique_with_first_indices():
 def test_square_sort_key_int64_bound():
     # the exponent side sorts pair code * npairs + pair index, which stays
     # below prod(radix) * npairs; on one label with A = 0 that product is
-    # the only bound near 2^63: (2 h + 1) * 6 just below takes the grid,
+    # the only bound near 2^63: (2 h + 1) * 9 just below takes the grid,
     # just above the pair loop, though 2 h + 1 itself fits int64 on both
     s = TorusSpec(("a",), [[0]], 2)
-    below = 768614336404564650
+    below = 512409557603043099
     for h in (below, below + 1):
-        assert ((2 * h + 1) * 6 < 2 ** 63) == (h == below) and 2 * h + 1 < 2 ** 63
+        assert ((2 * h + 1) * 9 < 2 ** 63) == (h == below) and 2 * h + 1 < 2 ** 63
         a = TorusElement(s, {(0,): Laurent({0: 1, 4: -2}), (1,): Laurent({2: 3}),
                              (h,): Laurent({0: 1, 4: -2})})
-        assert (a._square() is None) == (h == below + 1)
+        assert (a._grid(a) is None) == (h == below + 1)
         square = a * a
         assert square == reference_product(a, a) and len(square.terms) == 6
         assert_canonical(square)
@@ -533,7 +550,7 @@ def test_square_edge_cases(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(qtorus, "np", Recorded())
-        square = a._square()
+        square = a._grid(a)
     assert square == a * a == reference_product(a, a) and len(square.terms) == 3
     assert_canonical(square)
     kept = {id(c): c for c in square.terms.values()}
@@ -542,7 +559,7 @@ def test_square_edge_cases(monkeypatch):
     # row of 2^40 entries, so its square takes the pair loop, as a * b does
     a = TorusElement(spec2(8), {(1, 0): Laurent({0: 1, 1: 1, 2 ** 40: 1}), (0, 1): ONE})
     square = a * a
-    assert a._square() is None
+    assert a._grid(a) is None
     assert square == a * TorusElement(a.spec, dict(a.terms)) == reference_product(a, a)
     assert len(square.terms) == 3
     assert_canonical(square)
@@ -552,9 +569,139 @@ def test_square_edge_cases(monkeypatch):
     # steps: the square takes the pair loop
     a = TorusElement(spec2(8), {(1, 0): Laurent({0: 1, 2 ** 40: 1}), (0, 1): Laurent({1: 1})})
     square = a * a
-    assert a._square() is None
+    assert a._grid(a) is None
     assert square == reference_product(a, a) and len(square.terms) == 3
     assert_canonical(square)
+
+
+def layout(el):
+    """Keys in order, each coefficient's terms in order, and the number of
+    coefficient objects."""
+    return ([(k, list(c.terms.items())) for k, c in el.terms.items()],
+            len({id(c) for c in el.terms.values()}))
+
+
+def test_grid_table_tells_apart_the_indices_of_b(monkeypatch):
+    # a * b and a * b2, where b2 swaps b's two coefficients: the tables
+    # agree in the coefficient values, a's indices, the phases and the
+    # monomials, and differ only in b's indices, so the second product,
+    # made while the first lives, runs its own coefficient side
+    p, r = Laurent({0: 1, 8: 2}), Laurent({-4: 3})
+    a = TorusElement(spec2(8), {(1, 0): p, (0, 1): r})
+    b, b2 = (TorusElement(spec2(8), {(1, 1): x, (2, -1): y}) for x, y in ((p, r), (r, p)))
+    first, runs = coefficient_sides(monkeypatch, a, b)
+    assert runs == 1 and first == reference_product(a, b)
+    second, runs = coefficient_sides(monkeypatch, a, b2)
+    assert runs == 1 and second == reference_product(a, b2) != first
+
+
+def test_grid_guards_flip_at_their_bounds_on_distinct_operands():
+    # each int64 guard and the row-span guard of a * b with a != b: just
+    # below its bound the grid takes the product, just above it the pair
+    # loop does; both give the reference, in either operand order
+    one = TorusSpec(("a",), [[0]], 2)
+    flat = TorusSpec(("a", "b"), [[0, 0], [0, 0]], 2)
+
+    def normed(norm):
+        p = norm // 4
+        return TorusElement(spec2(16), {(1, 0): Laurent({0: p, 8: -p}),
+                                        (0, 1): Laurent({0: p, -8: norm - 3 * p})})
+    sort_below = (2 ** 63 - 1) // 6 - 6          # (h + 5 + 1) * 6 pairs
+    layout_below = ((2 ** 63 - 1) // 5 - 1) // 8    # (4 + 1) * (2 * 4 n + 1)
+    cases = {
+        # partial sums up to ||a||_1 ||b||_1
+        "partial sums": lambda up: (normed(3037000500), normed(3037000499 + up)),
+        # sort keys below prod(radix) * npairs
+        "sort keys": lambda up: (
+            TorusElement(one, {(0,): Laurent({0: 1, 4: -2}), (1,): Laurent({2: 3}),
+                               (sort_below + up,): ONE}),
+            TorusElement(one, {(0,): Laurent({2: 1}), (5,): Laurent({0: -1, 4: 1})})),
+        # output exponent vectors up to max|k_a| + max|k_b|
+        "output exponents": lambda up: (
+            TorusElement(flat, {(2 ** 62, 0): ONE, (2 ** 62, 1): Laurent({4: 2})}),
+            TorusElement(flat, {(2 ** 62 - 1 + up, 0): Laurent({2: 1}),
+                                (2 ** 62 - 1 + up, 1): ONE})),
+        # layout keys below (npairs + 1) (2 r + 1), r = 4 max|n| here
+        "layout keys": lambda up: (
+            TorusElement(one, {(0,): ONE, (1,): Laurent({layout_below + up: 1})}),
+            TorusElement(one, {(0,): Laurent({-8: 2}), (3,): ONE})),
+        # a row of s (ell - 1) + 1 = M + 1 grid steps against 3 * 2
+        # coefficient-term products
+        "row span": lambda up: (
+            TorusElement(one, {(0,): Laurent({0: 1, 5 + up: 1}), (1,): Laurent({1: 1})}),
+            TorusElement(one, {(0,): ONE, (2,): ONE})),
+    }
+    for name, make in cases.items():
+        for up in (0, 1):
+            a, b = make(up)
+            assert len(a.terms) > 1 and len(b.terms) > 1
+            for x, y in ((a, b), (b, a)):
+                assert (x._grid(y) is None) == (up == 1), (name, up)
+                assert x * y == reference_product(x, y), name
+                assert_canonical(x * y)
+    # an exponent past int64 in either operand takes the pair loop
+    for big in (2 ** 63, -2 ** 63 - 1):
+        a = TorusElement(spec2(8), {(big, 0): ONE, (0, 1): Laurent({4: 1})})
+        b = TorusElement(spec2(8), {(1, 0): ONE, (0, 1): ONE})
+        for x, y in ((a, b), (b, a)):
+            assert x._grid(y) is None and x * y == reference_product(x, y)
+
+
+def test_grid_product_does_not_depend_on_term_order():
+    # a * b with the terms of a and of b in the original, sorted, reversed
+    # and shuffled orders: the same keys in code order, the same term order
+    # in each coefficient and the same sharing of coefficient objects
+    rng = np.random.default_rng(43)
+    for spec in list(product_specs())[1:]:
+        a, b = repeating_element(rng, spec, 9), random_element(rng, spec, 6)
+        expected = layout(a._grid(b))
+        assert expected[0] == sorted(expected[0], key=lambda kc: kc[0][::-1])
+
+        def orders(el):
+            items = list(el.terms.items())
+            shuffled = [items[i] for i in rng.permutation(len(items))]
+            return [TorusElement(spec, dict(order))
+                    for order in (items, sorted(items), items[::-1], shuffled)]
+        for x in orders(a):
+            for y in orders(b):
+                assert layout(x._grid(y)) == expected
+
+
+def test_psi_product_takes_the_shear_product_coefficients(monkeypatch):
+    # psi keeps the term order and relabels exponents, so psi(a) psi(b) of
+    # distinct shear elements has the multiplication table of a b: while
+    # a b is alive it runs no coefficient side, builds no Laurent and holds
+    # a b's coefficient objects
+    T, alpha = greedy_rung(9)
+    bundle = ShearSkein(T)
+    a, psi_a, _ = trace_once_edge(alpha, T, bundle=bundle)
+    b = TorusElement(a.spec, dict(list(a.terms.items())[::2]))
+    psi_b = bundle.psi(b)
+    assert psi_a == bundle.psi(a) and len(b.terms) > 2
+    first = a * b
+    (second, runs), built = square_builds(
+        monkeypatch, psi_a, lambda x: coefficient_sides(monkeypatch, x, psi_b))
+    assert (runs, built) == (0, [])
+    assert first == reference_product(a, b) and second == reference_product(psi_a, psi_b)
+    assert {id(c) for c in second.terms.values()} == {id(c) for c in first.terms.values()}
+
+
+def farey_trace(p, q):
+    """tr of the slope (p, q) curve on the once-marked torus, over Y(Lambda)."""
+    lam = torus_one_marked()
+    alpha = NormalCurve.from_weights(lam, {"a": abs(q), "b": abs(p), "c": abs(p - q)})
+    return state_sum(alpha, lam, BarBundle(lift(lam)).ylam)[0]
+
+
+def test_farey_traces_product_matches_pair_loop(monkeypatch):
+    # tr(1,8) tr(1,9) on Y(Lambda), 59 x 75 terms, takes the grid, lists
+    # its keys in code order and equals the pair loop's product
+    a, b = farey_trace(1, 8), farey_trace(1, 9)
+    grid = a * b
+    assert grid == a._grid(b) and len(grid.terms) == 347
+    assert list(grid.terms) == sorted(grid.terms, key=lambda k: k[::-1])
+    monkeypatch.setattr(TorusElement, "_grid", lambda x, y: None)
+    assert a * b == grid
 
 
 def test_repeated_coefficients_match_per_pair_reference():
